@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"reesift/internal/core"
 	"reesift/internal/experiments"
 	"reesift/internal/sim"
 	"reesift/pkg/reesift"
@@ -320,6 +321,52 @@ func BenchmarkChaosSimDay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(time.Since(start).Seconds()/float64(b.N), "s/sim-day")
+}
+
+// BenchmarkArmorRound measures the steady-state ARMOR/SIFT message path:
+// the 4-node testbed with the chaos relay service beating, no faults. One
+// op is one simulated heartbeat period (10 s: one FTM heartbeat round, one
+// Heartbeat-ARMOR poll, one are-you-alive round per daemon, two relay
+// beats). The message path itself allocates nothing — snapshots, the
+// element context, timers and daemon hops are all reused — so what is left
+// is one box per envelope originated (allocs/envelope ≈ 1) plus the relay's
+// progress payload and log-detail string per beat. An envelope is counted
+// where it enters the network (Hops == 0); sends/envelope is the hop count.
+func BenchmarkArmorRound(b *testing.B) {
+	const period = 10 * time.Second
+	c, err := reesift.NewCluster(reesift.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(5 * time.Second)
+	c.Submit(reesift.ChaosServiceApp(1, "node-b1", 0), c.Now())
+	limit := c.Run(6 * period) // installed, pools and scratch buffers warm
+	k := c.Kernel()
+	var envelopes uint64
+	k.InstallNetFault(1, &sim.NetFault{Match: func(_, _ sim.PID, payload interface{}) bool {
+		if env, ok := payload.(*core.Envelope); ok && env.Hops == 0 {
+			envelopes++
+		}
+		return false // observe only
+	}})
+	sent := k.MessagesSent()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		limit += period
+		c.Run(limit)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if envelopes == 0 {
+		b.Fatal("no envelope originated")
+	}
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(envelopes), "allocs/envelope")
+	b.ReportMetric(float64(envelopes)/float64(b.N), "envelopes/op")
+	b.ReportMetric(float64(k.MessagesSent()-sent)/float64(envelopes), "sends/envelope")
 }
 
 // Kernel hot-path benchmarks. These are the alloc-gated pair: run with

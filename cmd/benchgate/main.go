@@ -3,16 +3,17 @@
 // lower-is-better metric regressed beyond a tolerance. It is the CI
 // gate that keeps the recovery path (s/recovery), the chaos subsystem's
 // simulation throughput (s/sim-day), the split-brain reconciliation
-// campaign (s/split-brain), and the kernel hot path's allocation
-// behaviour (allocs/op, B/op from -benchmem) from silently getting
-// worse. The alloc gate is strict at zero by construction: a 0 allocs/op
-// baseline allows only 0, so a single allocation creeping back into the
-// steady-state event loop fails the build regardless of tolerance.
+// campaign (s/split-brain), the ARMOR/SIFT message path (allocs/envelope)
+// and the kernel hot path's allocation behaviour (allocs/op, B/op from
+// -benchmem) from silently getting worse. The alloc gate is strict at
+// zero by construction: a 0 allocs/op baseline allows only 0, so a single
+// allocation creeping back into the steady-state event loop fails the
+// build regardless of tolerance.
 //
 // Usage:
 //
 //	benchgate -old prev/BENCH.json -new BENCH.json \
-//	          [-metrics s/recovery,s/sim-day,s/split-brain,allocs/op,B/op] \
+//	          [-metrics s/recovery,s/sim-day,s/split-brain,allocs/envelope,allocs/op,B/op] \
 //	          [-max-regress 0.20]
 //
 // Both artifacts are parsed for benchmark result lines; for every
@@ -43,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	oldPath := fs.String("old", "", "previous BENCH.json (missing file skips the gate)")
 	newPath := fs.String("new", "", "fresh BENCH.json to gate")
-	metrics := fs.String("metrics", "s/recovery,s/sim-day,s/split-brain,allocs/op,B/op", "comma-separated units to track")
+	metrics := fs.String("metrics", "s/recovery,s/sim-day,s/split-brain,allocs/envelope,allocs/op,B/op", "comma-separated units to track")
 	maxRegress := fs.Float64("max-regress", 0.20, "allowed fractional slowdown before failing")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"reesift/internal/memsim"
@@ -50,8 +51,9 @@ type Config struct {
 	// ARMORs, a sim send to the local daemon, which routes by AID.
 	SendLower func(p *sim.Proc, env Envelope)
 	// OnForward, if non-nil, handles envelopes addressed to other
-	// ARMORs (the daemon's gateway role).
-	OnForward func(ctx *Ctx, env Envelope)
+	// ARMORs (the daemon's gateway role). It receives the boxed envelope
+	// as it arrived, to send on as is.
+	OnForward func(ctx *Ctx, env *Envelope)
 	// Mem is the simulated memory image for register/text fault
 	// injection; nil disables that error model for this process.
 	Mem *memsim.Memory
@@ -106,6 +108,15 @@ type Armor struct {
 	comm *commState
 	subs map[EventKind][]Element
 
+	// ctx is the one element execution context. Every dispatch entry
+	// point re-aims it instead of allocating a Ctx per delivery; handlers
+	// must not keep it past their return.
+	ctx Ctx
+	// self is cfg.ID boxed once, the payload of every i-am-alive reply.
+	self interface{}
+	// timerFree pools timer records; see timerRec.
+	timerFree []*timerRec
+
 	// Failure-injection side effects.
 	deaf        bool
 	corruptNext bool
@@ -128,26 +139,83 @@ type ackKey struct {
 	seq uint64
 }
 
-type retryTag struct {
-	key ackKey
+// Timer kinds, dispatched by handleTimer.
+const (
+	timerElement uint8 = iota + 1 // EventTimer for one element (Ctx.After)
+	timerRetry                    // reliable-channel retransmission
+)
+
+// timerRec is what an ARMOR timer delivers to the process inbox. Records
+// are pooled per ARMOR and travel as a pointer, so arming and firing a
+// timer allocates nothing once the pool is warm. A record returns to the
+// pool exactly once: when its delivery is dispatched, or when its pending
+// kernel event is cancelled through a Timer handle. Records of a dead ARMOR
+// are never delivered (the kernel drops messages to dead processes) and
+// are collected with it.
+type timerRec struct {
+	a    *Armor
+	kind uint8
+	el   Element     // timerElement: nil when After named no element of this ARMOR
+	tag  interface{} // timerElement
+	key  ackKey      // timerRetry
 }
 
-// elementTimer routes EventTimer deliveries to a single element.
-type elementTimer struct {
-	element string
-	tag     interface{}
+//reesift:noalloc
+func (a *Armor) newTimer(kind uint8) *timerRec {
+	if n := len(a.timerFree); n > 0 {
+		t := a.timerFree[n-1]
+		a.timerFree = a.timerFree[:n-1]
+		t.kind = kind
+		return t
+	}
+	return &timerRec{a: a, kind: kind}
 }
+
+//reesift:noalloc
+func (a *Armor) freeTimer(t *timerRec) {
+	t.el, t.tag = nil, nil
+	a.timerFree = append(a.timerFree, t)
+}
+
+// Timer is a handle to a timer armed with Ctx.After. The zero Timer refers
+// to nothing: Cancel and Reschedule are no-ops on it. The kernel event's
+// generation stamp guards the record: once the timer has fired or been
+// cancelled the handle is stale and can neither free the record a second
+// time nor touch the timer that reuses it.
+type Timer struct {
+	ev  sim.Event
+	rec *timerRec
+}
+
+// Cancel stops a pending timer and returns its record to the pool. A timer
+// that already fired is delivered as usual, even if not yet dispatched.
+//
+//reesift:noalloc
+func (t Timer) Cancel() {
+	if !t.ev.Pending() {
+		return
+	}
+	t.ev.Cancel()
+	t.rec.a.freeTimer(t.rec)
+}
+
+// Reschedule moves a pending timer to fire d from now, keeping its tag. It
+// reports false when the timer already fired or was cancelled.
+//
+//reesift:noalloc
+func (t Timer) Reschedule(d time.Duration) bool { return t.ev.Reschedule(d) }
 
 // New builds an ARMOR from a config. Run must be called on a sim process.
 func New(cfg Config) *Armor {
 	if cfg.CheckpointPath == "" {
-		cfg.CheckpointPath = fmt.Sprintf("ckpt/%d", uint64(cfg.ID))
+		cfg.CheckpointPath = "ckpt/" + strconv.FormatUint(uint64(cfg.ID), 10)
 	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 2 * time.Second
 	}
 	a := &Armor{
 		cfg:       cfg,
+		self:      cfg.ID,
 		comm:      newCommState(),
 		subs:      make(map[EventKind][]Element),
 		unacked:   make(map[ackKey]Envelope),
@@ -226,7 +294,9 @@ func (a *Armor) ResetPeer(peer AID) {
 	}
 }
 
-// Ctx is the element execution context for one event delivery.
+// Ctx is the element execution context for one event delivery. An ARMOR
+// has one, valid for the duration of the Handle or Start call it is passed
+// to.
 type Ctx struct {
 	Armor *Armor
 	Proc  *sim.Proc
@@ -254,8 +324,13 @@ func (c *Ctx) SendUnreliable(dst AID, kind EventKind, data interface{}) {
 
 // After arranges for the named element to receive an EventTimer carrying
 // tag after d.
-func (c *Ctx) After(element string, d time.Duration, tag interface{}) sim.Event {
-	return c.Proc.After(d, elementTimer{element: element, tag: tag})
+//
+//reesift:noalloc
+func (c *Ctx) After(element string, d time.Duration, tag interface{}) Timer {
+	a := c.Armor
+	t := a.newTimer(timerElement)
+	t.el, t.tag = a.Element(element), tag
+	return Timer{ev: c.Proc.After(d, t), rec: t}
 }
 
 // Touch records that the handler mutated *another* element's state, so
@@ -327,29 +402,46 @@ func (a *Armor) Start(p *sim.Proc) {
 		}
 		a.ckpt = NewCheckpoint(store, a.cfg.CheckpointPath)
 	}
-	ctx := &Ctx{Armor: a, Proc: p, From: InvalidAID}
+	// Start re-enters from deliverEvent on a restore command: give the
+	// delivery in progress its source back afterwards.
+	from := a.ctx.From
+	ctx := a.aim(p, InvalidAID)
 	for _, el := range a.cfg.Elements {
 		if s, ok := el.(Starter); ok {
 			s.Start(ctx)
 			a.ckpt.Update(el.Name(), el.Snapshot())
 		}
 	}
+	a.ctx.From = from
+}
+
+// aim points the ARMOR's one Ctx at a delivery from the given source.
+//
+//reesift:noalloc
+func (a *Armor) aim(p *sim.Proc, from AID) *Ctx {
+	a.ctx = Ctx{Armor: a, Proc: p, From: from}
+	return &a.ctx
 }
 
 // Dispatch processes one inbox message. Exposed so composite processes
 // (the daemon, which is both an ARMOR and a gateway) can drive the runtime
 // from their own receive loops.
+//
+//reesift:noalloc
 func (a *Armor) Dispatch(p *sim.Proc, m sim.Msg) {
 	a.proc = p
 	// Every dispatched message is a unit of work for the memory model.
 	a.step(p)
 	switch pl := m.Payload.(type) {
+	case *Envelope:
+		a.handleEnvelope(p, *pl, pl)
 	case Envelope:
-		a.handleEnvelope(p, pl)
-	case sim.TimerFired:
+		// A lower layer that sends by value boxes at every hop.
+		a.handleEnvelope(p, pl, nil)
+	case *timerRec:
 		a.handleTimer(p, pl)
 	case sim.ChildExit:
-		a.deliverEvents(p, InvalidAID, []Event{{Kind: EventChildExit, Data: pl}})
+		a.deliverEvent(p, InvalidAID, Event{Kind: EventChildExit, Data: m.Payload})
 	case RestoreCmd:
 		a.restoreFromCheckpoint()
 	}
@@ -420,7 +512,10 @@ func (a *Armor) corruptCheckpointAndCrash(p *sim.Proc) {
 	p.Crash(ReasonSegfault + " after checkpoint corruption")
 }
 
-func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope) {
+// handleEnvelope runs the receive side of the reliable channel. box is the
+// envelope as it arrived (nil when the sender passed a value); only the
+// gateway path hands it on.
+func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 	if a.deaf {
 		// Receive omission: the element-level receive path is dead,
 		// but the process still believes it is healthy, keeps running
@@ -435,8 +530,10 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope) {
 	}
 	if env.Dst != a.cfg.ID {
 		if a.cfg.OnForward != nil {
-			ctx := &Ctx{Armor: a, Proc: p, From: env.Src}
-			a.cfg.OnForward(ctx, env)
+			if box == nil {
+				box = env.Box()
+			}
+			a.cfg.OnForward(a.aim(p, env.Src), box)
 		}
 		return
 	}
@@ -446,7 +543,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope) {
 			// half of a split brain. Drop the envelope and let the
 			// hook trigger reconciliation.
 			if a.cfg.OnStaleSender != nil {
-				a.cfg.OnStaleSender(&Ctx{Armor: a, Proc: p, From: env.Src}, env)
+				a.cfg.OnStaleSender(a.aim(p, env.Src), env)
 			}
 			return
 		}
@@ -476,22 +573,16 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope) {
 	if a.cfg.AwaitRestore && !a.Restored {
 		// Reinstalled but not yet restored: inert until step two of
 		// the two-step recovery arrives.
-		restoring := false
-		for _, ev := range env.Events {
-			if ev.Kind == EventRestore {
-				restoring = true
-			}
-		}
-		if !restoring {
+		if env.Event.Kind != EventRestore {
 			if k := p.Kernel(); k.TraceOn() {
 				k.Emit(trace.Record{Kind: trace.KindLog, Op: "awaiting-restore-drop",
-					Detail: a.cfg.Name + ": " + string(env.Events[0].Kind), A: int64(env.Src)})
+					Detail: a.cfg.Name + ": " + string(env.Event.Kind), A: int64(env.Src)})
 			}
 			a.replyAliveOnly(p, env)
 			return
 		}
 	}
-	a.deliverEvents(p, env.Src, env.Events)
+	a.deliverEvent(p, env.Src, env.Event)
 	if env.Seq > 0 {
 		a.comm.markSeen(env.Src, env.Seq)
 		a.ckpt.Update(commName, a.comm.snapshot())
@@ -499,71 +590,88 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope) {
 	}
 }
 
-// replyAliveOnly answers are-you-alive inquiries in an envelope without
-// processing anything else (deaf and awaiting-restore states).
+// replyAliveOnly answers an are-you-alive inquiry without processing
+// anything else (deaf and awaiting-restore states).
 func (a *Armor) replyAliveOnly(p *sim.Proc, env Envelope) {
-	for _, ev := range env.Events {
-		if ev.Kind == EventAreYouAlive {
-			a.transmit(p, NewMsg(a.cfg.ID, env.Src, EventIAmAlive, a.cfg.ID))
-		}
+	if env.Event.Kind == EventAreYouAlive {
+		a.transmit(p, NewMsg(a.cfg.ID, env.Src, EventIAmAlive, a.self))
 	}
 }
 
-// deliverEvents runs the microcheckpointed dispatch: each event goes to
-// each subscribed element; after every delivery the element's state is
-// copied into its checkpoint region and its assertions run.
-func (a *Armor) deliverEvents(p *sim.Proc, from AID, events []Event) {
-	ctx := &Ctx{Armor: a, Proc: p, From: from}
-	for _, ev := range events {
-		if ev.Kind == EventAreYouAlive {
-			// Basic-element behaviour common to all ARMORs.
-			a.transmit(p, NewMsg(a.cfg.ID, from, EventIAmAlive, a.cfg.ID))
-			continue
+// deliverEvent runs the microcheckpointed dispatch: the event goes to each
+// subscribed element; after every delivery the element's state is copied
+// into its checkpoint region and its assertions run.
+//
+//reesift:noalloc
+func (a *Armor) deliverEvent(p *sim.Proc, from AID, ev Event) {
+	switch ev.Kind {
+	case EventAreYouAlive:
+		// Basic-element behaviour common to all ARMORs.
+		a.transmit(p, NewMsg(a.cfg.ID, from, EventIAmAlive, a.self))
+		return
+	case EventRestore:
+		if k := p.Kernel(); k.TraceOn() {
+			k.Emit(trace.Record{Kind: trace.KindLog, Op: "restore-command", Detail: a.cfg.Name})
 		}
-		if ev.Kind == EventRestore {
-			if k := p.Kernel(); k.TraceOn() {
-				k.Emit(trace.Record{Kind: trace.KindLog, Op: "restore-command", Detail: a.cfg.Name})
-			}
-			a.restoreFromCheckpoint()
-			a.Restored = true
-			a.Start(p)
-			continue
-		}
-		for _, el := range a.subs[ev.Kind] {
-			el.Handle(ctx, ev)
-			a.ckpt.Update(el.Name(), el.Snapshot())
-			a.runCheck(p, el, "")
-		}
+		a.restoreFromCheckpoint()
+		a.Restored = true
+		a.Start(p)
+		return
+	}
+	ctx := a.aim(p, from)
+	for _, el := range a.subs[ev.Kind] {
+		a.handle(ctx, el, ev)
 	}
 }
 
-func (a *Armor) handleTimer(p *sim.Proc, t sim.TimerFired) {
-	switch tag := t.Tag.(type) {
-	case retryTag:
-		env, ok := a.unacked[tag.key]
+// handle delivers one event to one element, then microcheckpoints and
+// self-checks it.
+//
+//reesift:noalloc
+func (a *Armor) handle(ctx *Ctx, el Element, ev Event) {
+	el.Handle(ctx, ev)
+	a.ckpt.Update(el.Name(), el.Snapshot())
+	a.runCheck(ctx.Proc, el, "")
+}
+
+// handleTimer dispatches a fired timer by kind. The record is read out and
+// pooled first, so whatever the handler arms next can reuse it.
+//
+//reesift:noalloc
+func (a *Armor) handleTimer(p *sim.Proc, t *timerRec) {
+	kind, el, tag, key := t.kind, t.el, t.tag, t.key
+	a.freeTimer(t)
+	switch kind {
+	case timerRetry:
+		env, ok := a.unacked[key]
 		if !ok {
 			return
 		}
-		a.retries[tag.key]++
+		a.retries[key]++
 		a.transmit(p, env)
-		p.After(a.cfg.RetryInterval, tag)
-	case elementTimer:
-		el := a.Element(tag.element)
-		if el == nil {
-			return
+		a.armRetry(p, key)
+	case timerElement:
+		if el != nil {
+			a.handle(a.aim(p, InvalidAID), el, Event{Kind: EventTimer, Data: tag})
 		}
-		ctx := &Ctx{Armor: a, Proc: p, From: InvalidAID}
-		el.Handle(ctx, Event{Kind: EventTimer, Data: tag.tag})
-		a.ckpt.Update(el.Name(), el.Snapshot())
-		a.runCheck(p, el, "")
-	default:
-		// Timer with an unknown tag: deliver to EventTimer subscribers.
-		a.deliverEvents(p, InvalidAID, []Event{{Kind: EventTimer, Data: t.Tag}})
 	}
 }
 
+// armRetry schedules the retransmission check for an unacknowledged send.
+//
+//reesift:noalloc
+func (a *Armor) armRetry(p *sim.Proc, key ackKey) {
+	t := a.newTimer(timerRetry)
+	t.key = key
+	p.After(a.cfg.RetryInterval, t)
+}
+
 // sendReliable sequences, records, and transmits an envelope, arming the
-// retransmission timer.
+// retransmission timer. unacked keeps its own copy: what travels is boxed
+// below and mutated by the hops, so a retransmission is bit-identical to
+// the first transmission.
+//
+//reesift:noalloc
 func (a *Armor) sendReliable(p *sim.Proc, env Envelope) {
 	env.Seq = a.comm.assign(env.Dst)
 	if a.corruptNext {
@@ -574,9 +682,10 @@ func (a *Armor) sendReliable(p *sim.Proc, env Envelope) {
 	a.unacked[key] = env
 	a.ckpt.Update(commName, a.comm.snapshot())
 	a.transmitCommitted(p, env)
-	p.After(a.cfg.RetryInterval, retryTag{key: key})
+	a.armRetry(p, key)
 }
 
+//reesift:noalloc
 func (a *Armor) sendAck(p *sim.Proc, dst AID, seq uint64) {
 	a.transmitCommitted(p, Envelope{Src: a.cfg.ID, Dst: dst, Ack: true, AckSeq: seq})
 }
@@ -586,6 +695,8 @@ func (a *Armor) sendAck(p *sim.Proc, dst AID, seq uint64) {
 // ARMOR message transmission" (Section 3.4). A reinstalled shell that has
 // not yet restored must not commit — its near-empty buffer would clobber
 // the very checkpoint it is waiting to load.
+//
+//reesift:noalloc
 func (a *Armor) transmitCommitted(p *sim.Proc, env Envelope) {
 	if !a.cfg.AwaitRestore || a.Restored {
 		a.ckpt.Commit()
@@ -601,6 +712,8 @@ func (a *Armor) transmitCommitted(p *sim.Proc, env Envelope) {
 // checkpoints (unreliable sends and retransmissions). Every envelope this
 // incarnation originates is stamped with its epoch here — the single
 // funnel below sendReliable, sendAck, and the liveness replies.
+//
+//reesift:noalloc
 func (a *Armor) transmit(p *sim.Proc, env Envelope) {
 	if env.SrcEpoch == 0 && env.Src == a.cfg.ID {
 		env.SrcEpoch = a.cfg.Epoch

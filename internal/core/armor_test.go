@@ -20,6 +20,8 @@ type counterElem struct {
 	peer   AID
 	period time.Duration
 	onInc  func(ctx *Ctx, n int64)
+
+	enc Encoder // Snapshot scratch
 }
 
 const evInc EventKind = "test.inc"
@@ -50,7 +52,8 @@ func (c *counterElem) Start(ctx *Ctx) {
 }
 
 func (c *counterElem) Snapshot() []byte {
-	var e Encoder
+	e := &c.enc
+	e.Reset()
 	e.PutI64(c.count)
 	e.PutI64(c.limit)
 	return e.Bytes()
@@ -285,7 +288,7 @@ func TestAreYouAliveAutoReply(t *testing.T) {
 	if !gotReply {
 		t.Fatal("no I-am-alive reply")
 	}
-	if len(reply.Events) != 1 || reply.Events[0].Kind != EventIAmAlive {
+	if reply.Event.Kind != EventIAmAlive {
 		t.Fatalf("reply = %+v", reply)
 	}
 }
@@ -442,9 +445,7 @@ func TestInstallAckNotification(t *testing.T) {
 			return
 		}
 		env := m.Payload.(Envelope)
-		if len(env.Events) == 1 {
-			ack, got = env.Events[0].Data.(InstallAck)
-		}
+		ack, got = env.Event.Data.(InstallAck)
 	})
 	k.Run(time.Minute)
 	if !got || ack.ID != 2 {

@@ -40,17 +40,15 @@ func NewCheckpoint(store *sim.FS, path string) *Checkpoint {
 	}
 }
 
-// Update copies an element snapshot into its region of the buffer,
-// reusing the region's existing backing array when it is large enough.
+// Update copies an element snapshot into its region of the buffer before
+// returning (state is typically the element's scratch encoder, overwritten
+// by its next Snapshot). The region's backing array is reused when large
+// enough and grows amortised otherwise.
+//
+//reesift:noalloc
 func (c *Checkpoint) Update(element string, state []byte) {
 	buf, existed := c.regions[element]
-	if cap(buf) >= len(state) {
-		buf = buf[:len(state)]
-	} else {
-		buf = make([]byte, len(state))
-	}
-	copy(buf, state)
-	c.regions[element] = buf
+	c.regions[element] = append(buf[:0], state...)
 	if !existed {
 		c.names = insertName(c.names, element)
 	}
@@ -84,6 +82,8 @@ func (c *Checkpoint) Elements() []string {
 
 // Commit serializes the buffer to stable storage. Called by the ARMOR
 // runtime on every message transmission.
+//
+//reesift:noalloc
 func (c *Checkpoint) Commit() {
 	c.store.Write(c.path, c.encode())
 	c.commits++

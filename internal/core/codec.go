@@ -47,12 +47,19 @@ const (
 var ErrCorrupt = errors.New("core: corrupt element state")
 
 // Encoder serializes element state fields in a fixed, element-defined
-// order.
+// order. The zero Encoder is ready to use. Put* appends, growing the
+// buffer when it must; an element keeps one Encoder for its lifetime and
+// starts every Snapshot with Reset, so encoding stops allocating once the
+// buffer has reached the state's size.
 type Encoder struct {
 	buf []byte
 }
 
-// Bytes returns the accumulated encoding.
+// Bytes returns the accumulated encoding. The slice aliases the encoder's
+// buffer: it is valid until the next Reset or Put*, and a caller that keeps
+// it longer must copy it.
+//
+//reesift:noalloc
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Reset empties the encoder while keeping its backing buffer, so a

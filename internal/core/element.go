@@ -16,7 +16,11 @@ type Element interface {
 	// Handle processes one event. It may send messages, start timers,
 	// and mutate the element's own private state via ctx.
 	Handle(ctx *Ctx, ev Event)
-	// Snapshot serializes the element's private state.
+	// Snapshot serializes the element's private state. The result may
+	// alias a scratch buffer the element owns (an Encoder it Resets on
+	// every call): it is valid only until the element's next Snapshot,
+	// and a caller that keeps it longer — as Checkpoint.Update does —
+	// must copy it.
 	Snapshot() []byte
 	// Restore replaces the element's state from a snapshot. An error
 	// means the snapshot is unparseable (e.g. a corrupted checkpoint).

@@ -67,11 +67,13 @@ type Envelope struct {
 	SrcEpoch uint64
 	// Seq orders envelopes per (Src, Dst) pair for the reliable channel.
 	Seq uint64
-	// Ack marks an acknowledgment for AckSeq; Events is empty.
+	// Ack marks an acknowledgment for AckSeq; Event is zero.
 	Ack    bool
 	AckSeq uint64
-	// Events are delivered sequentially to subscribed elements.
-	Events []Event
+	// Event is delivered to the subscribed elements. It is held inline —
+	// no multi-event message is ever built — so constructing an envelope
+	// allocates nothing.
+	Event Event
 	// Corrupt marks an envelope whose contents were damaged by an error
 	// inside the sender (a fail-silence violation). Parsing a corrupted
 	// envelope crashes the receiver unless the corruption is caught by a
@@ -81,7 +83,16 @@ type Envelope struct {
 	Hops int
 }
 
-// NewMsg builds a single-event envelope, the common case.
+// Box returns a heap copy of the envelope, the form it travels in: the
+// lower layer boxes an envelope once where it is originated — its one
+// allocation — and every daemon on the route forwards that same pointer,
+// bumping Hops in place. The box has one holder at a time; a sender that
+// may retransmit keeps its own copy by value and boxes again.
+func (e Envelope) Box() *Envelope { return &e }
+
+// NewMsg builds an envelope carrying one event.
+//
+//reesift:noalloc
 func NewMsg(src, dst AID, kind EventKind, data interface{}) Envelope {
-	return Envelope{Src: src, Dst: dst, Events: []Event{{Kind: kind, Data: data}}}
+	return Envelope{Src: src, Dst: dst, Event: Event{Kind: kind, Data: data}}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // commName is the checkpoint region holding the reliable channel state.
@@ -51,8 +52,8 @@ func newCommState() *commState {
 
 // insertAID adds k to a sorted key slice if absent.
 func insertAID(keys []AID, k AID) []AID {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i < len(keys) && keys[i] == k {
+	i, found := slices.BinarySearch(keys, k)
+	if found {
 		return keys
 	}
 	keys = append(keys, 0)
@@ -63,8 +64,8 @@ func insertAID(keys []AID, k AID) []AID {
 
 // removeAID deletes k from a sorted key slice if present.
 func removeAID(keys []AID, k AID) []AID {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i >= len(keys) || keys[i] != k {
+	i, found := slices.BinarySearch(keys, k)
+	if !found {
 		return keys
 	}
 	copy(keys[i:], keys[i+1:])
@@ -128,24 +129,34 @@ func (c *commState) forgetPeer(peer AID) {
 	delete(c.extraSeen, peer)
 }
 
+// putSeqMap encodes a per-peer sequence map in sorted key order.
+//
+//reesift:noalloc
+func putSeqMap(e *Encoder, m map[AID]uint64, keys []AID) {
+	e.PutU64(uint64(len(keys)))
+	for _, k := range keys {
+		e.PutU64(uint64(k))
+		e.PutU64(m[k])
+	}
+}
+
+func compareCommPair(x, y commPair) int {
+	return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.seq, y.seq))
+}
+
 // snapshot serializes the channel state deterministically. The returned
 // slice is the commState's scratch buffer, valid until the next snapshot
 // call; Checkpoint.Update copies it immediately.
+//
+//reesift:noalloc
 func (c *commState) snapshot() []byte {
 	e := &c.enc
 	e.Reset()
-	putMap := func(m map[AID]uint64, keys []AID) {
-		e.PutU64(uint64(len(keys)))
-		for _, k := range keys {
-			e.PutU64(uint64(k))
-			e.PutU64(m[k])
-		}
-	}
-	putMap(c.nextSeq, c.seqKeys)
-	putMap(c.lastSeen, c.seenKeys)
+	putSeqMap(e, c.nextSeq, c.seqKeys)
+	putSeqMap(e, c.lastSeen, c.seenKeys)
 	// extraSeen: flattened (src, seq) pairs. Almost always empty (only
-	// out-of-order arrivals populate it), so the sort here is off the
-	// steady-state path.
+	// out-of-order arrivals populate it), so the steady-state path never
+	// reaches the sort.
 	pairs := c.pairScratch[:0]
 	for src, seqs := range c.extraSeen {
 		for seq := range seqs {
@@ -153,12 +164,9 @@ func (c *commState) snapshot() []byte {
 		}
 	}
 	c.pairScratch = pairs
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].src != pairs[j].src {
-			return pairs[i].src < pairs[j].src
-		}
-		return pairs[i].seq < pairs[j].seq
-	})
+	if len(pairs) > 1 {
+		slices.SortFunc(pairs, compareCommPair)
+	}
 	e.PutU64(uint64(len(pairs)))
 	for _, p := range pairs {
 		e.PutU64(uint64(p.src))
@@ -214,6 +222,6 @@ func sortedAIDs(m map[AID]uint64, dst []AID) []AID {
 	for k := range m {
 		dst = append(dst, k)
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	return dst
 }

@@ -74,12 +74,14 @@ func (mf *msgFaultInjector) Fire(r *Runner, at time.Duration) {
 // the same faulty bytes, the paper's Section 6 crash-loop mechanism.
 // Non-envelope payloads (raw MPI traffic) pass through unchanged.
 func corruptEnvelope(payload interface{}) (interface{}, bool) {
-	env, ok := payload.(core.Envelope)
+	env, ok := payload.(*core.Envelope)
 	if !ok || env.Ack {
 		return payload, false
 	}
+	// In place: the message in flight is the box's only holder, and the
+	// sender retransmits from its own copy.
 	env.Corrupt = true
-	return env, true
+	return payload, true
 }
 
 // Finish counts the fault model's effects as the run's error insertions.

@@ -176,12 +176,12 @@ func (ac *AppContext) sendReliableBlocking(dst core.AID, kind core.EventKind, da
 		return
 	}
 	ac.seq++
-	env := core.Envelope{
-		Src: ac.AID, Dst: dst, Seq: ac.seq,
-		Events: []core.Event{{Kind: kind, Data: data}},
-	}
+	env := core.NewMsg(ac.AID, dst, kind, data)
+	env.Seq = ac.seq
 	for {
-		ac.Proc.Send(ac.daemon(), env)
+		// Boxed per attempt: the hops mutate what travels, and a
+		// retransmission must start from the pristine envelope.
+		ac.Proc.Send(ac.daemon(), env.Box())
 		if ac.waitAck(dst, env.Seq, 2*time.Second) {
 			return
 		}
@@ -201,7 +201,7 @@ func (ac *AppContext) waitAck(from core.AID, seq uint64, timeout time.Duration) 
 		if !ok {
 			return false
 		}
-		if env, ok := m.Payload.(core.Envelope); ok && env.Ack && env.Src == from && env.AckSeq == seq {
+		if env, ok := m.Payload.(*core.Envelope); ok && env.Ack && env.Src == from && env.AckSeq == seq {
 			return true
 		}
 		ac.stash = append(ac.stash, m)
@@ -230,7 +230,7 @@ func (ac *AppContext) RecvMatch(timeout time.Duration, pred func(sim.Msg) bool) 
 		}
 		// Acks arriving outside a blocking send are stale
 		// retransmission acks; drop them.
-		if env, ok := m.Payload.(core.Envelope); ok && env.Ack {
+		if env, ok := m.Payload.(*core.Envelope); ok && env.Ack {
 			continue
 		}
 		if pred(m) {
@@ -273,11 +273,11 @@ func (ac *AppContext) WaitChannelOpen(timeout time.Duration) bool {
 		return true
 	}
 	_, ok := ac.RecvMatch(timeout, func(m sim.Msg) bool {
-		env, isEnv := m.Payload.(core.Envelope)
-		if !isEnv || len(env.Events) == 0 {
+		env, isEnv := m.Payload.(*core.Envelope)
+		if !isEnv {
 			return false
 		}
-		_, isOpen := env.Events[0].Data.(ChannelOpen)
+		_, isOpen := env.Event.Data.(ChannelOpen)
 		return isOpen
 	})
 	return ok

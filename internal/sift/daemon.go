@@ -2,7 +2,7 @@ package sift
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"reesift/internal/core"
@@ -74,6 +74,8 @@ type Daemon struct {
 	// ayaOutstanding tracks which local ARMORs have not answered the
 	// current are-you-alive round.
 	ayaOutstanding map[core.AID]bool
+	// ayaScratch is ayaRound's reusable list of live local ARMORs.
+	ayaScratch []core.AID
 
 	installDelay time.Duration
 	ayaPeriod    time.Duration
@@ -161,14 +163,19 @@ func (d *Daemon) Run(p *sim.Proc) {
 	}
 }
 
-// route transmits envelopes originated by the daemon's own runtime and is
-// also the final hop for forwarded traffic.
+// route transmits envelopes originated by the daemon's own runtime: this
+// is where they are boxed, once for the whole route.
 func (d *Daemon) route(p *sim.Proc, env core.Envelope) {
-	d.deliver(p, env)
+	d.deliver(p, env.Box())
 }
 
 // forward handles envelopes addressed to other ARMORs (the gateway role).
-func (d *Daemon) forward(ctx *core.Ctx, env core.Envelope) {
+// The boxed envelope is sent on as it arrived, its hop count bumped in
+// place: it has one holder at a time, and a sender that may retransmit
+// keeps its own copy.
+//
+//reesift:noalloc
+func (d *Daemon) forward(ctx *core.Ctx, env *core.Envelope) {
 	env.Hops++
 	if env.Hops > 4 {
 		return
@@ -180,8 +187,11 @@ func (d *Daemon) forward(ctx *core.Ctx, env core.Envelope) {
 // invalid or unknown destination is detected here — at the daemon, after
 // the error has already escaped the sending process, which is the paper's
 // "detection occurs too late" observation about the node_mgmt escape.
-func (d *Daemon) deliver(p *sim.Proc, env core.Envelope) {
+//
+//reesift:noalloc
+func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 	if !env.Dst.Valid() {
+		//reesift:allow noalloc -- escaped-error report: formats once per misaddressed envelope, never on a routable one
 		d.env.Log.Add(p.Now(), "invalid-destination", fmt.Sprintf("src=%s dst=0", env.Src))
 		return
 	}
@@ -256,6 +266,8 @@ func (e *daemonElem) Handle(ctx *core.Ctx, ev core.Event) {
 
 // Snapshot implements core.Element. Daemon state is soft (daemon failure
 // is a node failure), so nothing is checkpointed.
+//
+//reesift:noalloc
 func (e *daemonElem) Snapshot() []byte { return nil }
 
 // Restore implements core.Element.
@@ -300,13 +312,9 @@ func (d *Daemon) location(ctx *core.Ctx, loc Location) {
 // stale incarnation's own node and makes it stand down.
 func (d *Daemon) staleSender(ctx *core.Ctx, env core.Envelope) {
 	known := d.armor.PeerEpoch(env.Src)
-	for _, ev := range env.Events {
-		if ev.Kind == EvInstallArmor {
-			if ins, ok := ev.Data.(InstallArmor); ok {
-				d.env.Log.Add(ctx.Now(), "install-refused-stale",
-					fmt.Sprintf("%s from stale %s epoch=%d<%d", ins.Spec.ID, env.Src, env.SrcEpoch, known))
-			}
-		}
+	if ins, ok := env.Event.Data.(InstallArmor); ok && env.Event.Kind == EvInstallArmor {
+		d.env.Log.Add(ctx.Now(), "install-refused-stale",
+			fmt.Sprintf("%s from stale %s epoch=%d<%d", ins.Spec.ID, env.Src, env.SrcEpoch, known))
 	}
 	d.env.Log.Add(ctx.Now(), "stale-sender-dropped",
 		fmt.Sprintf("%s epoch=%d<%d at %s", env.Src, env.SrcEpoch, known, d.node.Name()))
@@ -397,13 +405,14 @@ func (d *Daemon) childDied(ctx *core.Ctx, ce sim.ChildExit) {
 // that did not answer the previous round (hang detection).
 func (d *Daemon) ayaRound(ctx *core.Ctx) {
 	// Collect AIDs deterministically.
-	aids := make([]core.AID, 0, len(d.children))
+	aids := d.ayaScratch[:0]
 	for pid, aid := range d.children {
 		if ctx.Proc.Kernel().Alive(pid) {
 			aids = append(aids, aid)
 		}
 	}
-	sort.Slice(aids, func(i, j int) bool { return aids[i] < aids[j] })
+	slices.Sort(aids)
+	d.ayaScratch = aids
 	for _, aid := range aids {
 		if d.ayaOutstanding[aid] {
 			// No reply since last round: hang failure. Kill the

@@ -2,7 +2,7 @@ package sift
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"reesift/internal/core"
@@ -391,7 +391,7 @@ func (e *Environment) ftmSites(own string) []FTMSite {
 // placement.
 func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 	sendViaDaemon := func(p *sim.Proc, env core.Envelope) {
-		p.Send(e.daemonPID[node], env)
+		p.Send(e.daemonPID[node], env.Box())
 	}
 	cfg := core.Config{
 		ID:              spec.ID,
@@ -647,6 +647,8 @@ type sccProc struct {
 	// seen dedups reliable envelopes from the FTM.
 	seen  map[string]bool
 	stash []sim.Msg
+	// aidScratch is recoverNode's reusable sorted placement list.
+	aidScratch []core.AID
 }
 
 // Run is the SCC process body.
@@ -683,8 +685,8 @@ func (s *sccProc) Run(p *sim.Proc) {
 			h.SubmittedAt = p.Now()
 			s.env.Log.Add(p.Now(), "app-submit", fmt.Sprintf("app=%d", pl.App.ID))
 			s.sendReliable(AIDFTM, EvSubmitApp, SubmitApp{App: pl.App})
-		case core.Envelope:
-			s.handleEnvelope(pl)
+		case *core.Envelope:
+			s.handleEnvelope(*pl)
 		case sim.NodeDown:
 			s.env.Log.Add(p.Now(), "node-down-observed", pl.Node)
 		case sim.NodeUp:
@@ -722,11 +724,12 @@ func (s *sccProc) nodeRestarted(name string) {
 // with the FTM so heartbeat rounds and hostname translation resume.
 func (s *sccProc) recoverNode(rep BootReport) {
 	e := s.env
-	aids := make([]core.AID, 0, len(e.placement))
+	aids := s.aidScratch[:0]
 	for aid := range e.placement {
 		aids = append(aids, aid)
 	}
-	sort.Slice(aids, func(i, j int) bool { return aids[i] < aids[j] })
+	slices.Sort(aids)
+	s.aidScratch = aids
 	for _, aid := range aids {
 		rec := e.placement[aid]
 		if rec.Node != rep.Node || rec.Spec.Kind == KindDaemon {
@@ -799,17 +802,10 @@ func (s *sccProc) handleEnvelope(env core.Envelope) {
 			return
 		}
 	}
-	for _, ev := range env.Events {
-		if ev.Kind != EvAppDone {
-			continue
-		}
-		done, ok := ev.Data.(AppDone)
-		if !ok {
-			continue
-		}
+	if done, ok := env.Event.Data.(AppDone); ok && env.Event.Kind == EvAppDone {
 		h := s.env.handles[done.AppID]
 		if h == nil || h.Done {
-			continue
+			return
 		}
 		h.Done = true
 		h.DoneAt = s.proc.Now()
@@ -832,10 +828,8 @@ func (s *sccProc) ack(env core.Envelope) {
 // survive FTM failures during the setup phase (Figure 7).
 func (s *sccProc) sendReliable(dst core.AID, kind core.EventKind, data interface{}) {
 	s.seq++
-	env := core.Envelope{
-		Src: AIDSCC, Dst: dst, Seq: s.seq,
-		Events: []core.Event{{Kind: kind, Data: data}},
-	}
+	env := core.NewMsg(AIDSCC, dst, kind, data)
+	env.Seq = s.seq
 	for {
 		s.route(env)
 		if s.waitAck(dst, env.Seq, 2*time.Second) {
@@ -845,15 +839,16 @@ func (s *sccProc) sendReliable(dst core.AID, kind core.EventKind, data interface
 }
 
 // route sends an envelope via the FTM node's daemon (the SCC's uplink
-// attaches there).
+// attaches there). Every call boxes a fresh copy, so a retransmission
+// starts from the sender's pristine envelope.
 func (s *sccProc) route(env core.Envelope) {
+	host := s.env.cfg.FTMNode
 	if env.Dst.Valid() {
-		if host := s.hostOf(env.Dst); host != "" {
-			s.proc.Send(s.env.daemonPID[host], env)
-			return
+		if h := s.hostOf(env.Dst); h != "" {
+			host = h
 		}
 	}
-	s.proc.Send(s.env.daemonPID[s.env.cfg.FTMNode], env)
+	s.proc.Send(s.env.daemonPID[host], env.Box())
 }
 
 func (s *sccProc) hostOf(aid core.AID) string {
@@ -887,7 +882,7 @@ func (s *sccProc) waitAck(from core.AID, seq uint64, timeout time.Duration) bool
 		if !ok {
 			return false
 		}
-		if env, isEnv := m.Payload.(core.Envelope); isEnv && env.Ack && env.Src == from && env.AckSeq == seq {
+		if env, isEnv := m.Payload.(*core.Envelope); isEnv && env.Ack && env.Src == from && env.AckSeq == seq {
 			return true
 		}
 		s.stash = append(s.stash, m)
@@ -907,7 +902,7 @@ func (s *sccProc) waitEvent(timeout time.Duration, kind core.EventKind) bool {
 		if !ok {
 			return false
 		}
-		if env, isEnv := m.Payload.(core.Envelope); isEnv {
+		if env, isEnv := m.Payload.(*core.Envelope); isEnv {
 			if env.Ack {
 				continue
 			}
@@ -915,15 +910,13 @@ func (s *sccProc) waitEvent(timeout time.Duration, kind core.EventKind) bool {
 				key := fmt.Sprintf("%d:%d", env.Src, env.Seq)
 				dup := s.seen[key]
 				s.seen[key] = true
-				s.ack(env)
+				s.ack(*env)
 				if dup {
 					continue
 				}
 			}
-			for _, ev := range env.Events {
-				if ev.Kind == kind {
-					return true
-				}
+			if env.Event.Kind == kind {
+				return true
 			}
 			continue
 		}

@@ -56,7 +56,7 @@ type ExecElem struct {
 	// slack) after the last update, bounding detection latency to ~one
 	// period instead of up to two.
 	InterruptDriven bool
-	watchdog        sim.Event
+	watchdog        core.Timer
 	// watchdogEpoch is the piEpoch baked into the pending watchdog's
 	// timer payload; a re-arm within the same epoch can Reschedule the
 	// timer in place, while an epoch bump must schedule a fresh one so
@@ -64,6 +64,8 @@ type ExecElem struct {
 	watchdogEpoch int64
 
 	pollPeriod time.Duration
+
+	enc core.Encoder // Snapshot scratch
 }
 
 type piCheckTag struct{ epoch int64 }
@@ -320,8 +322,11 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *ExecElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(e.App.ID))
 	enc.PutI64(int64(e.Rank))
 	enc.PutU64(uint64(e.AppPID))

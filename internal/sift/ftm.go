@@ -133,6 +133,8 @@ type nodeRec struct {
 type NodeMgmtElem struct {
 	ftm   *FTM
 	Nodes []nodeRec
+
+	enc core.Encoder // Snapshot scratch
 }
 
 type hbRoundTag struct{}
@@ -268,8 +270,11 @@ func (e *NodeMgmtElem) FirstAliveNode(exclude string) string {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *NodeMgmtElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(len(e.Nodes)))
 	for _, n := range e.Nodes {
 		enc.PutString(n.Hostname)
@@ -398,6 +403,8 @@ type armorRec struct {
 type MgrArmorInfoElem struct {
 	ftm  *FTM
 	Recs []armorRec
+
+	enc core.Encoder // Snapshot scratch
 }
 
 // Name implements core.Element.
@@ -521,8 +528,11 @@ func (e *MgrArmorInfoElem) recover(ctx *core.Ctx, fail ArmorFailed) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *MgrArmorInfoElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(len(e.Recs)))
 	for _, r := range e.Recs {
 		enc.PutU64(uint64(r.ID))
@@ -623,6 +633,8 @@ type execRec struct {
 type ExecArmorInfoElem struct {
 	ftm  *FTM
 	Recs []execRec
+
+	enc core.Encoder // Snapshot scratch
 }
 
 // Name implements core.Element.
@@ -690,8 +702,11 @@ func (e *ExecArmorInfoElem) removeApp(app AppID) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *ExecArmorInfoElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(len(e.Recs)))
 	for _, r := range e.Recs {
 		enc.PutU64(uint64(r.ArmorID))
@@ -794,6 +809,8 @@ type appRec struct {
 type AppParamElem struct {
 	ftm  *FTM
 	Recs []appRec
+
+	enc core.Encoder // Snapshot scratch
 }
 
 // Name implements core.Element.
@@ -829,8 +846,11 @@ func (e *AppParamElem) add(app *AppSpec) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *AppParamElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(len(e.Recs)))
 	for _, r := range e.Recs {
 		enc.PutU64(r.App)
@@ -935,6 +955,8 @@ type detectRec struct {
 type MgrAppDetectElem struct {
 	ftm  *FTM
 	Recs []detectRec
+
+	enc core.Encoder // Snapshot scratch
 }
 
 // Name implements core.Element.
@@ -1053,8 +1075,11 @@ func (e *MgrAppDetectElem) killAck(ctx *core.Ctx, ack KillAppDone) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *MgrAppDetectElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutU64(uint64(len(e.Recs)))
 	for _, r := range e.Recs {
 		enc.PutU64(r.App)
@@ -1169,6 +1194,8 @@ func (e *submitElem) Handle(ctx *core.Ctx, ev core.Event) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *submitElem) Snapshot() []byte { return nil }
 
 // Restore implements core.Element.

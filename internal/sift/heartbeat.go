@@ -75,6 +75,8 @@ type HeartbeatElem struct {
 	// invalidates stale install-retry timers once a walk ends.
 	TryIdx     int64
 	RetryEpoch int64
+
+	enc core.Encoder // Snapshot scratch
 }
 
 type ftmPollTag struct{}
@@ -247,8 +249,11 @@ func (e *HeartbeatElem) poll(ctx *core.Ctx) {
 }
 
 // Snapshot implements core.Element.
+//
+//reesift:noalloc
 func (e *HeartbeatElem) Snapshot() []byte {
-	var enc core.Encoder
+	enc := &e.enc
+	enc.Reset()
 	enc.PutString(e.FTMNode)
 	enc.PutU64(uint64(e.FTMDaemon))
 	enc.PutI64(int64(e.Period))

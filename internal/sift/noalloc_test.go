@@ -1,0 +1,77 @@
+package sift
+
+import (
+	"testing"
+	"time"
+
+	"reesift/internal/analysis/noalloc/noalloctest"
+	"reesift/internal/core"
+	"reesift/internal/sim"
+)
+
+// TestNoallocRuntime is the measured half of the //reesift:noalloc
+// contract for this package: the scenarios below must run at zero
+// allocations, and every annotated function must be named by one.
+func TestNoallocRuntime(t *testing.T) {
+	noalloctest.Verify(t, []noalloctest.Check{snapshotCheck(), forwardCheck(t)})
+}
+
+// snapshotCheck re-encodes every populated element into its scratch
+// Encoder, plus the two elements that checkpoint nothing.
+func snapshotCheck() noalloctest.Check {
+	els := []core.Element{&daemonElem{}, &submitElem{}}
+	for _, c := range snapshotCases() {
+		els = append(els, c.el)
+	}
+	return noalloctest.Check{
+		Name: "element snapshots",
+		Covers: []string{
+			"NodeMgmtElem.Snapshot", "MgrArmorInfoElem.Snapshot", "ExecArmorInfoElem.Snapshot",
+			"AppParamElem.Snapshot", "MgrAppDetectElem.Snapshot", "HeartbeatElem.Snapshot",
+			"ExecElem.Snapshot", "daemonElem.Snapshot", "submitElem.Snapshot",
+		},
+		Run: func() {
+			for _, el := range els {
+				el.Snapshot()
+			}
+		},
+	}
+}
+
+// forwardCheck bounces one boxed envelope between a process and the
+// daemons of a quiescent cluster: to a remote daemon, across to the
+// process's own daemon, and back into its inbox — the gateway path of
+// every ARMOR-to-ARMOR message, with no originated traffic in the window.
+func forwardCheck(t *testing.T) noalloctest.Check {
+	k, env := newTestEnv(t, 31)
+	k.Run(25 * time.Second) // installed, and between two heartbeat rounds
+	const home, far = "node-b1", "node-b2"
+	const aid core.AID = 7777
+	env.daemons[far].nodeOf[aid] = home
+	rounds := 0
+	k.Spawn(k.Node(home), "bounce", sim.NoPID, func(p *sim.Proc) {
+		p.Send(env.daemonPID[home], LocalAttach{ID: aid, PID: p.Self()})
+		box := &core.Envelope{Src: aid, Dst: aid}
+		for {
+			box.Hops = 0
+			p.Send(env.daemonPID[far], box)
+			if got := p.Recv().Payload; got != interface{}(box) || box.Hops != 2 {
+				panic("envelope did not come back through two daemons")
+			}
+			rounds++
+		}
+	})
+	limit := k.Now()
+	return noalloctest.Check{
+		Name:   "daemon forwarding",
+		Covers: []string{"Daemon.forward", "Daemon.deliver"},
+		Run: func() {
+			before := rounds
+			limit += 10 * time.Millisecond
+			k.Run(limit)
+			if rounds == before {
+				panic("no envelope forwarded")
+			}
+		},
+	}
+}

@@ -24,16 +24,11 @@ func NewFS() *FS {
 // Write stores a copy of data under path, replacing any previous content.
 // The previous content's backing array is reused when large enough — safe
 // because Read hands out copies, so no caller holds an alias into the
-// stored bytes (CorruptBit mutates in place by design).
+// stored bytes (CorruptBit mutates in place by design) — and grows
+// amortised otherwise, so a file that gains a few bytes on every write (a
+// checkpoint image with a growing table) does not reallocate every time.
 func (f *FS) Write(path string, data []byte) {
-	buf := f.files[path]
-	if cap(buf) >= len(data) {
-		buf = buf[:len(data)]
-	} else {
-		buf = make([]byte, len(data))
-	}
-	copy(buf, data)
-	f.files[path] = buf
+	f.files[path] = append(f.files[path][:0], data...)
 }
 
 // Read returns a copy of the file's content.

@@ -27,12 +27,6 @@ type ChildExit struct {
 	Reason string
 }
 
-// TimerFired is delivered when a timer registered with Proc.After expires.
-type TimerFired struct {
-	// Tag is the caller-supplied identifier for the timer.
-	Tag interface{}
-}
-
 // NodeDown is delivered to watchers registered via Kernel.WatchNode when a
 // node crashes. The experiment controller uses it; SIFT processes must
 // discover node failures through heartbeats like in the paper.

@@ -450,10 +450,14 @@ func (p *Proc) RecvTimeout(d time.Duration) (Msg, bool) {
 	return p.popMsg(), true
 }
 
-// After delivers a TimerFired{Tag: tag} message to the process's own inbox
-// after d. It returns a handle the caller can cancel or reschedule.
-func (p *Proc) After(d time.Duration, tag interface{}) Event {
-	return p.kernel.scheduleDeliver(d, p.pid, Msg{From: p.pid, SentAt: p.kernel.now, Payload: TimerFired{Tag: tag}})
+// After delivers payload to the process's own inbox after d: a timer is a
+// delayed self-send, told apart from network traffic by its payload type.
+// With a pointer payload the whole arm/fire cycle is allocation-free. It
+// returns a handle the caller can cancel or reschedule.
+//
+//reesift:noalloc
+func (p *Proc) After(d time.Duration, payload interface{}) Event {
+	return p.kernel.scheduleDeliver(d, p.pid, Msg{From: p.pid, SentAt: p.kernel.now, Payload: payload})
 }
 
 // SpawnChild starts a child process on the given node. The child's exit is

@@ -299,7 +299,7 @@ func TestAfterTimerFires(t *testing.T) {
 	k.Spawn(n, "p", NoPID, func(p *Proc) {
 		p.After(3*time.Second, "beat")
 		m := p.Recv()
-		tag = m.Payload.(TimerFired).Tag
+		tag = m.Payload
 	})
 	k.Run(time.Hour)
 	if tag != "beat" {

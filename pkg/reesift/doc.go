@@ -103,12 +103,17 @@
 // for CI; the contract is pinned by alloc-gated benchmarks
 // (BenchmarkKernelEvents, BenchmarkSendRecv: 0 allocs/op), and
 // InjectionResult.EventsFired / InjectionResult.SimTime expose each
-// run's throughput numerators.
+// run's throughput numerators. The ARMOR runtime and the SIFT daemons
+// above it extend the contract to the message path: a steady-state
+// heartbeat period allocates one object per originated envelope and
+// nothing else (BenchmarkArmorRound).
 //
 // Both contracts — determinism and the zero-alloc hot path — are also
 // statically checked: the analyzers under internal/analysis (run by
 // cmd/reesiftvet, standalone or via go vet -vettool, and by CI) reject
 // nondeterminism in the simulation packages, ad-hoc seed arithmetic
 // outside the campaign engine's DeriveSeed, unguarded trace emission,
-// and allocation constructs inside //reesift:noalloc functions.
+// and allocation constructs inside //reesift:noalloc functions — and
+// every such function is also measured: a TestNoallocRuntime per package
+// fails unless each annotation is named by an AllocsPerRun == 0 check.
 package reesift
