@@ -6,15 +6,13 @@ import (
 )
 
 // TraceGuardNames are the niladic methods whose truth gates trace
-// emission: the kernel's cached TraceOn, its historical alias Tracing,
-// and the trace.Sink Enabled method for call sites holding a sink
-// directly. Both traceguard (which requires emission sites to sit under
-// one of these) and noalloc (which exempts guarded blocks — code that
-// runs only on traced runs is off the zero-alloc contract by
-// definition) share this vocabulary.
+// emission: the kernel's cached TraceOn, and the trace.Recorder Enabled
+// method for call sites holding a recorder directly. Both traceguard
+// (which requires emission sites to sit under one of these) and noalloc
+// (which exempts guarded blocks — code that runs only on traced runs is
+// off the zero-alloc contract by definition) share this vocabulary.
 var TraceGuardNames = map[string]bool{
 	"TraceOn": true,
-	"Tracing": true,
 	"Enabled": true,
 }
 

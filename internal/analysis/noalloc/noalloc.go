@@ -1,8 +1,8 @@
 // Package noalloc statically enforces the zero-allocation contract on
-// functions annotated //reesift:noalloc — the kernel hot path that
-// BenchmarkKernelEvents and BenchmarkSendRecv pin at 0 allocs/op and
-// cmd/benchgate gates in CI. The runtime gate tells you *that* the
-// contract broke; this analyzer points at the call site that broke it.
+// functions annotated //reesift:noalloc — the hot paths that each
+// package's TestNoallocRuntime pins at 0 allocations per run. The
+// runtime test tells you *that* the contract broke; this analyzer
+// points at the call site that broke it.
 //
 // Inside an annotated function the analyzer rejects the construct
 // classes that heap-allocate on every execution:
@@ -15,13 +15,13 @@
 //     concrete value where an interface is expected.
 //
 // Amortized-zero constructs (append growth, map/slice make in cold
-// branches) are deliberately not flagged: the runtime benchmarks own
+// branches) are deliberately not flagged: the runtime tests own
 // steady-state amortization, the analyzer owns per-call allocations.
 //
 // Blocks dominated by a trace guard (if x.TraceOn() { ... }) are
-// exempt: traced-only code runs with tracing on, which the alloc
-// benchmarks run with tracing off — the same boundary traceguard
-// enforces from the other side.
+// exempt: traced-only code runs with tracing on, which the runtime
+// tests run with tracing off — the same boundary traceguard enforces
+// from the other side.
 package noalloc
 
 import (

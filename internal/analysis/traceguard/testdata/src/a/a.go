@@ -4,26 +4,23 @@ type Record struct{ Op string }
 
 type Sink struct{ on bool }
 
-func (s *Sink) Enabled() bool                     { return s.on }
-func (s *Sink) Emit(r Record)                     {}
-func (s *Sink) Tracef(format string, args ...any) {}
+func (s *Sink) Enabled() bool { return s.on }
+func (s *Sink) Emit(r Record) {}
 
 type Kernel struct {
 	on   bool
 	sink *Sink
 }
 
-func (k *Kernel) TraceOn() bool                     { return k.on }
-func (k *Kernel) Tracing() bool                     { return k.on }
-func (k *Kernel) Emit(r Record)                     {}
-func (k *Kernel) Tracef(format string, args ...any) {}
+func (k *Kernel) TraceOn() bool { return k.on }
+func (k *Kernel) Emit(r Record) {}
+
+// Logf is not an emitter: only Emit call sites need a guard.
+func (k *Kernel) Logf(format string, args ...any) {}
 
 func directGuard(k *Kernel) {
 	if k.TraceOn() {
 		k.Emit(Record{Op: "ok"})
-	}
-	if k.Tracing() {
-		k.Tracef("ok %d", 1)
 	}
 	if k.sink != nil && k.sink.Enabled() {
 		k.sink.Emit(Record{Op: "ok"})
@@ -35,7 +32,6 @@ func earlyReturnGuard(k *Kernel) {
 		return
 	}
 	k.Emit(Record{Op: "ok"})
-	k.Tracef("ok")
 }
 
 func earlyContinueGuard(k *Kernel) {
@@ -61,7 +57,7 @@ func caseGuard(k *Kernel, v int) {
 
 func unguarded(k *Kernel) {
 	k.Emit(Record{Op: "bad"}) // want `unguarded Emit call`
-	k.Tracef("bad %d", 7)     // want `unguarded Tracef call`
+	k.Logf("not an emitter %d", 7)
 }
 
 func multiLineUnguarded(k *Kernel) {
@@ -123,5 +119,5 @@ func orGuard(k *Kernel, force bool) {
 	}
 }
 
-// A comment mentioning k.Emit( and k.Tracef( is not a call site.
+// A comment mentioning k.Emit( is not a call site.
 func commentOnly() {}

@@ -1,9 +1,9 @@
 // Package traceguard enforces the trace-emission guard contract: every
-// `.Tracef(` / `.Emit(` call site must be dominated by a successful
-// TraceOn() / Tracing() / Enabled() check.
+// `.Emit(` call site must be dominated by a successful TraceOn() /
+// Enabled() check.
 //
-// The emitters check the enabled flag internally, but their arguments —
-// trace.Record construction, fmt verbs, interface boxing — are
+// The emitter checks the enabled flag internally, but its argument —
+// trace.Record construction, with whatever formatting fills it — is
 // evaluated by the caller before the check. An unguarded call therefore
 // pays record construction on every event even with tracing off; on the
 // kernel hot path that breaks the zero-alloc contract, and in
@@ -34,13 +34,13 @@ import (
 	"reesift/internal/analysis"
 )
 
-// emitterNames are the method names whose call sites need a guard.
-var emitterNames = map[string]bool{"Tracef": true, "Emit": true}
+// emitterName is the method name whose call sites need a guard.
+const emitterName = "Emit"
 
 // Analyzer is the traceguard analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "traceguard",
-	Doc:  "require a TraceOn()/Tracing()/Enabled() guard dominating every .Tracef/.Emit call site",
+	Doc:  "require a TraceOn()/Enabled() guard dominating every .Emit call site",
 	Run:  run,
 }
 
@@ -61,7 +61,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !emitterNames[sel.Sel.Name] {
+			if !ok || sel.Sel.Name != emitterName {
 				return true
 			}
 			if analysis.IsPkgNameReceiver(pass.TypesInfo, sel.X) {
@@ -151,11 +151,11 @@ func diagnose(pass *analysis.Pass, stack []ast.Node, call *ast.CallExpr, sel *as
 }
 
 // guardMethod picks the guard the receiver actually has, preferring the
-// kernel's cached TraceOn, then Tracing, then the sink-level Enabled.
+// kernel's cached TraceOn over the recorder-level Enabled.
 func guardMethod(pass *analysis.Pass, recv ast.Expr) string {
 	t := pass.TypeOf(recv)
 	if t != nil {
-		for _, name := range []string{"TraceOn", "Tracing", "Enabled"} {
+		for _, name := range []string{"TraceOn", "Enabled"} {
 			obj, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, name)
 			if _, ok := obj.(*types.Func); ok {
 				return name

@@ -77,8 +77,8 @@ func Map[T any](workers, n int, trial func(run int) T) []T {
 // deliberately a constant rather than the worker count: the set of
 // trials *computed* (including the overshoot discarded past the
 // stopping index) is then a pure function of the campaign, so even
-// side effects of discarded trials — the process-wide injection
-// census — are identical at every worker count and on every machine.
+// side effects of discarded trials — the campaign's injection census —
+// are identical at every worker count and on every machine.
 const waveSize = 16
 
 // Until runs trials 0,1,2,... in fixed-size waves of waveSize and feeds

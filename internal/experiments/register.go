@@ -192,10 +192,7 @@ func init() {
 		ID:      "scale",
 		Title:   "Scale: node-crash load on 100-1000-node clusters with spread placement",
 		Aliases: []string{"scale-1000"},
-		Run: single(func(sc Scale) (*Table, error) {
-			t, _, err := TableScale(sc)
-			return t, err
-		}),
+		Run:     single(TableScale),
 	})
 	reesift.Register(reesift.Scenario{
 		ID:      "chaos",

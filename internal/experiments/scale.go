@@ -16,7 +16,8 @@ import (
 // node-crash load. It exists to demonstrate two things at once — that
 // the recovery subsystem's guarantees survive the jump in scale, and
 // that the zero-allocation kernel hot path makes such runs cheap enough
-// for CI (BenchmarkScale1000 times one full 1000-node trial).
+// for CI (`reesift -exp scale -scale paper` times the full sweep, the
+// 1000-node cell included).
 //
 // Three sift-layer policies make the jump feasible and are exercised
 // here: spread placement (least-loaded rank assignment, ranks kept off
@@ -168,50 +169,12 @@ func scaleInjection(c scaleCell) reesift.Injection {
 	}
 }
 
-// ScaleBenchInjection is the single-trial 1000-node configuration
-// BenchmarkScale1000 runs: the paper-scale top cell with the rank beat
-// count raised so one trial spans well over an hour of simulated time
-// (190 beats × 20 s ≈ 63 min of application work, roughly doubled for
-// the apps the crash restarts).
-func ScaleBenchInjection() reesift.Injection {
-	inj := scaleInjection(scaleCell{nodes: 1000, apps: 39, ranks: 52, beats: 190})
-	inj.Seed = 11
-	return inj
-}
-
-// ScaleCellPerf carries one cell's wall-derived throughput. These
-// numbers live outside the pinned table on purpose: wall time is not
-// deterministic, and the golden files must stay byte-identical across
-// machines and worker counts.
-type ScaleCellPerf struct {
-	EventsFired      uint64
-	SimSeconds       float64
-	WallSeconds      float64
-	EventsPerSecond  float64
-	SimPerWallSecond float64
-}
-
-// TableScaleData carries the per-cell aggregates and throughput.
-type TableScaleData struct {
-	Cells map[string]agg
-	Perf  map[string]ScaleCellPerf
-}
-
 // TableScale runs the scale campaign: per cluster size, a fleet of
 // synthetic applications is spread across the nodes and a node hosting
 // application ranks (and often a recoverer) is crashed mid-run. The
-// pinned table reports only deterministic columns — run outcomes,
-// recovery counters, events fired, simulated time. Each cell runs as
-// its own campaign (same name, so per-run seed identities are unchanged
-// from a combined campaign) so its wall clock can be measured for the
-// throughput numbers in TableScaleData.
-//
-//reesift:wallclock
-func TableScale(sc Scale) (*Table, *TableScaleData, error) {
-	data := &TableScaleData{
-		Cells: make(map[string]agg),
-		Perf:  make(map[string]ScaleCellPerf),
-	}
+// table reports only deterministic columns — run outcomes, recovery
+// counters, events fired, simulated time.
+func TableScale(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "Scale: node-crash load on 100-1000-node clusters with spread placement",
@@ -219,37 +182,25 @@ func TableScale(sc Scale) (*Table, *TableScaleData, error) {
 			"SYSTEM FAILURES", "DAEMON REINSTALLS", "EVENTS FIRED", "SIM TIME (s)"},
 	}
 	cells := scaleCells(sc)
-	for _, cell := range cells {
-		inj := scaleInjection(cell)
-		start := time.Now()
-		cres, err := runCampaign(sc, "scale", reesift.CampaignCell{
-			Name:      cell.id(),
-			Runs:      cell.runs,
-			Injection: inj,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		wall := time.Since(start).Seconds()
+	specs := make([]reesift.CampaignCell, len(cells))
+	for i, cell := range cells {
+		specs[i] = reesift.CampaignCell{Name: cell.id(), Runs: cell.runs, Injection: scaleInjection(cell)}
+	}
+	cres, err := runCampaign(sc, "scale", specs...)
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]agg, len(cells))
+	events := make([]uint64, len(cells))
+	for i, cell := range cells {
 		cr := cres.Cell(cell.id())
-		a := foldAgg(cr)
-		data.Cells[cell.id()] = a
-		var events uint64
+		aggs[i] = foldAgg(cr)
 		var simTotal time.Duration
 		for _, r := range cr.Results {
-			events += r.EventsFired
+			events[i] += r.EventsFired
 			simTotal += r.SimTime
 		}
-		perf := ScaleCellPerf{
-			EventsFired: events,
-			SimSeconds:  simTotal.Seconds(),
-			WallSeconds: wall,
-		}
-		if wall > 0 {
-			perf.EventsPerSecond = float64(events) / wall
-			perf.SimPerWallSecond = simTotal.Seconds() / wall
-		}
-		data.Perf[cell.id()] = perf
+		a := aggs[i]
 		t.Rows = append(t.Rows, []Cell{
 			str(cell.id()),
 			num(cell.nodes),
@@ -259,7 +210,7 @@ func TableScale(sc Scale) (*Table, *TableScaleData, error) {
 			num(a.completed),
 			num(a.sysFailures),
 			num(a.daemonReinstalls),
-			num(int(events)),
+			num(int(events[i])),
 			durCell(simTotal),
 		})
 	}
@@ -273,23 +224,23 @@ func TableScale(sc Scale) (*Table, *TableScaleData, error) {
 	// Embedded acceptance checks: the scale claim is that the recovery
 	// guarantees hold three orders of magnitude past the paper's
 	// testbed, not merely that big runs finish.
-	for _, cell := range cells {
-		a := data.Cells[cell.id()]
+	for i, cell := range cells {
+		a := aggs[i]
 		if a.injectedRuns == 0 {
-			return t, data, fmt.Errorf("scale: cell %q never injected", cell.id())
+			return t, fmt.Errorf("scale: cell %q never injected", cell.id())
 		}
 		if a.completed == 0 {
-			return t, data, fmt.Errorf("scale: cell %q never completed a run", cell.id())
+			return t, fmt.Errorf("scale: cell %q never completed a run", cell.id())
 		}
 		if a.sysFailures != 0 {
-			return t, data, fmt.Errorf("scale: cell %q has %d system failures — node crashes are not survivable at this size", cell.id(), a.sysFailures)
+			return t, fmt.Errorf("scale: cell %q has %d system failures — node crashes are not survivable at this size", cell.id(), a.sysFailures)
 		}
 		if a.daemonReinstalls == 0 {
-			return t, data, fmt.Errorf("scale: cell %q never reinstalled a daemon — the node-crash load did not engage recovery", cell.id())
+			return t, fmt.Errorf("scale: cell %q never reinstalled a daemon — the node-crash load did not engage recovery", cell.id())
 		}
-		if data.Perf[cell.id()].EventsFired == 0 {
-			return t, data, fmt.Errorf("scale: cell %q fired no events", cell.id())
+		if events[i] == 0 {
+			return t, fmt.Errorf("scale: cell %q fired no events", cell.id())
 		}
 	}
-	return t, data, nil
+	return t, nil
 }

@@ -91,10 +91,9 @@ type Config struct {
 	// CheckVerdict, if set, classifies the application output on the
 	// shared store after the run ("correct"/"incorrect"/"missing").
 	CheckVerdict func(fs *sim.FS) string
-	// Census lists the campaign-scoped censuses this run reports to, in
-	// addition to the process-wide census (which every run always
-	// updates). A campaign threads its own census here so its tally is
-	// exact even while other campaigns run concurrently in the process.
+	// Census lists the censuses this run reports to. A campaign threads
+	// its own census here so its tally is exact even while other
+	// campaigns run concurrently in the process.
 	Census []*Census
 	// Arm, when non-nil, replaces the registered injector's Schedule
 	// call: deploy invokes it with the Runner after the environment is

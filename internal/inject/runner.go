@@ -187,13 +187,13 @@ func (r *Runner) Deploy() []*sift.AppHandle { return r.deploy() }
 // adjust the Result before Record.
 func (r *Runner) Finish(handles []*sift.AppHandle) { r.finish(handles) }
 
-// Record folds the run's Result into the process-wide census and every
-// campaign census listed in the Config. Run does this implicitly;
-// external drivers call it last, after any Result adjustments, so the
-// tallies see the final classification — which is also why the trace
-// snapshot lives here: the chaos driver reclassifies SystemFailure
-// between Finish and Record, and the breach bundle must freeze the
-// final verdict, not the interim one.
+// Record folds the run's Result into every census listed in the
+// Config. Run does this implicitly; external drivers call it last,
+// after any Result adjustments, so the tallies see the final
+// classification — which is also why the trace snapshot lives here:
+// the chaos driver reclassifies SystemFailure between Finish and
+// Record, and the breach bundle must freeze the final verdict, not the
+// interim one.
 func (r *Runner) Record() {
 	r.snapshotTrace()
 	record(&r.cfg, r.res)

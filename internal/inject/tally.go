@@ -23,12 +23,11 @@ func (t Tally) Add(o Tally) Tally {
 }
 
 // Census is a concurrency-safe tally accumulator. Every run whose
-// Config lists a census adds itself there in addition to the
-// process-wide census, so a campaign (or a scenario, or any other
-// scope) owns an exact count of its own work — including trials a
-// failure-quota wave computed past the stopping index — without
-// snapshot subtraction, which misattributes work when two campaigns
-// run concurrently. The zero value is ready to use.
+// Config lists a census adds itself there, so a campaign (or a
+// scenario, or any other scope) owns an exact count of its own work —
+// including trials a failure-quota wave computed past the stopping
+// index — even while other campaigns run concurrently. The zero value
+// is ready to use.
 type Census struct {
 	runs        atomic.Int64
 	injections  atomic.Int64
@@ -68,18 +67,9 @@ func (c *Census) add(res *Result) {
 	}
 }
 
-// process is the process-wide census: the monotonic roll-up of every
-// injection run this process ever performed, regardless of which
-// campaign asked for it.
-var process Census
-
-// CurrentTally returns the process-wide injection census so far.
-func CurrentTally() Tally { return process.Tally() }
-
-// record accumulates one classified run into the process census and
-// into every census the run's Config listed.
+// record accumulates one classified run into every census the run's
+// Config listed.
 func record(cfg *Config, res *Result) {
-	process.add(res)
 	for _, c := range cfg.Census {
 		if c != nil {
 			c.add(res)

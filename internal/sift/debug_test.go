@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"reesift/internal/sim"
+	"reesift/internal/trace"
 )
 
 // TestDebugFTMCrash is a scaffolding test used while developing; it keeps
@@ -16,10 +17,10 @@ func TestDebugFTMCrash(t *testing.T) {
 	}
 	k := sim.NewKernel(sim.DefaultConfig(6))
 	defer k.Shutdown()
-	k.SetTrace(func(at time.Duration, format string, args []interface{}) {
-		fmt.Printf("%8.3fs TRACE %s\n", at.Seconds(), fmt.Sprintf(format, args...))
-	})
+	rec := trace.NewRecorder(trace.Options{Buffer: 1 << 16})
+	k.SetSink(rec)
 	env := New(k, DefaultEnvConfig("n1", "n2", "n3", "n4", "n5", "n6"))
+	env.Log.Sink = rec
 	env.Setup()
 	a1 := testAppSpec(1, 5, 2*time.Second)
 	a1.Nodes = []string{"n1", "n2"}
@@ -28,8 +29,9 @@ func TestDebugFTMCrash(t *testing.T) {
 	h1 := env.Submit(a1, 5*time.Second)
 	h2 := env.Submit(a2, 5*time.Second)
 	k.Run(3 * time.Minute)
-	for _, e := range env.Log.Entries {
-		fmt.Printf("%8.3fs %-28s %s\n", e.At.Seconds(), e.Kind, e.Detail)
+	for _, r := range rec.Records() {
+		fmt.Printf("%8.3fs TRACE %-11s %s node=%s pid=%d a=%d b=%d %s\n",
+			r.At.Seconds(), r.Kind, r.Op, r.Node, r.PID, r.A, r.B, r.Detail)
 	}
 	fmt.Printf("done1=%v done2=%v\n", h1.Done, h2.Done)
 }

@@ -63,7 +63,7 @@ type EventLog struct {
 	// migrations, detections, recovery windows) the trace subsystem
 	// records alongside the kernel's substrate events. The injection
 	// Runner wires the trial's trace.Recorder here.
-	Sink trace.Sink
+	Sink *trace.Recorder
 
 	pending    map[core.AID]Detection
 	pendingApp map[AppID]AppDetection
@@ -80,7 +80,7 @@ func NewEventLog() *EventLog {
 // Add appends a generic entry.
 func (l *EventLog) Add(at time.Duration, kind, detail string) {
 	l.Entries = append(l.Entries, LogEntry{At: at, Kind: kind, Detail: detail})
-	if l.Sink != nil && l.Sink.Enabled() {
+	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: at, Kind: trace.KindLog, Op: kind, Detail: detail})
 	}
 }
@@ -93,7 +93,7 @@ func (l *EventLog) Detect(at time.Duration, id core.AID, reason string, hang boo
 	if _, open := l.pending[id]; !open {
 		l.pending[id] = d
 	}
-	if l.Sink != nil && l.Sink.Enabled() {
+	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: at, Kind: trace.KindDetect, Op: id.String(),
 			Detail: reason, A: b2i(hang)})
 	}
@@ -107,7 +107,7 @@ func (l *EventLog) DetectApp(at time.Duration, app AppID, rank int, reason strin
 	if _, open := l.pendingApp[app]; !open {
 		l.pendingApp[app] = d
 	}
-	if l.Sink != nil && l.Sink.Enabled() {
+	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: at, Kind: trace.KindDetect, Op: "app",
 			A: b2i(hang), B: int64(rank), PID: int64(app), Detail: reason})
 	}
@@ -129,7 +129,7 @@ func (l *EventLog) AppRecoveryDone(at time.Duration, app AppID) {
 	}
 	delete(l.pendingApp, app)
 	l.AppRecoveries = append(l.AppRecoveries, AppRecovery{App: app, DetectedAt: d.At, RestartedAt: at})
-	if l.Sink != nil && l.Sink.Enabled() {
+	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: at, Kind: trace.KindRecovery, Op: "app",
 			PID: int64(app), A: int64(d.At)})
 	}
@@ -152,7 +152,7 @@ func (l *EventLog) RecoveryDone(at time.Duration, id core.AID) {
 	}
 	delete(l.pending, id)
 	l.Recoveries = append(l.Recoveries, Recovery{ID: id, DetectedAt: d.At, RestoredAt: at})
-	if l.Sink != nil && l.Sink.Enabled() {
+	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: at, Kind: trace.KindRecovery, Op: id.String(), A: int64(d.At)})
 	}
 }

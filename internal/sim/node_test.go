@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"reesift/internal/trace"
 )
 
 func TestRestartNodeAllowsRespawn(t *testing.T) {
@@ -143,13 +145,25 @@ func TestProcNameAndNodeAccessors(t *testing.T) {
 
 func TestTraceSink(t *testing.T) {
 	k := newTestKernel(t)
-	var lines int
-	k.SetTrace(func(at time.Duration, format string, args []interface{}) { lines++ })
+	rec := trace.NewRecorder(trace.Options{})
+	k.SetSink(rec)
+	if !k.TraceOn() {
+		t.Fatal("TraceOn false with a recorder installed")
+	}
 	n := k.AddNode("a")
 	k.Spawn(n, "p", NoPID, func(p *Proc) { p.Exit(0, "") })
 	k.Run(time.Second)
-	if lines == 0 {
-		t.Fatal("trace sink never invoked")
+	var spawn, exit bool
+	for _, r := range rec.Records() {
+		spawn = spawn || r.Kind == trace.KindProcSpawn
+		exit = exit || r.Kind == trace.KindProcExit
+	}
+	if !spawn || !exit {
+		t.Fatalf("recorder missed the process lifecycle: %+v", rec.Records())
+	}
+	k.SetSink(nil)
+	if k.TraceOn() {
+		t.Fatal("TraceOn true after the recorder was removed")
 	}
 }
 

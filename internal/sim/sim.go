@@ -125,9 +125,8 @@ type Kernel struct {
 
 	current *Proc
 
-	traceFn func(at time.Duration, format string, args []interface{})
-	sink    trace.Sink
-	traceOn bool // cached: sink enabled or legacy traceFn installed
+	sink    *trace.Recorder
+	traceOn bool // cached sink.Enabled()
 
 	liveProcs int
 	msgsSent  uint64
@@ -166,52 +165,28 @@ func (k *Kernel) SharedFS() *FS { return k.sharedFS }
 // the numerator of the scale scenario's events/sec throughput metric.
 func (k *Kernel) EventsFired() uint64 { return k.fired }
 
-// SetTrace installs a legacy textual trace sink. Structured records are
-// rendered through Record.Format before delivery, so a SetTrace sink
-// sees every emission a structured Sink would.
-func (k *Kernel) SetTrace(fn func(at time.Duration, format string, args []interface{})) {
-	k.traceFn = fn
-	k.traceOn = k.sink != nil && k.sink.Enabled() || k.traceFn != nil
+// SetSink installs the trial's trace recorder; nil turns tracing off.
+func (k *Kernel) SetSink(r *trace.Recorder) {
+	k.sink = r
+	k.traceOn = r.Enabled()
 }
 
-// SetSink installs a structured trace sink (usually a trace.Recorder).
-func (k *Kernel) SetSink(s trace.Sink) {
-	k.sink = s
-	k.traceOn = k.sink != nil && k.sink.Enabled() || k.traceFn != nil
-}
-
-// TraceOn reports whether any trace sink — structured or legacy — is
-// installed. Hot paths guard their Emit and Tracef calls with it so
-// record construction (and any fmt work) never happens on traced-off
-// runs; the tracelint test enforces the guard at every call site.
+// TraceOn reports whether a trace recorder is installed. Hot paths
+// guard their Emit calls with it so record construction never happens
+// on traced-off runs; the traceguard analyzer enforces the guard at
+// every call site.
 func (k *Kernel) TraceOn() bool { return k.traceOn }
-
-// Tracing is the historical name of TraceOn, kept for callers that
-// predate the structured sink.
-func (k *Kernel) Tracing() bool { return k.traceOn }
 
 // Emit records one structured trace event, stamping the current virtual
 // time when the record carries none. Callers must guard with TraceOn.
 func (k *Kernel) Emit(rec trace.Record) {
+	if !k.sink.Enabled() {
+		return
+	}
 	if rec.At == 0 {
 		rec.At = k.now
 	}
-	if k.sink != nil && k.sink.Enabled() {
-		k.sink.Emit(rec)
-	}
-	if k.traceFn != nil {
-		k.traceFn(rec.At, "%s", []interface{}{rec.Format()})
-	}
-}
-
-// Tracef emits a timestamped free-form trace line if tracing is enabled.
-func (k *Kernel) Tracef(format string, args ...interface{}) {
-	if k.traceFn != nil {
-		k.traceFn(k.now, format, args)
-	}
-	if k.sink != nil && k.sink.Enabled() {
-		k.sink.Tracef(k.now, format, args)
-	}
+	k.sink.Emit(rec)
 }
 
 // MessagesSent reports how many inter-process messages have left Send

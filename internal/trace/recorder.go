@@ -63,9 +63,9 @@ func (o Options) withDefaults() Options {
 
 // Recorder is the bounded per-trial trace recorder: a ring of the
 // newest Buffer records, a running FNV-1a digest over every record
-// ever emitted, and a total count. It implements Sink. A Recorder is
-// single-trial, single-goroutine state (each injection Runner owns
-// one), so it carries no locks.
+// ever emitted, and a total count. A Recorder is single-trial,
+// single-goroutine state (each injection Runner owns one), so it
+// carries no locks.
 type Recorder struct {
 	opts   Options
 	ring   []Record
@@ -88,11 +88,14 @@ func NewRecorder(opts Options) *Recorder {
 // Options returns the normalized options the recorder was built with.
 func (r *Recorder) Options() Options { return r.opts }
 
-// Enabled implements Sink; a constructed Recorder always records.
+// Enabled reports whether emissions are wanted: a constructed Recorder
+// always records, and a nil one never does. Call sites are required
+// (and lint-enforced) to guard record construction behind it, so a
+// missing recorder costs one branch on the hot path.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit implements Sink: fold the record into the digest and overwrite
-// the oldest ring slot. No allocation.
+// Emit folds the record into the digest and overwrites the oldest ring
+// slot. No allocation.
 func (r *Recorder) Emit(rec Record) {
 	r.digest = fold(r.digest, rec)
 	r.total++
@@ -101,13 +104,6 @@ func (r *Recorder) Emit(rec Record) {
 	if r.count < len(r.ring) {
 		r.count++
 	}
-}
-
-// Tracef implements Sink, capturing legacy free-form trace lines as
-// KindTracef records. Formatting allocates, but only runs with tracing
-// on.
-func (r *Recorder) Tracef(at time.Duration, format string, args []interface{}) {
-	r.Emit(Record{At: at, Kind: KindTracef, Detail: fmt.Sprintf(format, args...)})
 }
 
 // Total returns how many records were emitted over the trial (including
@@ -158,11 +154,11 @@ func (m *Metrics) Register(name string, read func() int64) {
 }
 
 // Sample emits one KindMetric record per gauge at the given sim time.
-func (m *Metrics) Sample(at time.Duration, sink Sink) {
-	if sink == nil || !sink.Enabled() {
+func (m *Metrics) Sample(at time.Duration, rec *Recorder) {
+	if !rec.Enabled() {
 		return
 	}
 	for _, g := range m.gauges {
-		sink.Emit(Record{At: at, Kind: KindMetric, Op: g.Name, A: g.Read()})
+		rec.Emit(Record{At: at, Kind: KindMetric, Op: g.Name, A: g.Read()})
 	}
 }

@@ -10,11 +10,11 @@
 //     args). Records are plain values; emitting one into a Recorder
 //     performs no heap allocation, which is what lets the kernel keep
 //     its zero-alloc hot-path contract with tracing enabled.
-//   - Sink / Recorder: the emission interface and its bounded
-//     ring-buffer implementation. The Recorder keeps the newest N
-//     records (the "trace tail"), a running FNV-1a digest over *every*
-//     record ever emitted, and a total count — the digest is the
-//     fingerprint deterministic replay is checked against.
+//   - Recorder: the bounded ring-buffer sink every emission lands in.
+//     It keeps the newest N records (the "trace tail"), a running
+//     FNV-1a digest over *every* record ever emitted, and a total
+//     count — the digest is the fingerprint deterministic replay is
+//     checked against.
 //   - Bundle: the self-contained JSONL repro artifact snapshotted when
 //     a trial classifies as a system failure — campaign identity, cell,
 //     run index, derived seed, cluster config, verdict, and the trace
@@ -53,7 +53,7 @@ const (
 	KindInjectFire // injector activation; Op=model, A=errors inserted
 	KindArrival    // chaos arrival process fired; Op=model, Node=target node
 	KindMetric     // sampled gauge; Op=gauge name, A=value
-	KindTracef     // legacy free-form Tracef text; Detail=formatted line
+	kindReserved   // 14, formerly free-form text; held so KindBreach stays 15
 	KindBreach     // terminal invariant breach / system-failure verdict; Op=mode
 )
 
@@ -73,7 +73,7 @@ var kindNames = [...]string{
 	KindInjectFire: "inject-fire",
 	KindArrival:    "arrival",
 	KindMetric:     "metric",
-	KindTracef:     "tracef",
+	kindReserved:   "reserved",
 	KindBreach:     "breach",
 }
 
@@ -110,42 +110,6 @@ type Record struct {
 	A      int64         `json:"a,omitempty"`
 	B      int64         `json:"b,omitempty"`
 	Detail string        `json:"detail,omitempty"`
-}
-
-// Format renders the record as a one-line human-readable string (the
-// shape legacy SetTrace sinks receive).
-func (r Record) Format() string {
-	s := r.Kind.String()
-	if r.Op != "" {
-		s += " " + r.Op
-	}
-	if r.Node != "" {
-		s += " node=" + r.Node
-	}
-	if r.PID != 0 {
-		s += fmt.Sprintf(" pid=%d", r.PID)
-	}
-	if r.A != 0 || r.B != 0 {
-		s += fmt.Sprintf(" a=%d b=%d", r.A, r.B)
-	}
-	if r.Detail != "" {
-		s += " " + r.Detail
-	}
-	return s
-}
-
-// Sink receives structured records and legacy Tracef text. The kernel
-// holds one and forwards every emission; implementations must not
-// assume any particular call ordering beyond sim-time monotonicity.
-type Sink interface {
-	// Enabled reports whether emissions are wanted at all. Call sites
-	// are required (and lint-enforced) to guard record construction
-	// behind it, so a disabled sink costs one branch on the hot path.
-	Enabled() bool
-	// Emit records one structured event.
-	Emit(Record)
-	// Tracef records a legacy free-form trace line.
-	Tracef(at time.Duration, format string, args []interface{})
 }
 
 // FNV-1a 64-bit parameters (hash/fnv allocates a hash.Hash64; the fold

@@ -58,15 +58,6 @@ func TestDigestIsDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestRecorderTracefCapturesText(t *testing.T) {
-	r := NewRecorder(Options{})
-	r.Tracef(3*time.Second, "node %s crashed", []interface{}{"b4"})
-	recs := r.Records()
-	if len(recs) != 1 || recs[0].Kind != KindTracef || recs[0].Detail != "node b4 crashed" {
-		t.Fatalf("Tracef record = %+v", recs)
-	}
-}
-
 func TestMetricsSample(t *testing.T) {
 	var m Metrics
 	v := int64(7)
@@ -86,7 +77,7 @@ func TestMetricsSample(t *testing.T) {
 	if recs[3].Op != "queue-depth" || recs[3].A != 18 || recs[3].At != 2*time.Second {
 		t.Fatalf("last sample = %+v", recs[3])
 	}
-	// Sampling into a nil sink is a no-op, not a panic.
+	// Sampling into a nil recorder is a no-op, not a panic.
 	m.Sample(time.Second, nil)
 }
 

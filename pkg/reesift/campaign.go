@@ -18,17 +18,8 @@ type Tally = inject.Tally
 // Census is a concurrency-safe Tally accumulator. Campaigns always keep
 // an exact census of their own runs; pass a shared Census (via
 // Campaign.Census or Scale.Census) to roll several campaigns up into
-// one scope. The process-wide roll-up of every run ever performed is
-// CurrentTally.
+// one scope.
 type Census = inject.Census
-
-// CurrentTally returns the process-wide injection census: the monotonic
-// roll-up of every injection run this process has performed, across all
-// campaigns and scenarios. Per-campaign attribution comes from
-// CampaignResult tallies (or a Census you thread through a set of
-// campaigns), never from subtracting two CurrentTally snapshots — the
-// difference includes whatever other campaigns did in between.
-func CurrentTally() Tally { return inject.CurrentTally() }
 
 // CampaignCell is one named cell of a campaign: an injection
 // configuration times a run count. The cell's Injection is the
@@ -79,8 +70,7 @@ type Campaign struct {
 	Observer *Observer
 	// Census, if set, additionally receives every run this campaign
 	// performs — the roll-up hook an enclosing scope (a scenario, a
-	// sweep of campaigns) uses for exact attribution. The process-wide
-	// census is always updated regardless.
+	// sweep of campaigns) uses for exact attribution.
 	Census *Census
 	// Trace, if set, records every run's structured trace and snapshots
 	// breach repro bundles (see TraceSpec). Tracing never perturbs

@@ -100,13 +100,13 @@
 // ring buffers). That is what makes campaigns three orders of magnitude
 // larger than the paper's 4-node testbed — the "scale" scenario's
 // 1000-node clusters with thousands of Execution ARMORs — cheap enough
-// for CI; the contract is pinned by alloc-gated benchmarks
-// (BenchmarkKernelEvents, BenchmarkSendRecv: 0 allocs/op), and
-// InjectionResult.EventsFired / InjectionResult.SimTime expose each
-// run's throughput numerators. The ARMOR runtime and the SIFT daemons
-// above it extend the contract to the message path: a steady-state
-// heartbeat period allocates one object per originated envelope and
-// nothing else (BenchmarkArmorRound).
+// for CI; the contract is pinned by allocation-counting tests
+// (TestNoallocRuntime in internal/sim: 0 allocations per event and per
+// Send/Recv), and InjectionResult.EventsFired / InjectionResult.SimTime
+// expose each run's throughput numerators. The ARMOR runtime and the
+// SIFT daemons above it extend the contract to the message path: a
+// steady-state heartbeat period allocates one object per originated
+// envelope and nothing else (TestArmorRoundAllocs).
 //
 // Both contracts — determinism and the zero-alloc hot path — are also
 // statically checked: the analyzers under internal/analysis (run by

@@ -131,8 +131,7 @@ type Injection struct {
 	CheckVerdict func(fs *FS) string
 	// Census, if set, receives this run's tally — the attribution hook
 	// for one-off runs outside a Campaign (campaigns keep their own
-	// census and ignore this field). The process-wide census is always
-	// updated regardless.
+	// census and ignore this field).
 	Census *Census
 	// Arrival, when non-nil, turns the run into a long-horizon chaos
 	// trial: the Model/Target/Rank become the primary stage of a
