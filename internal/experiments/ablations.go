@@ -17,32 +17,16 @@ import (
 // (Figure 6, latency in [1, 2] checking periods) against the
 // interrupt-driven watchdog design Section 5.1 proposes (latency bounded
 // by one period plus slack).
-func AblationWatchdog(sc Scale) (*Table, error) {
-	piPeriod := 20 * time.Second
+func AblationWatchdog(sc Scale) (*reesift.Result, error) {
 	measure := func(interrupt bool) (*stats.Sample, error) {
 		var lat stats.Sample
-		steps := maxInt(4, sc.Runs/2)
+		steps := max(4, sc.Runs/2)
 		// Both arms derive from the same identity on purpose: the
 		// polling/watchdog comparison replays identical hang scenarios.
 		for _, l := range engine.Map(sc.Workers, steps, func(run int) time.Duration {
 			hangAt := 25*time.Second + time.Duration(int64(run)*int64(35*time.Second)/int64(steps))
-			k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "ablation-watchdog", run)))
-			defer k.Shutdown()
-			env := sift.New(k, sift.DefaultEnvConfig())
-			env.Setup()
-			app := roverApp()
-			app.InterruptPI = interrupt
-			env.Submit(app, 5*time.Second)
-			k.Schedule(hangAt, func() {
-				if pid := env.AppProc(app.ID, 0); pid != sim.NoPID {
-					k.Suspend(pid)
-				}
-			})
-			k.Run(hangAt + 3*piPeriod)
-			for _, d := range env.Log.AppDetections {
-				if d.Hang {
-					return d.At - hangAt
-				}
+			if at := hangDetectedAt(engine.DeriveSeed(sc.Seed, "ablation-watchdog", run), hangAt, interrupt); at != 0 {
+				return at - hangAt
 			}
 			return 0
 		}) {
@@ -69,9 +53,9 @@ func AblationWatchdog(sc Scale) (*Table, error) {
 		Header: []string{"DESIGN", "MEAN LATENCY (s)", "MAX LATENCY (s)", "LATENCY / PI PERIOD (max)"},
 		Rows: [][]Cell{
 			{str("polling"), secCell(polling), flt(polling.Max(), 2),
-				flt(polling.Max()/piPeriod.Seconds(), 2)},
+				flt(polling.Max()/hangPIPeriod.Seconds(), 2)},
 			{str("watchdog"), secCell(watchdog), flt(watchdog.Max(), 2),
-				flt(watchdog.Max()/piPeriod.Seconds(), 2)},
+				flt(watchdog.Max()/hangPIPeriod.Seconds(), 2)},
 		},
 		Notes: []string{
 			"polling latency reaches two checking periods; the watchdog bounds it near one",
@@ -79,17 +63,17 @@ func AblationWatchdog(sc Scale) (*Table, error) {
 		},
 	}
 	if watchdog.Max() >= polling.Max() {
-		return t, fmt.Errorf("ablation-watchdog: watchdog max %.2f did not beat polling max %.2f",
+		return reesift.NewResult(t), fmt.Errorf("ablation-watchdog: watchdog max %.2f did not beat polling max %.2f",
 			watchdog.Max(), polling.Max())
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }
 
 // AblationAssertions reruns the targeted heap campaign with every element
 // assertion disabled, quantifying how many system failures the paper's
 // assertions-plus-microcheckpointing actually prevent (the Section 11
 // claim: up to 42% fewer system failures from data errors).
-func AblationAssertions(sc Scale) (*Table, error) {
+func AblationAssertions(sc Scale) (*reesift.Result, error) {
 	arm := func(disable bool) (sys, runs int, err error) {
 		// The enabled/disabled arms share seed identities on purpose
 		// (both campaigns are named "ablation-assertions"): the ablation
@@ -151,18 +135,18 @@ func AblationAssertions(sc Scale) (*Table, error) {
 		},
 	}
 	if runsOn > 10 && sysOff < sysOn {
-		return t, fmt.Errorf("ablation-assertions: disabling assertions reduced system failures (%d -> %d)", sysOn, sysOff)
+		return reesift.NewResult(t), fmt.Errorf("ablation-assertions: disabling assertions reduced system failures (%d -> %d)", sysOn, sysOff)
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }
 
 // AblationSharedCheckpoints compares node-failure outcomes with node-local
 // checkpoint storage (the paper's configuration, where migrated ARMOR
 // state is lost) against centralized nonvolatile storage (the paper's
 // stated requirement for tolerating node failures).
-func AblationSharedCheckpoints(sc Scale) (*Table, error) {
+func AblationSharedCheckpoints(sc Scale) (*reesift.Result, error) {
 	outcome := func(shared bool) (appDone int, restored int, runs int) {
-		n := maxInt(3, sc.Runs/3)
+		n := max(3, sc.Runs/3)
 		type crashOut struct {
 			done, restored bool
 		}
@@ -212,10 +196,10 @@ func AblationSharedCheckpoints(sc Scale) (*Table, error) {
 		},
 	}
 	if restLocal > 0 {
-		return t, fmt.Errorf("ablation-checkpoint-store: local checkpoints survived a node failure")
+		return reesift.NewResult(t), fmt.Errorf("ablation-checkpoint-store: local checkpoints survived a node failure")
 	}
 	if restShared == 0 {
-		return t, fmt.Errorf("ablation-checkpoint-store: shared checkpoints never restored")
+		return reesift.NewResult(t), fmt.Errorf("ablation-checkpoint-store: shared checkpoints never restored")
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }

@@ -13,31 +13,20 @@ import (
 	"reesift/pkg/reesift"
 )
 
-// Table3Data carries the baseline measurements.
-type Table3Data struct {
-	NoSIFTPerceived stats.Sample
-	NoSIFTActual    stats.Sample
-	SIFTPerceived   stats.Sample
-	SIFTActual      stats.Sample
-}
-
 // Table3 reproduces the baseline application execution time without fault
 // injection: the application outside the SIFT environment versus inside
 // it. The paper's finding — under two seconds of perceived overhead and no
 // statistically significant actual overhead — must hold.
-func Table3(sc Scale) (*Table, *Table3Data, error) {
-	data := &Table3Data{}
-	runs := sc.Runs
-	if runs < 3 {
-		runs = 3
-	}
+func Table3(sc Scale) (*reesift.Result, error) {
+	runs := max(sc.Runs, 3)
 	// Baseline No SIFT: the application runs bare on the cluster; the
 	// perceived time equals the actual time (there is nothing to set
-	// up or tear down).
+	// up or tear down), so one sample fills both columns.
 	type standalone struct {
 		actual time.Duration
 		ok     bool
 	}
+	var noSIFT, siftPerceived, siftActual stats.Sample
 	for i, s := range engine.Map(sc.Workers, runs, func(run int) standalone {
 		k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "table3/standalone", run)))
 		defer k.Shutdown()
@@ -50,10 +39,9 @@ func Table3(sc Scale) (*Table, *Table3Data, error) {
 		return s
 	}) {
 		if !s.ok {
-			return nil, nil, fmt.Errorf("table3: standalone run %d did not finish", i)
+			return nil, fmt.Errorf("table3: standalone run %d did not finish", i)
 		}
-		data.NoSIFTActual.AddDuration(s.actual)
-		data.NoSIFTPerceived.AddDuration(s.actual)
+		noSIFT.AddDuration(s.actual)
 	}
 	// Baseline SIFT: same application submitted through the SCC,
 	// driven as a fault-free public campaign.
@@ -63,28 +51,28 @@ func Table3(sc Scale) (*Table, *Table3Data, error) {
 		Injection: roverInjection(inject.ModelNone, inject.TargetNone),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, res := range cres.Cell("sift").Results {
 		if !res.Done {
-			return nil, nil, fmt.Errorf("table3: SIFT baseline run %d did not finish", i)
+			return nil, fmt.Errorf("table3: SIFT baseline run %d did not finish", i)
 		}
-		data.SIFTPerceived.AddDuration(res.Perceived)
-		data.SIFTActual.AddDuration(res.Actual)
+		siftPerceived.AddDuration(res.Perceived)
+		siftActual.AddDuration(res.Actual)
 	}
 	t := &Table{
 		ID:     "table3",
 		Title:  "Baseline application execution time without fault injection (s)",
 		Header: []string{"CONFIGURATION", "PERCEIVED", "ACTUAL"},
 		Rows: [][]Cell{
-			{str("Baseline No SIFT"), secCell(&data.NoSIFTPerceived), secCell(&data.NoSIFTActual)},
-			{str("Baseline SIFT"), secCell(&data.SIFTPerceived), secCell(&data.SIFTActual)},
+			{str("Baseline No SIFT"), secCell(&noSIFT), secCell(&noSIFT)},
+			{str("Baseline SIFT"), secCell(&siftPerceived), secCell(&siftActual)},
 		},
 		Notes: []string{
 			fmt.Sprintf("SIFT adds %.2f s to perceived time (paper: ~2.3 s) and %.2f s to actual time (paper: not significant)",
-				data.SIFTPerceived.Mean()-data.NoSIFTPerceived.Mean(),
-				data.SIFTActual.Mean()-data.NoSIFTActual.Mean()),
+				siftPerceived.Mean()-noSIFT.Mean(),
+				siftActual.Mean()-noSIFT.Mean()),
 		},
 	}
-	return t, data, nil
+	return reesift.NewResult(t), nil
 }

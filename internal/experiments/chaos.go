@@ -171,14 +171,8 @@ func chaosCells(horizon time.Duration) []chaosCell {
 // model's AppUnavailability prediction (read through san.Predict, the
 // same machine-readable product cmd/sanmodel -format json emits).
 func Chaos(sc Scale) (*reesift.Result, error) {
-	trials := sc.ChaosTrials
-	if trials < 2 {
-		trials = 2
-	}
-	horizon := sc.ChaosHorizon
-	if horizon < 24*time.Hour {
-		horizon = 24 * time.Hour // at least one simulated day per Poisson trial
-	}
+	trials := max(sc.ChaosTrials, 2)
+	horizon := max(sc.ChaosHorizon, 24*time.Hour) // at least one simulated day per Poisson trial
 	cells := chaosCells(horizon)
 	ccells := make([]reesift.CampaignCell, len(cells))
 	for i, c := range cells {

@@ -17,24 +17,15 @@ var table4Targets = []inject.TargetKind{
 // table4Models are the crash/hang error models.
 var table4Models = []inject.Model{inject.ModelSIGINT, inject.ModelSIGSTOP}
 
-// Table4Data carries the crash/hang campaign aggregates per model/target.
-type Table4Data struct {
-	Baseline struct {
-		Perceived, Actual stats.Sample
-	}
-	Cells map[string]agg // key "<model>/<target>"
-	Total int
-}
-
 // Table4 reproduces the SIGINT/SIGSTOP injection results: per target, the
 // number of errors injected, successful recoveries, perceived and actual
 // application execution times, and recovery times. The whole experiment
 // is one public campaign — a failure-free baseline cell plus one cell
 // per model/target pair.
-func Table4(sc Scale) (*Table, *Table4Data, error) {
+func Table4(sc Scale) (*reesift.Result, error) {
 	cells := []reesift.CampaignCell{{
 		Name:      "baseline",
-		Runs:      maxInt(3, sc.Runs/4),
+		Runs:      max(3, sc.Runs/4),
 		Injection: roverInjection(inject.ModelNone, inject.TargetNone),
 	}}
 	for _, model := range table4Models {
@@ -48,13 +39,11 @@ func Table4(sc Scale) (*Table, *Table4Data, error) {
 	}
 	cres, err := runCampaign(sc, "table4", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	data := &Table4Data{Cells: make(map[string]agg)}
 	base := foldAgg(cres.Cell("baseline"))
-	data.Baseline.Perceived = base.perceived
-	data.Baseline.Actual = base.actual
+	total := 0
 
 	t := &Table{
 		ID:    "table4",
@@ -65,12 +54,11 @@ func Table4(sc Scale) (*Table, *Table4Data, error) {
 	for _, model := range table4Models {
 		t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", ""))
 		t.Rows = append(t.Rows, []Cell{str("Baseline"), str("-"), str("-"),
-			secCell(&data.Baseline.Perceived), secCell(&data.Baseline.Actual), str("-")})
+			secCell(&base.perceived), secCell(&base.actual), str("-")})
 		for _, target := range table4Targets {
 			key := model.String() + "/" + target.String()
 			a := foldAgg(cres.Cell(key))
-			data.Cells[key] = a
-			data.Total += a.injectedRuns
+			total += a.injectedRuns
 			recoveries := a.injectedRuns - a.sysFailures
 			t.Rows = append(t.Rows, []Cell{
 				str(target.String()),
@@ -84,15 +72,8 @@ func Table4(sc Scale) (*Table, *Table4Data, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n = %d injected runs; no-failure 95%% bound on unrecoverable-failure probability: p < %.5f (Section 5)",
-			data.Total, stats.NoFailureBound(data.Total)))
-	return t, data, nil
-}
-
-// Table5Data carries the heartbeat-period sweep.
-type Table5Data struct {
-	Periods   []time.Duration
-	Perceived []stats.Sample
-	Actual    []stats.Sample
+			total, stats.NoFailureBound(total)))
+	return reesift.NewResult(t), nil
 }
 
 // table5Periods is the Section 5.3 heartbeat-period axis.
@@ -103,7 +84,7 @@ var table5Periods = []time.Duration{5 * time.Second, 10 * time.Second, 20 * time
 // public Sweep over the cluster's heartbeat-period option. Perceived
 // time grows with the period (detection latency); actual time stays
 // flat.
-func Table5(sc Scale) (*Table, *Table5Data, error) {
+func Table5(sc Scale) (*reesift.Result, error) {
 	points := make([]reesift.SweepPoint, len(table5Periods))
 	for i, period := range table5Periods {
 		points[i] = reesift.ClusterPoint(fmt.Sprintf("%ds", int(period.Seconds())),
@@ -120,10 +101,9 @@ func Table5(sc Scale) (*Table, *Table5Data, error) {
 		Base:        roverInjection(inject.ModelSIGINT, inject.TargetFTM),
 	}).Axis("period", points...).Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	data := &Table5Data{}
 	t := &Table{
 		ID:     "table5",
 		Title:  "Application execution time with varying heartbeat periods (SIGINT into FTM)",
@@ -131,9 +111,6 @@ func Table5(sc Scale) (*Table, *Table5Data, error) {
 	}
 	for i, period := range table5Periods {
 		a := foldAgg(&cres.Cells[i])
-		data.Periods = append(data.Periods, period)
-		data.Perceived = append(data.Perceived, a.perceived)
-		data.Actual = append(data.Actual, a.actual)
 		t.Rows = append(t.Rows, []Cell{
 			flt(period.Seconds(), 0),
 			secCell(&a.perceived),
@@ -141,12 +118,5 @@ func Table5(sc Scale) (*Table, *Table5Data, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: perceived 77.9 -> 96.7 s from 5 s to 30 s periods; actual flat at ~73 s")
-	return t, data, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return reesift.NewResult(t), nil
 }

@@ -4,8 +4,8 @@
 // typed table shaped like the paper's. Every experiment self-registers as
 // a reesift scenario (see register.go), so the CLI and any other façade
 // consumer discovers them from the registry. The same code serves the
-// test suite and benchmarks (SmallScale) and the paper-scale CLI runs
-// (PaperScale).
+// golden tests (a tiny scale), the CLI's default reesift.SmallScale and
+// its paper-scale runs (reesift.PaperScale).
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"reesift/internal/apps/rover"
 	"reesift/internal/inject"
 	"reesift/internal/sift"
-	"reesift/internal/sim"
 	"reesift/internal/stats"
 	"reesift/pkg/reesift"
 )
@@ -22,12 +21,6 @@ import (
 // Scale sets campaign sizes; the canonical definition lives in the
 // public façade.
 type Scale = reesift.Scale
-
-// SmallScale is sized for CI (roughly 1/10 the paper's run counts).
-func SmallScale() Scale { return reesift.SmallScale() }
-
-// PaperScale matches the paper's campaign sizes.
-func PaperScale() Scale { return reesift.PaperScale() }
 
 // Table and Cell are the façade's typed experiment products.
 type (
@@ -174,12 +167,4 @@ func roverInjection(model inject.Model, target inject.TargetKind) reesift.Inject
 		Target: target,
 		Apps:   []*sift.AppSpec{roverApp()},
 	}
-}
-
-// mergeSample pools src into dst.
-func mergeSample(dst, src *stats.Sample) { dst.Merge(src) }
-
-// newBaselineKernel builds a kernel for standalone (no-SIFT) runs.
-func newBaselineKernel(seed int64) *sim.Kernel {
-	return sim.NewKernel(sim.DefaultConfig(seed))
 }

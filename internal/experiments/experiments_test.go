@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"reesift/internal/inject"
+	"reesift/pkg/reesift"
 )
 
-// tinyScale keeps individual experiment tests fast; the shape assertions
-// still hold at this size.
+// tinyScale keeps the golden sweep fast; the shape checks still hold at
+// this size.
 func tinyScale() Scale {
 	return Scale{
 		Runs:             6,
@@ -29,228 +32,382 @@ func tinyScale() Scale {
 	}
 }
 
-func TestTable3BaselineOverheadShape(t *testing.T) {
-	tab, data, err := Table3(tinyScale())
-	if err != nil {
-		t.Fatal(err)
+// column returns the index of header in tab, failing the test when the
+// table has no such column.
+func column(t *testing.T, tab *Table, header string) int {
+	t.Helper()
+	i := slices.Index(tab.Header, header)
+	if i < 0 {
+		t.Fatalf("%s: no column %q in %q", tab.ID, header, tab.Header)
 	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// The paper's headline: SIFT adds ~2 s perceived, negligible actual.
-	overheadPerceived := data.SIFTPerceived.Mean() - data.NoSIFTPerceived.Mean()
-	overheadActual := data.SIFTActual.Mean() - data.NoSIFTActual.Mean()
-	if overheadPerceived <= 0 || overheadPerceived > 6 {
-		t.Fatalf("perceived overhead %.2f s outside (0, 6]", overheadPerceived)
-	}
-	if overheadActual < -1 || overheadActual > 1.5 {
-		t.Fatalf("actual overhead %.2f s not negligible", overheadActual)
-	}
+	return i
 }
 
-func TestTable4CrashHangShape(t *testing.T) {
-	tab, data, err := Table4(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tab.Render(), "SIGSTOP") {
-		t.Fatal("render missing SIGSTOP section")
-	}
-	// Headline 1: all injected errors recovered (no system failures).
-	for key, a := range data.Cells {
-		if a.sysFailures != 0 {
-			t.Fatalf("%s: %d system failures (paper: all recovered)", key, a.sysFailures)
+// cellAt returns the cell under header in tab's first row whose first
+// column reads label. In a sectioned table a label may be qualified by
+// the "-- <section> --" separator row above it, as "<section>/<label>"
+// ("SIGSTOP/application"). The test fails when no such cell exists.
+func cellAt(t *testing.T, tab *Table, label, header string) Cell {
+	t.Helper()
+	col := column(t, tab, header)
+	section := ""
+	for _, row := range tab.Rows {
+		first := row[0].Text
+		if s, ok := strings.CutPrefix(first, "-- "); ok && strings.HasSuffix(s, " --") {
+			section = strings.TrimSuffix(s, " --")
+			continue
+		}
+		if (first == label || section+"/"+first == label) && col < len(row) {
+			return row[col]
 		}
 	}
-	// Headline 2: app hang runs take longer than app crash runs.
-	crash := data.Cells["SIGINT/application"]
-	hang := data.Cells["SIGSTOP/application"]
-	if crash.actual.N() > 0 && hang.actual.N() > 0 && hang.actual.Mean() <= crash.actual.Mean() {
-		t.Fatalf("SIGSTOP app actual (%.1f) should exceed SIGINT app actual (%.1f)",
-			hang.actual.Mean(), crash.actual.Mean())
-	}
-	// Headline 3: Heartbeat ARMOR failures don't touch the app times.
-	hb := data.Cells["SIGINT/Heartbeat ARMOR"]
-	if hb.actual.N() > 0 && data.Baseline.Actual.N() > 0 {
-		if diff := hb.actual.Mean() - data.Baseline.Actual.Mean(); diff > 5 {
-			t.Fatalf("Heartbeat ARMOR injection shifted actual time by %.1f s", diff)
+	t.Fatalf("%s: no cell %q under %q", tab.ID, label, header)
+	return Cell{}
+}
+
+// shapeChecks holds the paper claims each scenario's tiny-scale result
+// must show, keyed by scenario id. TestScenarioGoldenOutput applies them
+// to the 1-worker result before it compares (or rewrites) the goldens,
+// so a regenerated golden cannot silently drop a claim; the named shape
+// tests below apply each one to the same shared run.
+var shapeChecks = map[string]func(*testing.T, *reesift.Result){
+	"table3": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if len(tab.Rows) != 2 {
+			t.Fatalf("rows = %d", len(tab.Rows))
 		}
-	}
-}
-
-func TestTable5HeartbeatSweepShape(t *testing.T) {
-	_, data, err := Table5(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data.Periods) != 4 {
-		t.Fatalf("periods = %d", len(data.Periods))
-	}
-	// Perceived time grows with the heartbeat period...
-	p5 := data.Perceived[0].Mean()
-	p30 := data.Perceived[3].Mean()
-	if p30 <= p5 {
-		t.Fatalf("perceived must grow with period: 5s=%.1f 30s=%.1f", p5, p30)
-	}
-	// ...while actual stays flat (< 3 s drift across the sweep).
-	a5, a30 := data.Actual[0].Mean(), data.Actual[3].Mean()
-	if a30-a5 > 3 || a5-a30 > 3 {
-		t.Fatalf("actual should stay flat: 5s=%.1f 30s=%.1f", a5, a30)
-	}
-}
-
-func TestTable6RegTextShape(t *testing.T) {
-	sc := tinyScale()
-	_, data, err := Table6(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Segfaults dominate every cell with failures (paper: most errors
-	// led to crashes).
-	for key, a := range data.Cells {
-		if a.failures == 0 {
-			t.Fatalf("%s: no failures induced", key)
+		// The paper's headline: SIFT adds ~2 s perceived, negligible actual.
+		overhead := func(col string) float64 {
+			return cellAt(t, tab, "Baseline SIFT", col).Mean - cellAt(t, tab, "Baseline No SIFT", col).Mean
 		}
-		if a.segFault == 0 {
-			t.Fatalf("%s: no segmentation faults among %d failures", key, a.failures)
+		if p := overhead("PERCEIVED"); p <= 0 || p > 6 {
+			t.Fatalf("perceived overhead %.2f s outside (0, 6]", p)
 		}
-		if a.sucRec == 0 {
-			t.Fatalf("%s: nothing recovered", key)
+		if a := overhead("ACTUAL"); a < -1 || a > 1.5 {
+			t.Fatalf("actual overhead %.2f s not negligible", a)
 		}
-	}
-}
-
-func TestTable7HeapShape(t *testing.T) {
-	_, data, err := Table7(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifested := 0
-	for _, a := range data.Cells {
-		manifested += a.failures
-	}
-	if manifested == 0 {
-		t.Fatal("no heap injection manifested")
-	}
-	// FTM (most state) should manifest at least as often as the
-	// Heartbeat ARMOR (least state) — the paper's 54 vs 28 ordering.
-	// FTM (most state) should manifest at least as often as the
-	// Heartbeat ARMOR (least state) — the paper's 54 vs 28 ordering.
-	// At tiny scale allow sampling noise of a couple of runs.
-	ftm := data.Cells[inject.TargetFTM]
-	hb := data.Cells[inject.TargetHeartbeat]
-	if ftm.failures+2 < hb.failures {
-		t.Fatalf("FTM failures (%d) well below Heartbeat failures (%d): state-size ordering violated",
-			ftm.failures, hb.failures)
-	}
-}
-
-func TestTable8And9TargetedHeapShape(t *testing.T) {
-	t8, t9, data, err := Table8And9(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t8.Rows) != 5 || len(t9.Rows) != 5 {
-		t.Fatalf("rows: t8=%d t9=%d", len(t8.Rows), len(t9.Rows))
-	}
-	// app_param is substantially read-only after submission: no system
-	// failures (paper row: 0 everywhere).
-	for mode, n := range data.Sys["app_param"] {
-		if n != 0 && mode != inject.SysAppNotCompleted {
-			t.Fatalf("app_param caused %d system failures of mode %v", n, mode)
+	},
+	"table4": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if !strings.Contains(tab.Render(), "-- SIGSTOP --") {
+			t.Fatal("render missing SIGSTOP section")
 		}
-	}
-}
-
-func TestTable10AppHeapShape(t *testing.T) {
-	_, data, err := Table10(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data.Injected == 0 {
-		t.Fatal("nothing injected")
-	}
-	// The overwhelming majority must be harmless (paper: 981/1000).
-	frac := float64(data.NoEffect) / float64(data.Injected)
-	if frac < 0.7 {
-		t.Fatalf("no-effect fraction %.2f too low: %+v", frac, data)
-	}
-	if data.Hang > data.Injected/10 {
-		t.Fatalf("hangs %d implausibly common (paper: 0/1000)", data.Hang)
-	}
-}
-
-func TestFigure5Timeline(t *testing.T) {
-	tab, err := Figure5(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if !strings.Contains(tab.Render(), "PERCEIVED") {
-		t.Fatal("render missing perceived row")
-	}
-}
-
-func TestFigure6LatencyBand(t *testing.T) {
-	_, data, err := Figure6(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data.Latencies) == 0 {
-		t.Fatal("no hang detections")
-	}
-	lo, hi := HangLatencyBounds(data, 20*time.Second)
-	// Figure 6: latency between one and two checking periods. A hang
-	// landing just before the application's natural next update can
-	// measure slightly below one period from the suspension instant.
-	if lo < 0.8 || hi > 2.1 {
-		t.Fatalf("latency band [%.2f, %.2f] outside [1, 2] periods", lo, hi)
-	}
-}
-
-func TestFigure7PerceivedOnlyEffect(t *testing.T) {
-	_, data, err := Figure7(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data.KillAt) < 4 {
-		t.Fatalf("only %d completed sweeps", len(data.KillAt))
-	}
-	// Actual time must stay within a narrow band across all kill times.
-	var lo, hi time.Duration
-	for i, a := range data.Actual {
-		if i == 0 || a < lo {
-			lo = a
+		// Headline 1: all injected errors recovered (no system failures).
+		for _, model := range table4Models {
+			for _, target := range table4Targets {
+				key := model.String() + "/" + target.String()
+				injected := cellAt(t, tab, key, "ERRORS INJECTED").Int
+				if sys := injected - cellAt(t, tab, key, "SUCCESSFUL RECOVERIES").Int; sys != 0 {
+					t.Fatalf("%s: %d system failures (paper: all recovered)", key, sys)
+				}
+			}
 		}
-		if i == 0 || a > hi {
-			hi = a
+		// Headline 2: app hang runs take longer than app crash runs.
+		crash := cellAt(t, tab, "SIGINT/application", "ACTUAL (s)")
+		hang := cellAt(t, tab, "SIGSTOP/application", "ACTUAL (s)")
+		if crash.N > 0 && hang.N > 0 && hang.Mean <= crash.Mean {
+			t.Fatalf("SIGSTOP app actual (%.1f) should exceed SIGINT app actual (%.1f)", hang.Mean, crash.Mean)
 		}
-	}
-	if hi-lo > 8*time.Second {
-		t.Fatalf("actual time varied %v across FTM kill sweep", hi-lo)
-	}
-	// The setup-phase kill must show a larger perceived time than a
-	// mid-run kill.
-	if data.Perceived[0] <= data.Actual[0] {
-		t.Fatal("setup-phase FTM kill did not stretch perceived time")
-	}
+		// Headline 3: Heartbeat ARMOR failures don't touch the app times.
+		hb := cellAt(t, tab, "SIGINT/Heartbeat ARMOR", "ACTUAL (s)")
+		base := cellAt(t, tab, "SIGINT/Baseline", "ACTUAL (s)")
+		if hb.N > 0 && base.N > 0 && hb.Mean-base.Mean > 5 {
+			t.Fatalf("Heartbeat ARMOR injection shifted actual time by %.1f s", hb.Mean-base.Mean)
+		}
+	},
+	"table5": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if len(tab.Rows) != 4 {
+			t.Fatalf("periods = %d", len(tab.Rows))
+		}
+		// Perceived time grows with the heartbeat period...
+		p5, p30 := cellAt(t, tab, "5", "PERCEIVED (s)").Mean, cellAt(t, tab, "30", "PERCEIVED (s)").Mean
+		if p30 <= p5 {
+			t.Fatalf("perceived must grow with period: 5s=%.1f 30s=%.1f", p5, p30)
+		}
+		// ...while actual stays flat (< 3 s drift across the sweep).
+		a5, a30 := cellAt(t, tab, "5", "ACTUAL (s)").Mean, cellAt(t, tab, "30", "ACTUAL (s)").Mean
+		if math.Abs(a30-a5) > 3 {
+			t.Fatalf("actual should stay flat: 5s=%.1f 30s=%.1f", a5, a30)
+		}
+	},
+	"table6": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		// Segfaults dominate every cell with failures (paper: most errors
+		// led to crashes).
+		for _, model := range []inject.Model{inject.ModelRegister, inject.ModelText} {
+			for _, target := range table4Targets {
+				key := model.String() + "/" + target.String()
+				failures := cellAt(t, tab, key, "FAILURES").Int
+				if failures == 0 {
+					t.Fatalf("%s: no failures induced", key)
+				}
+				if cellAt(t, tab, key, "SEG. FAULT").Int == 0 {
+					t.Fatalf("%s: no segmentation faults among %d failures", key, failures)
+				}
+				if cellAt(t, tab, key, "SUC. REC.").Int == 0 {
+					t.Fatalf("%s: nothing recovered", key)
+				}
+			}
+		}
+	},
+	"table7": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		var manifested int64
+		for _, target := range table7Targets {
+			manifested += cellAt(t, tab, target.String(), "FAILURES").Int
+		}
+		if manifested == 0 {
+			t.Fatal("no heap injection manifested")
+		}
+		// FTM (most state) should manifest at least as often as the
+		// Heartbeat ARMOR (least state) — the paper's 54 vs 28 ordering.
+		// At tiny scale allow sampling noise of a couple of runs.
+		ftm := cellAt(t, tab, "FTM", "FAILURES").Int
+		hb := cellAt(t, tab, "Heartbeat ARMOR", "FAILURES").Int
+		if ftm+2 < hb {
+			t.Fatalf("FTM failures (%d) well below Heartbeat failures (%d): state-size ordering violated", ftm, hb)
+		}
+	},
+	"table8": func(t *testing.T, res *reesift.Result) {
+		if len(res.Tables) != 2 {
+			t.Fatalf("want 2 tables, got %d", len(res.Tables))
+		}
+		t8, t9 := res.Tables[0], res.Tables[1]
+		if len(t8.Rows) != 5 || len(t9.Rows) != 5 {
+			t.Fatalf("rows: t8=%d t9=%d", len(t8.Rows), len(t9.Rows))
+		}
+		// app_param is substantially read-only after submission: no system
+		// failures in any phase but the not-completed one (paper row: 0
+		// everywhere).
+		for _, phase := range []string{"UNABLE TO REGISTER DAEMONS", "UNABLE TO INSTALL EXEC ARMORS",
+			"UNABLE TO START APP", "UNABLE TO UNINSTALL"} {
+			if n := cellAt(t, t8, "app_param", phase).Int; n != 0 {
+				t.Fatalf("app_param caused %d system failures (%s)", n, phase)
+			}
+		}
+	},
+	"table10": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		count := func(outcome string) int64 { return cellAt(t, tab, outcome, "COUNT").Int }
+		noEffect, hang := count("No effect (correct output)"), count("Hang")
+		injected := noEffect + count("Incorrect output") + count("Crash") + hang
+		if injected == 0 {
+			t.Fatal("nothing injected")
+		}
+		// The overwhelming majority must be harmless (paper: 981/1000).
+		if frac := float64(noEffect) / float64(injected); frac < 0.7 {
+			t.Fatalf("no-effect fraction %.2f too low:\n%s", frac, tab.Render())
+		}
+		if hang > injected/10 {
+			t.Fatalf("hangs %d implausibly common (paper: 0/1000)", hang)
+		}
+	},
+	"table11": func(t *testing.T, res *reesift.Result) {
+		if len(res.Tables) != 2 {
+			t.Fatalf("want 2 tables, got %d", len(res.Tables))
+		}
+		t11, t12 := res.Tables[0], res.Tables[1]
+		if len(t11.Rows) != 3 {
+			t.Fatalf("t11 rows = %d", len(t11.Rows))
+		}
+		if len(t12.Rows) != 6 {
+			t.Fatalf("t12 rows = %d", len(t12.Rows))
+		}
+		// Baselines measured; OTIS runs ~2.5x the rover baseline.
+		rover := cellAt(t, t11, "Baseline (no SIFT)", "ROVER ACTUAL (s)")
+		otis := cellAt(t, t11, "Baseline (no SIFT)", "OTIS ACTUAL (s)")
+		if rover.N == 0 || otis.N == 0 {
+			t.Fatal("missing standalone baselines")
+		}
+		if otis.Mean <= rover.Mean {
+			t.Fatalf("OTIS baseline (%.1f) should exceed rover baseline (%.1f)", otis.Mean, rover.Mean)
+		}
+		// ARMOR injections must not sink the applications: in each model
+		// family, most ARMOR failures are recovered (paper: all but 2 of
+		// 563 SIGINT/SIGSTOP errors).
+		for _, family := range []string{"SIGINT/SIGSTOP", "register/text"} {
+			failures := cellAt(t, t12, family+"/ARMORs", "FAILURES").Int
+			if lost := failures - cellAt(t, t12, family+"/ARMORs", "SUC. REC.").Int; lost > failures/2 {
+				t.Fatalf("%s ARMOR campaigns: %d of %d failures unrecovered", family, lost, failures)
+			}
+		}
+	},
+	"fig5": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if len(tab.Rows) != 8 {
+			t.Fatalf("rows = %d", len(tab.Rows))
+		}
+		if !strings.Contains(tab.Render(), "PERCEIVED") {
+			t.Fatal("render missing perceived row")
+		}
+	},
+	"fig6": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if len(tab.Rows) == 0 {
+			t.Fatal("no hang detections")
+		}
+		// Figure 6: latency between one and two checking periods. A hang
+		// landing just before the application's natural next update can
+		// measure slightly below one period from the suspension instant.
+		for _, row := range tab.Rows {
+			if r := cellAt(t, tab, row[0].Text, "LATENCY / PI PERIOD").Float; r < 0.8 || r > 2.1 {
+				t.Fatalf("hang at %s s: latency %.2f periods outside [1, 2]", row[0].Text, r)
+			}
+		}
+	},
+	"fig7": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		// Actual time must stay within a narrow band across all kill times.
+		lo, hi := math.Inf(1), math.Inf(-1)
+		completed := 0
+		for _, row := range tab.Rows {
+			if cellAt(t, tab, row[0].Text, "PERCEIVED (s)").Text == "system failure" {
+				continue
+			}
+			completed++
+			a := cellAt(t, tab, row[0].Text, "ACTUAL (s)").Float
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		if completed < 4 {
+			t.Fatalf("only %d completed sweeps", completed)
+		}
+		if hi-lo > 8 {
+			t.Fatalf("actual time varied %.2f s across FTM kill sweep", hi-lo)
+		}
+		// The setup-phase kill must show a larger perceived time than a
+		// mid-run kill.
+		setup := cellAt(t, tab, "0.10", "PERCEIVED (s)")
+		mid := cellAt(t, tab, "30.00", "PERCEIVED (s)")
+		if setup.Text == "system failure" || mid.Text == "system failure" {
+			t.Fatalf("kill at 0.10 s perceived %s, at 30.00 s perceived %s: want two completed runs", setup.Text, mid.Text)
+		}
+		if setup.Float <= mid.Float {
+			t.Fatalf("setup-phase FTM kill (perceived %.2f s) did not exceed a mid-run kill (%.2f s)", setup.Float, mid.Float)
+		}
+	},
+	"fig8": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if done := cellAt(t, tab, "application completed", "VALUE").Text; done != "true" {
+			t.Fatalf("application completed = %s: no recovery from the correlated failure", done)
+		}
+		if cellAt(t, tab, "application restarts (correlated failure)", "VALUE").Int == 0 {
+			t.Fatal("the correlated failure (application restart) did not occur")
+		}
+	},
+	"fig10": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		aborted := cellAt(t, tab, "failure notification aborted (unknown ARMOR)", "VALUE").Int
+		recovered := cellAt(t, tab, "recovery initiated for the ARMOR", "VALUE").Int
+		if aborted != 1 || recovered != 0 {
+			t.Fatalf("legacy race not reproduced (aborted=%d recovered=%d)", aborted, recovered)
+		}
+	},
+	"ablation-watchdog": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		polling := cellAt(t, tab, "polling", "MAX LATENCY (s)").Float
+		if watchdog := cellAt(t, tab, "watchdog", "MAX LATENCY (s)").Float; watchdog >= polling {
+			t.Fatalf("watchdog max %.2f did not beat polling max %.2f", watchdog, polling)
+		}
+	},
+	"ablation-assertions": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		runsOn := cellAt(t, tab, "assertions enabled (paper)", "INJECTED RUNS").Int
+		sysOn := cellAt(t, tab, "assertions enabled (paper)", "SYSTEM FAILURES").Int
+		sysOff := cellAt(t, tab, "assertions disabled", "SYSTEM FAILURES").Int
+		if runsOn > 10 && sysOff < sysOn {
+			t.Fatalf("disabling assertions reduced system failures (%d -> %d)", sysOn, sysOff)
+		}
+	},
+	"ablation-checkpoints": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		if n := cellAt(t, tab, "node-local RAM disk (paper)", "MIGRATED ARMOR RESTORED").Int; n != 0 {
+			t.Fatalf("local checkpoints survived a node failure %d times", n)
+		}
+		if cellAt(t, tab, "centralized nonvolatile", "MIGRATED ARMOR RESTORED").Int == 0 {
+			t.Fatal("shared checkpoints never restored")
+		}
+	},
+	"ext-faults": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		// Each extension model's cells must actually insert errors at tiny
+		// scale — a silent all-zero column would mean the model never armed.
+		injected := column(t, tab, "INJECTED RUNS")
+		byModel := map[string]int64{}
+		for _, row := range tab.Rows {
+			byModel[row[0].Text] += row[injected].Int
+		}
+		for _, m := range []inject.Model{inject.ModelMsgDrop, inject.ModelMsgCorrupt,
+			inject.ModelCheckpoint, inject.ModelNodeCrash,
+			inject.ModelSharedDisk, inject.ModelPartition} {
+			if byModel[m.String()] == 0 {
+				t.Errorf("model %s never injected at tiny scale", m)
+			}
+		}
+	},
+	"recovery": func(t *testing.T, res *reesift.Result) {
+		tab := res.Tables[0]
+		// Node-crash injections against application-hosting nodes report
+		// recoveries, not 100% system failures.
+		for _, cell := range recoveryCells {
+			if injected := cellAt(t, tab, cell.id, "INJECTED RUNS").Int; injected > 0 && cellAt(t, tab, cell.id, "COMPLETED").Int == 0 {
+				t.Errorf("cell %q: all %d injected runs were system failures", cell.id, injected)
+			}
+		}
+		if cellAt(t, tab, "node-crash/app-node (isolated SIFT)", "DAEMON REINSTALLS").Int == 0 {
+			t.Error("pure application-node crashes never reinstalled a daemon")
+		}
+		if cellAt(t, tab, "node-crash/app-node+FTM", "FTM MIGRATIONS").Int == 0 {
+			t.Error("FTM-node crashes never migrated the FTM")
+		}
+	},
+	"chaos": func(t *testing.T, res *reesift.Result) {
+		if len(res.Tables) != 2 {
+			t.Fatalf("want 2 tables (availability + cross-check), got %d", len(res.Tables))
+		}
+		avail, cross := res.Tables[0], res.Tables[1]
+		if len(avail.Rows) != 7 {
+			t.Fatalf("want 7 campaign cells, got %d rows", len(avail.Rows))
+		}
+		for _, row := range avail.Rows {
+			name := row[0].Text
+			if cellAt(t, avail, name, "ARRIVALS").Int == 0 {
+				t.Errorf("cell %s recorded zero arrivals", name)
+			}
+			if cellAt(t, avail, name, "INJECTED").Int == 0 {
+				t.Errorf("cell %s recorded zero injections", name)
+			}
+		}
+		if len(cross.Rows) != 2 {
+			t.Fatalf("want 2 cross-check rows, got %d", len(cross.Rows))
+		}
+	},
 }
 
-func TestFigure8CorrelatedStartupFailure(t *testing.T) {
-	tab, err := Figure8(tinyScale())
-	if err != nil {
-		t.Fatalf("%v\n%s", err, tab.Render())
-	}
-}
+// The named shape tests: one per paper claim set, each applying its
+// scenario's shapeChecks entry to the run the golden sweep shares.
 
-func TestFigure10Race(t *testing.T) {
-	tab, err := Figure10(tinyScale())
-	if err != nil {
-		t.Fatalf("%v\n%s", err, tab.Render())
-	}
+func TestTable3BaselineOverheadShape(t *testing.T)     { checkShape(t, "table3") }
+func TestTable4CrashHangShape(t *testing.T)            { checkShape(t, "table4") }
+func TestTable5HeartbeatSweepShape(t *testing.T)       { checkShape(t, "table5") }
+func TestTable6RegTextShape(t *testing.T)              { checkShape(t, "table6") }
+func TestTable7HeapShape(t *testing.T)                 { checkShape(t, "table7") }
+func TestTable8And9TargetedHeapShape(t *testing.T)     { checkShape(t, "table8") }
+func TestTable10AppHeapShape(t *testing.T)             { checkShape(t, "table10") }
+func TestTable11And12MultiAppShape(t *testing.T)       { checkShape(t, "table11") }
+func TestFigure5Timeline(t *testing.T)                 { checkShape(t, "fig5") }
+func TestFigure6LatencyBand(t *testing.T)              { checkShape(t, "fig6") }
+func TestFigure7PerceivedOnlyEffect(t *testing.T)      { checkShape(t, "fig7") }
+func TestFigure8CorrelatedStartupFailure(t *testing.T) { checkShape(t, "fig8") }
+func TestFigure10Race(t *testing.T)                    { checkShape(t, "fig10") }
+func TestAblationWatchdog(t *testing.T)                { checkShape(t, "ablation-watchdog") }
+func TestAblationAssertions(t *testing.T)              { checkShape(t, "ablation-assertions") }
+func TestAblationSharedCheckpoints(t *testing.T)       { checkShape(t, "ablation-checkpoints") }
+func TestExtensionCampaignMechanismsReachable(t *testing.T) {
+	checkShape(t, "ext-faults")
 }
+func TestRecoveryCampaignSurvivability(t *testing.T) { checkShape(t, "recovery") }
+func TestChaosScenarioShape(t *testing.T)            { checkShape(t, "chaos") }
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{

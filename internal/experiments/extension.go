@@ -48,11 +48,6 @@ var extCells = []extCell{
 	{model: inject.ModelPartition, target: inject.TargetHeartbeat, shared: true, verdict: true},
 }
 
-// TableExtensionData carries the per-cell aggregates.
-type TableExtensionData struct {
-	Cells map[string]agg // key "<model>/<target>"
-}
-
 // TableExtension runs the extension campaigns: the REE paper's untested
 // communication-fault axis (message omission and value corruption on the
 // target's network traffic), checkpoint-store corruption (the paper's
@@ -61,12 +56,11 @@ type TableExtensionData struct {
 // nodes, shared-store corruption, and one-sided network partitions.
 // Every cell runs under the parallel campaign engine and is a pure
 // function of the scale's seed at any worker count.
-func TableExtension(sc Scale) (*Table, *TableExtensionData, error) {
+func TableExtension(sc Scale) (*reesift.Result, error) {
 	check, err := roverVerdictCheck()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	data := &TableExtensionData{Cells: make(map[string]agg)}
 	t := &Table{
 		ID:    "ext-faults",
 		Title: "Extension: communication, storage, node, and partition faults (beyond Table 2)",
@@ -91,11 +85,10 @@ func TableExtension(sc Scale) (*Table, *TableExtensionData, error) {
 	}
 	cres, err := runCampaign(sc, "ext", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, cell := range extCells {
 		a := foldAgg(cres.Cell(fmt.Sprintf("%s/%s", cell.model, cell.target)))
-		data.Cells[cell.model.String()+"/"+cell.target.String()] = a
 		verdicts := "-"
 		if cell.verdict {
 			verdicts = fmt.Sprintf("%d/%d/%d", a.verdictCorrect, a.verdictIncorrect, a.verdictMissing)
@@ -119,5 +112,5 @@ func TableExtension(sc Scale) (*Table, *TableExtensionData, error) {
 		"partition cells: the FTM declares the unreachable (but alive) node failed and migrates its ARMORs under the next incarnation epoch, so the heal's duplicate recoverers reconcile — the stale Heartbeat ARMOR's replayed recovery traffic is rejected cluster-wide and it stands down instead of re-recovering the FTM in a loop (the split-brain scenario isolates this and shows zero system failures)",
 		"the partition cells' residual system failures are the false declaration's other cost at this default placement: Execution ARMORs migrated off a node whose application rank is still alive leave the application in a restart loop",
 	)
-	return t, data, nil
+	return reesift.NewResult(t), nil
 }

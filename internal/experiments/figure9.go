@@ -4,13 +4,14 @@ import (
 	"time"
 
 	"reesift/internal/san"
+	"reesift/pkg/reesift"
 )
 
 // Figure9 solves the Section 5.2 stochastic activity network across a
 // sweep of SIFT failure rates, reporting the probability that a SIFT
 // failure induces a correlated application failure and the resulting
 // application unavailability.
-func Figure9(sc Scale) (*Table, []san.Figure9Point, error) {
+func Figure9(sc Scale) (*reesift.Result, error) {
 	horizon := 500000.0
 	if sc.Runs >= 50 {
 		horizon = 5e6 // paper-scale runs buy tighter estimates
@@ -20,7 +21,7 @@ func Figure9(sc Scale) (*Table, []san.Figure9Point, error) {
 	}
 	pts, err := san.Figure9Study(san.DefaultFigure9Params(), mttfs, horizon, sc.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := &Table{
 		ID:     "figure9",
@@ -37,5 +38,5 @@ func Figure9(sc Scale) (*Table, []san.Figure9Point, error) {
 	t.Notes = append(t.Notes,
 		"even a small correlated-failure probability drives unavailability well above the uncorrelated prediction (Section 5.2, [33])",
 		"injection campaigns observed ~1.6% of SIFT failures inducing application failures")
-	return t, pts, nil
+	return reesift.NewResult(t), nil
 }

@@ -9,13 +9,13 @@ import (
 	"reesift/internal/inject"
 	"reesift/internal/sift"
 	"reesift/internal/sim"
-	"reesift/internal/stats"
+	"reesift/pkg/reesift"
 )
 
 // Figure5 traces one fault-free run and renders the perceived-vs-actual
 // execution time anatomy: submission, setup, application start, end,
 // teardown, SCC notification.
-func Figure5(sc Scale) (*Table, error) {
+func Figure5(sc Scale) (*reesift.Result, error) {
 	k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure5", 0)))
 	defer k.Shutdown()
 	env := sift.New(k, sift.DefaultEnvConfig())
@@ -43,13 +43,37 @@ func Figure5(sc Scale) (*Table, error) {
 			{str("Teardown overhead"), durCell(h.DoneAt - ended.At)},
 		},
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }
 
-// Figure6Data pairs controlled hang times with detection latencies.
-type Figure6Data struct {
-	HangOffsets []time.Duration // offset within the PI period
-	Latencies   []time.Duration
+// hangPIPeriod is the rover's progress-indicator checking period, the
+// unit of the hang-detection latencies.
+const hangPIPeriod = 20 * time.Second
+
+// hangDetectedAt runs one rover submission at 5 s, suspends its rank 0 at
+// suspendAt, and returns when the first hang detection fired (0 if none
+// did within three checking periods). interrupt selects the
+// interrupt-driven watchdog instead of the paper's polling.
+func hangDetectedAt(seed int64, suspendAt time.Duration, interrupt bool) time.Duration {
+	k := sim.NewKernel(sim.DefaultConfig(seed))
+	defer k.Shutdown()
+	env := sift.New(k, sift.DefaultEnvConfig())
+	env.Setup()
+	app := roverApp()
+	app.InterruptPI = interrupt
+	env.Submit(app, 5*time.Second)
+	k.Schedule(suspendAt, func() {
+		if pid := env.AppProc(app.ID, 0); pid != sim.NoPID {
+			k.Suspend(pid)
+		}
+	})
+	k.Run(suspendAt + 3*hangPIPeriod)
+	for _, d := range env.Log.AppDetections {
+		if d.Hang {
+			return d.At
+		}
+	}
+	return 0
 }
 
 // Figure6 reproduces the hang-detection-latency phenomenon: the Execution
@@ -57,67 +81,38 @@ type Figure6Data struct {
 // latency for a hang ranges between one and two checking periods depending
 // on where in the period the hang lands (up to 40 s with the 20 s
 // indicator).
-func Figure6(sc Scale) (*Table, *Figure6Data, error) {
-	data := &Figure6Data{}
+func Figure6(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:     "figure6",
 		Title:  "Application hang detection latency vs hang time within the PI period",
 		Header: []string{"HANG AT (s)", "DETECTED AT (s)", "LATENCY (s)", "LATENCY / PI PERIOD"},
 	}
-	piPeriod := 20 * time.Second
-	steps := maxInt(4, sc.Runs/2)
+	steps := max(4, sc.Runs/2)
 	type hangProbe struct {
-		hangAt, abs, detected time.Duration
+		abs, detected time.Duration
 	}
 	for _, pr := range engine.Map(sc.Workers, steps, func(run int) hangProbe {
 		hangAt := 20*time.Second + time.Duration(int64(run)*int64(40*time.Second)/int64(steps))
-		k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure6", run)))
-		defer k.Shutdown()
-		env := sift.New(k, sift.DefaultEnvConfig())
-		env.Setup()
-		app := roverApp()
-		env.Submit(app, 5*time.Second)
 		abs := 5*time.Second + hangAt
-		k.Schedule(abs, func() {
-			if pid := env.AppProc(app.ID, 0); pid != sim.NoPID {
-				k.Suspend(pid)
-			}
-		})
-		k.Run(abs + 3*piPeriod)
-		for _, d := range env.Log.AppDetections {
-			if d.Hang {
-				return hangProbe{hangAt: hangAt, abs: abs, detected: d.At}
-			}
-		}
-		return hangProbe{hangAt: hangAt, abs: abs}
+		return hangProbe{abs: abs, detected: hangDetectedAt(engine.DeriveSeed(sc.Seed, "figure6", run), abs, false)}
 	}) {
 		if pr.detected == 0 {
 			continue
 		}
 		lat := pr.detected - pr.abs
-		data.HangOffsets = append(data.HangOffsets, pr.hangAt%piPeriod)
-		data.Latencies = append(data.Latencies, lat)
 		t.Rows = append(t.Rows, []Cell{
 			durCell(pr.abs), durCell(pr.detected), durCell(lat),
-			flt(float64(lat)/float64(piPeriod), 2),
+			flt(float64(lat)/float64(hangPIPeriod), 2),
 		})
 	}
 	t.Notes = append(t.Notes, "latency must fall in [1, 2] checking periods (paper Figure 6: up to 40 s)")
-	return t, data, nil
-}
-
-// Figure7Data pairs FTM kill times with run outcomes.
-type Figure7Data struct {
-	KillAt    []time.Duration
-	Perceived []time.Duration
-	Actual    []time.Duration
+	return reesift.NewResult(t), nil
 }
 
 // Figure7 sweeps the FTM kill instant across the run: failures landing in
 // the setup and takedown windows stretch the perceived time, while the
 // actual application execution time stays flat throughout.
-func Figure7(sc Scale) (*Table, *Figure7Data, error) {
-	data := &Figure7Data{}
+func Figure7(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:     "figure7",
 		Title:  "FTM failures in setup/takedown affect perceived time only",
@@ -137,13 +132,10 @@ func Figure7(sc Scale) (*Table, *Figure7Data, error) {
 			t.Rows = append(t.Rows, []Cell{durCell(off), str("system failure"), str("-")})
 			continue
 		}
-		data.KillAt = append(data.KillAt, off)
-		data.Perceived = append(data.Perceived, res.Perceived)
-		data.Actual = append(data.Actual, res.Actual)
 		t.Rows = append(t.Rows, []Cell{durCell(off), durCell(res.Perceived), durCell(res.Actual)})
 	}
 	t.Notes = append(t.Notes, "paper Figure 7: only setup/takedown failures extend perceived time; actual is unaffected")
-	return t, data, nil
+	return reesift.NewResult(t), nil
 }
 
 // runWithFTMKill runs one rover submission and kills the FTM at a fixed
@@ -179,7 +171,7 @@ func runWithFTMKill(seed int64, offset time.Duration) inject.Result {
 // waiting for the PID exchange, the application aborts, and — because the
 // detectors are decoupled from the failed pair — the environment recovers
 // both and the application completes with one restart.
-func Figure8(sc Scale) (*Table, error) {
+func Figure8(sc Scale) (*reesift.Result, error) {
 	k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure8", 0)))
 	defer k.Shutdown()
 	env := sift.New(k, sift.DefaultEnvConfig())
@@ -232,12 +224,12 @@ func Figure8(sc Scale) (*Table, error) {
 		Notes:  []string{"paper: 2 of 178 FTM injections hit this window; recovery succeeds because the Heartbeat ARMOR and Execution ARMORs are decoupled from the failed pair"},
 	}
 	if !h.Done {
-		return t, fmt.Errorf("figure8: application did not recover from the correlated failure")
+		return reesift.NewResult(t), fmt.Errorf("figure8: application did not recover from the correlated failure")
 	}
 	if h.Restarts == 0 {
-		return t, fmt.Errorf("figure8: the correlated failure (application restart) did not occur")
+		return reesift.NewResult(t), fmt.Errorf("figure8: the correlated failure (application restart) did not occur")
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }
 
 // Figure10 demonstrates the registration race condition: with the legacy
@@ -245,7 +237,7 @@ func Figure8(sc Scale) (*Table, error) {
 // ARMOR aborts, the daemon's retransmission is dropped as a duplicate, and
 // the ARMOR is never recovered. The fixed ordering registers before
 // installing.
-func Figure10(sc Scale) (*Table, error) {
+func Figure10(sc Scale) (*reesift.Result, error) {
 	outcome := func(fixRace bool) (aborted int, recovered int) {
 		// Both arms share one identity on purpose: the race demonstration
 		// compares legacy vs fixed ordering over identical kernels.
@@ -283,17 +275,7 @@ func Figure10(sc Scale) (*Table, error) {
 		Notes: []string{"paper: the race was eliminated by adding the Execution ARMOR to the FTM's table before instructing the daemon to install it"},
 	}
 	if legacyAborted != 1 || legacyRecovered != 0 {
-		return t, fmt.Errorf("figure10: legacy race not reproduced (aborted=%d recovered=%d)", legacyAborted, legacyRecovered)
+		return reesift.NewResult(t), fmt.Errorf("figure10: legacy race not reproduced (aborted=%d recovered=%d)", legacyAborted, legacyRecovered)
 	}
-	return t, nil
-}
-
-// HangLatencyBounds summarizes Figure 6 data for assertions: min and max
-// latency in units of the checking period.
-func HangLatencyBounds(d *Figure6Data, period time.Duration) (lo, hi float64) {
-	var s stats.Sample
-	for _, l := range d.Latencies {
-		s.Add(float64(l) / float64(period))
-	}
-	return s.Min(), s.Max()
+	return reesift.NewResult(t), nil
 }

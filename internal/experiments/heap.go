@@ -12,16 +12,10 @@ var table7Targets = []inject.TargetKind{
 	inject.TargetFTM, inject.TargetExecArmor, inject.TargetHeartbeat,
 }
 
-// Table7Data carries the blind-heap campaign aggregates.
-type Table7Data struct {
-	Cells map[inject.TargetKind]agg
-}
-
 // Table7 reproduces the heap injection results: repeated single-bit flips
 // into live element state until the target fails. Roughly half the runs
 // show any effect (Section 7.1).
-func Table7(sc Scale) (*Table, *Table7Data, error) {
-	data := &Table7Data{Cells: make(map[inject.TargetKind]agg)}
+func Table7(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:    "table7",
 		Title: "Heap injection results",
@@ -38,11 +32,10 @@ func Table7(sc Scale) (*Table, *Table7Data, error) {
 	}
 	cres, err := runCampaign(sc, "table7", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, target := range table7Targets {
 		a := foldAgg(cres.Cell(target.String()))
-		data.Cells[target] = a
 		t.Rows = append(t.Rows, []Cell{
 			str(target.String()),
 			num(sc.Runs),
@@ -54,7 +47,7 @@ func Table7(sc Scale) (*Table, *Table7Data, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: 54/41/28 failures for FTM/Execution/Heartbeat from 100 runs each; all but one recovered")
-	return t, data, nil
+	return reesift.NewResult(t), nil
 }
 
 // ftmElements are the five Table 8 targets.
@@ -62,30 +55,10 @@ var ftmElements = []string{
 	"mgr_armor_info", "exec_armor_info", "app_param", "mgr_app_detect", "node_mgmt",
 }
 
-// Table8Data counts system failures per element and phase.
-type Table8Data struct {
-	// Sys[element][mode] counts system failures.
-	Sys map[string]map[inject.SystemFailureMode]int
-	// AssertFired / AssertSaved / SysNoAssert per element (Table 9).
-	AssertFired    map[string]int
-	SysAfterAssert map[string]int
-	SavedByAssert  map[string]int
-	SysNoAssert    map[string]int
-	Injected       map[string]int
-}
-
 // Table8And9 runs the targeted non-pointer heap injections into the five
 // FTM elements (one error per run) and produces both Table 8 (system
 // failures by run phase) and Table 9 (assertion efficiency).
-func Table8And9(sc Scale) (*Table, *Table, *Table8Data, error) {
-	data := &Table8Data{
-		Sys:            make(map[string]map[inject.SystemFailureMode]int),
-		AssertFired:    make(map[string]int),
-		SysAfterAssert: make(map[string]int),
-		SavedByAssert:  make(map[string]int),
-		SysNoAssert:    make(map[string]int),
-		Injected:       make(map[string]int),
-	}
+func Table8And9(sc Scale) (*reesift.Result, error) {
 	modes := []inject.SystemFailureMode{
 		inject.SysRegisterDaemons, inject.SysInstallExecArmors,
 		inject.SysStartApplication, inject.SysUninstallAfterCompletion,
@@ -103,29 +76,7 @@ func Table8And9(sc Scale) (*Table, *Table, *Table8Data, error) {
 	}
 	cres, err := runCampaign(sc, "table8", cells...)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, element := range ftmElements {
-		data.Sys[element] = make(map[inject.SystemFailureMode]int)
-		for _, res := range cres.Cell(element).Results {
-			if res.Injected == 0 {
-				continue
-			}
-			data.Injected[element]++
-			if res.SystemFailure {
-				data.Sys[element][res.SysMode]++
-			}
-			if res.AssertionFired {
-				data.AssertFired[element]++
-				if res.SystemFailure {
-					data.SysAfterAssert[element]++
-				} else {
-					data.SavedByAssert[element]++
-				}
-			} else if res.SystemFailure {
-				data.SysNoAssert[element]++
-			}
-		}
+		return nil, err
 	}
 	t8 := &Table{
 		ID:    "table8",
@@ -133,20 +84,6 @@ func Table8And9(sc Scale) (*Table, *Table, *Table8Data, error) {
 		Header: []string{"ELEMENT", "UNABLE TO REGISTER DAEMONS", "UNABLE TO INSTALL EXEC ARMORS",
 			"UNABLE TO START APP", "UNABLE TO UNINSTALL", "NOT COMPLETED", "TOTAL"},
 	}
-	for _, element := range ftmElements {
-		row := []Cell{str(element)}
-		total := 0
-		for _, m := range modes {
-			c := data.Sys[element][m]
-			total += c
-			row = append(row, num(c))
-		}
-		row = append(row, num(total))
-		t8.Rows = append(t8.Rows, row)
-	}
-	t8.Notes = append(t8.Notes,
-		"paper: 37 system failures total; node_mgmt and mgr_armor_info were the sensitive elements; app_param and mgr_app_detect caused none")
-
 	t9 := &Table{
 		ID:    "table9",
 		Title: "Efficiency of assertion checks in preventing system failures",
@@ -155,42 +92,61 @@ func Table8And9(sc Scale) (*Table, *Table, *Table8Data, error) {
 	}
 	totalFired, totalSaved := 0, 0
 	for _, element := range ftmElements {
+		sys := make(map[inject.SystemFailureMode]int)
+		fired, sysAfterAssert, savedByAssert, sysNoAssert := 0, 0, 0, 0
+		for _, res := range cres.Cell(element).Results {
+			if res.Injected == 0 {
+				continue
+			}
+			if res.SystemFailure {
+				sys[res.SysMode]++
+			}
+			if res.AssertionFired {
+				fired++
+				if res.SystemFailure {
+					sysAfterAssert++
+				} else {
+					savedByAssert++
+				}
+			} else if res.SystemFailure {
+				sysNoAssert++
+			}
+		}
+		row := []Cell{str(element)}
+		total := 0
+		for _, m := range modes {
+			total += sys[m]
+			row = append(row, num(sys[m]))
+		}
+		t8.Rows = append(t8.Rows, append(row, num(total)))
 		t9.Rows = append(t9.Rows, []Cell{
 			str(element),
-			num(data.SysNoAssert[element]),
-			num(data.SysAfterAssert[element]),
-			num(data.SavedByAssert[element]),
+			num(sysNoAssert),
+			num(sysAfterAssert),
+			num(savedByAssert),
 		})
-		totalFired += data.AssertFired[element]
-		totalSaved += data.SavedByAssert[element]
+		totalFired += fired
+		totalSaved += savedByAssert
 	}
+	t8.Notes = append(t8.Notes,
+		"paper: 37 system failures total; node_mgmt and mgr_armor_info were the sensitive elements; app_param and mgr_app_detect caused none")
 	pct := 0.0
 	if totalFired > 0 {
 		pct = 100 * float64(totalSaved) / float64(totalFired)
 	}
 	t9.Notes = append(t9.Notes,
 		fmt.Sprintf("assertions + microcheckpointing prevented system failures in %.0f%% of assertion-detected errors (paper: 58%%)", pct))
-	return t8, t9, data, nil
-}
-
-// Table10Data counts application heap injection outcomes.
-type Table10Data struct {
-	Injected  int
-	NoEffect  int
-	Incorrect int
-	Crash     int
-	Hang      int
+	return reesift.NewResult(t8, t9), nil
 }
 
 // Table10 reproduces the 1,000 single-bit heap injections into the
 // application: most flips land in float mantissas and leave the output
 // within tolerance; a few flip exponent/sign bits (incorrect output) or
 // size fields (crash).
-func Table10(sc Scale) (*Table, *Table10Data, error) {
-	data := &Table10Data{}
+func Table10(sc Scale) (*reesift.Result, error) {
 	check, err := roverVerdictCheck()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// A single-cell campaign whose empty cell name keeps the historical
 	// seed identity "table10".
@@ -201,35 +157,36 @@ func Table10(sc Scale) (*Table, *Table10Data, error) {
 		Injection: inj,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	injected, noEffect, incorrect, crash, hang := 0, 0, 0, 0, 0
 	for _, res := range cres.Cells[0].Results {
 		if res.Injected == 0 {
 			continue
 		}
-		data.Injected++
+		injected++
 		switch {
 		case res.Failed && res.Class == inject.ClassHang:
-			data.Hang++
+			hang++
 		case res.Failed:
-			data.Crash++
+			crash++
 		case res.Verdict == "incorrect" || res.Verdict == "missing":
-			data.Incorrect++
+			incorrect++
 		default:
-			data.NoEffect++
+			noEffect++
 		}
 	}
 	t := &Table{
 		ID:     "table10",
-		Title:  fmt.Sprintf("Results from %d heap injections into the application", data.Injected),
+		Title:  fmt.Sprintf("Results from %d heap injections into the application", injected),
 		Header: []string{"OUTCOME", "COUNT"},
 		Rows: [][]Cell{
-			{str("No effect (correct output)"), num(data.NoEffect)},
-			{str("Incorrect output"), num(data.Incorrect)},
-			{str("Crash"), num(data.Crash)},
-			{str("Hang"), num(data.Hang)},
+			{str("No effect (correct output)"), num(noEffect)},
+			{str("Incorrect output"), num(incorrect)},
+			{str("Crash"), num(crash)},
+			{str("Hang"), num(hang)},
 		},
 		Notes: []string{"paper (1000 injections): 981 no effect / 10 incorrect / 9 crash / 0 hang"},
 	}
-	return t, data, nil
+	return reesift.NewResult(t), nil
 }

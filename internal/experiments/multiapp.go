@@ -8,6 +8,7 @@ import (
 	engine "reesift/internal/campaign"
 	"reesift/internal/inject"
 	"reesift/internal/sift"
+	"reesift/internal/sim"
 	"reesift/internal/stats"
 	"reesift/pkg/reesift"
 )
@@ -47,33 +48,21 @@ func (m *multiAgg) addMulti(r inject.Result) {
 	}
 }
 
-// Table11And12Data carries the Section 8 aggregates.
-type Table11And12Data struct {
-	BaselineRover stats.Sample
-	BaselineOTIS  stats.Sample
-	// OTISApp and Armors aggregate across error models.
-	OTISApp map[inject.Model]*multiAgg
-	Armors  map[inject.Model]*multiAgg
-}
-
 // Table11And12 reproduces the two-application experiments: Table 11 (mean
 // performance under injection) and Table 12 (error classification). The
 // load of a second application must not degrade recovery: ARMOR recovery
 // time stays near the single-application value, and the perceived/actual
 // difference stays around one second.
-func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
-	data := &Table11And12Data{
-		OTISApp: make(map[inject.Model]*multiAgg),
-		Armors:  make(map[inject.Model]*multiAgg),
-	}
+func Table11And12(sc Scale) (*reesift.Result, error) {
 	// Baseline: both applications standalone (no SIFT) on six nodes.
 	type basePair struct {
 		rover, otis time.Duration
 		rOK, oOK    bool
 	}
-	baseRuns := maxInt(2, sc.MultiAppRuns/2)
+	var baseRover, baseOTIS stats.Sample
+	baseRuns := max(2, sc.MultiAppRuns/2)
 	for _, b := range engine.Map(sc.Workers, baseRuns, func(run int) basePair {
-		k := newBaselineKernel(engine.DeriveSeed(sc.Seed, "table11/baseline", run))
+		k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "table11/baseline", run)))
 		defer k.Shutdown()
 		rspec := rover.Spec(1, []string{"n1", "n2"}, rover.DefaultParams())
 		ospec := otis.Spec(2, []string{"n3", "n4"}, otis.DefaultParams())
@@ -86,10 +75,10 @@ func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
 		return b
 	}) {
 		if b.rOK {
-			data.BaselineRover.AddDuration(b.rover)
+			baseRover.AddDuration(b.rover)
 		}
 		if b.oOK {
-			data.BaselineOTIS.AddDuration(b.otis)
+			baseOTIS.AddDuration(b.otis)
 		}
 	}
 
@@ -119,14 +108,17 @@ func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
 	}
 	cres, err := runCampaign(sc, "table11", cells...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	// otisApp and armors aggregate each error model's cells.
+	otisApp := make(map[inject.Model]*multiAgg)
+	armors := make(map[inject.Model]*multiAgg)
 	for _, model := range multiAppModels {
 		oa := &multiAgg{}
 		for _, r := range cres.Cell("otis/" + model.String()).Results {
 			oa.addMulti(r)
 		}
-		data.OTISApp[model] = oa
+		otisApp[model] = oa
 
 		ar := &multiAgg{}
 		for _, target := range armorTargets {
@@ -134,14 +126,14 @@ func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
 				ar.addMulti(r)
 			}
 		}
-		data.Armors[model] = ar
+		armors[model] = ar
 	}
 
 	// Table 11: mean performance summary across all models.
 	var otisAll, armorAll multiAgg
 	for _, model := range multiAppModels {
-		mergeMulti(&otisAll, data.OTISApp[model])
-		mergeMulti(&armorAll, data.Armors[model])
+		mergeMulti(&otisAll, otisApp[model])
+		mergeMulti(&armorAll, armors[model])
 	}
 	t11 := &Table{
 		ID:    "table11",
@@ -149,7 +141,7 @@ func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
 		Header: []string{"TARGET", "ROVER PERCEIVED (s)", "ROVER ACTUAL (s)",
 			"OTIS PERCEIVED (s)", "OTIS ACTUAL (s)", "RECOVERY (s)"},
 		Rows: [][]Cell{
-			{str("Baseline (no SIFT)"), str("-"), secCell(&data.BaselineRover), str("-"), secCell(&data.BaselineOTIS), str("-")},
+			{str("Baseline (no SIFT)"), str("-"), secCell(&baseRover), str("-"), secCell(&baseOTIS), str("-")},
 			{str("OTIS app"), secCell(&otisAll.roverPerceived), secCell(&otisAll.roverActual),
 				secCell(&otisAll.otisPerceived), secCell(&otisAll.otisActual), secCell(&otisAll.recovery)},
 			{str("ARMORs"), secCell(&armorAll.roverPerceived), secCell(&armorAll.roverActual),
@@ -183,13 +175,13 @@ func Table11And12(sc Scale) (*Table, *Table, *Table11And12Data, error) {
 	sigModels := []inject.Model{inject.ModelSIGINT, inject.ModelSIGSTOP}
 	memModels := []inject.Model{inject.ModelRegister, inject.ModelText}
 	t12.Rows = append(t12.Rows, strRow("-- SIGINT/SIGSTOP --", "", "", "", "", "", ""))
-	group("OTIS app", data.OTISApp, sigModels)
-	group("ARMORs", data.Armors, sigModels)
+	group("OTIS app", otisApp, sigModels)
+	group("ARMORs", armors, sigModels)
 	t12.Rows = append(t12.Rows, strRow("-- register/text --", "", "", "", "", "", ""))
-	group("OTIS app", data.OTISApp, memModels)
-	group("ARMORs", data.Armors, memModels)
+	group("OTIS app", otisApp, memModels)
+	group("ARMORs", armors, memModels)
 	t12.Notes = append(t12.Notes, "paper: all but 2 SIGINT/SIGSTOP and all but 14 register/text errors recovered")
-	return t11, t12, data, nil
+	return reesift.NewResult(t11, t12), nil
 }
 
 func mergeMulti(dst, src *multiAgg) {
@@ -202,11 +194,11 @@ func mergeMulti(dst, src *multiAgg) {
 	dst.assertion += src.assertion
 	dst.sysFailures += src.sysFailures
 	dst.correlated += src.correlated
-	mergeSample(&dst.perceived, &src.perceived)
-	mergeSample(&dst.actual, &src.actual)
-	mergeSample(&dst.recovery, &src.recovery)
-	mergeSample(&dst.roverPerceived, &src.roverPerceived)
-	mergeSample(&dst.roverActual, &src.roverActual)
-	mergeSample(&dst.otisPerceived, &src.otisPerceived)
-	mergeSample(&dst.otisActual, &src.otisActual)
+	dst.perceived.Merge(&src.perceived)
+	dst.actual.Merge(&src.actual)
+	dst.recovery.Merge(&src.recovery)
+	dst.roverPerceived.Merge(&src.roverPerceived)
+	dst.roverActual.Merge(&src.roverActual)
+	dst.otisPerceived.Merge(&src.otisPerceived)
+	dst.otisActual.Merge(&src.otisActual)
 }

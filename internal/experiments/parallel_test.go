@@ -14,32 +14,11 @@ import (
 // core guarantee: a table is a pure function of (Scale, Seed), and the
 // worker count changes wall-clock time only. Table4 exercises the
 // fixed-count path, Table6 the wave-based failure-quota path, Table7 the
-// heap campaigns; their rendered output must be byte-identical at 1, 2,
-// and 8 workers.
+// heap campaigns; their output must be byte-identical at 1, 2, and 8
+// workers.
 func TestCampaignDeterminismAcrossWorkerCounts(t *testing.T) {
-	render := func(workers int) string {
-		sc := tinyScale()
-		sc.Workers = workers
-		t4, _, err := Table4(sc)
-		if err != nil {
-			t.Fatalf("workers=%d: table4: %v", workers, err)
-		}
-		t6, _, err := Table6(sc)
-		if err != nil {
-			t.Fatalf("workers=%d: table6: %v", workers, err)
-		}
-		t7, _, err := Table7(sc)
-		if err != nil {
-			t.Fatalf("workers=%d: table7: %v", workers, err)
-		}
-		return t4.Render() + "\n" + t6.Render() + "\n" + t7.Render()
-	}
-	want := render(1)
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); got != want {
-			t.Fatalf("workers=%d rendered differently than workers=1:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-				workers, want, workers, got)
-		}
+	for _, id := range []string{"table4", "table6", "table7"} {
+		checkWorkerInvariance(t, id, 2, 8)
 	}
 }
 

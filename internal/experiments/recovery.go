@@ -48,15 +48,6 @@ var recoveryCells = []recCell{
 		}},
 }
 
-// TableRecoveryData carries the per-cell aggregates plus the pooled
-// recovery-time sample the recovery benchmark reports.
-type TableRecoveryData struct {
-	Cells map[string]agg
-	// MeanRecoverySeconds pools the application recovery times observed
-	// across all cells (failure detection to restarted code running).
-	MeanRecoverySeconds float64
-}
-
 // TableRecovery runs the recovery-subsystem campaigns: whole-node
 // crashes against application-hosting nodes — survivable now that the
 // boot agent reinstalls daemons, the SCC re-registers placed ARMORs, and
@@ -66,8 +57,7 @@ type TableRecoveryData struct {
 // checkpoint storage, the paper's stated requirement for tolerating node
 // failures (Section 3.4). Every cell runs under the parallel campaign
 // engine and is a pure function of the scale's seed at any worker count.
-func TableRecovery(sc Scale) (*Table, *TableRecoveryData, error) {
-	data := &TableRecoveryData{Cells: make(map[string]agg)}
+func TableRecovery(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:    "recovery",
 		Title: "Recovery subsystem: node crashes on application-hosting nodes and compound FTM/daemon losses",
@@ -92,16 +82,24 @@ func TableRecovery(sc Scale) (*Table, *TableRecoveryData, error) {
 	}
 	cres, err := runCampaign(sc, "recovery", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var pooled int
-	var pooledSum float64
+	// Embedded acceptance checks, in the style of the other scenarios:
+	// the claims the table exists to demonstrate must actually hold. The
+	// first violation is reported alongside the complete table.
+	var checkErr error
+	ftmMigrated := false
 	for _, cell := range recoveryCells {
 		a := foldAgg(cres.Cell(cell.id))
-		data.Cells[cell.id] = a
-		if a.recovery.N() > 0 {
-			pooled += a.recovery.N()
-			pooledSum += a.recovery.Mean() * float64(a.recovery.N())
+		switch {
+		case checkErr != nil:
+		case a.injectedRuns == 0:
+			checkErr = fmt.Errorf("recovery: cell %q never injected", cell.id)
+		case a.completed == 0:
+			checkErr = fmt.Errorf("recovery: cell %q was 100%% system failures — the injection is unsurvivable", cell.id)
+		}
+		if cell.id == "node-crash/app-node+FTM" {
+			ftmMigrated = a.ftmMigrations > 0
 		}
 		t.Rows = append(t.Rows, []Cell{
 			str(cell.id),
@@ -113,32 +111,16 @@ func TableRecovery(sc Scale) (*Table, *TableRecoveryData, error) {
 			secCell(&a.perceived),
 		})
 	}
-	if pooled > 0 {
-		data.MeanRecoverySeconds = pooledSum / float64(pooled)
-	}
 	t.Notes = append(t.Notes,
 		"all cells run with centralized checkpoint storage (Section 3.4: required for tolerating node failures)",
 		"node-crash cells target application-hosting nodes: the boot agent reinstalls the daemon on restart and the SCC re-registers the node's processes from its placement table",
 		"FTM-node cells exercise the location-independent reinstall path: the Heartbeat ARMOR walks the surviving daemons and broadcasts the FTM's new location",
 		"compound cells arm two injectors with a controlled lag, reproducing the paper's Section 6 correlated failures on purpose",
 	)
-
-	// Embedded acceptance checks, in the style of the other scenarios:
-	// the claims the table exists to demonstrate must actually hold.
-	for _, cell := range recoveryCells {
-		a := data.Cells[cell.id]
-		if a.injectedRuns == 0 {
-			return t, data, fmt.Errorf("recovery: cell %q never injected", cell.id)
-		}
-		if a.completed == 0 {
-			return t, data, fmt.Errorf("recovery: cell %q was 100%% system failures — the injection is unsurvivable", cell.id)
-		}
+	if checkErr == nil && !ftmMigrated {
+		checkErr = fmt.Errorf("recovery: crashing the FTM's node never migrated the FTM")
 	}
-	ftmCell := data.Cells["node-crash/app-node+FTM"]
-	if ftmCell.ftmMigrations == 0 {
-		return t, data, fmt.Errorf("recovery: crashing the FTM's node never migrated the FTM")
-	}
-	return t, data, nil
+	return reesift.NewResult(t), checkErr
 }
 
 // roverVerdictCheck builds the rover output verifier against the

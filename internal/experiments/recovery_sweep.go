@@ -30,10 +30,7 @@ var (
 // periods buy faster detection, while the node outage length bounds how
 // soon the rank's Execution ARMOR can be reinstalled on its home node.
 func RecoverySweep(sc Scale) (*reesift.Result, error) {
-	runs := sc.Table5Runs
-	if runs < 3 {
-		runs = 3
-	}
+	runs := max(sc.Table5Runs, 3)
 	restartPts := make([]reesift.SweepPoint, len(recoverySweepRestarts))
 	for i, d := range recoverySweepRestarts {
 		d := d

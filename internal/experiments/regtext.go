@@ -7,18 +7,12 @@ import (
 	"reesift/pkg/reesift"
 )
 
-// Table6Data carries register/text campaign aggregates per model/target.
-type Table6Data struct {
-	Cells map[string]agg
-	Runs  map[string]int
-}
-
 // Table6 reproduces the register and text-segment injection results:
 // failures classified as segmentation fault / illegal instruction / hang /
 // assertion, successful recoveries, and execution times. Text-segment
 // errors must produce relatively more illegal instructions and more system
 // failures than register errors (Section 6).
-func Table6(sc Scale) (*Table, *Table6Data, error) {
+func Table6(sc Scale) (*reesift.Result, error) {
 	// One failure-quota cell per model/target pair: each searches until
 	// sc.FailureQuota target failures are observed (the paper's "between
 	// 90 and 100 error activations per target"), bounded by
@@ -37,10 +31,10 @@ func Table6(sc Scale) (*Table, *Table6Data, error) {
 	}
 	cres, err := runCampaign(sc, "table6", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	data := &Table6Data{Cells: make(map[string]agg), Runs: make(map[string]int)}
+	sys := make(map[inject.Model]int)
 	t := &Table{
 		ID:    "table6",
 		Title: "Register and text-segment injection results",
@@ -52,10 +46,8 @@ func Table6(sc Scale) (*Table, *Table6Data, error) {
 		t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", "", "", "", "", ""))
 		for _, target := range table4Targets {
 			key := model.String() + "/" + target.String()
-			cell := cres.Cell(key)
-			a := foldAgg(cell)
-			data.Cells[key] = a
-			data.Runs[key] = cell.Runs
+			a := foldAgg(cres.Cell(key))
+			sys[model] += a.sysFailures
 			t.Rows = append(t.Rows, []Cell{
 				str(target.String()),
 				num(a.failures),
@@ -73,14 +65,6 @@ func Table6(sc Scale) (*Table, *Table6Data, error) {
 	t.Notes = append(t.Notes,
 		"paper: 11 system failures in ~700 failures, all from checkpoint corruption or error propagation; text errors dominated",
 		fmt.Sprintf("observed system failures: register=%d text=%d",
-			sumSys(data, inject.ModelRegister), sumSys(data, inject.ModelText)))
-	return t, data, nil
-}
-
-func sumSys(d *Table6Data, model inject.Model) int {
-	total := 0
-	for _, target := range table4Targets {
-		total += d.Cells[model.String()+"/"+target.String()].sysFailures
-	}
-	return total
+			sys[inject.ModelRegister], sys[inject.ModelText]))
+	return reesift.NewResult(t), nil
 }

@@ -174,7 +174,7 @@ func scaleInjection(c scaleCell) reesift.Injection {
 // application ranks (and often a recoverer) is crashed mid-run. The
 // table reports only deterministic columns — run outcomes, recovery
 // counters, events fired, simulated time.
-func TableScale(sc Scale) (*Table, error) {
+func TableScale(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "Scale: node-crash load on 100-1000-node clusters with spread placement",
@@ -227,20 +227,20 @@ func TableScale(sc Scale) (*Table, error) {
 	for i, cell := range cells {
 		a := aggs[i]
 		if a.injectedRuns == 0 {
-			return t, fmt.Errorf("scale: cell %q never injected", cell.id())
+			return reesift.NewResult(t), fmt.Errorf("scale: cell %q never injected", cell.id())
 		}
 		if a.completed == 0 {
-			return t, fmt.Errorf("scale: cell %q never completed a run", cell.id())
+			return reesift.NewResult(t), fmt.Errorf("scale: cell %q never completed a run", cell.id())
 		}
 		if a.sysFailures != 0 {
-			return t, fmt.Errorf("scale: cell %q has %d system failures — node crashes are not survivable at this size", cell.id(), a.sysFailures)
+			return reesift.NewResult(t), fmt.Errorf("scale: cell %q has %d system failures — node crashes are not survivable at this size", cell.id(), a.sysFailures)
 		}
 		if a.daemonReinstalls == 0 {
-			return t, fmt.Errorf("scale: cell %q never reinstalled a daemon — the node-crash load did not engage recovery", cell.id())
+			return reesift.NewResult(t), fmt.Errorf("scale: cell %q never reinstalled a daemon — the node-crash load did not engage recovery", cell.id())
 		}
 		if events[i] == 0 {
-			return t, fmt.Errorf("scale: cell %q fired no events", cell.id())
+			return reesift.NewResult(t), fmt.Errorf("scale: cell %q fired no events", cell.id())
 		}
 	}
-	return t, nil
+	return reesift.NewResult(t), nil
 }

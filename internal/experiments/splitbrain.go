@@ -41,11 +41,6 @@ const (
 	sbHealAfter     = 15 * time.Second
 )
 
-// TableSplitBrainData carries the per-cell aggregates.
-type TableSplitBrainData struct {
-	Cells map[string]agg
-}
-
 // TableSplitBrain runs the split-brain reconciliation campaign: a
 // network partition isolates the Heartbeat ARMOR's node (one-sided —
 // the node receives nothing but can still send — and symmetric), the
@@ -64,8 +59,7 @@ type TableSplitBrainData struct {
 // consequences of migrating Execution ARMORs off a falsely-declared
 // node. Every cell runs under the parallel campaign engine and is a
 // pure function of the scale's seed at any worker count.
-func TableSplitBrain(sc Scale) (*Table, *TableSplitBrainData, error) {
-	data := &TableSplitBrainData{Cells: make(map[string]agg)}
+func TableSplitBrain(sc Scale) (*reesift.Result, error) {
 	t := &Table{
 		ID:    "split-brain",
 		Title: "Split-brain reconciliation: partition-then-heal against the Heartbeat ARMOR under incarnation epochs",
@@ -93,11 +87,30 @@ func TableSplitBrain(sc Scale) (*Table, *TableSplitBrainData, error) {
 	}
 	cres, err := runCampaign(sc, "split-brain", cells...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	// Embedded acceptance checks: the claim this table exists to
+	// demonstrate — epochs end the duplicate-recoverer loop — must
+	// actually hold, and the ablation must show the hazard was real. The
+	// first violation is reported alongside the complete table.
+	var checkErr error
 	for _, cell := range splitBrainCells {
 		a := foldAgg(cres.Cell(cell.id))
-		data.Cells[cell.id] = a
+		switch {
+		case checkErr != nil:
+		case a.injectedRuns == 0:
+			checkErr = fmt.Errorf("split-brain: cell %q never injected", cell.id)
+		case cell.ablate:
+			if a.sysFailures == 0 {
+				checkErr = fmt.Errorf("split-brain: ablation cell %q shows no system failures — the pre-epoch hazard did not reproduce", cell.id)
+			}
+		case a.sysFailures != 0:
+			checkErr = fmt.Errorf("split-brain: cell %q has %d system failures — the duplicate-recoverer loop is back", cell.id, a.sysFailures)
+		case a.standDowns == 0:
+			checkErr = fmt.Errorf("split-brain: cell %q never stood a superseded incarnation down", cell.id)
+		case a.staleRecoverers == 0:
+			checkErr = fmt.Errorf("split-brain: cell %q never reconciled a duplicate recoverer", cell.id)
+		}
 		t.Rows = append(t.Rows, []Cell{
 			str(cell.id),
 			num(a.injectedRuns),
@@ -115,30 +128,5 @@ func TableSplitBrain(sc Scale) (*Table, *TableSplitBrainData, error) {
 		"the no-epochs ablation reproduces the pre-epoch hazard: the healed stale Heartbeat ARMOR falsely re-recovers the FTM in a loop, generally a system failure (unable to uninstall after completion)",
 		"all cells run with centralized checkpoint storage (Section 3.4) and the Heartbeat ARMOR isolated on a non-application node",
 	)
-
-	// Embedded acceptance checks: the claim this table exists to
-	// demonstrate — epochs end the duplicate-recoverer loop — must
-	// actually hold, and the ablation must show the hazard was real.
-	for _, cell := range splitBrainCells {
-		a := data.Cells[cell.id]
-		if a.injectedRuns == 0 {
-			return t, data, fmt.Errorf("split-brain: cell %q never injected", cell.id)
-		}
-		if cell.ablate {
-			if a.sysFailures == 0 {
-				return t, data, fmt.Errorf("split-brain: ablation cell %q shows no system failures — the pre-epoch hazard did not reproduce", cell.id)
-			}
-			continue
-		}
-		if a.sysFailures != 0 {
-			return t, data, fmt.Errorf("split-brain: cell %q has %d system failures — the duplicate-recoverer loop is back", cell.id, a.sysFailures)
-		}
-		if a.standDowns == 0 {
-			return t, data, fmt.Errorf("split-brain: cell %q never stood a superseded incarnation down", cell.id)
-		}
-		if a.staleRecoverers == 0 {
-			return t, data, fmt.Errorf("split-brain: cell %q never reconciled a duplicate recoverer", cell.id)
-		}
-	}
-	return t, data, nil
+	return reesift.NewResult(t), checkErr
 }
