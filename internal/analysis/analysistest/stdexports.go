@@ -1,19 +1,16 @@
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os/exec"
 	"sort"
 	"strings"
 	"sync"
+
+	"reesift/internal/analysis"
 )
 
 // stdExports maps the given standard-library import paths (plus their
 // transitive dependencies) to compiler export data files via
-// `go list -export`. Results are cached per test process: fixture
+// analysis.ListExports. Results are cached per test process: fixture
 // packages share a small stdlib footprint, so the go command usually
 // runs once.
 func stdExports(imports []string) (map[string]string, error) {
@@ -37,26 +34,9 @@ func stdExports(imports []string) (map[string]string, error) {
 	if m, ok := exportCache.m[key]; ok {
 		return m, nil
 	}
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, paths...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	m, _, err := analysis.ListExports("", paths...)
 	if err != nil {
-		return nil, fmt.Errorf("go list -export %v: %v\n%s", paths, err, stderr.Bytes())
-	}
-	m := make(map[string]string)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Export != "" {
-			m[p.ImportPath] = p.Export
-		}
+		return nil, err
 	}
 	exportCache.m[key] = m
 	return m, nil

@@ -26,9 +26,9 @@ type Package struct {
 	TypesInfo  *types.Info
 }
 
-// listedPackage is the subset of `go list -json` output the loader
+// A ListedPackage is the subset of `go list -json` output the loader
 // consumes.
-type listedPackage struct {
+type ListedPackage struct {
 	ImportPath string
 	Dir        string
 	Export     string
@@ -36,6 +36,44 @@ type listedPackage struct {
 	CgoFiles   []string
 	Standard   bool
 	DepOnly    bool
+}
+
+// ListExports runs `go list -export -deps -json` on patterns in dir (the
+// current directory when dir is empty). It returns the compiler export
+// data file of every listed package that has one, keyed by import path,
+// and the packages the patterns matched outside the standard library.
+func ListExports(dir string, patterns ...string) (map[string]string, []*ListedPackage, error) {
+	args := append([]string{
+		"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly",
+	}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, nil, fmt.Errorf("go list -export %v: %v\n%s", patterns, err, stderr.Bytes())
+	}
+
+	var targets []*ListedPackage
+	exports := make(map[string]string)
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p ListedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("decoding go list output: %v", err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.DepOnly && !p.Standard {
+			targets = append(targets, &p)
+		}
+	}
+	return exports, targets, nil
 }
 
 // Load enumerates the packages matched by patterns (relative to dir, a
@@ -50,36 +88,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	exports, targets, err := ListExports(dir, patterns...)
 	if err != nil {
-		return nil, fmt.Errorf("go list -export %v: %v\n%s", patterns, err, stderr.Bytes())
-	}
-
-	var targets []*listedPackage
-	exports := make(map[string]string)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			q := p
-			targets = append(targets, &q)
-		}
+		return nil, err
 	}
 
 	fset := token.NewFileSet()

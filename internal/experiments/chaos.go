@@ -168,8 +168,8 @@ func chaosCells(horizon time.Duration) []chaosCell {
 // reporting per-cell availability, the pooled MTTR distribution
 // (p50/p95/max), and the time to the first unrecoverable state — with
 // the low-rate Poisson cells cross-checked against the Figure 9 SAN
-// model's AppUnavailability prediction (read through san.Predict, the
-// same machine-readable product cmd/sanmodel -format json emits).
+// model's AppUnavailability prediction (solved by san.Figure9Study, the
+// same study the fig9 scenario runs).
 func Chaos(sc Scale) (*reesift.Result, error) {
 	trials := max(sc.ChaosTrials, 2)
 	horizon := max(sc.ChaosHorizon, 24*time.Hour) // at least one simulated day per Poisson trial
@@ -250,7 +250,7 @@ func Chaos(sc Scale) (*reesift.Result, error) {
 	// The SAN cross-check: the low-rate Poisson cells measure the same
 	// quantity the Figure 9 network predicts as AppUnavailability — the
 	// fraction of time the application is blocked on (or failed by) its
-	// SIFT process. The prediction is read from san.Predict with the
+	// SIFT process. The prediction is solved by san.Figure9Study with the
 	// simulator's own characteristic times: the ARMOR reinstallation
 	// delay as the SIFT recovery time and the relay beat period as the
 	// interface period. The blocked service never reaches its hang
@@ -267,7 +267,7 @@ func Chaos(sc Scale) (*reesift.Result, error) {
 			mttfs = append(mttfs, c.crossMTTF)
 		}
 	}
-	pred, err := san.Predict(params, mttfs, chaosSANHorizon, sc.Seed)
+	pts, err := san.Figure9Study(params, mttfs, chaosSANHorizon, sc.Seed)
 	if err != nil {
 		return reesift.NewResult(t), fmt.Errorf("chaos: SAN prediction: %w", err)
 	}
@@ -283,7 +283,7 @@ func Chaos(sc Scale) (*reesift.Result, error) {
 			continue
 		}
 		measured := pooledByName[c.name].unavail
-		predicted := pred.Points[point].AppUnavailability
+		predicted := pts[point].AppUnavailability
 		point++
 		ratio := 0.0
 		if predicted > 0 {
@@ -311,7 +311,7 @@ func Chaos(sc Scale) (*reesift.Result, error) {
 		}
 	}
 	xt.Notes = append(xt.Notes,
-		fmt.Sprintf("SAN solved by san.Predict (the cmd/sanmodel -format json product) with SIFT recovery %v, interface period %v, timeout path disabled; %.0e simulated seconds per point", params.SIFTRecovery, params.InterfacePeriod, chaosSANHorizon),
+		fmt.Sprintf("SAN solved by san.Figure9Study with SIFT recovery %v, interface period %v, timeout path disabled; %.0e simulated seconds per point", params.SIFTRecovery, params.InterfacePeriod, chaosSANHorizon),
 		fmt.Sprintf("acceptance band: ratio within [%.2f, %.2f] — the SAN's exponential recovery and the 50 ms measurement grace put the expected ratio near 0.5, not 1", 1/chaosTolerance, chaosTolerance),
 	)
 	res := reesift.NewResult(t, xt)

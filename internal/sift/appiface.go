@@ -182,29 +182,30 @@ func (ac *AppContext) sendReliableBlocking(dst core.AID, kind core.EventKind, da
 		// Boxed per attempt: the hops mutate what travels, and a
 		// retransmission must start from the pristine envelope.
 		ac.Proc.Send(ac.daemon(), env.Box())
-		if ac.waitAck(dst, env.Seq, 2*time.Second) {
+		if waitAck(ac.Proc, &ac.stash, dst, env.Seq, 2*time.Second) {
 			return
 		}
 	}
 }
 
-// waitAck waits for an ack of (dst, seq), stashing every other message for
-// later consumption by RecvMatch.
-func (ac *AppContext) waitAck(from core.AID, seq uint64, timeout time.Duration) bool {
-	deadline := ac.Proc.Now() + timeout
+// waitAck waits on p for an ack of (from, seq), appending every other
+// message to stash for later consumption. It is the blocking half of both
+// the SCC's and an application's reliable send.
+func waitAck(p *sim.Proc, stash *[]sim.Msg, from core.AID, seq uint64, timeout time.Duration) bool {
+	deadline := p.Now() + timeout
 	for {
-		remain := deadline - ac.Proc.Now()
+		remain := deadline - p.Now()
 		if remain <= 0 {
 			return false
 		}
-		m, ok := ac.Proc.RecvTimeout(remain)
+		m, ok := p.RecvTimeout(remain)
 		if !ok {
 			return false
 		}
 		if env, ok := m.Payload.(*core.Envelope); ok && env.Ack && env.Src == from && env.AckSeq == seq {
 			return true
 		}
-		ac.stash = append(ac.stash, m)
+		*stash = append(*stash, m)
 	}
 }
 

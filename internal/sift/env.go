@@ -790,17 +790,8 @@ func (s *sccProc) nextMsg() sim.Msg {
 }
 
 func (s *sccProc) handleEnvelope(env core.Envelope) {
-	if env.Ack {
+	if !s.accept(env) {
 		return
-	}
-	if env.Seq > 0 {
-		key := fmt.Sprintf("%d:%d", env.Src, env.Seq)
-		dup := s.seen[key]
-		s.seen[key] = true
-		s.ack(env)
-		if dup {
-			return
-		}
 	}
 	if done, ok := env.Event.Data.(AppDone); ok && env.Event.Kind == EvAppDone {
 		h := s.env.handles[done.AppID]
@@ -815,6 +806,23 @@ func (s *sccProc) handleEnvelope(env core.Envelope) {
 			s.env.AppDoneHook(done.AppID)
 		}
 	}
+}
+
+// accept acknowledges a reliable envelope and reports whether it is
+// fresh: not an ack and not a retransmission of an already-seen
+// sequence number.
+func (s *sccProc) accept(env core.Envelope) bool {
+	if env.Ack {
+		return false
+	}
+	if env.Seq > 0 {
+		key := fmt.Sprintf("%d:%d", env.Src, env.Seq)
+		dup := s.seen[key]
+		s.seen[key] = true
+		s.ack(env)
+		return !dup
+	}
+	return true
 }
 
 // ack acknowledges a reliable envelope back through the sender's daemon.
@@ -832,7 +840,7 @@ func (s *sccProc) sendReliable(dst core.AID, kind core.EventKind, data interface
 	env.Seq = s.seq
 	for {
 		s.route(env)
-		if s.waitAck(dst, env.Seq, 2*time.Second) {
+		if waitAck(s.proc, &s.stash, dst, env.Seq, 2*time.Second) {
 			return
 		}
 	}
@@ -871,24 +879,6 @@ func (s *sccProc) hostOf(aid core.AID) string {
 	return ""
 }
 
-func (s *sccProc) waitAck(from core.AID, seq uint64, timeout time.Duration) bool {
-	deadline := s.proc.Now() + timeout
-	for {
-		remain := deadline - s.proc.Now()
-		if remain <= 0 {
-			return false
-		}
-		m, ok := s.proc.RecvTimeout(remain)
-		if !ok {
-			return false
-		}
-		if env, isEnv := m.Payload.(*core.Envelope); isEnv && env.Ack && env.Src == from && env.AckSeq == seq {
-			return true
-		}
-		s.stash = append(s.stash, m)
-	}
-}
-
 // waitEvent blocks until an envelope containing the given event kind
 // arrives (stashing everything else), or the timeout passes.
 func (s *sccProc) waitEvent(timeout time.Duration, kind core.EventKind) bool {
@@ -903,19 +893,7 @@ func (s *sccProc) waitEvent(timeout time.Duration, kind core.EventKind) bool {
 			return false
 		}
 		if env, isEnv := m.Payload.(*core.Envelope); isEnv {
-			if env.Ack {
-				continue
-			}
-			if env.Seq > 0 {
-				key := fmt.Sprintf("%d:%d", env.Src, env.Seq)
-				dup := s.seen[key]
-				s.seen[key] = true
-				s.ack(*env)
-				if dup {
-					continue
-				}
-			}
-			if env.Event.Kind == kind {
+			if s.accept(*env) && env.Event.Kind == kind {
 				return true
 			}
 			continue
