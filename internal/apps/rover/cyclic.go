@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"reesift/internal/fft"
 	"reesift/internal/sift"
 )
 
@@ -84,13 +83,16 @@ func runCyclic(ac *sift.AppContext, spec *sift.AppSpec, p CyclicParams) {
 	for cycle := start; cycle < p.Cycles; cycle++ {
 		writeCycleStatus(fs, spec.ID, cycle, true)
 		// Each cycle's camera image is distinct.
+		cp := p.Cycle
 		//reesift:allow seedlint -- app-local image content stream, not a trial seed; offsets index deterministic pixel data within one run
-		img := GenerateImage(p.Cycle.ImageSize, p.Cycle.Seed+int64(cycle))
+		cp.Seed += int64(cycle)
+		ref, _ := referenceFor(cp)
+		img := unflatten(ref.nominalImage(cp), cp.ImageSize)
 		ac.Proc.Sleep(p.Cycle.InitTime)
 		ac.Step()
 		features := make([][]float64, 3)
 		for f := 0; f < 3; f++ {
-			resp, err := directionalFeature(img, f)
+			resp, err := directionalFeature(ref, img, f)
 			if err != nil {
 				ac.Proc.Exit(5, "filter: "+err.Error())
 			}
@@ -103,7 +105,7 @@ func runCyclic(ac *sift.AppContext, spec *sift.AppSpec, p CyclicParams) {
 			ac.Progress(counter)
 		}
 		ac.Proc.Sleep(p.Cycle.ClusterTime)
-		labels := kmeans(features, p.Cycle.ImageSize, p.Cycle.Clusters)
+		labels := ref.cluster(features, cp.ImageSize, cp.Clusters)
 		ac.Proc.Sleep(p.Cycle.WriteTime)
 		writeCycleOutput(fs, spec.ID, cycle, features, labels)
 		writeCycleStatus(fs, spec.ID, cycle, false)
@@ -116,12 +118,12 @@ func runCyclic(ac *sift.AppContext, spec *sift.AppSpec, p CyclicParams) {
 
 // directionalFeature runs one filter of the pipeline on an image:
 // directional band-pass plus local energy smoothing.
-func directionalFeature(img [][]float64, f int) ([]float64, error) {
-	resp, err := fft.DirectionalFilter(img, filterAngles[f], filterHalfWidth)
+func directionalFeature(ref *reference, img [][]float64, f int) ([]float64, error) {
+	resp, err := ref.filter(img, f)
 	if err != nil {
 		return nil, err
 	}
-	return flatten(fft.SmoothEnergy(resp, 2)), nil
+	return ref.smooth(resp, f), nil
 }
 
 // readCycleStatus returns the next cycle to run and, if a cycle was in
@@ -157,10 +159,10 @@ func writeCycleStatus(fs interface {
 func writeCycleOutput(fs interface {
 	Write(string, []byte)
 }, id sift.AppID, cycle int, features [][]float64, labels []int) {
-	var out []byte
+	out := make([]byte, 0, 1+featureBytes(features))
 	out = append(out, byte(len(labels)%256))
 	for f := 0; f < 3; f++ {
-		out = append(out, encodeF64s(features[f])...)
+		out = appendF64s(out, features[f])
 	}
 	fs.Write(CycleOutputPath(id, cycle), out)
 }

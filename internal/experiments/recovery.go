@@ -127,8 +127,7 @@ func TableRecovery(sc Scale) (*reesift.Result, error) {
 // reference pipeline, shared by the shared-disk cells.
 func roverVerdictCheck() (func(fs *sim.FS) string, error) {
 	p := rover.DefaultParams()
-	img := rover.GenerateImage(p.ImageSize, p.Seed)
-	ref, _, err := rover.Analyze(img, p.Clusters)
+	ref, err := rover.Reference(p)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,7 @@ func roverCfg(seed int64, model Model, target TargetKind) Config {
 
 func roverVerdict(seed int64) func(fs *sim.FS) string {
 	p := rover.DefaultParams()
-	img := rover.GenerateImage(p.ImageSize, p.Seed)
-	ref, _, err := rover.Analyze(img, p.Clusters)
+	ref, err := rover.Reference(p)
 	if err != nil {
 		panic(err)
 	}

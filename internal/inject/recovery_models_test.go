@@ -20,8 +20,7 @@ func roverTestApp() *sift.AppSpec {
 // the classifier's incorrect/missing paths from the storage side).
 func TestSharedDiskInjectorReachesVerdictPaths(t *testing.T) {
 	p := rover.DefaultParams()
-	img := rover.GenerateImage(p.ImageSize, p.Seed)
-	ref, _, err := rover.Analyze(img, p.Clusters)
+	ref, err := rover.Reference(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,7 @@ func OTISApp(id AppID, nodes ...string) *AppSpec {
 // (default parameters).
 func RoverVerdict(fs *FS, id AppID) (string, error) {
 	p := rover.DefaultParams()
-	img := rover.GenerateImage(p.ImageSize, p.Seed)
-	ref, _, err := rover.Analyze(img, p.Clusters)
+	ref, err := rover.Reference(p)
 	if err != nil {
 		return "", err
 	}
