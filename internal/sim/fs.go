@@ -10,8 +10,8 @@ import (
 // file system on the testbed's Sun workstation (program executables,
 // application input, application output).
 //
-// FS is only ever touched while holding the kernel execution token, so it
-// needs no locking.
+// FS is only ever touched by the kernel or the one process it is running,
+// so it needs no locking.
 type FS struct {
 	files map[string][]byte
 }

@@ -25,7 +25,8 @@ type ExitStatus struct {
 }
 
 // Proc is a simulated operating-system process. A Proc's body function runs
-// on its own goroutine, but the kernel's token discipline ensures only one
+// on a coroutine of its own, which the kernel resumes to run the process and
+// which switches back to the kernel whenever the process parks, so only one
 // process executes at a time. All Proc methods below the "process context"
 // marker must be called from the body function itself.
 type Proc struct {
@@ -48,7 +49,9 @@ type Proc struct {
 	inboxHead int
 	inboxLen  int
 
-	tokenIn chan struct{}
+	// co is the coroutine running the body, from Spawn until the body has
+	// fully unwound.
+	co *coro
 
 	// waitSeq stamps each blocking wait so stale timer wakeups (a sleep
 	// timer firing after the process has moved on to a different wait)
@@ -102,8 +105,8 @@ func (p *Proc) popMsg() Msg {
 	return m
 }
 
-// procUnwind is panicked inside a process goroutine to unwind it when the
-// process exits or is killed.
+// procUnwind is panicked inside a process body to unwind its coroutine when
+// the process exits or is killed.
 type procUnwind struct {
 	code   int
 	reason string
@@ -124,7 +127,6 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 		name:     name,
 		parent:   parent,
 		state:    stateNew,
-		tokenIn:  make(chan struct{}),
 		children: make(map[PID]*Proc),
 		body:     fn,
 	}
@@ -135,7 +137,7 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 	if pp := k.proc(parent); pp != nil {
 		pp.children[p.pid] = p
 	}
-	go p.main()
+	p.co = getCoro(p)
 	p.state = stateWaiting
 	k.makeReady(p)
 	if k.TraceOn() {
@@ -144,9 +146,9 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 	return p.pid
 }
 
-// main is the process goroutine entry point.
+// main runs the process body on its coroutine, from the first dispatch to
+// finalize. Every exit, kill and crash unwinds to here.
 func (p *Proc) main() {
-	<-p.tokenIn // wait for first dispatch
 	code, reason := 0, ""
 	func() {
 		defer func() {
@@ -169,12 +171,11 @@ func (p *Proc) main() {
 		p.body(p)
 	}()
 	p.kernel.finalize(p, code, reason)
-	p.kernel.tokenBack <- struct{}{}
 }
 
 // finalize tears down a dead process: removes it from the node table,
-// notifies the parent, and reparents children. Runs while holding the
-// execution token.
+// notifies the parent, and reparents children. Runs on the dying process's
+// coroutine, as the last step of main.
 func (k *Kernel) finalize(p *Proc, code int, reason string) {
 	if p.state == stateDead {
 		return
@@ -326,12 +327,12 @@ func (k *Kernel) SendExternal(dst PID, payload interface{}) {
 // body function.
 // ---------------------------------------------------------------------------
 
-// park returns the token to the kernel and blocks until redispatched.
+// park switches back to the kernel and returns when the process is next
+// dispatched.
 //
 //reesift:noalloc
 func (p *Proc) park() {
-	p.kernel.tokenBack <- struct{}{}
-	<-p.tokenIn
+	p.co.yield(struct{}{})
 	if p.killed {
 		//reesift:allow noalloc -- kill-path unwind: boxes once when the process dies, never on the steady-state park/dispatch cycle
 		panic(procUnwind{code: 137, reason: p.killReason})
@@ -372,7 +373,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield cedes the token so other runnable processes at the same virtual
+// Yield cedes the processor so other runnable processes at the same virtual
 // time can make progress.
 //
 //reesift:noalloc

@@ -20,11 +20,11 @@
 // milliseconds of wall clock, which is what makes the paper's 28,000-run
 // injection campaigns tractable.
 //
-// Determinism: exactly one process goroutine is runnable at a time (the
-// kernel hands an execution token to one process and waits for it to park),
-// the event queue is ordered by (time, sequence number), and all randomness
-// flows from a single seeded source. A simulation is therefore a pure
-// function of (seed, configuration).
+// Determinism: exactly one process runs at a time (each process body runs
+// on a pooled coroutine; the kernel resumes one and regains control only
+// when it parks or exits), the event queue is ordered by (time, sequence
+// number), and all randomness flows from a single seeded source. A
+// simulation is therefore a pure function of (seed, configuration).
 //
 // The steady-state hot path — Schedule/Reschedule/fire, Send/Recv, and
 // sleep/timeout wakeups — is allocation-free: event records are pooled on
@@ -78,8 +78,9 @@ func DefaultConfig(seed int64) Config {
 
 // Kernel is the discrete-event scheduler. All methods must be called either
 // from the goroutine that called Run (before or after Run, or from event
-// callbacks) or from the currently executing process goroutine; the token
-// discipline guarantees mutual exclusion without locks.
+// callbacks) or from the body of the currently running process; a process
+// coroutine runs only while the kernel waits for it, so the two never
+// overlap and need no locks.
 type Kernel struct {
 	cfg Config
 
@@ -113,17 +114,11 @@ type Kernel struct {
 	// discover node failures through heartbeats like in the paper).
 	nodeWatchers map[string][]PID
 
-	// tokenBack is signalled by a process goroutine when it parks or
-	// exits, returning control to the kernel loop.
-	tokenBack chan struct{}
-
 	// ready is a ring buffer of runnable processes (head/len indices, no
 	// reslicing, so the backing array never leaks a dead prefix).
 	ready     []*Proc
 	readyHead int
 	readyLen  int
-
-	current *Proc
 
 	sink    *trace.Recorder
 	traceOn bool // cached sink.Enabled()
@@ -141,13 +136,12 @@ func NewKernel(cfg Config) *Kernel {
 		cfg.RemoteLatency = time.Millisecond
 	}
 	return &Kernel{
-		cfg:       cfg,
-		procs:     make([]*Proc, 1, 64), // index 0 = NoPID
-		nextPID:   1,
-		nodes:     make(map[string]*Node),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		sharedFS:  NewFS(),
-		tokenBack: make(chan struct{}),
+		cfg:      cfg,
+		procs:    make([]*Proc, 1, 64), // index 0 = NoPID
+		nextPID:  1,
+		nodes:    make(map[string]*Node),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		sharedFS: NewFS(),
 	}
 }
 
@@ -407,9 +401,10 @@ func (k *Kernel) Idle() bool { return len(k.events) == 0 && k.readyLen == 0 }
 // ready, waiting, or suspended).
 func (k *Kernel) LiveProcs() int { return k.liveProcs }
 
-// Shutdown kills every remaining process so their goroutines exit. Call it
-// after Run when a simulation is abandoned mid-flight; it keeps goroutines
-// from leaking across test cases.
+// Shutdown kills every remaining process and runs each to the end of its
+// unwind, which returns its coroutine to the process-wide pool. Call it
+// after Run when a simulation is abandoned mid-flight: without it, every
+// live process keeps a parked coroutine, and its goroutine, forever.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if p != nil && p.state != stateDead {
@@ -464,16 +459,22 @@ func (k *Kernel) drainReady() {
 	}
 }
 
-// dispatch hands the execution token to p and blocks until p parks, exits,
-// or is unwound.
+// dispatch resumes p's coroutine and returns when p parks, exits, or is
+// unwound. A coroutine whose process has fully unwound goes back to the
+// pool from here, never from inside itself: once released, another kernel
+// may resume it at once. A body that ends in runtime.Goexit or a panic
+// escaping main re-raises it here, through next, and its coroutine is
+// dropped.
 //
 //reesift:noalloc
 func (k *Kernel) dispatch(p *Proc) {
 	p.state = stateRunning
-	k.current = p
-	p.tokenIn <- struct{}{}
-	<-k.tokenBack
-	k.current = nil
+	c := p.co
+	c.next()
+	if c.p == nil {
+		p.co = nil
+		putCoro(c)
+	}
 }
 
 // makeReady marks p runnable. If p is suspended, the wakeup is deferred
