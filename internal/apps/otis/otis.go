@@ -294,7 +294,7 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 
 	fs := ac.SharedFS()
 	scene := loadOrGenerate(fs, spec.ID, p)
-	ac.RegisterHeapF64("radiance", scene.Radiance)
+	ac.RegisterHeapF64("radiance", &scene.Radiance)
 	n2 := scene.N * scene.N
 	half := n2 / 2
 	sizeField := scene.N
@@ -326,7 +326,7 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 
 	// Phase 3: temperature/emissivity separation.
 	temp, emis := Retrieve(surface, surface2)
-	ac.RegisterHeapF64("temperature", temp)
+	ac.RegisterHeapF64("temperature", &temp)
 	sleepChunks(ac, p.RetrieveTime, p.ChunkTime, tick)
 
 	// Phase 4: compression and downlink product.
@@ -366,7 +366,7 @@ func runWorker(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 	}
 	radiance := msg[6 : 6+n2]
 	radiance2 := msg[6+n2:]
-	ac.RegisterHeapF64("radiance-half", radiance)
+	ac.RegisterHeapF64("radiance-half", &radiance)
 	out := Correct(radiance, tau, upwell, half, n2)
 	out2 := Correct(radiance2, tau2, upwell2, half, n2)
 	sleepChunks(ac, p.CorrectTime, p.ChunkTime, tick)

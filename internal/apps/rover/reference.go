@@ -1,6 +1,7 @@
 package rover
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -19,7 +20,10 @@ type reference struct {
 	input       []byte       // the input file's bytes, encodeF64s(image)
 	responses   [3][]float64 // flat DirectionalFilter responses
 	features    [3][]float64 // the responses smoothed into texture energy
+	featBytes   [3][]byte    // feature file f's bytes, encodeF64s(features[f])
 	labels      []int
+	output      []byte    // the output file's bytes, encodeOutput(features, labels)
+	scratch     []float64 // the FFT work buffer, 4n² zeros
 }
 
 type referenceKey struct {
@@ -69,6 +73,11 @@ func newReference(img [][]float64, clusters int) (*reference, error) {
 	r.input = encodeF64s(r.image)
 	copy(r.responses[:], responses)
 	copy(r.features[:], features)
+	for f, v := range features {
+		r.featBytes[f] = encodeF64s(v)
+	}
+	r.output = encodeOutput(features, labels)
+	r.scratch = make([]float64, 4*len(r.image))
 	return r, nil
 }
 
@@ -96,20 +105,69 @@ func Reference(p Params) ([][]float64, error) {
 // flip corrupted, runs the unchanged kernel. A nil reference always
 // computes.
 //
-// Ownership: a hit returns the reference's own slice, which nobody may
-// write. That holds because every consumer of a step's output only reads
-// it: World.Send copies, writeOutput and writeCycleOutput read, and the
-// cyclic mission's features are only read. What is registered as a heap
-// region, and so flipped by injections, is never a reference slice:
-// nominalImage returns a copy, and the features and responses the ranks
-// register are the buffers World.Recv delivers.
+// Ownership: nobody writes a reference slice or a reference's bytes, and
+// the program hands them around without copying. A hit returns the
+// reference's own slice; World.Send passes it to the peer rank as is;
+// nominalImage returns the reference image itself, and the FFT scratch is
+// the reference's zero slice. The files of a nominal run share the
+// reference's bytes (sim.FS.Share), and a restart that reads them back
+// gets the reference slices. Whatever the program exposes to injection is
+// registered copy-on-write (sift.AppContext.RegisterHeapF64), so the first
+// flip of a region copies it, and sim.FS.CorruptBit copies a shared file
+// before flipping it: an injected fault never reaches the reference.
 
-// nominalImage returns a fresh copy of p's flat nominal image.
+// nominalImage returns p's flat nominal image: the reference's own slice,
+// or a fresh one when there is no reference.
 func (r *reference) nominalImage(p Params) []float64 {
 	if r == nil {
 		return flatten(GenerateImage(p.ImageSize, p.Seed))
 	}
-	return slices.Clone(r.image)
+	return r.image
+}
+
+// fftScratch returns a zero FFT work buffer of size floats: the
+// reference's own when it fits, a fresh one otherwise.
+func (r *reference) fftScratch(size int) []float64 {
+	if r == nil || len(r.scratch) != size {
+		return make([]float64, size)
+	}
+	return r.scratch
+}
+
+// decodeImage decodes the input file's bytes: the reference image itself
+// when they are its encoding.
+func (r *reference) decodeImage(data []byte) []float64 {
+	if r != nil && bytes.Equal(data, r.input) {
+		return r.image
+	}
+	return decodeF64s(data)
+}
+
+// featureFile returns the bytes of feature file f holding v: the
+// reference's own when v is nominal feature f, a fresh encoding otherwise.
+func (r *reference) featureFile(v []float64, f int) []byte {
+	if r != nil && sameBits(v, r.features[f]) {
+		return r.featBytes[f]
+	}
+	return encodeF64s(v)
+}
+
+// decodeFeature decodes feature file f: the reference's feature itself
+// when data is its encoding.
+func (r *reference) decodeFeature(data []byte, f int) []float64 {
+	if r != nil && bytes.Equal(data, r.featBytes[f]) {
+		return r.features[f]
+	}
+	return decodeF64s(data)
+}
+
+// outputFile returns the output file's bytes for features and labels: the
+// reference's own when both are nominal, a fresh encoding otherwise.
+func (r *reference) outputFile(features [][]float64, labels []int) []byte {
+	if r.nominalFeatures(features) && slices.Equal(labels, r.labels) {
+		return r.output
+	}
+	return encodeOutput(features, labels)
 }
 
 // filter is directional filter f of img, flattened.
@@ -143,19 +201,30 @@ func (r *reference) smooth(raw []float64, f int) []float64 {
 
 // cluster is kmeans(features, n, k).
 func (r *reference) cluster(features [][]float64, n, k int) []int {
-	if r != nil && n == r.n && k == r.clusters && len(features) == 3 &&
-		sameBits(features[0], r.features[0]) &&
-		sameBits(features[1], r.features[1]) &&
-		sameBits(features[2], r.features[2]) {
+	if r != nil && n == r.n && k == r.clusters && r.nominalFeatures(features) {
 		return r.labels
 	}
 	return kmeans(features, n, k)
 }
 
-// sameBits reports whether a and b hold the same float64 bit patterns.
+// nominalFeatures reports whether features are bit-identical to the
+// reference's three feature maps.
+func (r *reference) nominalFeatures(features [][]float64) bool {
+	return r != nil && len(features) == 3 &&
+		sameBits(features[0], r.features[0]) &&
+		sameBits(features[1], r.features[1]) &&
+		sameBits(features[2], r.features[2])
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns. Two
+// slices of one backing array and length are equal without a scan: nobody
+// writes a reference slice, and a flipped copy has an array of its own.
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
 	}
 	for i, x := range a {
 		if math.Float64bits(x) != math.Float64bits(b[i]) {

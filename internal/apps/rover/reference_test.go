@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -148,10 +149,10 @@ func TestStepsMatchKernels(t *testing.T) {
 	}
 }
 
-// TestNominalStepsHit pins that the program's own reference hits: a
-// nominal step returns the reference's backing array, while what the
-// program registers as heap (the image) and what Reference hands out are
-// copies.
+// TestNominalStepsHit pins that the program's own reference hits, and that
+// a nominal run shares the reference instead of copying it: the image
+// loadOrGenerate returns is the reference image, which is safe because its
+// heap registration is copy-on-write. What Reference hands out is a copy.
 func TestNominalStepsHit(t *testing.T) {
 	p := DefaultParams()
 	r, err := referenceFor(p)
@@ -160,14 +161,26 @@ func TestNominalStepsHit(t *testing.T) {
 	}
 	fs := sim.NewFS()
 	flat := loadOrGenerate(fs, 1, p, r)
-	if aliases(flat, r.image) || !sameBits(flat, r.image) {
-		t.Fatal("loadOrGenerate must return a copy of the nominal image")
+	if !aliases(flat, r.image) {
+		t.Fatal("loadOrGenerate must return the reference image itself")
 	}
-	if data, _ := fs.Read(InputPath(1)); !bytes.Equal(data, encodeF64s(flat)) {
-		t.Fatal("input file is not the encoding of the nominal image")
+	if data, _ := fs.Read(InputPath(1)); !aliases(data, r.input) || !bytes.Equal(data, encodeF64s(flat)) {
+		t.Fatal("input file does not share the encoding of the nominal image")
 	}
-	if again := loadOrGenerate(fs, 1, p, r); !sameBits(again, flat) {
-		t.Fatal("reloaded input differs from the generated one")
+	if again := loadOrGenerate(fs, 1, p, r); !aliases(again, r.image) {
+		t.Fatal("a reload of the nominal input must return the reference image")
+	}
+	// The registration of the shared image is copy-on-write: a flip
+	// gives the program a flipped copy and leaves the reference alone.
+	image := flat
+	ac := &sift.AppContext{}
+	ac.RegisterHeapF64("image", &image)
+	ac.FlipHeapF64(7, 51)
+	if aliases(image, r.image) || bitsDiffering(image, r.image) != 1 {
+		t.Fatal("a flip of the registered image did not yield a copy one bit away")
+	}
+	if !sameBits(r.image, flatten(GenerateImage(p.ImageSize, p.Seed))) {
+		t.Fatal("a flip of the registered image reached the reference")
 	}
 	features := make([][]float64, 3)
 	for f := 0; f < 3; f++ {
@@ -180,8 +193,24 @@ func TestNominalStepsHit(t *testing.T) {
 			t.Fatalf("smooth %d missed on the nominal response", f)
 		}
 	}
-	if labels := r.cluster(features, p.ImageSize, p.Clusters); !aliases(labels, r.labels) {
+	labels := r.cluster(features, p.ImageSize, p.Clusters)
+	if !aliases(labels, r.labels) {
 		t.Fatal("cluster missed on the nominal features")
+	}
+	// The nominal run's files share the reference's bytes, and a
+	// restart reads the reference's features back.
+	for f := 0; f < 3; f++ {
+		writeFeature(fs, 1, r, f, features[f])
+		if data, _ := fs.Read(FeatPath(1, f)); !aliases(data, r.featBytes[f]) || !bytes.Equal(data, encodeF64s(features[f])) {
+			t.Fatalf("feature file %d does not share the reference's bytes", f)
+		}
+		if got := readFeature(fs, 1, r, f); !aliases(got, r.features[f]) {
+			t.Fatalf("feature file %d did not read back as the reference feature", f)
+		}
+	}
+	writeOutput(fs, 1, r, features, labels)
+	if data, _ := fs.Read(OutputPath(1)); !aliases(data, r.output) || !bytes.Equal(data, legacyOutput(features, labels)) {
+		t.Fatal("output file does not share the reference's bytes")
 	}
 	ref, err := Reference(p)
 	if err != nil {
@@ -196,6 +225,15 @@ func TestNominalStepsHit(t *testing.T) {
 			t.Fatalf("Reference feature %d is not a copy of Analyze's output", f)
 		}
 	}
+}
+
+// bitsDiffering counts the bits in which a and b differ.
+func bitsDiffering(a, b []float64) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount64(math.Float64bits(a[i]) ^ math.Float64bits(b[i]))
+	}
+	return n
 }
 
 // referenceDigest hashes every bit a reference holds.
@@ -213,7 +251,10 @@ func referenceDigest(r *reference) uint64 {
 	for f := 0; f < 3; f++ {
 		put(r.responses[f])
 		put(r.features[f])
+		h.Write(r.featBytes[f])
 	}
+	h.Write(r.output)
+	put(r.scratch)
 	for _, l := range r.labels {
 		binary.LittleEndian.PutUint64(b[:], uint64(l))
 		h.Write(b[:])
@@ -391,7 +432,7 @@ func TestOutputEncodingMatchesAppendFormula(t *testing.T) {
 			labels[i] = rng.Intn(300)
 		}
 		fs := sim.NewFS()
-		writeOutput(fs, 1, features, labels)
+		writeOutput(fs, 1, nil, features, labels)
 		if got, _ := fs.Read(OutputPath(1)); !bytes.Equal(got, legacyOutput(features, labels)) {
 			t.Errorf("%s: writeOutput bytes differ from the append formula", tc.name)
 		}

@@ -139,13 +139,13 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 	fs := ac.SharedFS()
 	ref, _ := referenceFor(p) // nil on failure: every step then computes
 	flat := loadOrGenerate(fs, spec.ID, p, ref)
-	ac.RegisterHeapF64("image", flat)
+	ac.RegisterHeapF64("image", &flat)
 	// FFT work buffers and staging copies occupy a large share of the
 	// process heap; between filter invocations their contents are dead,
 	// so bit flips there have no effect — the dominant case the paper
 	// observed (981 of 1000 heap errors harmless).
-	scratch := make([]float64, 4*len(flat))
-	ac.RegisterHeapF64("fft-scratch", scratch)
+	scratch := ref.fftScratch(4 * len(flat))
+	ac.RegisterHeapF64("fft-scratch", &scratch)
 	n := p.ImageSize
 	sizeField := n
 	ac.RegisterHeapInt("imageSize", &sizeField)
@@ -156,7 +156,7 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 	startFilter := readStatus(fs, spec.ID)
 	features := make([][]float64, 3)
 	for f := 0; f < startFilter; f++ {
-		features[f] = readF64s(fs, FeatPath(spec.ID, f))
+		features[f] = readFeature(fs, spec.ID, ref, f)
 	}
 	counter := uint64(startFilter)
 
@@ -185,9 +185,9 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 			ac.Proc.Exit(6, "filter exchange: "+rerr.Error())
 		}
 		features[f] = smoothed
-		ac.RegisterHeapF64(fmt.Sprintf("feature-%d", f), smoothed)
+		ac.RegisterHeapF64(fmt.Sprintf("feature-%d", f), &features[f])
 		// Rudimentary checkpoint after each filter.
-		writeF64s(fs, FeatPath(spec.ID, f), smoothed)
+		writeFeature(fs, spec.ID, ref, f, features[f])
 		writeStatus(fs, spec.ID, f+1)
 		counter++
 		ac.Progress(counter)
@@ -198,7 +198,7 @@ func runMaster(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 	ac.Step()
 	labels := ref.cluster(features, sizeField, p.Clusters)
 	ac.Proc.Sleep(p.WriteTime)
-	writeOutput(fs, spec.ID, features, labels)
+	writeOutput(fs, spec.ID, ref, features, labels)
 	counter++
 	ac.Progress(counter)
 
@@ -225,7 +225,7 @@ func runWorker(ac *sift.AppContext, spec *sift.AppSpec, p Params) {
 		if rerr != nil {
 			ac.Proc.Exit(6, "filter exchange: "+rerr.Error())
 		}
-		ac.RegisterHeapF64(fmt.Sprintf("response-%d", f), raw)
+		ac.RegisterHeapF64(fmt.Sprintf("response-%d", f), &raw)
 		// Smooth the pointwise response into local texture energy;
 		// the virtual cost mirrors the master's chunking.
 		for c := 0; c < p.ChunksPerFilter/2; c++ {
@@ -363,20 +363,20 @@ func dist2(a, b [3]float64) float64 {
 // ---------------------------------------------------------------------------
 
 // loadOrGenerate returns the flat input image, read from stable storage
-// or, on the first run, generated and stored there. The slice is the
-// caller's own.
+// or, on the first run, generated and stored there. The slice may be the
+// reference image, which nobody writes.
 func loadOrGenerate(fs *sim.FS, id sift.AppID, p Params, ref *reference) []float64 {
 	if data, err := fs.Read(InputPath(id)); err == nil {
-		flat := decodeF64s(data)
+		flat := ref.decodeImage(data)
 		if n := intSqrt(len(flat)); n*n == len(flat) && n > 0 {
 			return flat
 		}
 	}
 	flat := ref.nominalImage(p)
 	if ref != nil {
-		fs.Write(InputPath(id), ref.input) // Write copies
+		fs.Share(InputPath(id), ref.input)
 	} else {
-		fs.Write(InputPath(id), encodeF64s(flat))
+		fs.Share(InputPath(id), encodeF64s(flat))
 	}
 	return flat
 }
@@ -397,19 +397,29 @@ func writeStatus(fs *sim.FS, id sift.AppID, completed int) {
 	fs.Write(StatusPath(id), []byte(strconv.Itoa(completed)))
 }
 
-func writeF64s(fs *sim.FS, path string, v []float64) {
-	fs.Write(path, encodeF64s(v))
+// writeFeature stores feature map f as the rudimentary checkpoint of
+// filter f.
+func writeFeature(fs *sim.FS, id sift.AppID, ref *reference, f int, v []float64) {
+	fs.Share(FeatPath(id, f), ref.featureFile(v, f))
 }
 
-func readF64s(fs *sim.FS, path string) []float64 {
-	data, err := fs.Read(path)
+// readFeature returns feature map f stored by writeFeature, or nil.
+func readFeature(fs *sim.FS, id sift.AppID, ref *reference, f int) []float64 {
+	data, err := fs.Read(FeatPath(id, f))
 	if err != nil {
 		return nil
 	}
-	return decodeF64s(data)
+	return ref.decodeFeature(data, f)
 }
 
-func writeOutput(fs *sim.FS, id sift.AppID, features [][]float64, labels []int) {
+// writeOutput stores the segmentation product.
+func writeOutput(fs *sim.FS, id sift.AppID, ref *reference, features [][]float64, labels []int) {
+	fs.Share(OutputPath(id), ref.outputFile(features, labels))
+}
+
+// encodeOutput is the output file format: the label count, one byte per
+// label, then the three feature maps.
+func encodeOutput(features [][]float64, labels []int) []byte {
 	out := make([]byte, 0, 4+len(labels)+featureBytes(features))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(labels)))
 	for _, l := range labels {
@@ -418,7 +428,7 @@ func writeOutput(fs *sim.FS, id sift.AppID, features [][]float64, labels []int) 
 	for f := 0; f < 3; f++ {
 		out = appendF64s(out, features[f])
 	}
-	fs.Write(OutputPath(id), out)
+	return out
 }
 
 // featureBytes is the encoded size of the three feature maps.

@@ -134,7 +134,7 @@ func TestOutputRoundTripAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeOutput(fs, 5, features, labels)
+	writeOutput(fs, 5, nil, features, labels)
 	out, err := ReadOutput(fs, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestVerifyDetectsLargeCorruption(t *testing.T) {
 		corrupted[f] = append([]float64(nil), features[f]...)
 	}
 	corrupted[1][100] *= 1e60
-	writeOutput(fs, 6, corrupted, labels)
+	writeOutput(fs, 6, nil, corrupted, labels)
 	if v := Verify(fs, 6, features, 1e-2); v != VerdictIncorrect {
 		t.Fatalf("verdict = %v, want incorrect", v)
 	}
@@ -179,7 +179,7 @@ func TestVerifyToleratesTinyPerturbation(t *testing.T) {
 	}
 	// A low-mantissa-bit flip: relative change ~1e-12.
 	perturbed[0][50] *= 1 + 1e-12
-	writeOutput(fs, 7, perturbed, labels)
+	writeOutput(fs, 7, nil, perturbed, labels)
 	if v := Verify(fs, 7, features, 1e-2); v != VerdictCorrect {
 		t.Fatalf("verdict = %v, want correct", v)
 	}

@@ -1,6 +1,9 @@
 package inject
 
 import (
+	"math"
+	"math/bits"
+	"slices"
 	"testing"
 	"time"
 
@@ -305,5 +308,47 @@ func TestStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Fatalf("sysmode %d has no name", s)
 		}
+	}
+}
+
+// TestAppHeapFlipIsCopyOnWrite runs one app-heap injection into a region
+// whose slice aliases a buffer the program does not own, the way rover's
+// regions alias its memoized reference. The flip changes exactly one bit of
+// the program's variable and leaves the buffer bit-identical.
+func TestAppHeapFlipIsCopyOnWrite(t *testing.T) {
+	reference := make([]float64, 512)
+	for i := range reference {
+		reference[i] = float64(i) + 0.25
+	}
+	pristine := slices.Clone(reference)
+	var seen []float64
+	spec := &sift.AppSpec{
+		ID: 1, Name: "shared-heap", Ranks: 1, Nodes: []string{"node-a1"},
+		PIPeriod: 10 * time.Second, MPIStartTimeout: 10 * time.Second,
+	}
+	spec.Launcher = func(ac *sift.AppContext) {
+		data := reference
+		ac.RegisterHeapF64("data", &data)
+		ac.PICreate(10 * time.Second)
+		for i := uint64(1); i <= 24; i++ {
+			ac.Proc.Sleep(5 * time.Second)
+			ac.Progress(i)
+		}
+		seen = data
+		ac.NotifyExiting()
+	}
+	res := Run(Config{Seed: 3, Model: ModelAppHeap, Target: TargetApp, Apps: []*sift.AppSpec{spec}})
+	if res.Injected != 1 || len(seen) != len(reference) {
+		t.Fatalf("injected %d, program saw %d floats: the trial did not flip its region", res.Injected, len(seen))
+	}
+	flipped := 0
+	for i := range seen {
+		flipped += bits.OnesCount64(math.Float64bits(seen[i]) ^ math.Float64bits(pristine[i]))
+	}
+	if flipped != 1 {
+		t.Fatalf("the program's variable differs in %d bits, want 1", flipped)
+	}
+	if !slices.Equal(reference, pristine) {
+		t.Fatal("the flip reached the buffer the region aliased")
 	}
 }

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"math"
 	"time"
 
 	"reesift/internal/memsim"
@@ -35,7 +34,7 @@ func (ah *appHeapInjector) fire(r *Runner, at time.Duration) {
 	ints := ac.HeapInts()
 	totalF := 0
 	for _, reg := range floats {
-		totalF += len(reg.Data)
+		totalF += len(*reg.P)
 	}
 	if totalF == 0 && len(ints) == 0 {
 		return
@@ -53,15 +52,5 @@ func (ah *appHeapInjector) fire(r *Runner, at time.Duration) {
 		return
 	}
 	slot := r.rng.Intn(totalF)
-	for _, reg := range floats {
-		if slot < len(reg.Data) {
-			bits := memsim.FlipBit(f64bits(reg.Data[slot]), uint(r.rng.Intn(64)))
-			reg.Data[slot] = f64frombits(bits)
-			return
-		}
-		slot -= len(reg.Data)
-	}
+	ac.FlipHeapF64(slot, uint(r.rng.Intn(64)))
 }
-
-func f64bits(f float64) uint64     { return math.Float64bits(f) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }

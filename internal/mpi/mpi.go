@@ -130,15 +130,19 @@ func (w *World) PID(rank int) sim.PID { return w.pids[rank] }
 
 // Send transmits a tagged data vector to a rank (non-blocking at the
 // sender, like an eager-protocol MPI_Send of a small message).
+//
+// Send does not copy: the receiver gets data's backing array. The sender
+// gives the slice up and never writes it again, and a receiver writes it
+// only through a copy-on-write heap registration
+// (sift.AppContext.RegisterHeapF64). A slice sent to several ranks, as
+// Bcast does, is one array they all share read-only.
 func (w *World) Send(to int, tag string, data []float64) {
 	w.send(to, tag, data, nil)
 }
 
 func (w *World) send(to int, tag string, data []float64, pids map[int]sim.PID) {
-	buf := make([]float64, len(data))
-	copy(buf, data)
 	w.conn.Process().Send(w.pids[to], msg{
-		App: w.app, From: w.rank, To: to, Tag: tag, Data: buf, PIDs: pids,
+		App: w.app, From: w.rank, To: to, Tag: tag, Data: data, PIDs: pids,
 	})
 }
 

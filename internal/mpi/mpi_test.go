@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"reesift/internal/sift"
 	"reesift/internal/sim"
 )
 
@@ -227,5 +230,48 @@ func TestRecvTimesOutOnDeadPeer(t *testing.T) {
 	k.Run(time.Hour)
 	if recvErr == nil {
 		t.Fatal("expected receive timeout from dead peer")
+	}
+}
+
+// TestBcastSharesTheSendersArray pins Send's ownership rule: receivers get
+// the sender's backing array, not a copy, and a receiver that flips what it
+// got through a copy-on-write heap registration changes only its own view,
+// not the other receiver's or the sender's.
+func TestBcastSharesTheSendersArray(t *testing.T) {
+	k := newMPIKernel(t)
+	sent := []float64{1, 2, 3, 4}
+	pristine := slices.Clone(sent)
+	got := make(map[int][]float64)
+	var flipped []float64
+	spawnWorld(t, k, func(w *World, rank int) {
+		var data []float64
+		if rank == 0 {
+			data = sent
+		}
+		d, err := w.Bcast(data, "b", 30*time.Second)
+		if err != nil {
+			return
+		}
+		got[rank] = d
+		if rank == 1 {
+			ac := &sift.AppContext{}
+			ac.RegisterHeapF64("payload", &d)
+			ac.FlipHeapF64(2, 0)
+			flipped = d
+		}
+	})
+	k.Run(time.Minute)
+	for rank := 0; rank < 3; rank++ {
+		if len(got[rank]) != len(sent) || &got[rank][0] != &sent[0] {
+			t.Fatalf("rank %d did not receive the sender's backing array", rank)
+		}
+	}
+	want := slices.Clone(pristine)
+	want[2] = math.Float64frombits(math.Float64bits(want[2]) ^ 1)
+	if !slices.Equal(flipped, want) {
+		t.Fatalf("rank 1's flipped view = %v, want %v", flipped, want)
+	}
+	if !slices.Equal(sent, pristine) || !slices.Equal(got[2], pristine) {
+		t.Fatalf("rank 1's flip reached the shared array: sender %v, rank 2 %v", sent, got[2])
 	}
 }

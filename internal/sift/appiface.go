@@ -1,6 +1,8 @@
 package sift
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"reesift/internal/core"
@@ -84,10 +86,15 @@ type AppContext struct {
 	heapInt []HeapInt
 }
 
-// HeapF64 names a float64 region of application heap data.
+// HeapF64 names a float64 region of application heap data: the slice
+// variable at P, which the program reads at its next step. The region is
+// copy-on-write, because the slice may share its backing array with a
+// buffer the program does not own (a memoized reference, a received MPI
+// payload, a blob on the shared FS): a flip gives the program a private
+// copy and flips that.
 type HeapF64 struct {
 	Name string
-	Data []float64
+	P    *[]float64
 }
 
 // HeapInt names an integer field of application heap data (sizes and
@@ -97,9 +104,29 @@ type HeapInt struct {
 	P    *int
 }
 
-// RegisterHeapF64 exposes a float64 array for heap injection.
-func (ac *AppContext) RegisterHeapF64(name string, data []float64) {
-	ac.heapF64 = append(ac.heapF64, HeapF64{Name: name, Data: data})
+// RegisterHeapF64 exposes the float64 slice *p for heap injection. p must
+// point at the variable the program later reads, so a flip is seen there.
+// The backing array of *p is never written: see HeapF64.
+func (ac *AppContext) RegisterHeapF64(name string, p *[]float64) {
+	ac.heapF64 = append(ac.heapF64, HeapF64{Name: name, P: p})
+}
+
+// FlipHeapF64 flips bit (0–63) of element slot of the registered float
+// regions, counted through the regions in registration order. It first
+// points the program's variable at a private copy of the region. A slot
+// past the last region is ignored.
+func (ac *AppContext) FlipHeapF64(slot int, bit uint) {
+	for i := range ac.heapF64 {
+		reg := &ac.heapF64[i]
+		if slot >= len(*reg.P) {
+			slot -= len(*reg.P)
+			continue
+		}
+		data := slices.Clone(*reg.P)
+		*reg.P = data
+		data[slot] = math.Float64frombits(memsim.FlipBit(math.Float64bits(data[slot]), bit))
+		return
+	}
 }
 
 // RegisterHeapInt exposes an integer field for heap injection.

@@ -132,10 +132,13 @@ func TestSnapshotScratchNeverAliasesCheckpoint(t *testing.T) {
 		want := bytes.Clone(snap)
 		ck.Update(name, snap)
 		ck.Commit()
-		stable, err := store.Read("ckpt/alias")
+		view, err := store.Read("ckpt/alias")
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Read returns the stored bytes themselves; keep a copy to compare
+		// against.
+		stable := bytes.Clone(view)
 
 		// Scribble over the scratch buffer: the region keeps its bytes.
 		for i := range snap {
@@ -144,8 +147,8 @@ func TestSnapshotScratchNeverAliasesCheckpoint(t *testing.T) {
 		if !bytes.Equal(ck.Region(name), want) {
 			t.Errorf("%s: checkpoint region aliases the element's scratch buffer", name)
 		}
-		// Scribble over the region: a second commit differs from the
-		// first image, which stable storage handed out as a copy.
+		// Scribble over the region: the committed image must not change,
+		// because stable storage holds its own copy of every region.
 		region := ck.Region(name)
 		for i := range region {
 			region[i] ^= 0xFF

@@ -56,7 +56,8 @@ func (c *Cluster) Env() *sift.Environment { return c.env }
 func (c *Cluster) Log() *sift.EventLog { return c.env.Log }
 
 // SharedFS returns the cluster-wide nonvolatile store that applications
-// write their results to.
+// write their results to. The bytes its Read returns are read-only (see
+// FS).
 func (c *Cluster) SharedFS() *sim.FS { return c.k.SharedFS() }
 
 // Now returns the current virtual time.

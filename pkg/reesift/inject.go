@@ -75,7 +75,11 @@ const (
 type InjectionResult = inject.Result
 
 // FS is the cluster-wide nonvolatile store applications write results
-// to.
+// to. Read returns the stored bytes without copying them, and a file an
+// application wrote may share its bytes with a reference that every
+// cluster in the process reads (the rover's nominal input, features and
+// output). Never write what Read returns: copy it first (bytes.Clone)
+// if you need to change it.
 type FS = sim.FS
 
 // Injection describes one fault-injection run driven through the façade:
@@ -127,7 +131,8 @@ type Injection struct {
 	// run; nil selects CompoundDefault (the paper's Section 6 pair).
 	Compound *CompoundSpec
 	// CheckVerdict, if set, classifies the application output on the
-	// shared store after the run ("correct"/"incorrect"/"missing").
+	// shared store after the run ("correct"/"incorrect"/"missing"). It
+	// may read fs but must not write the bytes fs.Read returns (see FS).
 	CheckVerdict func(fs *FS) string
 	// Census, if set, receives this run's tally — the attribution hook
 	// for one-off runs outside a Campaign (campaigns keep their own
