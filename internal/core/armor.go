@@ -52,8 +52,13 @@ type Config struct {
 	SendLower func(p *sim.Proc, env Envelope)
 	// OnForward, if non-nil, handles envelopes addressed to other
 	// ARMORs (the daemon's gateway role). It receives the boxed envelope
-	// as it arrived, to send on as is.
+	// as it arrived, to send on as is, and becomes its holder.
 	OnForward func(ctx *Ctx, env *Envelope)
+	// Boxes is the cluster's envelope free list. A box this ARMOR
+	// consumes goes back to it once dispatched; a by-value envelope
+	// handed to OnForward is boxed from it. Nil allocates every box and
+	// frees none.
+	Boxes *Boxes
 	// Mem is the simulated memory image for register/text fault
 	// injection; nil disables that error model for this process.
 	Mem *memsim.Memory
@@ -434,7 +439,9 @@ func (a *Armor) Dispatch(p *sim.Proc, m sim.Msg) {
 	a.step(p)
 	switch pl := m.Payload.(type) {
 	case *Envelope:
-		a.handleEnvelope(p, *pl, pl)
+		if !a.handleEnvelope(p, *pl, pl) {
+			a.cfg.Boxes.Free(pl)
+		}
 	case Envelope:
 		// A lower layer that sends by value boxes at every hop.
 		a.handleEnvelope(p, pl, nil)
@@ -514,8 +521,10 @@ func (a *Armor) corruptCheckpointAndCrash(p *sim.Proc) {
 
 // handleEnvelope runs the receive side of the reliable channel. box is the
 // envelope as it arrived (nil when the sender passed a value); only the
-// gateway path hands it on.
-func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
+// gateway path hands it on, and handleEnvelope reports whether it did.
+// Everything else reads the copy env, so the caller may free the box as
+// soon as this returns false.
+func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) (handed bool) {
 	if a.deaf {
 		// Receive omission: the element-level receive path is dead,
 		// but the process still believes it is healthy, keeps running
@@ -526,16 +535,17 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 		if !env.Ack {
 			a.replyAliveOnly(p, env)
 		}
-		return
+		return false
 	}
 	if env.Dst != a.cfg.ID {
-		if a.cfg.OnForward != nil {
-			if box == nil {
-				box = env.Box()
-			}
-			a.cfg.OnForward(a.aim(p, env.Src), box)
+		if a.cfg.OnForward == nil {
+			return false
 		}
-		return
+		if box == nil {
+			box = a.cfg.Boxes.Box(env)
+		}
+		a.cfg.OnForward(a.aim(p, env.Src), box)
+		return true
 	}
 	if env.SrcEpoch > 0 {
 		if env.SrcEpoch < a.peerEpoch[env.Src] {
@@ -545,7 +555,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 			if a.cfg.OnStaleSender != nil {
 				a.cfg.OnStaleSender(a.aim(p, env.Src), env)
 			}
-			return
+			return false
 		}
 		a.peerEpoch[env.Src] = env.SrcEpoch
 	}
@@ -553,7 +563,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 		key := ackKey{dst: env.Src, seq: env.AckSeq}
 		delete(a.unacked, key)
 		delete(a.retries, key)
-		return
+		return false
 	}
 	if env.Corrupt {
 		// Parsing a message whose contents were damaged inside the
@@ -567,7 +577,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 			// Duplicate: drop before processing (Figure 10), but
 			// re-acknowledge so the sender stops retransmitting.
 			a.sendAck(p, env.Src, env.Seq)
-			return
+			return false
 		}
 	}
 	if a.cfg.AwaitRestore && !a.Restored {
@@ -579,7 +589,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 					Detail: a.cfg.Name + ": " + string(env.Event.Kind), A: int64(env.Src)})
 			}
 			a.replyAliveOnly(p, env)
-			return
+			return false
 		}
 	}
 	a.deliverEvent(p, env.Src, env.Event)
@@ -588,6 +598,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) {
 		a.ckpt.Update(commName, a.comm.snapshot())
 		a.sendAck(p, env.Src, env.Seq)
 	}
+	return false
 }
 
 // replyAliveOnly answers an are-you-alive inquiry without processing

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // AID is an ARMOR identification number. ARMORs are addressed by AID, not
 // by process ID or node, which is what lets the FTM migrate them between
@@ -54,6 +57,12 @@ type Event struct {
 // Envelope is the wire format for ARMOR-to-ARMOR communication. Envelopes
 // are routed by the daemons: an ARMOR hands every outgoing envelope to its
 // local daemon, which resolves the destination AID to a process.
+//
+// An envelope travels as a box drawn from its cluster's Boxes, where the
+// lower layer originates it; every daemon on the route forwards that same
+// pointer, bumping Hops in place. The box has one holder at a time, and the
+// holder that reads it last gives it back. A sender that may retransmit
+// keeps its own copy by value and boxes again.
 type Envelope struct {
 	Src AID
 	Dst AID
@@ -79,16 +88,68 @@ type Envelope struct {
 	// envelope crashes the receiver unless the corruption is caught by a
 	// header assertion first.
 	Corrupt bool
+	// freed marks a box on its free list; see Boxes.Free.
+	freed bool
 	// Hops counts routing steps, guarding against forwarding loops.
 	Hops int
 }
 
-// Box returns a heap copy of the envelope, the form it travels in: the
-// lower layer boxes an envelope once where it is originated — its one
-// allocation — and every daemon on the route forwards that same pointer,
-// bumping Hops in place. The box has one holder at a time; a sender that
-// may retransmit keeps its own copy by value and boxes again.
-func (e Envelope) Box() *Envelope { return &e }
+// Boxes is a free list of envelope boxes, one per simulated cluster. Its
+// processes run one at a time on the cluster's kernel, so it needs no lock;
+// it must never be shared between kernels. A nil *Boxes allocates every
+// box and frees none.
+type Boxes struct {
+	free []*Envelope
+	made int
+}
+
+// Box returns e in a box: the most recently freed one, or a new one when
+// the list is empty.
+//
+//reesift:noalloc
+func (b *Boxes) Box(e Envelope) *Envelope {
+	if b != nil {
+		if n := len(b.free); n > 0 {
+			box := b.free[n-1]
+			b.free = b.free[:n-1]
+			*box = e
+			return box
+		}
+		b.made++
+	}
+	box := new(Envelope)
+	*box = e
+	return box
+}
+
+// errFreedTwice is Free's panic value.
+var errFreedTwice = errors.New("core: envelope box freed twice")
+
+// Free gives a box back for reuse. Only the box's last holder may call it,
+// after its last read. The box is zeroed, so a free box pins no payload.
+// Freeing a box twice panics: the second Free would otherwise surface much
+// later, as two senders sharing one box.
+//
+//reesift:noalloc
+func (b *Boxes) Free(box *Envelope) {
+	if b == nil {
+		return
+	}
+	if box.freed {
+		panic(errFreedTwice)
+	}
+	*box = Envelope{freed: true}
+	b.free = append(b.free, box)
+}
+
+// Stats reports how many boxes the list has allocated and how many of
+// them are free now.
+func (b *Boxes) Stats() (made, free int) {
+	if b == nil {
+		return 0, 0
+	}
+	return b.made, len(b.free)
+}
 
 // NewMsg builds an envelope carrying one event.
 //

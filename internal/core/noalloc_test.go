@@ -54,21 +54,16 @@ func checkpointCheck() noalloctest.Check {
 	}
 }
 
-// boxRing is a lower layer that boxes into a fixed ring of envelopes
-// instead of allocating one per transmission, so the round below measures
-// the runtime alone. Safe here because a box is consumed long before the
-// ring comes round to it.
-type boxRing struct {
+// boxWire is a lower layer that boxes each transmission from a real free
+// list, which both ARMORs of the round below also free into, so the round
+// measures the runtime with its box reuse.
+type boxWire struct {
 	pids  map[AID]sim.PID
-	boxes [64]Envelope
-	next  int
+	boxes Boxes
 }
 
-func (w *boxRing) sendLower(p *sim.Proc, env Envelope) {
-	box := &w.boxes[w.next%len(w.boxes)]
-	w.next++
-	*box = env
-	p.Send(w.pids[env.Dst], box)
+func (w *boxWire) sendLower(p *sim.Proc, env Envelope) {
+	p.Send(w.pids[env.Dst], w.boxes.Box(env))
 }
 
 // beatElem originates the traffic of armorRoundCheck: on every period it
@@ -110,16 +105,17 @@ func (b *beatElem) Handle(ctx *Ctx, ev Event) {
 }
 
 // armorRoundCheck runs two ARMORs through steady-state rounds: timer,
-// reliable send, delivery, microcheckpoint, acknowledgement, liveness
-// inquiry and reply, retry-timer expiry.
+// reliable send, boxing, delivery, microcheckpoint, acknowledgement,
+// liveness inquiry and reply, retry-timer expiry, and the box's return to
+// the free list.
 func armorRoundCheck(t *testing.T) noalloctest.Check {
 	k := sim.NewKernel(sim.Config{Seed: 1, LocalLatency: 10 * time.Microsecond})
 	t.Cleanup(k.Shutdown)
 	n := k.AddNode("a")
-	w := &boxRing{pids: make(map[AID]sim.PID)}
+	w := &boxWire{pids: make(map[AID]sim.PID)}
 	rxElem := &counterElem{name: "rx", limit: 1 << 40}
-	rx := New(Config{ID: 2, Name: "rx", Elements: []Element{rxElem}, SendLower: w.sendLower, RetryInterval: 5 * time.Millisecond})
-	tx := New(Config{ID: 1, Name: "tx", Elements: []Element{&beatElem{peer: 2}}, SendLower: w.sendLower, RetryInterval: 5 * time.Millisecond})
+	rx := New(Config{ID: 2, Name: "rx", Elements: []Element{rxElem}, SendLower: w.sendLower, Boxes: &w.boxes, RetryInterval: 5 * time.Millisecond})
+	tx := New(Config{ID: 1, Name: "tx", Elements: []Element{&beatElem{peer: 2}}, SendLower: w.sendLower, Boxes: &w.boxes, RetryInterval: 5 * time.Millisecond})
 	w.pids[2] = k.Spawn(n, "rx", sim.NoPID, rx.Run)
 	w.pids[1] = k.Spawn(n, "tx", sim.NoPID, tx.Run)
 	var limit time.Duration
@@ -130,6 +126,7 @@ func armorRoundCheck(t *testing.T) noalloctest.Check {
 			"Armor.newTimer", "Armor.freeTimer", "Armor.aim", "Armor.Dispatch", "Armor.deliverEvent",
 			"Armor.handle", "Armor.handleTimer", "Armor.armRetry", "Armor.sendReliable", "Armor.sendAck",
 			"Armor.transmitCommitted", "Armor.transmit", "putSeqMap", "commState.snapshot",
+			"Boxes.Box", "Boxes.Free",
 		},
 		Run: func() {
 			before := rxElem.count

@@ -207,7 +207,7 @@ type hopWire struct {
 
 func (w *hopWire) sendLower(p *sim.Proc, env Envelope) {
 	w.sent = append(w.sent, env)
-	box := env.Box()
+	box := &env // a heap copy of its own, per transmission
 	w.boxes = append(w.boxes, box)
 	box.Hops += 2 // two daemons forwarded it
 	if w.lose != nil && w.lose(len(w.sent)) {

@@ -69,7 +69,11 @@ type AppContext struct {
 	node      string
 	daemonPID sim.PID
 	seq       uint64
-	stash     []sim.Msg
+	// stash holds what arrived while the process waited for something
+	// else, for a later RecvMatch; see stashMsg for what it keeps.
+	stash []sim.Msg
+	// chanOpen is set once WaitChannelOpen has seen the ChannelOpen.
+	chanOpen bool
 
 	// Mem is the simulated memory image (register/text injection), nil
 	// when the application is not a target.
@@ -206,19 +210,20 @@ func (ac *AppContext) sendReliableBlocking(dst core.AID, kind core.EventKind, da
 	env := core.NewMsg(ac.AID, dst, kind, data)
 	env.Seq = ac.seq
 	for {
-		// Boxed per attempt: the hops mutate what travels, and a
-		// retransmission must start from the pristine envelope.
-		ac.Proc.Send(ac.daemon(), env.Box())
-		if waitAck(ac.Proc, &ac.stash, dst, env.Seq, 2*time.Second) {
+		// Boxed per attempt from the cluster's free list: the hops
+		// mutate what travels, and a retransmission must start from
+		// the pristine envelope. The box is the network's from here.
+		ac.Proc.Send(ac.daemon(), ac.Env.boxes.Box(env))
+		if waitAck(ac.Proc, &ac.Env.boxes, ac.stashMsg, dst, env.Seq, 2*time.Second) {
 			return
 		}
 	}
 }
 
-// waitAck waits on p for an ack of (from, seq), appending every other
-// message to stash for later consumption. It is the blocking half of both
-// the SCC's and an application's reliable send.
-func waitAck(p *sim.Proc, stash *[]sim.Msg, from core.AID, seq uint64, timeout time.Duration) bool {
+// waitAck waits on p for an ack of (from, seq), which it frees, and hands
+// every other message to stash, the caller's rule for what to keep. It is
+// the blocking half of both the SCC's and an application's reliable send.
+func waitAck(p *sim.Proc, boxes *core.Boxes, stash func(sim.Msg), from core.AID, seq uint64, timeout time.Duration) bool {
 	deadline := p.Now() + timeout
 	for {
 		remain := deadline - p.Now()
@@ -230,15 +235,32 @@ func waitAck(p *sim.Proc, stash *[]sim.Msg, from core.AID, seq uint64, timeout t
 			return false
 		}
 		if env, ok := m.Payload.(*core.Envelope); ok && env.Ack && env.Src == from && env.AckSeq == seq {
+			boxes.Free(env)
 			return true
 		}
-		*stash = append(*stash, m)
+		stash(m)
 	}
+}
+
+// stashMsg keeps m for a later RecvMatch, unless nothing could ever
+// consume it. An application consumes envelopes in only two ways: as acks
+// (waitAck) and as the one ChannelOpen that WaitChannelOpen waits for. So
+// the stash keeps an envelope only while it is a ChannelOpen and the
+// channel is not yet open, and frees every other envelope. Other messages
+// (MPI traffic) are always kept.
+func (ac *AppContext) stashMsg(m sim.Msg) {
+	if env, ok := m.Payload.(*core.Envelope); ok && (ac.chanOpen || !isChannelOpen(m)) {
+		ac.Env.boxes.Free(env)
+		return
+	}
+	ac.stash = append(ac.stash, m)
 }
 
 // RecvMatch returns the first pending or arriving message satisfying pred,
 // waiting up to timeout. Non-matching arrivals are stashed, preserving
-// order.
+// order, under the stash rule of stashMsg: an envelope that is not a
+// ChannelOpen awaited by WaitChannelOpen is dropped, so pred never sees
+// one later. Acks arriving here are dropped too.
 func (ac *AppContext) RecvMatch(timeout time.Duration, pred func(sim.Msg) bool) (sim.Msg, bool) {
 	for i, m := range ac.stash {
 		if pred(m) {
@@ -259,12 +281,13 @@ func (ac *AppContext) RecvMatch(timeout time.Duration, pred func(sim.Msg) bool) 
 		// Acks arriving outside a blocking send are stale
 		// retransmission acks; drop them.
 		if env, ok := m.Payload.(*core.Envelope); ok && env.Ack {
+			ac.Env.boxes.Free(env)
 			continue
 		}
 		if pred(m) {
 			return m, true
 		}
-		ac.stash = append(ac.stash, m)
+		ac.stashMsg(m)
 	}
 }
 
@@ -295,20 +318,25 @@ func (ac *AppContext) SendPIDs(pids map[int]sim.PID) {
 
 // WaitChannelOpen blocks a non-rank-0 process until its Execution ARMOR
 // establishes the monitoring channel (Table 1, step 7). It returns false
-// on timeout — the blocked-slave condition of Figure 8.
+// on timeout — the blocked-slave condition of Figure 8. Once it has
+// returned true the channel stays open: later calls return true at once,
+// and the ARMOR's further ChannelOpen resends are dropped on arrival.
 func (ac *AppContext) WaitChannelOpen(timeout time.Duration) bool {
-	if ac.App.Standalone {
+	if ac.App.Standalone || ac.chanOpen {
 		return true
 	}
-	_, ok := ac.RecvMatch(timeout, func(m sim.Msg) bool {
-		env, isEnv := m.Payload.(*core.Envelope)
-		if !isEnv {
-			return false
-		}
-		_, isOpen := env.Event.Data.(ChannelOpen)
-		return isOpen
-	})
-	return ok
+	_, ac.chanOpen = ac.RecvMatch(timeout, isChannelOpen)
+	return ac.chanOpen
+}
+
+// isChannelOpen reports whether m is the Execution ARMOR's ChannelOpen.
+func isChannelOpen(m sim.Msg) bool {
+	env, isEnv := m.Payload.(*core.Envelope)
+	if !isEnv {
+		return false
+	}
+	_, isOpen := env.Event.Data.(ChannelOpen)
+	return isOpen
 }
 
 // SpawnRank launches another rank of the same application on the given

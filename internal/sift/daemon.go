@@ -113,6 +113,7 @@ func NewDaemon(env *Environment, node *sim.Node, aid core.AID) *Daemon {
 		Elements:      []core.Element{el},
 		SendLower:     d.route,
 		OnForward:     d.forward,
+		Boxes:         &env.boxes,
 		Epoch:         env.nextDaemonEpoch(node.Name()),
 		OnStaleSender: d.staleSender,
 	})
@@ -164,35 +165,40 @@ func (d *Daemon) Run(p *sim.Proc) {
 }
 
 // route transmits envelopes originated by the daemon's own runtime: this
-// is where they are boxed, once for the whole route.
+// is where they are boxed from the cluster's free list, once for the whole
+// route.
 func (d *Daemon) route(p *sim.Proc, env core.Envelope) {
-	d.deliver(p, env.Box())
+	d.deliver(p, d.env.boxes.Box(env))
 }
 
 // forward handles envelopes addressed to other ARMORs (the gateway role).
-// The boxed envelope is sent on as it arrived, its hop count bumped in
-// place: it has one holder at a time, and a sender that may retransmit
-// keeps its own copy.
+// The daemon holds the box from here: it sends it on as it arrived, its
+// hop count bumped in place, or frees it when the hop limit drops it. A
+// sender that may retransmit keeps its own copy.
 //
 //reesift:noalloc
 func (d *Daemon) forward(ctx *core.Ctx, env *core.Envelope) {
 	env.Hops++
 	if env.Hops > 4 {
+		d.env.boxes.Free(env)
 		return
 	}
 	d.deliver(ctx.Proc, env)
 }
 
-// deliver resolves the destination AID and sends the envelope on. An
-// invalid or unknown destination is detected here — at the daemon, after
-// the error has already escaped the sending process, which is the paper's
-// "detection occurs too late" observation about the node_mgmt escape.
+// deliver resolves the destination AID and sends the envelope on, handing
+// the box to the network, or frees it when the destination cannot be
+// resolved. An invalid or unknown destination is detected here — at the
+// daemon, after the error has already escaped the sending process, which
+// is the paper's "detection occurs too late" observation about the
+// node_mgmt escape.
 //
 //reesift:noalloc
 func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 	if !env.Dst.Valid() {
 		//reesift:allow noalloc -- escaped-error report: formats once per misaddressed envelope, never on a routable one
 		d.env.Log.Add(p.Now(), "invalid-destination", fmt.Sprintf("src=%s dst=0", env.Src))
+		d.env.boxes.Free(env)
 		return
 	}
 	if pid, ok := d.localPID[env.Dst]; ok {
@@ -210,6 +216,7 @@ func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 		}
 	}
 	d.env.Log.Add(p.Now(), "unroutable-destination", env.Dst.String())
+	d.env.boxes.Free(env)
 }
 
 // Name implements core.Element.

@@ -141,6 +141,10 @@ type Environment struct {
 	scc    *sccProc
 	sccPID sim.PID
 
+	// boxes is the cluster's one envelope free list: every envelope
+	// originated here is boxed from it, and its last reader frees it.
+	boxes core.Boxes
+
 	armors    map[core.AID]*core.Armor
 	procOfAID map[core.AID]sim.PID
 	// placement is the SCC's placement table: where every ARMOR was last
@@ -269,7 +273,7 @@ func (e *Environment) Setup() {
 		e.daemonPID[name] = pid
 	}
 	ground := e.K.AddNode("scc-ground")
-	e.scc = &sccProc{env: e, seen: make(map[string]bool)}
+	e.scc = &sccProc{env: e, seen: make(map[seqKey]bool)}
 	e.sccPID = e.K.Spawn(ground, "scc", sim.NoPID, e.scc.Run)
 	if !e.cfg.DisableBootAgent {
 		// The SCC observes node power transitions out of band and starts
@@ -391,12 +395,13 @@ func (e *Environment) ftmSites(own string) []FTMSite {
 // placement.
 func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 	sendViaDaemon := func(p *sim.Proc, env core.Envelope) {
-		p.Send(e.daemonPID[node], env.Box())
+		p.Send(e.daemonPID[node], e.boxes.Box(env))
 	}
 	cfg := core.Config{
 		ID:              spec.ID,
 		Name:            spec.Name,
 		SendLower:       sendViaDaemon,
+		Boxes:           &e.boxes,
 		AutoRestore:     spec.AutoRestore,
 		AwaitRestore:    spec.AwaitRestore,
 		NotifyInstalled: spec.NotifyInstalled,
@@ -645,7 +650,7 @@ type sccProc struct {
 	proc *sim.Proc
 	seq  uint64
 	// seen dedups reliable envelopes from the FTM.
-	seen  map[string]bool
+	seen  map[seqKey]bool
 	stash []sim.Msg
 	// aidScratch is recoverNode's reusable sorted placement list.
 	aidScratch []core.AID
@@ -687,6 +692,7 @@ func (s *sccProc) Run(p *sim.Proc) {
 			s.sendReliable(AIDFTM, EvSubmitApp, SubmitApp{App: pl.App})
 		case *core.Envelope:
 			s.handleEnvelope(*pl)
+			s.env.boxes.Free(pl)
 		case sim.NodeDown:
 			s.env.Log.Add(p.Now(), "node-down-observed", pl.Node)
 		case sim.NodeUp:
@@ -779,6 +785,9 @@ func (s *sccProc) ftmRecovererAlive() bool {
 	return s.env.K.Alive(pid) && !s.env.K.Suspended(pid)
 }
 
+// stashMsg keeps m for nextMsg, which consumes everything the SCC stashes.
+func (s *sccProc) stashMsg(m sim.Msg) { s.stash = append(s.stash, m) }
+
 // nextMsg pops a stashed message or blocks for a new one.
 func (s *sccProc) nextMsg() sim.Msg {
 	if len(s.stash) > 0 {
@@ -816,13 +825,19 @@ func (s *sccProc) accept(env core.Envelope) bool {
 		return false
 	}
 	if env.Seq > 0 {
-		key := fmt.Sprintf("%d:%d", env.Src, env.Seq)
+		key := seqKey{src: env.Src, seq: env.Seq}
 		dup := s.seen[key]
 		s.seen[key] = true
 		s.ack(env)
 		return !dup
 	}
 	return true
+}
+
+// seqKey names one reliable envelope: its sender and sequence number.
+type seqKey struct {
+	src core.AID
+	seq uint64
 }
 
 // ack acknowledges a reliable envelope back through the sender's daemon.
@@ -840,15 +855,16 @@ func (s *sccProc) sendReliable(dst core.AID, kind core.EventKind, data interface
 	env.Seq = s.seq
 	for {
 		s.route(env)
-		if waitAck(s.proc, &s.stash, dst, env.Seq, 2*time.Second) {
+		if waitAck(s.proc, &s.env.boxes, s.stashMsg, dst, env.Seq, 2*time.Second) {
 			return
 		}
 	}
 }
 
 // route sends an envelope via the FTM node's daemon (the SCC's uplink
-// attaches there). Every call boxes a fresh copy, so a retransmission
-// starts from the sender's pristine envelope.
+// attaches there). Every call boxes the envelope anew from the cluster's
+// free list, so a retransmission starts from the sender's pristine copy;
+// the box belongs to the network and its receiver from here on.
 func (s *sccProc) route(env core.Envelope) {
 	host := s.env.cfg.FTMNode
 	if env.Dst.Valid() {
@@ -856,7 +872,7 @@ func (s *sccProc) route(env core.Envelope) {
 			host = h
 		}
 	}
-	s.proc.Send(s.env.daemonPID[host], env.Box())
+	s.proc.Send(s.env.daemonPID[host], s.env.boxes.Box(env))
 }
 
 func (s *sccProc) hostOf(aid core.AID) string {
@@ -893,11 +909,13 @@ func (s *sccProc) waitEvent(timeout time.Duration, kind core.EventKind) bool {
 			return false
 		}
 		if env, isEnv := m.Payload.(*core.Envelope); isEnv {
-			if s.accept(*env) && env.Event.Kind == kind {
+			match := s.accept(*env) && env.Event.Kind == kind
+			s.env.boxes.Free(env)
+			if match {
 				return true
 			}
 			continue
 		}
-		s.stash = append(s.stash, m)
+		s.stashMsg(m)
 	}
 }

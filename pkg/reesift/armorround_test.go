@@ -12,19 +12,20 @@ import (
 // 4-node testbed with the chaos relay service beating, no faults. One
 // simulated heartbeat period (10 s: one FTM heartbeat round, one
 // Heartbeat-ARMOR poll, one are-you-alive round per daemon, two relay
-// beats) originates 20 envelopes. Snapshots, the element context, timers
-// and daemon hops are all reused, so what the period allocates is one box
-// per originated envelope plus the relay's progress payload and log-detail
-// string per beat: 24 objects, 26 under the race detector. The bound
-// leaves that margin and no more, so one extra allocation per envelope
-// fails the test.
+// beats) originates 20 envelopes. Snapshots, the element context, timers,
+// daemon hops and the envelope boxes (the cluster's free list) are all
+// reused, so what the period allocates is the relay's progress payload
+// and log-detail string per beat: 4 objects, 0 per envelope. Under the race
+// detector fmt's printer pool drops entries at random, which reads 4–7
+// (mostly 5). The bound of 7 leaves that margin, so one allocation per
+// envelope fails the test by far.
 //
 // Not parallel: AllocsPerRun counts every allocation in the process.
 func TestArmorRoundAllocs(t *testing.T) {
 	const (
 		period    = 10 * time.Second
 		envelopes = 20
-		maxAllocs = 26
+		maxAllocs = 7
 	)
 	c, err := NewCluster(WithSeed(1))
 	if err != nil {
