@@ -57,7 +57,7 @@ func (b *BootAgent) Run(p *sim.Proc) {
 	p.Sleep(e.cfg.InstallDelay)
 	aid := e.DaemonAID(b.node)
 	d := NewDaemon(e, n, aid)
-	pid := p.SpawnChild(n, "daemon-"+b.node, d.Run)
+	pid := p.SpawnChildHandler(n, "daemon-"+b.node, d)
 	e.daemons[b.node] = d
 	e.daemonPID[b.node] = pid
 

@@ -45,7 +45,6 @@ type Daemon struct {
 	aid  core.AID
 
 	armor *core.Armor
-	proc  *sim.Proc
 
 	// localPID maps AIDs of local ARMORs and attached applications to
 	// processes.
@@ -141,26 +140,33 @@ func (d *Daemon) Bootstrap() DaemonBootstrap {
 	return DaemonBootstrap{DaemonPIDs: pids, NodeOf: nodeOf, SCCPID: d.sccPID}
 }
 
-// Run is the daemon process body.
-func (d *Daemon) Run(p *sim.Proc) {
-	d.proc = p
-	d.armor.Start(p)
-	for {
-		m := p.Recv()
-		switch pl := m.Payload.(type) {
-		case DaemonBootstrap:
-			for host, pid := range pl.DaemonPIDs {
-				d.daemonPIDs[host] = pid
-			}
-			for aid, host := range pl.NodeOf {
-				d.nodeOf[aid] = host
-			}
-			d.sccPID = pl.SCCPID
-		case LocalAttach:
-			d.localPID[pl.ID] = pl.PID
-		default:
-			d.armor.Dispatch(p, m)
+// Start implements sim.Handler: a daemon runs as a handler process, so
+// routing a message costs the kernel a call, not a coroutine switch.
+func (d *Daemon) Start(p *sim.Proc) { d.armor.Start(p) }
+
+// Handle implements sim.Handler. An install addressed to the daemon itself
+// sleeps out the install delay mid-dispatch, so it runs on a borrowed
+// coroutine (sim.Proc.Block); everything else is handled inline.
+func (d *Daemon) Handle(p *sim.Proc, m sim.Msg) {
+	switch pl := m.Payload.(type) {
+	case DaemonBootstrap:
+		for host, pid := range pl.DaemonPIDs {
+			d.daemonPIDs[host] = pid
 		}
+		for aid, host := range pl.NodeOf {
+			d.nodeOf[aid] = host
+		}
+		d.sccPID = pl.SCCPID
+	case LocalAttach:
+		d.localPID[pl.ID] = pl.PID
+	case *core.Envelope:
+		if pl.Event.Kind == EvInstallArmor && pl.Dst == d.aid && !p.CanBlock() {
+			p.Block(m)
+			return
+		}
+		d.armor.Dispatch(p, m)
+	default:
+		d.armor.Dispatch(p, m)
 	}
 }
 

@@ -269,7 +269,7 @@ func (e *Environment) Setup() {
 		e.nodes = append(e.nodes, n)
 		d := NewDaemon(e, n, AIDDaemon(i))
 		e.daemons[name] = d
-		pid := e.K.Spawn(n, "daemon-"+name, sim.NoPID, d.Run)
+		pid := e.K.SpawnHandler(n, "daemon-"+name, sim.NoPID, d)
 		e.daemonPID[name] = pid
 	}
 	ground := e.K.AddNode("scc-ground")

@@ -5,16 +5,17 @@ import (
 	"sync"
 )
 
-// coro is a pooled iter.Pull coroutine that runs process bodies one after
-// another. The kernel resumes it with next and the body hands control back
-// with yield: a direct goroutine switch, with no channel, run queue or
-// second P involved.
+// coro is a pooled iter.Pull coroutine that runs process bodies, and
+// handler messages set aside by Proc.Block, one after another. The kernel
+// resumes it with next and the body hands control back with yield: a
+// direct goroutine switch, with no channel, run queue or second P
+// involved.
 type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	// p is the process the coroutine runs. It is cleared once p.main has
-	// fully unwound, which is how dispatch tells a reusable coroutine from
-	// one that is still running a body.
+	// returned, which is how dispatch tells a reusable coroutine from one
+	// that is still running a body or a message.
 	p *Proc
 }
 
@@ -55,8 +56,9 @@ func putCoro(c *coro) {
 	coroPool.Unlock()
 }
 
-// loop is the coroutine body: run the assigned process to completion,
-// report the unwind with one more yield, and wait for the next process.
+// loop is the coroutine body: run the assigned process to completion (or
+// a handler process's one message), report the return with one more
+// yield, and wait for the next process.
 // A body that ends in runtime.Goexit or a panic escaping main never clears
 // c.p: iter.Pull re-raises the exit in the kernel's goroutine, and the
 // dead coroutine is not pooled. stop is never called, so yield always

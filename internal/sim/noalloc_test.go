@@ -11,7 +11,7 @@ import (
 // contract for this package: the scenarios below must run at zero
 // allocations, and every annotated function must be named by one.
 func TestNoallocRuntime(t *testing.T) {
-	noalloctest.Verify(t, []noalloctest.Check{eventLoopCheck(), procCheck(t)})
+	noalloctest.Verify(t, []noalloctest.Check{eventLoopCheck(), procCheck(t), handlerCheck(t)})
 }
 
 // eventLoopCheck drives the bare event loop: a self-re-arming tick that
@@ -85,6 +85,37 @@ func procCheck(t *testing.T) noalloctest.Check {
 			"Kernel.deliver", "Kernel.scheduleDeliver", "Kernel.scheduleWake", "Kernel.scheduleTimeout",
 			"Kernel.pushReady", "Kernel.popReady", "Kernel.drainReady", "Kernel.dispatch", "Kernel.makeReady",
 			"Kernel.latency",
+		},
+		Run: func() {
+			limit += 100 * time.Millisecond
+			k.Run(limit)
+		},
+	}
+}
+
+// handlerCheck drives a handler process: a ping-pong with a body driver,
+// every other message set aside by Block to sleep on a borrowed
+// coroutine before it answers.
+func handlerCheck(t *testing.T) noalloctest.Check {
+	k := NewKernel(Config{Seed: 1, LocalLatency: 100 * time.Microsecond, RemoteLatency: time.Millisecond,
+		LatencyJitter: 10 * time.Microsecond})
+	t.Cleanup(k.Shutdown)
+	ping := interface{}(&struct{ beat int }{1}) // boxed once
+	nap := interface{}(&struct{ beat int }{2})
+	echo := k.SpawnHandler(k.AddNode("far"), "echo", NoPID, &echoHandler{block: nap, nap: time.Millisecond})
+	k.Spawn(k.AddNode("near"), "driver", NoPID, func(p *Proc) {
+		for {
+			p.Send(echo, ping)
+			p.Recv()
+			p.Send(echo, nap)
+			p.Recv()
+		}
+	})
+	var limit time.Duration
+	return noalloctest.Check{
+		Name: "handler process",
+		Covers: []string{
+			"Kernel.runHandler", "Proc.Block", "Proc.unpopMsg", "Proc.makeRoom", "Proc.mayBlock",
 		},
 		Run: func() {
 			limit += 100 * time.Millisecond

@@ -24,11 +24,14 @@ type ExitStatus struct {
 	At     time.Duration
 }
 
-// Proc is a simulated operating-system process. A Proc's body function runs
-// on a coroutine of its own, which the kernel resumes to run the process and
-// which switches back to the kernel whenever the process parks, so only one
-// process executes at a time. All Proc methods below the "process context"
-// marker must be called from the body function itself.
+// Proc is a simulated operating-system process, of one of two kinds. A
+// body process (Spawn) runs a function on a pooled coroutine, which the
+// kernel resumes to run the process and which switches back to the kernel
+// whenever the process parks. A handler process (SpawnHandler) has no
+// coroutine: the kernel calls its Handler once per inbox message, inline,
+// and parks it when the inbox is empty. Either way only one process
+// executes at a time. All Proc methods below the "process context" marker
+// must be called from the process's own body or handler.
 type Proc struct {
 	kernel *Kernel
 	node   *Node
@@ -36,11 +39,25 @@ type Proc struct {
 	name   string
 	parent PID
 
-	state       procState
+	state      procState
+	killReason string
+
+	// The flags share one word, which keeps a Proc in the 192-byte size
+	// class.
 	suspended   bool
 	pendingWake bool
 	killed      bool
-	killReason  string
+	// recvWaiting is true only while the process is parked waiting for
+	// inbox messages; message delivery wakes the process only then, so
+	// arrivals cannot cut a Sleep short.
+	recvWaiting bool
+	// timedOut is set by an expired RecvTimeout timer.
+	timedOut bool
+	// started records that a handler process's Start has run.
+	started bool
+	// holding says Block has put the message being handled back at the
+	// head of the inbox, for a borrowed coroutine.
+	holding bool
 
 	// inbox is a ring buffer (head/len indices) so receives stop
 	// resliced-prefix churn and steady-state send/recv reuses one
@@ -50,23 +67,19 @@ type Proc struct {
 	inboxLen  int
 
 	// co is the coroutine running the body, from Spawn until the body has
-	// fully unwound.
+	// fully unwound. A handler process holds one only while it runs a
+	// message set aside by Block.
 	co *coro
+	// h is a handler process's handler; nil for a body process.
+	h Handler
 
 	// waitSeq stamps each blocking wait so stale timer wakeups (a sleep
 	// timer firing after the process has moved on to a different wait)
 	// are ignored.
 	waitSeq uint64
-	// recvWaiting is true only while the process is parked waiting for
-	// inbox messages; message delivery wakes the process only then, so
-	// arrivals cannot cut a Sleep short.
-	recvWaiting bool
 
 	children map[PID]*Proc
 	exit     *ExitStatus
-
-	// timedOut is set by an expired RecvTimeout timer.
-	timedOut bool
 
 	// Extra is an arbitrary per-process annotation slot. The fault
 	// injectors use it to attach simulated memory images to a process
@@ -76,11 +89,29 @@ type Proc struct {
 	body func(*Proc)
 }
 
-// pushMsg appends m to the inbox ring, growing (and linearizing) the ring
-// when full.
+// pushMsg appends m to the inbox ring.
 //
 //reesift:noalloc
 func (p *Proc) pushMsg(m Msg) {
+	p.makeRoom()
+	p.inbox[(p.inboxHead+p.inboxLen)%len(p.inbox)] = m
+	p.inboxLen++
+}
+
+// unpopMsg puts m back at the head of the inbox ring.
+//
+//reesift:noalloc
+func (p *Proc) unpopMsg(m Msg) {
+	p.makeRoom()
+	p.inboxHead = (p.inboxHead + len(p.inbox) - 1) % len(p.inbox)
+	p.inbox[p.inboxHead] = m
+	p.inboxLen++
+}
+
+// makeRoom grows (and linearizes) the inbox ring when it is full.
+//
+//reesift:noalloc
+func (p *Proc) makeRoom() {
 	if p.inboxLen == len(p.inbox) {
 		grown := make([]Msg, max(8, 2*len(p.inbox)))
 		for i := 0; i < p.inboxLen; i++ {
@@ -89,8 +120,6 @@ func (p *Proc) pushMsg(m Msg) {
 		p.inbox = grown
 		p.inboxHead = 0
 	}
-	p.inbox[(p.inboxHead+p.inboxLen)%len(p.inbox)] = m
-	p.inboxLen++
 }
 
 // popMsg removes and returns the oldest inbox message. The vacated slot is
@@ -105,6 +134,17 @@ func (p *Proc) popMsg() Msg {
 	return m
 }
 
+// Handler is the body of a handler process. The kernel calls Start once,
+// at the process's first dispatch, and then Handle for each inbox message
+// in arrival order, on the goroutine running Kernel.Run: a delivery costs
+// a method call, not a coroutine switch. Handle may Send, Spawn, arm
+// timers, Exit or Crash, but it may not block; a message whose handling
+// must Sleep or Recv goes to Proc.Block.
+type Handler interface {
+	Start(p *Proc)
+	Handle(p *Proc, m Msg)
+}
+
 // procUnwind is panicked inside a process body to unwind its coroutine when
 // the process exits or is killed.
 type procUnwind struct {
@@ -112,11 +152,48 @@ type procUnwind struct {
 	reason string
 }
 
+// procHang is panicked by Hang inside an inline handler to abandon the
+// message it is handling.
+type procHang struct{}
+
+// handlerMisuse is panicked when a handler process calls a method that
+// needs a coroutine it does not have. It is a bug in the handler, not a
+// fault of the simulated process, so it escapes Kernel.Run instead of
+// ending the process.
+type handlerMisuse string
+
+func (e handlerMisuse) Error() string { return string(e) }
+
+// exitStatus maps a panic that unwound a process to its exit status: Exit,
+// Crash and a kill keep their codes, and anything else is the moral
+// equivalent of a segmentation fault — the process crashes and the parent
+// observes an abnormal exit. A handler misuse propagates.
+func exitStatus(r any) (int, string) {
+	switch u := r.(type) {
+	case procUnwind:
+		return u.code, u.reason
+	case handlerMisuse:
+		panic(u)
+	}
+	return 139, fmt.Sprintf("segmentation fault: %v", r)
+}
+
 // Spawn creates a process on node n whose body is fn. The process becomes
 // runnable immediately (at the current virtual time). parent may be NoPID
 // for top-level processes; otherwise the parent receives a ChildExit
 // message when the process dies.
 func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
+	return k.spawn(n, name, parent, fn, nil)
+}
+
+// SpawnHandler creates a handler process on node n that runs h, and is
+// otherwise like Spawn: the same inbox, wakeups, kill, suspend and exit
+// notification.
+func (k *Kernel) SpawnHandler(n *Node, name string, parent PID, h Handler) PID {
+	return k.spawn(n, name, parent, nil, h)
+}
+
+func (k *Kernel) spawn(n *Node, name string, parent PID, fn func(*Proc), h Handler) PID {
 	if !n.up {
 		panic(fmt.Sprintf("sim: spawn %q on down node %q", name, n.name))
 	}
@@ -129,6 +206,7 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 		state:    stateNew,
 		children: make(map[PID]*Proc),
 		body:     fn,
+		h:        h,
 	}
 	k.nextPID++
 	k.procs = append(k.procs, p) // dense table: p.pid == len(k.procs)-1
@@ -137,7 +215,9 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 	if pp := k.proc(parent); pp != nil {
 		pp.children[p.pid] = p
 	}
-	p.co = getCoro(p)
+	if h == nil {
+		p.co = getCoro(p)
+	}
 	p.state = stateWaiting
 	k.makeReady(p)
 	if k.TraceOn() {
@@ -146,36 +226,84 @@ func (k *Kernel) Spawn(n *Node, name string, parent PID, fn func(*Proc)) PID {
 	return p.pid
 }
 
-// main runs the process body on its coroutine, from the first dispatch to
-// finalize. Every exit, kill and crash unwinds to here.
+// main runs on the process's coroutine: a body from the first dispatch to
+// finalize, or one message of a handler process set aside by Block, which
+// ends in finalize only if it kills the process. Every exit, kill and
+// crash unwinds to here.
 func (p *Proc) main() {
-	code, reason := 0, ""
+	code, reason, handled := 0, "", false
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				switch u := r.(type) {
-				case procUnwind:
-					code, reason = u.code, u.reason
-				default:
-					// An uncaught panic in simulated application or
-					// ARMOR code is the moral equivalent of a
-					// segmentation fault: the process crashes and the
-					// parent observes an abnormal exit.
-					code, reason = 139, fmt.Sprintf("segmentation fault: %v", r)
-				}
+				code, reason = exitStatus(r)
 			}
 		}()
+		if p.h != nil {
+			p.holding = false
+			p.h.Handle(p, p.popMsg())
+			handled = true
+			return
+		}
 		if p.killed {
 			panic(procUnwind{code: 137, reason: p.killReason})
 		}
 		p.body(p)
 	}()
-	p.kernel.finalize(p, code, reason)
+	if !handled {
+		p.kernel.finalize(p, code, reason)
+	}
+}
+
+// runHandler calls a handler process's Start on its first dispatch, then
+// Handle for each inbox message, and parks the process, as Recv would,
+// once the inbox is empty. It returns true, leaving the rest of the inbox,
+// when Handle sets its message aside by Block: the caller runs it on the
+// coroutine borrowed here.
+//
+//reesift:noalloc
+func (k *Kernel) runHandler(p *Proc) bool {
+	defer k.unwindHandler(p)
+	p.recvWaiting = false
+	if !p.started {
+		p.started = true
+		p.h.Start(p)
+	}
+	for p.inboxLen > 0 {
+		p.h.Handle(p, p.popMsg())
+		if p.holding {
+			p.co = getCoro(p)
+			return true
+		}
+	}
+	p.waitSeq++
+	p.recvWaiting = true
+	p.state = stateWaiting
+	return false
+}
+
+// unwindHandler ends an inline handler call that panicked: Hang parks the
+// process with the rest of its inbox, and Exit, Crash or any other panic
+// ends it. Nothing is recovered on a normal return or runtime.Goexit,
+// which unwinds on through Kernel.Run.
+func (k *Kernel) unwindHandler(p *Proc) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(procHang); ok {
+		p.waitSeq++
+		p.recvWaiting = true
+		p.pendingWake = p.inboxLen > 0
+		return
+	}
+	code, reason := exitStatus(r)
+	k.finalize(p, code, reason)
 }
 
 // finalize tears down a dead process: removes it from the node table,
 // notifies the parent, and reparents children. Runs on the dying process's
-// coroutine, as the last step of main.
+// coroutine, as the last step of main, or in dispatch for a handler
+// process.
 func (k *Kernel) finalize(p *Proc, code int, reason string) {
 	if p.state == stateDead {
 		return
@@ -339,6 +467,38 @@ func (p *Proc) park() {
 	}
 }
 
+// mayBlock panics when p cannot park: a handler process has a coroutine
+// only inside a message set aside by Block.
+//
+//reesift:noalloc
+func (p *Proc) mayBlock(op string) {
+	if p.co == nil {
+		//reesift:allow noalloc -- misuse report: raised once, by a handler that blocks outside Block
+		panic(handlerMisuse(fmt.Sprintf("sim: %s called by handler process %q (pid %d) outside a message set aside by Block", op, p.name, p.pid)))
+	}
+}
+
+// Block sets m, the message Handle is handling, aside for a coroutine
+// borrowed from the pool: when Handle returns, the kernel calls Handle(p,
+// m) again on that coroutine, where the process may Sleep or Recv, and p
+// takes no other message until that call returns. CanBlock tells the
+// second call from the first. Only a handler process's inline Handle may
+// call it, once per message.
+//
+//reesift:noalloc
+func (p *Proc) Block(m Msg) {
+	if p.h == nil || p.co != nil || p.holding {
+		//reesift:allow noalloc -- misuse report: raised once, by a caller that is not an inline handler
+		panic(handlerMisuse(fmt.Sprintf("sim: Block called by %q (pid %d), which is not a handler process handling a message inline", p.name, p.pid)))
+	}
+	p.unpopMsg(m)
+	p.holding = true
+}
+
+// CanBlock reports whether the process may block: a body process always
+// may, a handler process only inside a message set aside by Block.
+func (p *Proc) CanBlock() bool { return p.co != nil }
+
 // Self returns the process's PID.
 func (p *Proc) Self() PID { return p.pid }
 
@@ -364,6 +524,7 @@ func (p *Proc) Parent() PID { return p.parent }
 //
 //reesift:noalloc
 func (p *Proc) Sleep(d time.Duration) {
+	p.mayBlock("Sleep")
 	if d <= 0 {
 		return
 	}
@@ -378,6 +539,7 @@ func (p *Proc) Sleep(d time.Duration) {
 //
 //reesift:noalloc
 func (p *Proc) Yield() {
+	p.mayBlock("Yield")
 	p.waitSeq++
 	p.kernel.scheduleWake(0, p, p.waitSeq)
 	p.state = stateWaiting
@@ -415,6 +577,7 @@ func (p *Proc) Send(dst PID, payload interface{}) {
 //
 //reesift:noalloc
 func (p *Proc) Recv() Msg {
+	p.mayBlock("Recv")
 	for p.inboxLen == 0 {
 		p.waitSeq++
 		p.recvWaiting = true
@@ -430,6 +593,7 @@ func (p *Proc) Recv() Msg {
 //
 //reesift:noalloc
 func (p *Proc) RecvTimeout(d time.Duration) (Msg, bool) {
+	p.mayBlock("RecvTimeout")
 	if p.inboxLen > 0 {
 		return p.popMsg(), true
 	}
@@ -467,6 +631,12 @@ func (p *Proc) SpawnChild(n *Node, name string, fn func(*Proc)) PID {
 	return p.kernel.Spawn(n, name, p.pid, fn)
 }
 
+// SpawnChildHandler starts a child handler process on the given node,
+// reported to this process like a SpawnChild child.
+func (p *Proc) SpawnChildHandler(n *Node, name string, h Handler) PID {
+	return p.kernel.SpawnHandler(n, name, p.pid, h)
+}
+
 // Exit terminates the process with the given code.
 func (p *Proc) Exit(code int, reason string) {
 	panic(procUnwind{code: code, reason: reason})
@@ -483,8 +653,13 @@ func (p *Proc) Crash(reason string) {
 // sends the process into a tight loop or a deadlock: it stays in the
 // process table but stops making progress and stops responding to
 // messages. Only Kernel.Kill (recovery) or Kernel.Resume ends the hang.
+// In an inline handler, Hang abandons the message being handled, and
+// Resume continues with the next one.
 func (p *Proc) Hang() {
 	p.suspended = true
 	p.state = stateWaiting
+	if p.co == nil && p.h != nil {
+		panic(procHang{})
+	}
 	p.park()
 }
