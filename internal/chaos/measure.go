@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"reesift/internal/inject"
@@ -25,32 +23,41 @@ func (d *driver) measure() inject.ChaosStats {
 		Arrivals: d.arrivals,
 		Events:   d.events,
 	}
-	beats := d.beatTimes()
 	period := d.spec.ServicePeriod
 	grace := d.spec.DownGrace
-	if len(beats) == 0 {
-		// The service never produced a single beat: down for the whole
-		// trial, unrecoverable from the submit time.
-		start := d.r.RunConfig().SubmitAt
-		down := d.spec.Horizon - start
-		st.Downs = 1
-		st.Down = []time.Duration{down}
-		st.Downtime = down
-		st.Availability = 0
-		st.MTTRp50, st.MTTRp95, st.MTTRMax = down, down, down
-		st.Unrecoverable = true
-		st.TimeToUnrecoverable = start
-		return st
-	}
+	cfg := d.r.RunConfig()
+	// One pass over the observed application's beats: the first opens
+	// the window, and each later one closes the gap since the one before.
+	var first, prev time.Duration
 	var down []time.Duration
 	var downtime time.Duration
-	prev := beats[0]
-	for _, b := range beats[1:] {
-		if excess := b - prev - period; excess > grace {
+	beats := 0
+	for _, e := range d.r.Env().Log.Entries {
+		if e.Kind != BeatKind || len(cfg.Apps) == 0 || e.App() != cfg.Apps[0].ID {
+			continue
+		}
+		if beats == 0 {
+			first = e.At
+		} else if excess := e.At - prev - period; excess > grace {
 			down = append(down, excess)
 			downtime += excess
 		}
-		prev = b
+		prev = e.At
+		beats++
+	}
+	if beats == 0 {
+		// The service never produced a single beat: down for the whole
+		// trial, unrecoverable from the submit time.
+		start := cfg.SubmitAt
+		whole := d.spec.Horizon - start
+		st.Downs = 1
+		st.Down = []time.Duration{whole}
+		st.Downtime = whole
+		st.Availability = 0
+		st.MTTRp50, st.MTTRp95, st.MTTRMax = whole, whole, whole
+		st.Unrecoverable = true
+		st.TimeToUnrecoverable = start
+		return st
 	}
 	// The tail: silence from the last beat to the horizon. Long enough,
 	// and the trial ends in an unrecoverable state.
@@ -65,7 +72,7 @@ func (d *driver) measure() inject.ChaosStats {
 	st.Down = down
 	st.Downs = len(down)
 	st.Downtime = downtime
-	if window := d.spec.Horizon - beats[0]; window > 0 {
+	if window := d.spec.Horizon - first; window > 0 {
 		st.Availability = 1 - float64(downtime)/float64(window)
 	}
 	if len(down) > 0 {
@@ -78,23 +85,6 @@ func (d *driver) measure() inject.ChaosStats {
 		st.MTTRMax = secs(s.Max())
 	}
 	return st
-}
-
-// beatTimes extracts the observed application's beat instants from the
-// environment log.
-func (d *driver) beatTimes() []time.Duration {
-	cfg := d.r.RunConfig()
-	if len(cfg.Apps) == 0 {
-		return nil
-	}
-	tag := fmt.Sprintf("app=%d ", cfg.Apps[0].ID)
-	var beats []time.Duration
-	for _, e := range d.r.Env().Log.Entries {
-		if e.Kind == BeatKind && strings.HasPrefix(e.Detail, tag) {
-			beats = append(beats, e.At)
-		}
-	}
-	return beats
 }
 
 // secs converts a stats sample value (seconds) back to a duration.

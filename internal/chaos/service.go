@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"reesift/internal/sift"
@@ -10,14 +9,9 @@ import (
 // BeatKind is the event-log kind of one acknowledged service beat. The
 // availability measurement is a gap analysis over these entries; an
 // application other than the built-in relay service can opt into
-// measurement by logging them with the same convention (one entry per
-// Spec.ServicePeriod, detail prefixed "app=<id> ").
-const BeatKind = "chaos-beat"
-
-// beatDetail formats one beat's log detail.
-func beatDetail(id sift.AppID, i uint64) string {
-	return fmt.Sprintf("app=%d i=%d", id, i)
-}
+// measurement by logging them with the same convention (one
+// EventLog.Beat per Spec.ServicePeriod, under its own AppID).
+const BeatKind = sift.LogChaosBeat
 
 // ServiceApp builds the chaos relay service: a single-rank application
 // that never completes, sending one progress-indicator update per period
@@ -53,6 +47,6 @@ func runService(ac *sift.AppContext, spec *sift.AppSpec, period time.Duration) {
 	for i := uint64(1); ; i++ {
 		ac.Proc.Sleep(period)
 		ac.Progress(i)
-		ac.Env.Log.Add(ac.Proc.Now(), BeatKind, beatDetail(spec.ID, i))
+		ac.Env.Log.Beat(ac.Proc.Now(), spec.ID, i)
 	}
 }

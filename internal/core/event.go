@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // AID is an ARMOR identification number. ARMORs are addressed by AID, not
@@ -19,7 +19,7 @@ const InvalidAID AID = 0
 func (a AID) Valid() bool { return a != InvalidAID }
 
 // String formats the AID.
-func (a AID) String() string { return fmt.Sprintf("armor-%d", uint64(a)) }
+func (a AID) String() string { return "armor-" + strconv.FormatUint(uint64(a), 10) }
 
 // EventKind names an event type. Elements subscribe to kinds.
 type EventKind string
@@ -52,6 +52,10 @@ type Event struct {
 	// Data is the event payload. Payload types are plain structs defined
 	// by the element packages.
 	Data interface{}
+	// N is an inline scalar argument for the payload: a value that changes
+	// with every event of a kind (a progress counter) travels here, so the
+	// payload can be one immutable box shared by all of them.
+	N uint64
 }
 
 // Envelope is the wire format for ARMOR-to-ARMOR communication. Envelopes
@@ -76,13 +80,15 @@ type Envelope struct {
 	SrcEpoch uint64
 	// Seq orders envelopes per (Src, Dst) pair for the reliable channel.
 	Seq uint64
-	// Ack marks an acknowledgment for AckSeq; Event is zero.
-	Ack    bool
+	// AckSeq is the sequence number an acknowledgment (Ack) answers.
 	AckSeq uint64
 	// Event is delivered to the subscribed elements. It is held inline —
 	// no multi-event message is ever built — so constructing an envelope
 	// allocates nothing.
 	Event Event
+	// Ack marks an acknowledgment for AckSeq; Event is zero. The three
+	// flags sit together so the envelope stays 96 bytes.
+	Ack bool
 	// Corrupt marks an envelope whose contents were damaged by an error
 	// inside the sender (a fail-silence violation). Parsing a corrupted
 	// envelope crashes the receiver unless the corruption is caught by a

@@ -26,8 +26,8 @@ func Figure5(sc Scale) (*reesift.Result, error) {
 	if !h.Done {
 		return nil, fmt.Errorf("figure5: run did not complete")
 	}
-	started, _ := env.Log.First("app-started")
-	ended, _ := env.Log.Last("app-rank-exit")
+	started, _ := env.Log.First(sift.LogAppStarted)
+	ended, _ := env.Log.Last(sift.LogAppRankExit)
 	t := &Table{
 		ID:     "figure5",
 		Title:  "Perceived vs actual application execution time (one fault-free run)",
@@ -158,8 +158,8 @@ func runWithFTMKill(seed int64, offset time.Duration) inject.Result {
 	if h.Done {
 		res.Perceived = h.DoneAt - h.SubmittedAt
 	}
-	if start, ok := env.Log.First("app-started"); ok {
-		if end, ok2 := env.Log.Last("app-rank-exit"); ok2 {
+	if start, ok := env.Log.First(sift.LogAppStarted); ok {
+		if end, ok2 := env.Log.Last(sift.LogAppRankExit); ok2 {
 			res.Actual = end.At - start.At
 		}
 	}
@@ -188,7 +188,7 @@ func Figure8(sc Scale) (*reesift.Result, error) {
 		if killed {
 			return
 		}
-		if st, ok := env.Log.First("app-started"); ok {
+		if st, ok := env.Log.First(sift.LogAppStarted); ok {
 			killed = true
 			delay := st.At + 200*time.Millisecond - k.Now()
 			k.Schedule(delay, func() {
@@ -207,10 +207,10 @@ func Figure8(sc Scale) (*reesift.Result, error) {
 		{str("application completed"), str(fmt.Sprintf("%v", h.Done))},
 		{str("application restarts (correlated failure)"), num(h.Restarts)},
 	}
-	if started, ok := env.Log.First("app-started"); ok {
+	if started, ok := env.Log.First(sift.LogAppStarted); ok {
 		rows = append(rows, []Cell{str("first app start (s)"), durCell(started.At)})
 	}
-	if re, ok := env.Log.First("app-relaunched"); ok {
+	if re, ok := env.Log.First(sift.LogAppRelaunched); ok {
 		rows = append(rows, []Cell{str("app restarted at (s)"), durCell(re.At)})
 	}
 	for _, d := range env.Log.AppDetections {
@@ -256,8 +256,12 @@ func Figure10(sc Scale) (*reesift.Result, error) {
 		envlp.Seq = 12345
 		k.SendExternal(env.ProcOf(sift.AIDFTM), envlp)
 		k.Run(10 * time.Second)
-		return env.Log.Count("failure-notification-aborted"),
-			env.Log.CountDetail("armor-recovery-initiated", phantom.String())
+		for _, e := range env.Log.All(sift.LogArmorRecoveryInitiated) {
+			if e.AID() == phantom {
+				recovered++
+			}
+		}
+		return env.Log.Count(sift.LogFailureNotificationAborted), recovered
 	}
 	legacyAborted, legacyRecovered := outcome(false)
 	// With the fix, the FTM registers ARMORs before install, so a

@@ -76,7 +76,7 @@ func TestPartitionDrivesNodeDeclaredFailed(t *testing.T) {
 		handles := r.deploy()
 		r.k.Run(cfg.Timeout)
 		r.finish(handles)
-		if r.res.Injected > 0 && r.env.Log.CountDetail("node-declared-failed", "node-a2") > 0 {
+		if r.res.Injected > 0 && declaredFailed(r.env.Log, "node-a2") {
 			declared = true
 		}
 		r.k.Shutdown()
@@ -173,4 +173,14 @@ func TestNodeCrashAgainstApplicationNodeRecovers(t *testing.T) {
 	if recovered == 0 {
 		t.Fatal("no node-crash run against an application node recovered")
 	}
+}
+
+// declaredFailed reports whether the FTM declared node failed.
+func declaredFailed(log *sift.EventLog, node string) bool {
+	for _, e := range log.All(sift.LogNodeDeclaredFailed) {
+		if e.Node() == node {
+			return true
+		}
+	}
+	return false
 }

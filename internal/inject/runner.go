@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"time"
@@ -511,22 +510,24 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 	// detection: corrupted node_mgmt data yields the default daemon ID
 	// of zero, the FTM sends to it unchecked, and the error is caught
 	// only at the daemon — after it has already escaped the FTM.
-	if env.Log.Count("invalid-destination") > 0 {
+	if env.Log.Count(sift.LogInvalidDestination) > 0 {
 		res.AssertionFired = true
 	}
 	// Recovery-subsystem observables: boot-agent daemon reinstalls and
 	// FTM migrations off its configured node.
-	res.DaemonReinstalls = env.Log.Count("daemon-reinstalled")
-	res.FTMMigrations = env.Log.Count("ftm-migrated")
+	res.DaemonReinstalls = env.Log.Count(sift.LogDaemonReinstalled)
+	res.FTMMigrations = env.Log.Count(sift.LogFTMMigrated)
 	// Epoch-reconciliation observables: superseded incarnations evicted
 	// (stand-downs) and stale-epoch rejections. A stood-down recoverer
 	// (FTM or Heartbeat ARMOR) marks a reconciled split brain.
-	res.StandDowns = env.Log.Count("armor-stood-down")
-	res.SupersededEpochs = env.Log.Count("install-refused-stale") +
-		env.Log.Count("stale-sender-dropped")
-	res.StaleRecovererStoodDown =
-		env.Log.CountDetail("armor-stood-down", sift.AIDFTM.String()+" ") > 0 ||
-			env.Log.CountDetail("armor-stood-down", sift.AIDHeartbeat.String()+" ") > 0
+	res.StandDowns = env.Log.Count(sift.LogArmorStoodDown)
+	res.SupersededEpochs = env.Log.Count(sift.LogInstallRefusedStale) +
+		env.Log.Count(sift.LogStaleSenderDropped)
+	for _, e := range env.Log.All(sift.LogArmorStoodDown) {
+		if id := e.AID(); id == sift.AIDFTM || id == sift.AIDHeartbeat {
+			res.StaleRecovererStoodDown = true
+		}
+	}
 
 	// Application measurements.
 	if len(handles) > 0 {
@@ -536,8 +537,8 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 		if h.Done {
 			res.Perceived = h.DoneAt - h.SubmittedAt
 		}
-		if start, ok := env.Log.First("app-started"); ok {
-			if end, ok2 := env.Log.Last("app-rank-exit"); ok2 {
+		if start, ok := env.Log.First(sift.LogAppStarted); ok {
+			if end, ok2 := env.Log.Last(sift.LogAppRankExit); ok2 {
 				res.Actual = end.At - start.At
 			}
 		}
@@ -551,14 +552,13 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 		if h.Done {
 			m.Perceived = h.DoneAt - h.SubmittedAt
 		}
-		tag := fmt.Sprintf("app=%d ", h.App.ID)
 		var startAt, endAt time.Duration
 		haveStart, haveEnd := false, false
 		for _, e := range env.Log.Entries {
-			if e.Kind == "app-started" && !haveStart && strings.HasPrefix(e.Detail, tag) {
+			if e.Kind == sift.LogAppStarted && !haveStart && e.App() == h.App.ID {
 				startAt, haveStart = e.At, true
 			}
-			if e.Kind == "app-rank-exit" && strings.HasPrefix(e.Detail, tag) {
+			if e.Kind == sift.LogAppRankExit && e.App() == h.App.ID {
 				endAt, haveEnd = e.At, true
 			}
 		}
@@ -586,21 +586,27 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 func (r *Runner) systemFailureMode() SystemFailureMode {
 	log := r.env.Log
 	nodes := len(r.env.Config().Nodes)
-	if log.Count("daemon-registered") < nodes {
+	if log.Count(sift.LogDaemonRegistered) < nodes {
 		return SysRegisterDaemons
 	}
 	ranks := 2
 	if len(r.cfg.Apps) > 0 {
 		ranks = r.cfg.Apps[0].Ranks
 	}
-	if log.CountDetail("armor-installed", "kind=Execution") < ranks {
+	execs := 0
+	for _, e := range log.All(sift.LogArmorInstalled) {
+		if e.ArmorKind() == sift.KindExecution {
+			execs++
+		}
+	}
+	if execs < ranks {
 		return SysInstallExecArmors
 	}
-	if _, started := log.First("app-started"); !started {
+	if _, started := log.First(sift.LogAppStarted); !started {
 		return SysStartApplication
 	}
 	// Did every rank of the final incarnation exit normally?
-	exits := log.Count("app-rank-exit")
+	exits := log.Count(sift.LogAppRankExit)
 	if exits >= ranks {
 		return SysUninstallAfterCompletion
 	}

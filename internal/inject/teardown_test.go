@@ -2,7 +2,6 @@ package inject
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -34,8 +33,8 @@ func runTrial(seed int64, crashAt time.Duration, node string) []install {
 	r.Finish(handles)
 	var done []install
 	for _, e := range r.Env().Log.Entries {
-		if e.Kind == "armor-installed" {
-			done = append(done, install{at: e.At, node: e.Detail[strings.LastIndex(e.Detail, "node=")+len("node="):]})
+		if e.Kind == sift.LogArmorInstalled {
+			done = append(done, install{at: e.At, node: e.Node()})
 		}
 	}
 	return done

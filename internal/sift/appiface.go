@@ -74,6 +74,9 @@ type AppContext struct {
 	stash []sim.Msg
 	// chanOpen is set once WaitChannelOpen has seen the ChannelOpen.
 	chanOpen bool
+	// progress is this rank's progress-indicator header, boxed once and
+	// shared by every update; the counter travels in the event itself.
+	progress *Progress
 
 	// Mem is the simulated memory image (register/text injection), nil
 	// when the application is not a target.
@@ -202,13 +205,12 @@ func (ac *AppContext) Step() {
 // is load-bearing for the paper's correlated failures: an application
 // trying to reach a recovering Execution ARMOR blocks here until the ARMOR
 // is back.
-func (ac *AppContext) sendReliableBlocking(dst core.AID, kind core.EventKind, data interface{}) {
+func (ac *AppContext) sendReliableBlocking(dst core.AID, ev core.Event) {
 	if ac.App.Standalone {
 		return
 	}
 	ac.seq++
-	env := core.NewMsg(ac.AID, dst, kind, data)
-	env.Seq = ac.seq
+	env := core.Envelope{Src: ac.AID, Dst: dst, Seq: ac.seq, Event: ev}
 	for {
 		// Boxed per attempt from the cluster's free list: the hops
 		// mutate what travels, and a retransmission must start from
@@ -295,25 +297,29 @@ func (ac *AppContext) RecvMatch(timeout time.Duration, pred func(sim.Msg) bool) 
 // ("the application must tell the Execution ARMOR at what frequency to
 // check for progress indicator updates").
 func (ac *AppContext) PICreate(period time.Duration) {
-	ac.sendReliableBlocking(ac.ExecAID, EvPICreate, PICreate{AppID: ac.App.ID, Rank: ac.Rank, Period: period})
+	ac.sendReliableBlocking(ac.ExecAID, core.Event{Kind: EvPICreate, Data: PICreate{AppID: ac.App.ID, Rank: ac.Rank, Period: period}})
 }
 
 // Progress sends one progress-indicator update. It blocks until the
-// Execution ARMOR acknowledges it.
+// Execution ARMOR acknowledges it. The update carries the rank's shared
+// Progress header and the counter inline, so it allocates nothing.
 func (ac *AppContext) Progress(counter uint64) {
-	ac.sendReliableBlocking(ac.ExecAID, EvProgress, Progress{AppID: ac.App.ID, Rank: ac.Rank, Counter: counter})
+	if ac.progress == nil {
+		ac.progress = &Progress{AppID: ac.App.ID, Rank: ac.Rank}
+	}
+	ac.sendReliableBlocking(ac.ExecAID, core.Event{Kind: EvProgress, Data: ac.progress, N: counter})
 }
 
 // NotifyExiting tells the Execution ARMOR the process is terminating
 // normally, so the exit is not misread as a crash (Section 3.3).
 func (ac *AppContext) NotifyExiting() {
-	ac.sendReliableBlocking(ac.ExecAID, EvAppExiting, AppExiting{AppID: ac.App.ID, Rank: ac.Rank})
+	ac.sendReliableBlocking(ac.ExecAID, core.Event{Kind: EvAppExiting, Data: AppExiting{AppID: ac.App.ID, Rank: ac.Rank}})
 }
 
 // SendPIDs reports the remotely launched ranks' PIDs to the FTM (Table 1,
 // step 6).
 func (ac *AppContext) SendPIDs(pids map[int]sim.PID) {
-	ac.sendReliableBlocking(AIDFTM, EvAppPIDs, AppPIDs{AppID: ac.App.ID, PIDs: pids})
+	ac.sendReliableBlocking(AIDFTM, core.Event{Kind: EvAppPIDs, Data: AppPIDs{AppID: ac.App.ID, PIDs: pids}})
 }
 
 // WaitChannelOpen blocks a non-rank-0 process until its Execution ARMOR

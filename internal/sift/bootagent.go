@@ -51,7 +51,7 @@ func (b *BootAgent) Run(p *sim.Proc) {
 	if n == nil || !n.Up() {
 		return
 	}
-	e.Log.Add(p.Now(), "boot-agent-started", b.node)
+	e.Log.addNode(p.Now(), LogBootAgentStarted, b.node)
 	// Loading the daemon image and forking it costs the same install
 	// delay as any daemon-driven process installation.
 	p.Sleep(e.cfg.InstallDelay)
@@ -72,7 +72,7 @@ func (b *BootAgent) Run(p *sim.Proc) {
 		}
 		p.Send(peer, boot)
 	}
-	e.Log.Add(p.Now(), "daemon-reinstalled", b.node)
+	e.Log.addNode(p.Now(), LogDaemonReinstalled, b.node)
 	p.Send(e.sccPID, BootReport{Node: b.node, DaemonAID: aid, Epoch: d.Epoch()})
 
 	// Remain resident as the node's init process.

@@ -1,8 +1,8 @@
 package sift
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"reesift/internal/core"
@@ -202,8 +202,7 @@ func (d *Daemon) forward(ctx *core.Ctx, env *core.Envelope) {
 //reesift:noalloc
 func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 	if !env.Dst.Valid() {
-		//reesift:allow noalloc -- escaped-error report: formats once per misaddressed envelope, never on a routable one
-		d.env.Log.Add(p.Now(), "invalid-destination", fmt.Sprintf("src=%s dst=0", env.Src))
+		d.env.Log.addArmor(p.Now(), LogInvalidDestination, env.Src)
 		d.env.boxes.Free(env)
 		return
 	}
@@ -221,7 +220,7 @@ func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 			return
 		}
 	}
-	d.env.Log.Add(p.Now(), "unroutable-destination", env.Dst.String())
+	d.env.Log.addArmor(p.Now(), LogUnroutableDestination, env.Dst)
 	d.env.boxes.Free(env)
 }
 
@@ -306,9 +305,8 @@ func (d *Daemon) location(ctx *core.Ctx, loc Location) {
 	d.armorEpoch[loc.ID] = loc.Epoch
 	d.armor.NotePeerEpoch(loc.ID, loc.Epoch)
 	if pid, ok := d.localPID[loc.ID]; ok && loc.Node != d.node.Name() && d.localEpoch[loc.ID] < loc.Epoch {
-		d.env.Log.Add(ctx.Now(), "armor-stood-down",
-			fmt.Sprintf("%s epoch=%d superseded-by=%d at %s (now on %s)",
-				loc.ID, d.localEpoch[loc.ID], loc.Epoch, d.node.Name(), loc.Node))
+		d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogArmorStoodDown, id: uint64(loc.ID), n: d.localEpoch[loc.ID],
+			ref: &logRef{s: d.node.Name(), s2: loc.Node, n2: loc.Epoch}})
 		d.expectedDeath[pid] = true
 		ctx.Proc.Kernel().Kill(pid, "superseded epoch")
 		delete(d.localPID, loc.ID)
@@ -326,11 +324,11 @@ func (d *Daemon) location(ctx *core.Ctx, loc Location) {
 func (d *Daemon) staleSender(ctx *core.Ctx, env core.Envelope) {
 	known := d.armor.PeerEpoch(env.Src)
 	if ins, ok := env.Event.Data.(InstallArmor); ok && env.Event.Kind == EvInstallArmor {
-		d.env.Log.Add(ctx.Now(), "install-refused-stale",
-			fmt.Sprintf("%s from stale %s epoch=%d<%d", ins.Spec.ID, env.Src, env.SrcEpoch, known))
+		d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogInstallRefusedStale, id: uint64(ins.Spec.ID), n: env.SrcEpoch,
+			flag: true, ref: &logRef{id2: env.Src, n2: known}})
 	}
-	d.env.Log.Add(ctx.Now(), "stale-sender-dropped",
-		fmt.Sprintf("%s epoch=%d<%d at %s", env.Src, env.SrcEpoch, known, d.node.Name()))
+	d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogStaleSenderDropped, id: uint64(env.Src), n: env.SrcEpoch,
+		flag: true, ref: &logRef{s: d.node.Name(), n2: known}})
 	ctx.SendUnreliable(AIDFTM, EvStaleSender,
 		StaleSender{ID: env.Src, SeenEpoch: env.SrcEpoch, KnownEpoch: known, Node: d.node.Name()})
 }
@@ -346,8 +344,8 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 		// A superseded recoverer replaying an old install (or a healed
 		// node's placement replay behind the FTM's epoch). Refuse, and
 		// report so the FTM re-broadcasts authoritative locations.
-		d.env.Log.Add(ctx.Now(), "install-refused-stale",
-			fmt.Sprintf("%s epoch=%d<%d node=%s", spec.ID, spec.Epoch, d.armorEpoch[spec.ID], d.node.Name()))
+		d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogInstallRefusedStale, id: uint64(spec.ID), n: spec.Epoch,
+			ref: &logRef{s: d.node.Name(), n2: d.armorEpoch[spec.ID]}})
 		ctx.SendUnreliable(AIDFTM, EvStaleSender,
 			StaleSender{ID: spec.ID, SeenEpoch: spec.Epoch, KnownEpoch: d.armorEpoch[spec.ID], Node: d.node.Name()})
 		return
@@ -370,7 +368,7 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 		d.armor.NotePeerEpoch(spec.ID, spec.Epoch)
 	}
 	d.env.registerArmorProc(spec, armor, pid, d.node.Name())
-	d.env.Log.Add(ctx.Now(), "armor-installed", fmt.Sprintf("%s kind=%s node=%s", spec.ID, spec.Kind, d.node.Name()))
+	d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogArmorInstalled, id: uint64(spec.ID), n: uint64(spec.Kind), ref: d.env.Log.intern(d.node.Name())})
 }
 
 // uninstall removes a local ARMOR cleanly (no failure notification) and
@@ -384,8 +382,8 @@ func (d *Daemon) uninstall(ctx *core.Ctx, id core.AID) {
 	ctx.Proc.Kernel().Kill(pid, "uninstall")
 	delete(d.localPID, id)
 	delete(d.localEpoch, id)
-	d.node.RAMDisk().Remove(fmt.Sprintf("ckpt/%d", uint64(id)))
-	d.env.Log.Add(ctx.Now(), "armor-uninstalled", id.String())
+	d.node.RAMDisk().Remove("ckpt/" + strconv.FormatUint(uint64(id), 10))
+	d.env.Log.addArmor(ctx.Now(), LogArmorUninstalled, id)
 }
 
 // childDied is the waitpid path: crash failures of local ARMORs are
@@ -404,7 +402,7 @@ func (d *Daemon) childDied(ctx *core.Ctx, ce sim.ChildExit) {
 		delete(d.expectedDeath, ce.Child)
 		return
 	}
-	d.env.Log.Add(ctx.Now(), "armor-crash-detected", fmt.Sprintf("%s reason=%q", aid, ce.Reason))
+	d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogArmorCrashDetected, id: uint64(aid), ref: d.env.Log.intern(ce.Reason)})
 	if aid != AIDFTM {
 		// FTM failures are detected *and acted on* solely by the
 		// Heartbeat ARMOR; the daemon's waitpid observation is not the
@@ -431,7 +429,7 @@ func (d *Daemon) ayaRound(ctx *core.Ctx) {
 			// No reply since last round: hang failure. Kill the
 			// process so its state is gone, then recover it.
 			pid := d.localPID[aid]
-			d.env.Log.Add(ctx.Now(), "armor-hang-detected", aid.String())
+			d.env.Log.addArmor(ctx.Now(), LogArmorHangDetected, aid)
 			if aid != AIDFTM {
 				d.env.Log.Detect(ctx.Now(), aid, "hang", true)
 			}

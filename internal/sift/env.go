@@ -1,8 +1,8 @@
 package sift
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"reesift/internal/core"
@@ -550,7 +550,7 @@ func (e *Environment) rankNode(app *AppSpec, rank int) string {
 func (e *Environment) launchApp(spawner *sim.Proc, app *AppSpec, rank, restart int) sim.PID {
 	nodeName := e.rankNode(app, rank)
 	node := e.K.Node(nodeName)
-	name := fmt.Sprintf("%s-r%d", app.Name, rank)
+	name := app.Name + "-r" + strconv.Itoa(rank)
 	var mem *memsim.Memory
 	if app.MemProfile != nil {
 		mem = memsim.New(e.K.Rand(), *app.MemProfile)
@@ -581,7 +581,7 @@ func (e *Environment) launchApp(spawner *sim.Proc, app *AppSpec, rank, restart i
 			e.Log.AppRecoveryDone(p.Now(), app.ID)
 		}
 		app.Launcher(ac)
-		e.Log.Add(p.Now(), "app-rank-exit", fmt.Sprintf("app=%d rank=%d restart=%d", app.ID, rank, restart))
+		e.Log.addApp(p.Now(), LogAppRankExit, app.ID, rank, uint64(restart))
 	}
 	var pid sim.PID
 	if spawner != nil {
@@ -622,11 +622,11 @@ func RunStandalone(k *sim.Kernel, app *AppSpec, startAt time.Duration) func() (t
 		env.launchApp(nil, app, 0, 0)
 	})
 	return func() (time.Duration, bool) {
-		exits = env.Log.Count("app-rank-exit")
+		exits = env.Log.Count(LogAppRankExit)
 		if exits < app.Ranks {
 			return 0, false
 		}
-		last, _ := env.Log.Last("app-rank-exit")
+		last, _ := env.Log.Last(LogAppRankExit)
 		endedAt = last.At
 		return endedAt - startedAt, true
 	}
@@ -681,20 +681,20 @@ func (s *sccProc) Run(p *sim.Proc) {
 			Epoch:     s.env.daemonEpoch[name],
 		})
 	}
-	s.env.Log.Add(p.Now(), "sift-initialized", "")
+	s.env.Log.add(LogEntry{At: p.Now(), Kind: LogSiftInitialized})
 	for {
 		m := s.nextMsg()
 		switch pl := m.Payload.(type) {
 		case sccSubmit:
 			h := s.env.handles[pl.App.ID]
 			h.SubmittedAt = p.Now()
-			s.env.Log.Add(p.Now(), "app-submit", fmt.Sprintf("app=%d", pl.App.ID))
+			s.env.Log.addApp(p.Now(), LogAppSubmit, pl.App.ID, 0, 0)
 			s.sendReliable(AIDFTM, EvSubmitApp, SubmitApp{App: pl.App})
 		case *core.Envelope:
 			s.handleEnvelope(*pl)
 			s.env.boxes.Free(pl)
 		case sim.NodeDown:
-			s.env.Log.Add(p.Now(), "node-down-observed", pl.Node)
+			s.env.Log.addNode(p.Now(), LogNodeDownObserved, pl.Node)
 		case sim.NodeUp:
 			s.nodeRestarted(pl.Node)
 		case BootReport:
@@ -714,7 +714,7 @@ func (s *sccProc) nodeRestarted(name string) {
 	if node == nil || !node.Up() {
 		return
 	}
-	s.env.Log.Add(s.proc.Now(), "node-restart-detected", name)
+	s.env.Log.addNode(s.proc.Now(), LogNodeRestartDetected, name)
 	agent := NewBootAgent(s.env, name)
 	s.proc.SpawnChild(node, "boot-"+name, agent.Run)
 }
@@ -758,7 +758,7 @@ func (s *sccProc) recoverNode(rep BootReport) {
 			// rejected at the epoch gate.
 			spec.Epoch++
 		}
-		s.env.Log.Add(s.proc.Now(), "armor-reregistered", fmt.Sprintf("%s node=%s", aid, rep.Node))
+		s.env.Log.add(LogEntry{At: s.proc.Now(), Kind: LogArmorReregistered, id: uint64(aid), ref: s.env.Log.intern(rep.Node)})
 		s.sendReliable(rep.DaemonAID, EvInstallArmor, InstallArmor{Spec: spec})
 	}
 	// Re-registration resumes the FTM's heartbeat rounds for the node
@@ -771,7 +771,7 @@ func (s *sccProc) recoverNode(rep BootReport) {
 		DaemonAID: rep.DaemonAID,
 		Epoch:     rep.Epoch,
 	})
-	s.env.Log.Add(s.proc.Now(), "daemon-reregistered", rep.Node)
+	s.env.Log.addNode(s.proc.Now(), LogDaemonReregistered, rep.Node)
 }
 
 // ftmRecovererAlive reports whether the Heartbeat ARMOR is in a state to
@@ -810,7 +810,7 @@ func (s *sccProc) handleEnvelope(env core.Envelope) {
 		h.Done = true
 		h.DoneAt = s.proc.Now()
 		h.Restarts = done.Restarts
-		s.env.Log.Add(s.proc.Now(), "scc-notified", fmt.Sprintf("app=%d restarts=%d", done.AppID, done.Restarts))
+		s.env.Log.addApp(s.proc.Now(), LogSCCNotified, done.AppID, 0, uint64(done.Restarts))
 		if s.env.AppDoneHook != nil {
 			s.env.AppDoneHook(done.AppID)
 		}

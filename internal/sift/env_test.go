@@ -61,11 +61,11 @@ func runUntilDone(k *sim.Kernel, env *Environment, h *AppHandle, limit time.Dura
 func TestEnvironmentInitializes(t *testing.T) {
 	k, env := newTestEnv(t, 1)
 	k.Run(10 * time.Second)
-	if _, ok := env.Log.First("sift-initialized"); !ok {
+	if _, ok := env.Log.First(LogSiftInitialized); !ok {
 		t.Fatal("SIFT environment did not initialize")
 	}
-	if env.Log.Count("daemon-registered") != 4 {
-		t.Fatalf("registered %d daemons, want 4", env.Log.Count("daemon-registered"))
+	if env.Log.Count(LogDaemonRegistered) != 4 {
+		t.Fatalf("registered %d daemons, want 4", env.Log.Count(LogDaemonRegistered))
 	}
 	if env.ProcOf(AIDFTM) == sim.NoPID || !k.Alive(env.ProcOf(AIDFTM)) {
 		t.Fatal("FTM not running")
@@ -98,8 +98,8 @@ func TestAppRunsToCompletion(t *testing.T) {
 		t.Fatalf("perceived time %v out of range", perceived)
 	}
 	// Both ranks exited normally.
-	if env.Log.Count("app-rank-exit") != 2 {
-		t.Fatalf("rank exits = %d, want 2", env.Log.Count("app-rank-exit"))
+	if env.Log.Count(LogAppRankExit) != 2 {
+		t.Fatalf("rank exits = %d, want 2", env.Log.Count(LogAppRankExit))
 	}
 }
 
@@ -110,11 +110,11 @@ func TestPerceivedExceedsActual(t *testing.T) {
 	if !runUntilDone(k, env, h, 5*time.Minute) {
 		t.Fatal("application did not complete")
 	}
-	started, ok := env.Log.First("app-started")
+	started, ok := env.Log.First(LogAppStarted)
 	if !ok {
 		t.Fatal("no app-started record")
 	}
-	ended, _ := env.Log.Last("app-rank-exit")
+	ended, _ := env.Log.Last(LogAppRankExit)
 	actual := ended.At - started.At
 	perceived, _ := h.PerceivedTime()
 	if perceived <= actual {
@@ -366,10 +366,10 @@ func TestNodeFailureMigratesHeartbeatArmor(t *testing.T) {
 	hbNode := env.Config().HeartbeatNode
 	k.Schedule(15*time.Second, func() { k.CrashNode(hbNode) })
 	k.Run(60 * time.Second)
-	if _, ok := env.Log.First("node-declared-failed"); !ok {
+	if _, ok := env.Log.First(LogNodeDeclaredFailed); !ok {
 		t.Fatal("FTM did not detect the node failure")
 	}
-	if _, ok := env.Log.First("armor-migrated"); !ok {
+	if _, ok := env.Log.First(LogArmorMigrated); !ok {
 		t.Fatal("Heartbeat ARMOR was not migrated")
 	}
 	newPID := env.ProcOf(AIDHeartbeat)
@@ -402,10 +402,10 @@ func TestFigure10RaceConditionLegacyBehaviour(t *testing.T) {
 		k.SendExternal(ftmPID, envlp)
 	})
 	k.Run(10 * time.Second)
-	if env.Log.Count("failure-notification-aborted") != 1 {
+	if env.Log.Count(LogFailureNotificationAborted) != 1 {
 		t.Fatal("legacy race: failure notification for unknown ARMOR should abort")
 	}
-	if env.Log.CountDetail("armor-recovery-initiated", AIDExec(9, 0).String()) != 0 {
+	if countAID(env.Log, LogArmorRecoveryInitiated, AIDExec(9, 0)) != 0 {
 		t.Fatal("unknown ARMOR must not be recovered")
 	}
 }
@@ -422,7 +422,7 @@ func TestInvalidDestinationDetectedAtDaemon(t *testing.T) {
 		k.SendExternal(daemonPID, core.Envelope{Src: AIDFTM, Dst: core.InvalidAID})
 	})
 	k.Run(7 * time.Second)
-	if env.Log.Count("invalid-destination") != 1 {
+	if env.Log.Count(LogInvalidDestination) != 1 {
 		t.Fatal("invalid destination not detected at the daemon")
 	}
 }

@@ -140,11 +140,11 @@ func (e *ExecElem) Handle(ctx *core.Ctx, ev core.Event) {
 			ctx.After(e.Name(), e.PIPeriod, piCheckTag{epoch: e.piEpoch})
 		}
 	case EvProgress:
-		pr, ok := ev.Data.(Progress)
+		pr, ok := ev.Data.(*Progress)
 		if !ok || pr.AppID != e.App.ID || pr.Rank != e.Rank {
 			return
 		}
-		e.Counter = pr.Counter
+		e.Counter = ev.N
 		if e.InterruptDriven && e.PICreated {
 			// The update interrupts the checking thread and resets
 			// its watchdog (Section 5.1).
@@ -198,9 +198,9 @@ func (e *ExecElem) launch(ctx *core.Ctx, la LaunchApp) {
 	e.AppPID = pid
 	e.Child = true
 	if la.Restart == 0 && e.Launched == 1 {
-		e.env.Log.Add(ctx.Now(), "app-started", fmt.Sprintf("app=%d pid=%d", e.App.ID, pid))
+		e.env.Log.addApp(ctx.Now(), LogAppStarted, e.App.ID, 0, uint64(pid))
 	} else {
-		e.env.Log.Add(ctx.Now(), "app-relaunched", fmt.Sprintf("app=%d restart=%d", e.App.ID, la.Restart))
+		e.env.Log.addApp(ctx.Now(), LogAppRelaunched, e.App.ID, 0, uint64(la.Restart))
 	}
 }
 
@@ -244,7 +244,7 @@ func (e *ExecElem) childExited(ctx *core.Ctx, ce sim.ChildExit) {
 		e.ExpectKill = false
 		return
 	}
-	e.env.Log.Add(ctx.Now(), "app-crash-detected", fmt.Sprintf("app=%d rank=%d reason=%q", e.App.ID, e.Rank, ce.Reason))
+	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppCrashDetected, id: uint64(e.App.ID), rank: int32(e.Rank), ref: e.env.Log.intern(ce.Reason)})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, ce.Reason, false)
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: ce.Reason})
 	e.AppPID = sim.NoPID
@@ -261,7 +261,7 @@ func (e *ExecElem) procPoll(ctx *core.Ctx) {
 	if ctx.Proc.Kernel().Alive(e.AppPID) {
 		return
 	}
-	e.env.Log.Add(ctx.Now(), "app-crash-detected", fmt.Sprintf("app=%d rank=%d reason=proc-table", e.App.ID, e.Rank))
+	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppCrashDetected, id: uint64(e.App.ID), rank: int32(e.Rank), flag: true})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "crash", false)
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: "crash"})
 	e.AppPID = sim.NoPID
@@ -289,7 +289,7 @@ func (e *ExecElem) watchdogFired(ctx *core.Ctx, tag watchdogTag) {
 		return
 	}
 	e.PICreated = false
-	e.env.Log.Add(ctx.Now(), "app-hang-detected", fmt.Sprintf("app=%d rank=%d counter=%d (watchdog)", e.App.ID, e.Rank, e.Counter))
+	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppHangDetected, id: uint64(e.App.ID), rank: int32(e.Rank), n: e.Counter, flag: true})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "hang", true)
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "watchdog expired"})
 }
@@ -316,7 +316,7 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 	}
 	// Hung: no progress across a full checking interval.
 	e.PICreated = false
-	e.env.Log.Add(ctx.Now(), "app-hang-detected", fmt.Sprintf("app=%d rank=%d counter=%d", e.App.ID, e.Rank, e.Counter))
+	e.env.Log.addApp(ctx.Now(), LogAppHangDetected, e.App.ID, e.Rank, e.Counter)
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "hang", true)
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"})
 }

@@ -198,13 +198,13 @@ func (e *NodeMgmtElem) register(ctx *core.Ctx, reg RegisterDaemon) {
 		}
 		e.ftm.ArmorInfo.recordArmor(reg.DaemonAID, KindDaemon, reg.Hostname, statusUp)
 		ctx.Touch(e.ftm.ArmorInfo)
-		e.ftm.env.Log.Add(ctx.Now(), "daemon-rebound", reg.Hostname)
+		e.ftm.env.Log.addNode(ctx.Now(), LogDaemonRebound, reg.Hostname)
 		return
 	}
 	e.Nodes = append(e.Nodes, nodeRec{Hostname: reg.Hostname, DaemonAID: reg.DaemonAID, Alive: true, Epoch: reg.Epoch})
 	e.ftm.ArmorInfo.recordArmor(reg.DaemonAID, KindDaemon, reg.Hostname, statusUp)
 	ctx.Touch(e.ftm.ArmorInfo)
-	e.ftm.env.Log.Add(ctx.Now(), "daemon-registered", reg.Hostname)
+	e.ftm.env.Log.addNode(ctx.Now(), LogDaemonRegistered, reg.Hostname)
 	if reg.Hostname == e.ftm.cfg.HeartbeatNode {
 		// Table 1, step 1c: install the Heartbeat ARMOR through this
 		// node's daemon.
@@ -236,7 +236,7 @@ func (e *NodeMgmtElem) heartbeatRound(ctx *core.Ctx) {
 			// "If the FTM does not receive a response by the next
 			// heartbeat round, it assumes that the node has failed."
 			n.Alive = false
-			e.ftm.env.Log.Add(ctx.Now(), "node-declared-failed", n.Hostname)
+			e.ftm.env.Log.addNode(ctx.Now(), LogNodeDeclaredFailed, n.Hostname)
 			e.ftm.recoverNode(ctx, n.Hostname)
 			continue
 		}
@@ -435,8 +435,8 @@ func (e *MgrArmorInfoElem) Handle(ctx *core.Ctx, ev core.Event) {
 		if !ok {
 			return
 		}
-		e.ftm.env.Log.Add(ctx.Now(), "stale-sender-reported",
-			fmt.Sprintf("%s epoch=%d<%d via %s", rep.ID, rep.SeenEpoch, rep.KnownEpoch, rep.Node))
+		e.ftm.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogStaleSenderReported, id: uint64(rep.ID), n: rep.SeenEpoch,
+			ref: &logRef{s: rep.Node, n2: rep.KnownEpoch}})
 		e.ftm.reconcile(ctx)
 	}
 }
@@ -498,7 +498,7 @@ func (e *MgrArmorInfoElem) markUp(ctx *core.Ctx, id core.AID) {
 	}
 	wasRecovering := r.Status == statusRecovering
 	r.Status = statusUp
-	e.ftm.env.Log.Add(ctx.Now(), "armor-up", id.String())
+	e.ftm.env.Log.addArmor(ctx.Now(), LogArmorUp, id)
 	if !wasRecovering {
 		e.ftm.onArmorInstalled(ctx, id)
 	}
@@ -510,7 +510,7 @@ func (e *MgrArmorInfoElem) recover(ctx *core.Ctx, fail ArmorFailed) {
 	if r == nil {
 		// Figure 10(b): no record of this ARMOR — the notification
 		// thread aborts and the ARMOR is never recovered.
-		e.ftm.env.Log.Add(ctx.Now(), "failure-notification-aborted", fail.ID.String())
+		e.ftm.env.Log.addArmor(ctx.Now(), LogFailureNotificationAborted, fail.ID)
 		return
 	}
 	r.Status = statusRecovering
@@ -524,7 +524,7 @@ func (e *MgrArmorInfoElem) recover(ctx *core.Ctx, fail ArmorFailed) {
 	// node_mgmt translation escapes here and is detected only by the
 	// FTM's local daemon as an invalid destination — too late.
 	ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: *spec})
-	e.ftm.env.Log.Add(ctx.Now(), "armor-recovery-initiated", fail.ID.String())
+	e.ftm.env.Log.addArmor(ctx.Now(), LogArmorRecoveryInitiated, fail.ID)
 }
 
 // Snapshot implements core.Element.
@@ -1030,7 +1030,8 @@ func (e *MgrAppDetectElem) appFailed(ctx *core.Ctx, fail AppFailed) {
 	}
 	r.Recovering = true
 	r.Completed = 0
-	e.ftm.env.Log.Add(ctx.Now(), "app-failure-reported", fmt.Sprintf("app=%d rank=%d hang=%v reason=%s", fail.AppID, fail.Rank, fail.Hang, fail.Reason))
+	e.ftm.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppFailureReported, id: uint64(fail.AppID), rank: int32(fail.Rank),
+		flag: fail.Hang, ref: e.ftm.env.Log.intern(fail.Reason)})
 	// Kill every rank, then relaunch through the rank-0 Execution ARMOR.
 	execs := e.ftm.ExecInfo.byApp(fail.AppID)
 	r.KillsLeft = 0
@@ -1071,7 +1072,7 @@ func (e *MgrAppDetectElem) killAck(ctx *core.Ctx, ack KillAppDone) {
 			ctx.Send(ex.ArmorID, EvLaunchApp, LaunchApp{AppID: ack.AppID, Restart: int(restarts)})
 		}
 	}
-	e.ftm.env.Log.Add(ctx.Now(), "app-restart-initiated", fmt.Sprintf("app=%d", ack.AppID))
+	e.ftm.env.Log.addApp(ctx.Now(), LogAppRestartInitiated, ack.AppID, 0, 0)
 }
 
 // Snapshot implements core.Element.
@@ -1214,7 +1215,7 @@ func (f *FTM) submit(ctx *core.Ctx, app *AppSpec) {
 	ctx.Touch(f.AppParam)
 	f.AppDetect.add(app.ID, app.Ranks)
 	ctx.Touch(f.AppDetect)
-	f.env.Log.Add(ctx.Now(), "app-submitted", fmt.Sprintf("app=%d name=%s", app.ID, app.Name))
+	f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppSubmitted, id: uint64(app.ID), ref: f.env.Log.intern(app.Name)})
 	for rank := 0; rank < app.Ranks; rank++ {
 		node := f.env.rankNode(app, rank)
 		aid := AIDExec(app.ID, rank)
@@ -1326,7 +1327,7 @@ func (f *FTM) finishApp(ctx *core.Ctx, app AppID) {
 	f.ExecInfo.removeApp(app)
 	ctx.Touch(f.ExecInfo)
 	ctx.Send(f.cfg.SCC, EvAppDone, AppDone{AppID: app, Restarts: int(restarts)})
-	f.env.Log.Add(ctx.Now(), "app-finished", fmt.Sprintf("app=%d restarts=%d", app, restarts))
+	f.env.Log.addApp(ctx.Now(), LogAppFinished, app, 0, uint64(restarts))
 }
 
 // rebuildSpec reconstructs the install spec for a failed subordinate,
@@ -1399,7 +1400,7 @@ func (f *FTM) recoverNode(ctx *core.Ctx, failed string) {
 		daemon := f.NodeMgmt.Translate(dst)
 		ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: *spec})
 		f.broadcastLocation(ctx, r.ID, dst, r.Epoch)
-		f.env.Log.Add(ctx.Now(), "armor-migrated", fmt.Sprintf("%s -> %s", r.ID, dst))
+		f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogArmorMigrated, id: uint64(r.ID), ref: f.env.Log.intern(dst)})
 	}
 }
 
@@ -1428,8 +1429,7 @@ func (f *FTM) initialEpoch() uint64 {
 // re-broadcast tells the stale incarnation's node who the authoritative
 // incarnations are so it evicts its stale locals.
 func (f *FTM) StaleSender(ctx *core.Ctx, env core.Envelope) {
-	f.env.Log.Add(ctx.Now(), "stale-sender-dropped",
-		fmt.Sprintf("%s epoch=%d at ftm", env.Src, env.SrcEpoch))
+	f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogStaleSenderDropped, id: uint64(env.Src), n: env.SrcEpoch})
 	f.reconcile(ctx)
 }
 
@@ -1445,7 +1445,7 @@ func (f *FTM) reconcile(ctx *core.Ctx) {
 		return
 	}
 	f.reconciledAt = ctx.Now()
-	f.env.Log.Add(ctx.Now(), "epoch-reconcile", "location re-broadcast")
+	f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogEpochReconcile})
 	send := func(id core.AID, node string, epoch uint64) {
 		for _, n := range f.NodeMgmt.Nodes {
 			ctx.SendUnreliable(n.DaemonAID, EvLocation, Location{ID: id, Node: node, Epoch: epoch})

@@ -137,7 +137,7 @@ func (e *HeartbeatElem) installAcked(ctx *core.Ctx, ack core.InstallAck) {
 	}
 	e.RetryEpoch++ // cancel the pending retry step
 	if site.Node != "" && site.Node != e.FTMNode && e.env != nil {
-		e.env.Log.Add(ctx.Now(), "ftm-migrated", fmt.Sprintf("%s -> %s", e.FTMNode, site.Node))
+		e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogFTMMigrated, ref: &logRef{s: e.FTMNode, s2: site.Node}})
 	}
 	if site.Node != "" {
 		e.FTMNode, e.FTMDaemon = site.Node, site.Daemon
@@ -147,7 +147,7 @@ func (e *HeartbeatElem) installAcked(ctx *core.Ctx, ack core.InstallAck) {
 	}
 	// Step two: restore the FTM's state from checkpoint.
 	if e.env != nil {
-		e.env.Log.Add(ctx.Now(), "ftm-restore-sent", "")
+		e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogFTMRestoreSent})
 	}
 	ctx.Send(AIDFTM, core.EventRestore, nil)
 	e.Recovering = false
@@ -176,7 +176,7 @@ func (e *HeartbeatElem) sendInstall(ctx *core.Ctx) {
 		Epoch:           e.FTMEpoch,
 	}
 	if e.env != nil {
-		e.env.Log.Add(ctx.Now(), "ftm-reinstall-attempt", site.Node)
+		e.env.Log.addNode(ctx.Now(), LogFTMReinstallAttempt, site.Node)
 	}
 	ctx.SendUnreliable(site.Daemon, EvInstallArmor, InstallArmor{Spec: spec})
 	e.RetryEpoch++
@@ -210,7 +210,7 @@ func (e *HeartbeatElem) poll(ctx *core.Ctx) {
 			e.FTMEpoch++
 		}
 		if e.env != nil {
-			e.env.Log.Add(ctx.Now(), "ftm-failure-detected", "")
+			e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogFTMFailureDetected})
 			// Classify by what actually happened to the FTM process:
 			// if it is still in the process table (suspended), this is
 			// a hang; if it is gone, a crash.

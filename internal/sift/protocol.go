@@ -19,6 +19,15 @@
 // The decoupling matters: it is why the environment recovers the paper's
 // correlated failures — the detectors of a failed pair are never part of
 // the pair.
+//
+// Every process records what it observes in the environment's EventLog.
+// An entry is typed: its LogKind comes from a closed list whose String
+// values are the kind names ("armor-installed", "chaos-beat", …), and it
+// holds values — the ARMOR or application, rank, node, counter or epoch —
+// not text. LogEntry.Detail renders the text when someone reads it; only a
+// traced log (EventLog.Sink set) renders it as the entry is added, so an
+// untraced entry costs no formatting. Readers count and find entries by
+// kind (Count is O(1)) and match the typed fields, never the text.
 package sift
 
 import (
@@ -61,7 +70,8 @@ const (
 	// application tells its Execution ARMOR at what period to check
 	// for progress. Data: PICreate.
 	EvPICreate core.EventKind = "sift.pi-create"
-	// EvProgress is a progress-indicator update. Data: Progress.
+	// EvProgress is a progress-indicator update. Data: *Progress; the
+	// counter is the event's N.
 	EvProgress core.EventKind = "sift.progress"
 	// EvAppExiting tells the Execution ARMOR the local application
 	// process is terminating normally (so the exit is not
@@ -221,12 +231,13 @@ type PICreate struct {
 	Period time.Duration
 }
 
-// Progress is one "I'm-alive" update carrying an application-defined
-// progress counter (e.g. a loop iteration count).
+// Progress is the header of a rank's "I'm-alive" updates. Each update
+// carries an application-defined progress counter (e.g. a loop iteration
+// count) as its event's N; the header itself is boxed once per process
+// and never changes.
 type Progress struct {
-	AppID   AppID
-	Rank    int
-	Counter uint64
+	AppID AppID
+	Rank  int
 }
 
 // AppExiting announces a normal termination of the local rank.

@@ -62,10 +62,10 @@ func TestBootAgentReplaysBootstrap(t *testing.T) {
 					t.Errorf("peer table entry %s: pid %d, want %d", host, after.DaemonPIDs[host], want)
 				}
 			}
-			if got := env.Log.Count("daemon-reinstalled"); got != 1 {
+			if got := env.Log.Count(LogDaemonReinstalled); got != 1 {
 				t.Errorf("daemon-reinstalled count = %d, want 1", got)
 			}
-			if got := env.Log.Count("daemon-rebound"); got != 1 {
+			if got := env.Log.Count(LogDaemonRebound); got != 1 {
 				t.Errorf("daemon-rebound count = %d, want 1", got)
 			}
 		})
@@ -85,7 +85,7 @@ func TestBootAgentDisabled(t *testing.T) {
 	if env.daemonPID["node-b1"] != old || k.Alive(old) {
 		t.Fatal("daemon reinstalled despite DisableBootAgent")
 	}
-	if got := env.Log.Count("daemon-reinstalled"); got != 0 {
+	if got := env.Log.Count(LogDaemonReinstalled); got != 0 {
 		t.Fatalf("daemon-reinstalled count = %d, want 0", got)
 	}
 }
@@ -121,10 +121,10 @@ func TestFTMMigrationLandsOnEachSurvivingNode(t *testing.T) {
 			if pid == sim.NoPID || !k.Alive(pid) {
 				t.Fatal("migrated FTM not alive")
 			}
-			if got := env.Log.Count("ftm-migrated"); got != 1 {
+			if got := env.Log.Count(LogFTMMigrated); got != 1 {
 				t.Fatalf("ftm-migrated count = %d, want 1", got)
 			}
-			if env.Log.Count("ftm-restore-sent") == 0 {
+			if env.Log.Count(LogFTMRestoreSent) == 0 {
 				t.Fatal("two-step recovery never sent the restore command")
 			}
 		})
@@ -153,7 +153,7 @@ func TestNodeCrashOnApplicationNodeSurvives(t *testing.T) {
 	if h.Restarts == 0 {
 		t.Fatal("application completed without a restart — the crash never bit")
 	}
-	if env.Log.Count("daemon-reinstalled") == 0 {
+	if env.Log.Count(LogDaemonReinstalled) == 0 {
 		t.Fatal("boot agent never reinstalled the daemon")
 	}
 }
@@ -180,7 +180,7 @@ func TestSCCReinstallsFTMWhenRecovererIsDeaf(t *testing.T) {
 	if node := env.placementNode(AIDFTM); node != "node-a1" {
 		t.Fatalf("FTM on %q, want node-a1 (SCC reinstall in place)", node)
 	}
-	if env.Log.CountDetail("armor-reregistered", fmt.Sprintf("%s ", AIDFTM)) == 0 {
+	if countAID(env.Log, LogArmorReregistered, AIDFTM) == 0 {
 		t.Fatal("no armor-reregistered record for the FTM")
 	}
 }
@@ -193,7 +193,7 @@ func tailLog(env *Environment, n int) []string {
 	}
 	out := make([]string, 0, len(entries))
 	for _, e := range entries {
-		out = append(out, fmt.Sprintf("%.1fs %s %s", e.At.Seconds(), e.Kind, e.Detail))
+		out = append(out, fmt.Sprintf("%.1fs %s %s", e.At.Seconds(), e.Kind, e.Detail()))
 	}
 	return out
 }

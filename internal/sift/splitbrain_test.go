@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"reesift/internal/core"
 	"reesift/internal/sim"
 )
 
@@ -35,6 +36,17 @@ func splitBrainConfig() EnvConfig {
 	return cfg
 }
 
+// countAID counts the entries of a kind about one ARMOR.
+func countAID(l *EventLog, kind LogKind, id core.AID) int {
+	n := 0
+	for _, e := range l.All(kind) {
+		if e.AID() == id {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSplitBrainStaleRecovererStandsDown: with incarnation epochs (the
 // default), a healed one-sided partition's duplicate Heartbeat ARMOR is
 // reconciled — its replayed FTM recovery is refused cluster-wide and the
@@ -49,22 +61,22 @@ func TestSplitBrainStaleRecovererStandsDown(t *testing.T) {
 	k.Schedule(30*time.Second, func() { partitionOneSided(k, hbNode, 15*time.Second) })
 	k.Run(3 * time.Minute)
 
-	if _, ok := env.Log.First("node-declared-failed"); !ok {
+	if _, ok := env.Log.First(LogNodeDeclaredFailed); !ok {
 		t.Fatal("FTM never declared the partitioned node failed")
 	}
-	if n := env.Log.CountDetail("armor-migrated", AIDHeartbeat.String()+" "); n == 0 {
+	if n := countAID(env.Log, LogArmorMigrated, AIDHeartbeat); n == 0 {
 		t.Fatal("Heartbeat ARMOR was not migrated off the partitioned node")
 	}
 	// The stale incarnation's false FTM recovery must be refused, not
 	// obeyed: the live FTM is never reinstalled.
-	if n := env.Log.CountDetail("install-refused-stale", AIDFTM.String()+" "); n == 0 {
+	if n := countAID(env.Log, LogInstallRefusedStale, AIDFTM); n == 0 {
 		t.Fatal("stale Heartbeat ARMOR's replayed FTM install was never refused")
 	}
-	if n := env.Log.CountDetail("armor-installed", AIDFTM.String()+" "); n != 1 {
+	if n := countAID(env.Log, LogArmorInstalled, AIDFTM); n != 1 {
 		t.Fatalf("FTM installed %d times; the stale recoverer's false recovery went through", n)
 	}
 	// The superseded incarnation stands down on its own node.
-	if n := env.Log.CountDetail("armor-stood-down", AIDHeartbeat.String()+" "); n != 1 {
+	if n := countAID(env.Log, LogArmorStoodDown, AIDHeartbeat); n != 1 {
 		t.Fatalf("stood-down count = %d, want 1 (the stale Heartbeat ARMOR)", n)
 	}
 	// Exactly one live Heartbeat ARMOR remains, off the partitioned node.
@@ -93,19 +105,19 @@ func TestSplitBrainWithoutEpochsLoops(t *testing.T) {
 	k.Schedule(30*time.Second, func() { partitionOneSided(k, hbNode, 15*time.Second) })
 	k.Run(3 * time.Minute)
 
-	if _, ok := env.Log.First("node-declared-failed"); !ok {
+	if _, ok := env.Log.First(LogNodeDeclaredFailed); !ok {
 		t.Fatal("FTM never declared the partitioned node failed")
 	}
 	// Nothing stands down and nothing is refused: epochs are off.
-	if n := env.Log.Count("armor-stood-down"); n != 0 {
+	if n := env.Log.Count(LogArmorStoodDown); n != 0 {
 		t.Fatalf("stood-down count = %d with epochs disabled", n)
 	}
-	if n := env.Log.Count("install-refused-stale"); n != 0 {
+	if n := env.Log.Count(LogInstallRefusedStale); n != 0 {
 		t.Fatalf("stale-install refusals = %d with epochs disabled", n)
 	}
 	// The stale Heartbeat ARMOR falsely re-recovers the live FTM: the
 	// FTM is reinstalled at least once after the initial deployment.
-	if n := env.Log.CountDetail("armor-installed", AIDFTM.String()+" "); n < 2 {
+	if n := countAID(env.Log, LogArmorInstalled, AIDFTM); n < 2 {
 		t.Fatalf("FTM installed %d times; expected the stale recoverer's false re-recovery", n)
 	}
 }

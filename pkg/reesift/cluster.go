@@ -18,6 +18,21 @@ type AppSpec = sift.AppSpec
 // AppHandle tracks one submission from the SCC's point of view.
 type AppHandle = sift.AppHandle
 
+// LogKind names what an entry of the cluster's event log (Cluster.Log)
+// records; its String is the kind's name in rendered text and traces.
+type LogKind = sift.LogKind
+
+// Log kinds for reading a cluster's timeline: Log().First, Last, Count
+// and All take one.
+const (
+	// LogSiftInitialized: the environment finished installing.
+	LogSiftInitialized = sift.LogSiftInitialized
+	// LogAppStarted: an application's first launch.
+	LogAppStarted = sift.LogAppStarted
+	// LogAppRankExit: one application rank returned.
+	LogAppRankExit = sift.LogAppRankExit
+)
+
 // Cluster is a running simulated REE cluster with the SIFT environment
 // installed: one daemon per node, the FTM, and the Heartbeat ARMOR. All
 // construction goes through NewCluster.

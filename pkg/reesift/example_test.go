@@ -33,8 +33,8 @@ func ExampleNewCluster() {
 		return
 	}
 	perceived, _ := handle.PerceivedTime()
-	started, _ := c.Log().First("app-started")
-	ended, _ := c.Log().Last("app-rank-exit")
+	started, _ := c.Log().First(reesift.LogAppStarted)
+	ended, _ := c.Log().Last(reesift.LogAppRankExit)
 
 	fmt.Println("REE SIFT quickstart: Mars Rover texture analysis on a 4-node cluster")
 	fmt.Printf("  submitted at        %8.2f s (virtual)\n", handle.SubmittedAt.Seconds())

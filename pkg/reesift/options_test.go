@@ -188,7 +188,7 @@ func TestClusterRunsRoverSubmission(t *testing.T) {
 	if p, ok := h.PerceivedTime(); !ok || p <= 0 {
 		t.Fatalf("perceived time = %v, ok=%v", p, ok)
 	}
-	if c.Log().Count("sift-initialized") != 1 {
+	if c.Log().Count(LogSiftInitialized) != 1 {
 		t.Fatal("SIFT environment never initialized")
 	}
 }
