@@ -2,28 +2,14 @@
 // determinism, seed-discipline, trace-guard, and zero-alloc contracts
 // that the simulator's reproducibility claims rest on.
 //
-// Two modes:
-//
-//	reesiftvet [packages]          standalone, defaults to ./...
-//	go vet -vettool=$(which reesiftvet) ./...
-//
-// The second form speaks cmd/go's unitchecker protocol: go vet invokes
-// the tool once per package with a JSON *.cfg describing the compiled
-// unit, and caches results keyed on the tool's -V=full fingerprint.
+//	reesiftvet [-json] [packages]    defaults to ./...
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
-	"strings"
 
 	"reesift/internal/analysis"
 	"reesift/internal/analysis/detrand"
@@ -39,73 +25,18 @@ var analyzers = []*analysis.Analyzer{
 	noalloc.Analyzer,
 }
 
-var (
-	versionFlag = flag.String("V", "", "print version and exit (cmd/go protocol)")
-	flagsFlag   = flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go protocol)")
-	jsonFlag    = flag.Bool("json", false, "emit JSON output")
-)
+var jsonFlag = flag.Bool("json", false, "emit JSON output")
 
+// main loads the matched packages through the module-aware loader and
+// prints every surviving finding. Exit status 1 means findings, 2 means
+// the run itself failed.
 func main() {
-	progname := "reesiftvet"
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [packages]\n", progname)
-		fmt.Fprintf(os.Stderr, "   or: go vet -vettool=/path/to/%s [packages]\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: reesiftvet [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	// cmd/go fingerprints the tool for its action cache by running it
-	// with -V=full; the reply must be one line of the form
-	// "name version ...".
-	if *versionFlag != "" {
-		if *versionFlag != "full" {
-			fmt.Printf("%s version devel\n", progname)
-			os.Exit(0)
-		}
-		f, err := os.Open(os.Args[0])
-		if err != nil {
-			fatalf("%v", err)
-		}
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			fatalf("%v", err)
-		}
-		f.Close()
-		fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, string(h.Sum(nil)))
-		os.Exit(0)
-	}
-
-	// cmd/go interrogates the tool's flags so it can validate and
-	// forward the ones the user passed to `go vet`.
-	if *flagsFlag {
-		type jsonFlagDef struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		defs := []jsonFlagDef{{Name: "json", Bool: true, Usage: "emit JSON output"}}
-		data, err := json.Marshal(defs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		os.Exit(0)
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitCheck(args[0])
-		return
-	}
-	standalone(args)
-}
-
-// standalone loads the matched packages through the module-aware loader
-// and prints every surviving finding. Exit status 1 means findings,
-// 2 means the run itself failed.
-func standalone(patterns []string) {
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.Load(".", flag.Args()...)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -114,130 +45,30 @@ func standalone(patterns []string) {
 		fatalf("%v", err)
 	}
 	if *jsonFlag {
-		printJSON("", findings)
-	} else {
-		for _, f := range findings {
-			fmt.Println(f.String())
-		}
-	}
-	if len(findings) > 0 && !*jsonFlag {
-		os.Exit(1)
-	}
-}
-
-// unitConfig is the JSON unit description cmd/go hands a vettool. The
-// field set mirrors unitchecker.Config in golang.org/x/tools.
-type unitConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitCheck analyzes a single compilation unit under the go vet
-// protocol: typecheck from the cfg's file lists and export-data maps,
-// run the analyzers, report diagnostics, and write the (empty) facts
-// file cmd/go expects so the result is cacheable.
-func unitCheck(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatalf("parsing %s: %v", cfgFile, err)
-	}
-	if cfg.VetxOutput != "" {
-		// None of our analyzers export facts; an empty vetx satisfies
-		// the cache contract.
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0666); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if cfg.VetxOnly {
-		return // dependency visited only for facts
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return
-			}
-			fatalf("%v", err)
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-
-	pkg, err := analysis.CheckFiles(fset, imp, cfg.ImportPath, cfg.Dir, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fatalf("%v", err)
-	}
-
-	findings, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *jsonFlag {
-		printJSON(cfg.ID, findings)
+		printJSON(findings)
 		return
 	}
 	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f.String())
+		fmt.Println(f.String())
 	}
 	if len(findings) > 0 {
-		os.Exit(2)
+		os.Exit(1)
 	}
 }
 
 // printJSON emits diagnostics in go vet's -json framing:
 // {pkgID: {analyzer: [{posn, message}]}} on stdout, exit 0.
-func printJSON(pkgID string, findings []analysis.Finding) {
+func printJSON(findings []analysis.Finding) {
 	type jsonDiagnostic struct {
 		Posn    string `json:"posn"`
 		Message string `json:"message"`
 	}
 	tree := make(map[string]map[string][]jsonDiagnostic)
 	for _, f := range findings {
-		id := pkgID
-		if id == "" {
-			id = f.Pkg.ImportPath
-		}
-		byAnalyzer := tree[id]
+		byAnalyzer := tree[f.Pkg.ImportPath]
 		if byAnalyzer == nil {
 			byAnalyzer = make(map[string][]jsonDiagnostic)
-			tree[id] = byAnalyzer
+			tree[f.Pkg.ImportPath] = byAnalyzer
 		}
 		byAnalyzer[f.Analyzer.Name] = append(byAnalyzer[f.Analyzer.Name], jsonDiagnostic{
 			Posn:    f.Position().String(),

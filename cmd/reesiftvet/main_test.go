@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,41 +17,6 @@ func buildTool(t *testing.T) string {
 		t.Fatalf("building reesiftvet: %v\n%s", err, out)
 	}
 	return bin
-}
-
-func TestProtocolHandshake(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool binary")
-	}
-	bin := buildTool(t)
-
-	// -V=full must answer with the one-line fingerprint cmd/go hashes
-	// into its action cache key.
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	line := strings.TrimSpace(string(out))
-	if !strings.HasPrefix(line, "reesiftvet version ") || !strings.Contains(line, "buildID=") {
-		t.Errorf("-V=full output %q: want \"reesiftvet version ... buildID=...\"", line)
-	}
-	if strings.Count(string(out), "\n") != 1 {
-		t.Errorf("-V=full must print exactly one line, got %q", out)
-	}
-
-	// -flags must answer with a JSON array of flag definitions.
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	var defs []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(out, &defs); err != nil {
-		t.Fatalf("-flags output is not a JSON flag list: %v\n%s", err, out)
-	}
 }
 
 func TestStandaloneCleanPackage(t *testing.T) {

@@ -73,6 +73,17 @@ func RunWithFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths 
 	}
 }
 
+// Load parses and type-checks one fixture package, for tests of what an
+// analyzer's package exports besides its diagnostics.
+func Load(t *testing.T, testdata, pkgPath string) *analysis.Package {
+	t.Helper()
+	pkg, err := loadFixture(testdata, pkgPath)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", pkgPath, err)
+	}
+	return pkg
+}
+
 // loadFixture parses and type-checks one fixture package.
 func loadFixture(testdata, pkgPath string) (*analysis.Package, error) {
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))

@@ -9,9 +9,9 @@ import (
 
 // Annotated lists the functions of pkg that carry the directive, sorted,
 // as "Name" for a function and "Recv.Name" for a method (a pointer
-// receiver without its star). The runtime half of the contract
-// (noalloctest.Verify) holds this list against a package's table of
-// measured checks.
+// receiver without its star, a generic receiver without its type
+// parameters). The runtime half of the contract (noalloctest.Verify)
+// holds this list against a package's table of measured checks.
 func Annotated(pkg *analysis.Package) []string {
 	var names []string
 	for _, file := range pkg.Files {
@@ -25,6 +25,12 @@ func Annotated(pkg *analysis.Package) []string {
 				recv := fd.Recv.List[0].Type
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
+				}
+				switch generic := recv.(type) {
+				case *ast.IndexExpr:
+					recv = generic.X
+				case *ast.IndexListExpr:
+					recv = generic.X
 				}
 				if id, ok := recv.(*ast.Ident); ok {
 					name = id.Name + "." + name

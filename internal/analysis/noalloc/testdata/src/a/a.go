@@ -79,6 +79,24 @@ func closureReturnChecksOwnSignature(x int) {
 	_ = f
 }
 
+// Table and Pair have generic receivers: the contract applies to their
+// methods, and Annotated names them without type parameters.
+type Table[R any] struct{ recs []R }
+
+//reesift:noalloc
+func (t *Table[R]) Len() int {
+	fmt.Println(len(t.recs)) // want `fmt.Println allocates`
+	return len(t.recs)
+}
+
+type Pair[K comparable, V any] struct {
+	k K
+	v V
+}
+
+//reesift:noalloc
+func (p Pair[K, V]) Key() K { return p.k }
+
 // unannotated is outside the contract: nothing is flagged.
 func unannotated(x int) string {
 	return fmt.Sprint(x, "ok")

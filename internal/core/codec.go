@@ -73,25 +73,24 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 // PutU64 appends an unsigned 64-bit field.
 //
 //reesift:noalloc
-func (e *Encoder) PutU64(v uint64) {
-	e.buf = append(e.buf, byte(tagU64))
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *Encoder) PutU64(v uint64) { e.word(tagU64, v) }
 
 // PutI64 appends a signed 64-bit field.
 //
 //reesift:noalloc
-func (e *Encoder) PutI64(v int64) {
-	e.buf = append(e.buf, byte(tagI64))
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-}
+func (e *Encoder) PutI64(v int64) { e.word(tagI64, uint64(v)) }
 
 // PutF64 appends a float64 field.
 //
 //reesift:noalloc
-func (e *Encoder) PutF64(v float64) {
-	e.buf = append(e.buf, byte(tagF64))
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+func (e *Encoder) PutF64(v float64) { e.word(tagF64, math.Float64bits(v)) }
+
+// word appends a tag and an 8-byte little-endian value in one append.
+//
+//reesift:noalloc
+func (e *Encoder) word(tag fieldTag, v uint64) {
+	e.buf = append(e.buf, byte(tag), byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // PutBool appends a boolean field.
@@ -109,8 +108,8 @@ func (e *Encoder) PutBool(v bool) {
 //
 //reesift:noalloc
 func (e *Encoder) PutString(s string) {
-	e.buf = append(e.buf, byte(tagString))
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(s)))
+	n := len(s)
+	e.buf = append(e.buf, byte(tagString), byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	e.buf = append(e.buf, s...)
 }
 

@@ -12,7 +12,7 @@ import (
 // contract for this package: the scenarios below must run at zero
 // allocations, and every annotated function must be named by one.
 func TestNoallocRuntime(t *testing.T) {
-	noalloctest.Verify(t, []noalloctest.Check{encoderCheck(), checkpointCheck(), armorRoundCheck(t)})
+	noalloctest.Verify(t, []noalloctest.Check{encoderCheck(), schemaCheck(), checkpointCheck(), armorRoundCheck(t)})
 }
 
 // encoderCheck re-encodes one record of every field type into a
@@ -22,7 +22,7 @@ func encoderCheck() noalloctest.Check {
 	blob := make([]byte, 24)
 	return noalloctest.Check{
 		Name: "scratch encoder",
-		Covers: []string{"Encoder.Reset", "Encoder.Bytes", "Encoder.PutU64", "Encoder.PutI64",
+		Covers: []string{"Encoder.Reset", "Encoder.Bytes", "Encoder.word", "Encoder.PutU64", "Encoder.PutI64",
 			"Encoder.PutF64", "Encoder.PutBool", "Encoder.PutString", "Encoder.PutBytes"},
 		Run: func() {
 			e.Reset()
@@ -34,6 +34,20 @@ func encoderCheck() noalloctest.Check {
 			e.PutBytes(blob)
 			if len(e.Bytes()) == 0 {
 				panic("empty encoding")
+			}
+		},
+	}
+}
+
+// schemaCheck re-encodes an element whose Snapshot its Schema derives.
+func schemaCheck() noalloctest.Check {
+	e := newProbe()
+	return noalloctest.Check{
+		Name:   "schema snapshot",
+		Covers: []string{"Schema.Snapshot"},
+		Run: func() {
+			if len(e.Snapshot()) == 0 {
+				panic("empty snapshot")
 			}
 		},
 	}

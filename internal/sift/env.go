@@ -425,7 +425,7 @@ func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 		cfg.Elements = append(f.Elements(), &submitElem{ftm: f})
 		cfg.OnStaleSender = f.StaleSender
 	case KindHeartbeat:
-		cfg.Elements = []core.Element{&HeartbeatElem{
+		cfg.Elements = []core.Element{core.Checkpointed(&HeartbeatElem{
 			env:       e,
 			FTMNode:   e.cfg.FTMNode,
 			FTMDaemon: e.DaemonAID(e.cfg.FTMNode),
@@ -435,14 +435,14 @@ func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 			// installed (an AutoRestore reinstall overrides this from
 			// checkpoint).
 			FTMEpoch: e.ftmEpochNow(),
-		}}
+		})}
 	case KindExecution:
-		cfg.Elements = []core.Element{&ExecElem{
+		cfg.Elements = []core.Element{core.Checkpointed(&ExecElem{
 			env:             e,
 			App:             spec.App,
 			Rank:            spec.Rank,
 			InterruptDriven: spec.App != nil && spec.App.InterruptPI,
-		}}
+		})}
 	default:
 		cfg.Elements = nil
 	}

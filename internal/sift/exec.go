@@ -15,6 +15,7 @@ import (
 // progress-indicator polling (Figure 6), and notifies the FTM of
 // application failures.
 type ExecElem struct {
+	core.Schema[ExecElem, *ExecElem]
 	env *Environment
 
 	App  *AppSpec
@@ -64,8 +65,6 @@ type ExecElem struct {
 	watchdogEpoch int64
 
 	pollPeriod time.Duration
-
-	enc core.Encoder // Snapshot scratch
 }
 
 type piCheckTag struct{ epoch int64 }
@@ -321,66 +320,29 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"})
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *ExecElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(e.App.ID))
-	enc.PutI64(int64(e.Rank))
-	enc.PutU64(uint64(e.AppPID))
-	enc.PutBool(e.Child)
-	enc.PutI64(e.Launched)
-	enc.PutBool(e.NormalExit)
-	enc.PutBool(e.ExpectKill)
-	enc.PutBool(e.Completed)
-	enc.PutBool(e.PICreated)
-	enc.PutI64(int64(e.PIPeriod))
-	enc.PutU64(e.Counter)
-	enc.PutU64(e.PrevCounter)
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *ExecElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	app := d.U64()
-	rank := d.I64()
-	appPID := d.U64()
-	_ = d.Bool() // Child: never restored — see below
-	launched := d.I64()
-	normalExit := d.Bool()
-	expectKill := d.Bool()
-	completed := d.Bool()
-	piCreated := d.Bool()
-	piPeriod := time.Duration(d.I64())
-	counter := d.U64()
-	prev := d.U64()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if app != uint64(e.App.ID) || rank != int64(e.Rank) {
-		return fmt.Errorf("app_mon: checkpoint for app %d rank %d, armor bound to app %d rank %d: %w",
-			app, rank, e.App.ID, e.Rank, core.ErrCorrupt)
-	}
-	e.AppPID = sim.PID(appPID)
-	// The recovered process is not the application's parent; fall back
-	// to process-table polling even for rank 0.
-	e.Child = false
-	e.Launched = launched
-	e.NormalExit = normalExit
-	e.ExpectKill = expectKill
-	e.Completed = completed
-	e.PICreated = piCreated
-	e.PIPeriod = piPeriod
-	e.Counter, e.PrevCounter = counter, prev
-	return nil
+// fields is app_mon's record layout. The application and rank the ARMOR
+// was installed for are binding keys: a checkpoint taken for another
+// binding is refused as corrupt.
+func (e *ExecElem) Fields(c *core.Codec) {
+	core.BindU64(c, "app", uint64(e.App.ID))
+	core.BindI64(c, "rank", int64(e.Rank))
+	core.U64(c, &e.AppPID, core.Heap(0, "appPID", 16))
+	// The recovered process is not the application's parent; it falls
+	// back to process-table polling even for rank 0.
+	core.Dropped(c, &e.Child)
+	core.I64(c, &e.Launched, core.Heap(3, "launched", 8))
+	core.Bool(c, &e.NormalExit)
+	core.Bool(c, &e.ExpectKill)
+	core.Bool(c, &e.Completed)
+	core.Bool(c, &e.PICreated)
+	core.I64(c, &e.PIPeriod, core.Heap(2, "piPeriod", 48))
+	core.U64(c, &e.Counter, core.Heap(1, "counter", 32))
+	core.U64(c, &e.PrevCounter)
 }
 
 // Check implements core.Element.
 func (e *ExecElem) Check() error {
-	if e.Rank < 0 || e.Rank >= 64 {
+	if e.Rank < 0 || e.Rank >= MaxRanks {
 		return fmt.Errorf("rank %d out of range", e.Rank)
 	}
 	if e.Launched < 0 || e.Launched > 10000 {
@@ -392,37 +354,4 @@ func (e *ExecElem) Check() error {
 	return nil
 }
 
-// HeapFields implements core.HeapInjectable.
-func (e *ExecElem) HeapFields() []core.HeapField {
-	return []core.HeapField{
-		{
-			Name: "app_mon.appPID",
-			Bits: 16,
-			Get:  func() uint64 { return uint64(e.AppPID) },
-			Set:  func(v uint64) { e.AppPID = sim.PID(v) },
-		},
-		{
-			Name: "app_mon.counter",
-			Bits: 32,
-			Get:  func() uint64 { return e.Counter },
-			Set:  func(v uint64) { e.Counter = v },
-		},
-		{
-			Name: "app_mon.piPeriod",
-			Bits: 48,
-			Get:  func() uint64 { return uint64(e.PIPeriod) },
-			Set:  func(v uint64) { e.PIPeriod = time.Duration(v) },
-		},
-		{
-			Name: "app_mon.launched",
-			Bits: 8,
-			Get:  func() uint64 { return uint64(e.Launched) },
-			Set:  func(v uint64) { e.Launched = int64(v) },
-		},
-	}
-}
-
-var (
-	_ core.Starter        = (*ExecElem)(nil)
-	_ core.HeapInjectable = (*ExecElem)(nil)
-)
+var _ core.Starter = (*ExecElem)(nil)

@@ -35,6 +35,18 @@ func AIDApp(app AppID, rank int) core.AID {
 	return core.AID(5000 + 100*uint64(app) + uint64(rank))
 }
 
+// Limits of the checkpointed records. Restore rejects a table longer than
+// its bound as corrupt, Check asserts the per-record ranges, and the
+// façade refuses a cluster or an application that would cross them.
+const (
+	MaxNodes    = 1024 // node_mgmt records: the cluster's nodes
+	MaxHostname = 64   // bytes in a hostname
+	MaxRanks    = 64   // ranks of an application: one bit each in mgr_app_detect's masks
+	MaxAppNodes = 64   // node hints of an application
+	MaxApps     = 1024 // app_param and mgr_app_detect records
+	MaxArmors   = 4096 // mgr_armor_info and exec_armor_info records
+)
+
 // Armor status values tracked in mgr_armor_info.
 const (
 	statusInstalling int64 = iota + 1
@@ -94,11 +106,11 @@ func NewFTM(env *Environment, cfg FTMConfig) *FTM {
 		cfg.SCC = AIDSCC
 	}
 	f := &FTM{env: env, cfg: cfg}
-	f.NodeMgmt = &NodeMgmtElem{ftm: f}
-	f.ArmorInfo = &MgrArmorInfoElem{ftm: f}
-	f.ExecInfo = &ExecArmorInfoElem{ftm: f}
-	f.AppParam = &AppParamElem{ftm: f}
-	f.AppDetect = &MgrAppDetectElem{ftm: f}
+	f.NodeMgmt = core.Checkpointed(&NodeMgmtElem{ftm: f})
+	f.ArmorInfo = core.Checkpointed(&MgrArmorInfoElem{ftm: f})
+	f.ExecInfo = core.Checkpointed(&ExecArmorInfoElem{ftm: f})
+	f.AppParam = core.Checkpointed(&AppParamElem{ftm: f})
+	f.AppDetect = core.Checkpointed(&MgrAppDetectElem{ftm: f})
 	return f
 }
 
@@ -131,10 +143,28 @@ type nodeRec struct {
 // 14 of the element's 17 assertion-detected errors to become system
 // failures.
 type NodeMgmtElem struct {
+	core.Schema[NodeMgmtElem, *NodeMgmtElem]
 	ftm   *FTM
 	Nodes []nodeRec
+}
 
-	enc core.Encoder // Snapshot scratch
+func (e *NodeMgmtElem) Fields(c *core.Codec) {
+	for i := range core.Rows(c, &e.Nodes, MaxNodes, "nodes") {
+		e.Nodes[i].Fields(c.Row(i))
+	}
+}
+
+// fields is node_mgmt's record layout. Hostname bytes and daemon AIDs are
+// the element's dynamic data; both were "repeatedly written to during the
+// initialization phases" in the paper and were the most sensitive to
+// propagation.
+func (r *nodeRec) Fields(c *core.Codec) {
+	core.Str(c, &r.Hostname, core.Heap(1, "hostname", 64))
+	core.U64(c, &r.DaemonAID, core.Heap(0, "daemonAID", 16)) // small IDs: flips stay in a plausible range
+	core.Bool(c, &r.Alive)
+	core.Bool(c, &r.AwaitingReply)
+	core.I64(c, &r.Missed)
+	core.U64(c, &r.Epoch)
 }
 
 type hbRoundTag struct{}
@@ -269,56 +299,13 @@ func (e *NodeMgmtElem) FirstAliveNode(exclude string) string {
 	return ""
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *NodeMgmtElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(len(e.Nodes)))
-	for _, n := range e.Nodes {
-		enc.PutString(n.Hostname)
-		enc.PutU64(uint64(n.DaemonAID))
-		enc.PutBool(n.Alive)
-		enc.PutBool(n.AwaitingReply)
-		enc.PutI64(n.Missed)
-		enc.PutU64(n.Epoch)
-	}
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *NodeMgmtElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	n := d.U64()
-	if n > 1024 {
-		return fmt.Errorf("node_mgmt: %d nodes: %w", n, core.ErrCorrupt)
-	}
-	nodes := make([]nodeRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		nodes = append(nodes, nodeRec{
-			Hostname:      d.String(),
-			DaemonAID:     core.AID(d.U64()),
-			Alive:         d.Bool(),
-			AwaitingReply: d.Bool(),
-			Missed:        d.I64(),
-			Epoch:         d.U64(),
-		})
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.Nodes = nodes
-	return nil
-}
-
 // Check implements core.Element: hostnames must be non-empty and daemon
 // IDs valid for registered nodes. (A corrupted hostname *string content*
 // is not detectable — no assertion can know what a hostname should spell —
 // which is how node_mgmt data errors escape as translation misses.)
 func (e *NodeMgmtElem) Check() error {
 	for i, n := range e.Nodes {
-		if len(n.Hostname) == 0 || len(n.Hostname) > 64 {
+		if len(n.Hostname) == 0 || len(n.Hostname) > MaxHostname {
 			return fmt.Errorf("node %d: hostname length %d", i, len(n.Hostname))
 		}
 		if n.DaemonAID == core.InvalidAID {
@@ -331,54 +318,7 @@ func (e *NodeMgmtElem) Check() error {
 	return nil
 }
 
-// HeapFields implements core.HeapInjectable. Hostname bytes and daemon
-// AIDs are the element's dynamic data; both were "repeatedly written to
-// during the initialization phases" in the paper and were the most
-// sensitive to propagation.
-func (e *NodeMgmtElem) HeapFields() []core.HeapField {
-	var fields []core.HeapField
-	for i := range e.Nodes {
-		i := i
-		fields = append(fields,
-			core.HeapField{
-				Name: fmt.Sprintf("node_mgmt.daemonAID[%d]", i),
-				Bits: 16, // small IDs: flips stay in a plausible range
-				Get:  func() uint64 { return uint64(e.Nodes[i].DaemonAID) },
-				Set:  func(v uint64) { e.Nodes[i].DaemonAID = core.AID(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("node_mgmt.hostname[%d]", i),
-				Bits: 64,
-				Get:  func() uint64 { return packString(e.Nodes[i].Hostname) },
-				Set:  func(v uint64) { e.Nodes[i].Hostname = unpackString(e.Nodes[i].Hostname, v) },
-			},
-		)
-	}
-	return fields
-}
-
-// packString views the first 8 bytes of a string as a word.
-func packString(s string) uint64 {
-	var v uint64
-	for i := 0; i < 8 && i < len(s); i++ {
-		v |= uint64(s[i]) << (8 * uint(i))
-	}
-	return v
-}
-
-// unpackString writes a word back over the first 8 bytes of a string.
-func unpackString(s string, v uint64) string {
-	b := []byte(s)
-	for i := 0; i < 8 && i < len(b); i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-	return string(b)
-}
-
-var (
-	_ core.Starter        = (*NodeMgmtElem)(nil)
-	_ core.HeapInjectable = (*NodeMgmtElem)(nil)
-)
+var _ core.Starter = (*NodeMgmtElem)(nil)
 
 // ---------------------------------------------------------------------------
 // mgr_armor_info: subordinate ARMOR registry and recovery.
@@ -401,10 +341,23 @@ type armorRec struct {
 // MgrArmorInfoElem stores information about subordinate ARMORs such as
 // location and composition (Table 8), and drives their recovery.
 type MgrArmorInfoElem struct {
+	core.Schema[MgrArmorInfoElem, *MgrArmorInfoElem]
 	ftm  *FTM
 	Recs []armorRec
+}
 
-	enc core.Encoder // Snapshot scratch
+func (e *MgrArmorInfoElem) Fields(c *core.Codec) {
+	for i := range core.Rows(c, &e.Recs, MaxArmors, "records") {
+		e.Recs[i].Fields(c.Row(i))
+	}
+}
+
+func (r *armorRec) Fields(c *core.Codec) {
+	core.U64(c, &r.ID, core.Heap(0, "id", 16))
+	core.I64(c, &r.Kind)
+	core.Str(c, &r.Node, core.Heap(2, "node", 64))
+	core.I64(c, &r.Status, core.Heap(1, "status", 8))
+	core.U64(c, &r.Epoch)
 }
 
 // Name implements core.Element.
@@ -527,47 +480,6 @@ func (e *MgrArmorInfoElem) recover(ctx *core.Ctx, fail ArmorFailed) {
 	e.ftm.env.Log.addArmor(ctx.Now(), LogArmorRecoveryInitiated, fail.ID)
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *MgrArmorInfoElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(len(e.Recs)))
-	for _, r := range e.Recs {
-		enc.PutU64(uint64(r.ID))
-		enc.PutI64(r.Kind)
-		enc.PutString(r.Node)
-		enc.PutI64(r.Status)
-		enc.PutU64(r.Epoch)
-	}
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *MgrArmorInfoElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	n := d.U64()
-	if n > 4096 {
-		return fmt.Errorf("mgr_armor_info: %d records: %w", n, core.ErrCorrupt)
-	}
-	recs := make([]armorRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		recs = append(recs, armorRec{
-			ID:     core.AID(d.U64()),
-			Kind:   d.I64(),
-			Node:   d.String(),
-			Status: d.I64(),
-			Epoch:  d.U64(),
-		})
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.Recs = recs
-	return nil
-}
-
 // Check implements core.Element.
 func (e *MgrArmorInfoElem) Check() error {
 	for i, r := range e.Recs {
@@ -583,37 +495,6 @@ func (e *MgrArmorInfoElem) Check() error {
 	}
 	return nil
 }
-
-// HeapFields implements core.HeapInjectable.
-func (e *MgrArmorInfoElem) HeapFields() []core.HeapField {
-	var fields []core.HeapField
-	for i := range e.Recs {
-		i := i
-		fields = append(fields,
-			core.HeapField{
-				Name: fmt.Sprintf("mgr_armor_info.id[%d]", i),
-				Bits: 16,
-				Get:  func() uint64 { return uint64(e.Recs[i].ID) },
-				Set:  func(v uint64) { e.Recs[i].ID = core.AID(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("mgr_armor_info.status[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return uint64(e.Recs[i].Status) },
-				Set:  func(v uint64) { e.Recs[i].Status = int64(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("mgr_armor_info.node[%d]", i),
-				Bits: 64,
-				Get:  func() uint64 { return packString(e.Recs[i].Node) },
-				Set:  func(v uint64) { e.Recs[i].Node = unpackString(e.Recs[i].Node, v) },
-			},
-		)
-	}
-	return fields
-}
-
-var _ core.HeapInjectable = (*MgrArmorInfoElem)(nil)
 
 // ---------------------------------------------------------------------------
 // exec_armor_info: Execution ARMOR to application bindings.
@@ -631,10 +512,23 @@ type execRec struct {
 // ExecArmorInfoElem stores information about each Execution ARMOR such as
 // the status of the subordinate application (Table 8).
 type ExecArmorInfoElem struct {
+	core.Schema[ExecArmorInfoElem, *ExecArmorInfoElem]
 	ftm  *FTM
 	Recs []execRec
+}
 
-	enc core.Encoder // Snapshot scratch
+func (e *ExecArmorInfoElem) Fields(c *core.Codec) {
+	for i := range core.Rows(c, &e.Recs, MaxArmors, "records") {
+		e.Recs[i].Fields(c.Row(i))
+	}
+}
+
+func (r *execRec) Fields(c *core.Codec) {
+	core.U64(c, &r.ArmorID, core.Heap(0, "armorID", 16))
+	core.U64(c, &r.App)
+	core.I64(c, &r.Rank, core.Heap(1, "rank", 8))
+	core.Str(c, &r.Node)
+	core.I64(c, &r.AppStatus, core.Heap(2, "appStatus", 8))
 }
 
 // Name implements core.Element.
@@ -701,54 +595,13 @@ func (e *ExecArmorInfoElem) removeApp(app AppID) {
 	e.Recs = kept
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *ExecArmorInfoElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(len(e.Recs)))
-	for _, r := range e.Recs {
-		enc.PutU64(uint64(r.ArmorID))
-		enc.PutU64(r.App)
-		enc.PutI64(r.Rank)
-		enc.PutString(r.Node)
-		enc.PutI64(r.AppStatus)
-	}
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *ExecArmorInfoElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	n := d.U64()
-	if n > 4096 {
-		return fmt.Errorf("exec_armor_info: %d records: %w", n, core.ErrCorrupt)
-	}
-	recs := make([]execRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		recs = append(recs, execRec{
-			ArmorID:   core.AID(d.U64()),
-			App:       d.U64(),
-			Rank:      d.I64(),
-			Node:      d.String(),
-			AppStatus: d.I64(),
-		})
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.Recs = recs
-	return nil
-}
-
 // Check implements core.Element.
 func (e *ExecArmorInfoElem) Check() error {
 	for i, r := range e.Recs {
 		if r.ArmorID == core.InvalidAID {
 			return fmt.Errorf("record %d: zero ARMOR ID", i)
 		}
-		if r.Rank < 0 || r.Rank >= 64 {
+		if r.Rank < 0 || r.Rank >= MaxRanks {
 			return fmt.Errorf("record %d: rank %d out of range", i, r.Rank)
 		}
 		if r.AppStatus < 0 || r.AppStatus > 4 {
@@ -757,37 +610,6 @@ func (e *ExecArmorInfoElem) Check() error {
 	}
 	return nil
 }
-
-// HeapFields implements core.HeapInjectable.
-func (e *ExecArmorInfoElem) HeapFields() []core.HeapField {
-	var fields []core.HeapField
-	for i := range e.Recs {
-		i := i
-		fields = append(fields,
-			core.HeapField{
-				Name: fmt.Sprintf("exec_armor_info.armorID[%d]", i),
-				Bits: 16,
-				Get:  func() uint64 { return uint64(e.Recs[i].ArmorID) },
-				Set:  func(v uint64) { e.Recs[i].ArmorID = core.AID(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("exec_armor_info.rank[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return uint64(e.Recs[i].Rank) },
-				Set:  func(v uint64) { e.Recs[i].Rank = int64(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("exec_armor_info.appStatus[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return uint64(e.Recs[i].AppStatus) },
-				Set:  func(v uint64) { e.Recs[i].AppStatus = int64(v) },
-			},
-		)
-	}
-	return fields
-}
-
-var _ core.HeapInjectable = (*ExecArmorInfoElem)(nil)
 
 // ---------------------------------------------------------------------------
 // app_param: submitted application parameters.
@@ -807,10 +629,23 @@ type appRec struct {
 // after submission, which is why none of its corruptions caused system
 // failures.
 type AppParamElem struct {
+	core.Schema[AppParamElem, *AppParamElem]
 	ftm  *FTM
 	Recs []appRec
+}
 
-	enc core.Encoder // Snapshot scratch
+func (e *AppParamElem) Fields(c *core.Codec) {
+	for i := range core.Rows(c, &e.Recs, MaxApps, "records") {
+		e.Recs[i].Fields(c.Row(i))
+	}
+}
+
+func (r *appRec) Fields(c *core.Codec) {
+	core.U64(c, &r.App)
+	core.Str(c, &r.Name, core.Heap(1, "name", 64))
+	core.I64(c, &r.Ranks)
+	core.I64(c, &r.Restarts, core.Heap(0, "restarts", 8))
+	core.Strs(c, &r.Nodes, MaxAppNodes, "nodes")
 }
 
 // Name implements core.Element.
@@ -845,61 +680,10 @@ func (e *AppParamElem) add(app *AppSpec) {
 	})
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *AppParamElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(len(e.Recs)))
-	for _, r := range e.Recs {
-		enc.PutU64(r.App)
-		enc.PutString(r.Name)
-		enc.PutI64(r.Ranks)
-		enc.PutI64(r.Restarts)
-		enc.PutU64(uint64(len(r.Nodes)))
-		for _, n := range r.Nodes {
-			enc.PutString(n)
-		}
-	}
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *AppParamElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	n := d.U64()
-	if n > 1024 {
-		return fmt.Errorf("app_param: %d records: %w", n, core.ErrCorrupt)
-	}
-	recs := make([]appRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		r := appRec{
-			App:      d.U64(),
-			Name:     d.String(),
-			Ranks:    d.I64(),
-			Restarts: d.I64(),
-		}
-		nn := d.U64()
-		if nn > 64 {
-			return fmt.Errorf("app_param: %d nodes: %w", nn, core.ErrCorrupt)
-		}
-		for j := uint64(0); j < nn; j++ {
-			r.Nodes = append(r.Nodes, d.String())
-		}
-		recs = append(recs, r)
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.Recs = recs
-	return nil
-}
-
 // Check implements core.Element.
 func (e *AppParamElem) Check() error {
 	for i, r := range e.Recs {
-		if r.Ranks < 1 || r.Ranks > 64 {
+		if r.Ranks < 1 || r.Ranks > MaxRanks {
 			return fmt.Errorf("record %d: ranks %d", i, r.Ranks)
 		}
 		if r.Restarts < 0 || r.Restarts > 1000 {
@@ -911,31 +695,6 @@ func (e *AppParamElem) Check() error {
 	}
 	return nil
 }
-
-// HeapFields implements core.HeapInjectable.
-func (e *AppParamElem) HeapFields() []core.HeapField {
-	var fields []core.HeapField
-	for i := range e.Recs {
-		i := i
-		fields = append(fields,
-			core.HeapField{
-				Name: fmt.Sprintf("app_param.restarts[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return uint64(e.Recs[i].Restarts) },
-				Set:  func(v uint64) { e.Recs[i].Restarts = int64(v) },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("app_param.name[%d]", i),
-				Bits: 64,
-				Get:  func() uint64 { return packString(e.Recs[i].Name) },
-				Set:  func(v uint64) { e.Recs[i].Name = unpackString(e.Recs[i].Name, v) },
-			},
-		)
-	}
-	return fields
-}
-
-var _ core.HeapInjectable = (*AppParamElem)(nil)
 
 // ---------------------------------------------------------------------------
 // mgr_app_detect: application completion detection and recovery.
@@ -953,10 +712,24 @@ type detectRec struct {
 // MgrAppDetectElem detects that all processes of an MPI application have
 // terminated and initiates recovery if necessary (Table 8).
 type MgrAppDetectElem struct {
+	core.Schema[MgrAppDetectElem, *MgrAppDetectElem]
 	ftm  *FTM
 	Recs []detectRec
+}
 
-	enc core.Encoder // Snapshot scratch
+func (e *MgrAppDetectElem) Fields(c *core.Codec) {
+	for i := range core.Rows(c, &e.Recs, MaxApps, "records") {
+		e.Recs[i].Fields(c.Row(i))
+	}
+}
+
+func (r *detectRec) Fields(c *core.Codec) {
+	core.U64(c, &r.App)
+	core.I64(c, &r.Ranks, core.Heap(1, "ranks", 8))
+	core.U64(c, &r.Completed, core.Heap(0, "completed", 8))
+	core.Bool(c, &r.Recovering)
+	core.U64(c, &r.KillsLeft)
+	core.Bool(c, &r.Done)
 }
 
 // Name implements core.Element.
@@ -1075,49 +848,6 @@ func (e *MgrAppDetectElem) killAck(ctx *core.Ctx, ack KillAppDone) {
 	e.ftm.env.Log.addApp(ctx.Now(), LogAppRestartInitiated, ack.AppID, 0, 0)
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *MgrAppDetectElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutU64(uint64(len(e.Recs)))
-	for _, r := range e.Recs {
-		enc.PutU64(r.App)
-		enc.PutI64(r.Ranks)
-		enc.PutU64(r.Completed)
-		enc.PutBool(r.Recovering)
-		enc.PutU64(r.KillsLeft)
-		enc.PutBool(r.Done)
-	}
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *MgrAppDetectElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	n := d.U64()
-	if n > 1024 {
-		return fmt.Errorf("mgr_app_detect: %d records: %w", n, core.ErrCorrupt)
-	}
-	recs := make([]detectRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		recs = append(recs, detectRec{
-			App:        d.U64(),
-			Ranks:      d.I64(),
-			Completed:  d.U64(),
-			Recovering: d.Bool(),
-			KillsLeft:  d.U64(),
-			Done:       d.Bool(),
-		})
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.Recs = recs
-	return nil
-}
-
 // Check implements core.Element. Besides range checks, the rank count is
 // cross-validated against app_param — a data-structure integrity check
 // between co-located elements. This is what kept mgr_app_detect's data
@@ -1125,7 +855,7 @@ func (e *MgrAppDetectElem) Restore(data []byte) error {
 // across all phases; Table 9: every detected error recovered).
 func (e *MgrAppDetectElem) Check() error {
 	for i, r := range e.Recs {
-		if r.Ranks < 1 || r.Ranks > 64 {
+		if r.Ranks < 1 || r.Ranks > MaxRanks {
 			return fmt.Errorf("record %d: ranks %d", i, r.Ranks)
 		}
 		if p := e.ftm.AppParam.find(AppID(r.App)); p != nil && p.Ranks != r.Ranks {
@@ -1141,31 +871,6 @@ func (e *MgrAppDetectElem) Check() error {
 	}
 	return nil
 }
-
-// HeapFields implements core.HeapInjectable.
-func (e *MgrAppDetectElem) HeapFields() []core.HeapField {
-	var fields []core.HeapField
-	for i := range e.Recs {
-		i := i
-		fields = append(fields,
-			core.HeapField{
-				Name: fmt.Sprintf("mgr_app_detect.completed[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return e.Recs[i].Completed },
-				Set:  func(v uint64) { e.Recs[i].Completed = v },
-			},
-			core.HeapField{
-				Name: fmt.Sprintf("mgr_app_detect.ranks[%d]", i),
-				Bits: 8,
-				Get:  func() uint64 { return uint64(e.Recs[i].Ranks) },
-				Set:  func(v uint64) { e.Recs[i].Ranks = int64(v) },
-			},
-		)
-	}
-	return fields
-}
-
-var _ core.HeapInjectable = (*MgrAppDetectElem)(nil)
 
 // ---------------------------------------------------------------------------
 // FTM cross-element orchestration.

@@ -91,23 +91,24 @@ func TestNodeMgmtHeapFieldsCoverHostnameAndAID(t *testing.T) {
 	}
 }
 
+// TestPackUnpackStringProperty drives a string field's heap view: Set
+// writes a word over the string's first eight bytes without changing its
+// length, and Get reads the written word back.
 func TestPackUnpackStringProperty(t *testing.T) {
+	e := newBareFTM().NodeMgmt
 	f := func(s string, v uint64) bool {
-		out := unpackString(s, v)
-		if len(out) != len(s) {
+		e.Nodes = []nodeRec{{Hostname: s, DaemonAID: 10}}
+		hostname := e.HeapFields()[1]
+		hostname.Set(v)
+		if len(e.Nodes[0].Hostname) != len(s) {
 			return false
 		}
-		// Re-packing yields the written word (up to the string length).
-		packed := packString(out)
-		n := len(s)
-		if n > 8 {
-			n = 8
-		}
+		n := min(len(s), 8)
 		mask := uint64(0)
 		for i := 0; i < n; i++ {
 			mask |= 0xFF << (8 * uint(i))
 		}
-		return packed&mask == v&mask
+		return hostname.Get()&mask == v&mask
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -241,9 +242,9 @@ func TestAllFTMElementsRejectGarbageSnapshots(t *testing.T) {
 }
 
 func TestHeartbeatElemSnapshotRestore(t *testing.T) {
-	e := &HeartbeatElem{FTMNode: "node-a1", FTMDaemon: 10, Period: 10 * time.Second, Recoveries: 2, AwaitingReply: true, Recovering: true}
+	e := core.Checkpointed(&HeartbeatElem{FTMNode: "node-a1", FTMDaemon: 10, Period: 10 * time.Second, Recoveries: 2, AwaitingReply: true, Recovering: true})
 	snap := e.Snapshot()
-	e2 := &HeartbeatElem{}
+	e2 := core.Checkpointed(&HeartbeatElem{})
 	if err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestHeartbeatElemSnapshotRestore(t *testing.T) {
 }
 
 func TestHeartbeatElemCheck(t *testing.T) {
-	e := &HeartbeatElem{FTMDaemon: 10, Period: 10 * time.Second}
+	e := core.Checkpointed(&HeartbeatElem{FTMDaemon: 10, Period: 10 * time.Second})
 	if err := e.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +276,9 @@ func TestHeartbeatElemCheck(t *testing.T) {
 
 func TestExecElemSnapshotRestoreDropsChildLink(t *testing.T) {
 	app := &AppSpec{ID: 1, Name: "rover", Ranks: 2, Nodes: []string{"a", "b"}}
-	e := &ExecElem{App: app, Rank: 0, AppPID: 42, Child: true, Launched: 1, PICreated: true, PIPeriod: 20 * time.Second, Counter: 7}
+	e := core.Checkpointed(&ExecElem{App: app, Rank: 0, AppPID: 42, Child: true, Launched: 1, PICreated: true, PIPeriod: 20 * time.Second, Counter: 7})
 	snap := e.Snapshot()
-	e2 := &ExecElem{App: app, Rank: 0}
+	e2 := core.Checkpointed(&ExecElem{App: app, Rank: 0})
 	if err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +295,16 @@ func TestExecElemSnapshotRestoreDropsChildLink(t *testing.T) {
 func TestExecElemRestoreRejectsWrongBinding(t *testing.T) {
 	app := &AppSpec{ID: 1, Name: "rover", Ranks: 2, Nodes: []string{"a"}}
 	other := &AppSpec{ID: 9, Name: "other", Ranks: 2, Nodes: []string{"a"}}
-	e := &ExecElem{App: app, Rank: 0}
+	e := core.Checkpointed(&ExecElem{App: app, Rank: 0})
 	snap := e.Snapshot()
-	e2 := &ExecElem{App: other, Rank: 0}
-	if err := e2.Restore(snap); err == nil {
+	e2 := core.Checkpointed(&ExecElem{App: other, Rank: 0})
+	err := e2.Restore(snap)
+	if err == nil {
 		t.Fatal("checkpoint for a different app accepted")
+	}
+	// The message is a crash reason in the event log: it keeps its wording.
+	if want := "app_mon: checkpoint for app 1 rank 0, armor bound to app 9 rank 0: " + core.ErrCorrupt.Error(); err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 

@@ -38,6 +38,7 @@ type FTMSite struct {
 // blindly retransmitted install must not resurrect a stale FTM shell on
 // a node the recovery has already moved past.
 type HeartbeatElem struct {
+	core.Schema[HeartbeatElem, *HeartbeatElem]
 	env *Environment
 
 	// FTMNode is the hostname the FTM currently runs on.
@@ -75,8 +76,6 @@ type HeartbeatElem struct {
 	// invalidates stale install-retry timers once a walk ends.
 	TryIdx     int64
 	RetryEpoch int64
-
-	enc core.Encoder // Snapshot scratch
 }
 
 type ftmPollTag struct{}
@@ -248,45 +247,17 @@ func (e *HeartbeatElem) poll(ctx *core.Ctx) {
 	ctx.SendUnreliable(AIDFTM, core.EventAreYouAlive, nil)
 }
 
-// Snapshot implements core.Element.
-//
-//reesift:noalloc
-func (e *HeartbeatElem) Snapshot() []byte {
-	enc := &e.enc
-	enc.Reset()
-	enc.PutString(e.FTMNode)
-	enc.PutU64(uint64(e.FTMDaemon))
-	enc.PutI64(int64(e.Period))
-	enc.PutBool(e.AwaitingReply)
-	enc.PutBool(e.Recovering)
-	enc.PutI64(e.Recoveries)
-	enc.PutU64(e.FTMEpoch)
-	return enc.Bytes()
-}
-
-// Restore implements core.Element.
-func (e *HeartbeatElem) Restore(data []byte) error {
-	d := core.NewDecoder(data)
-	node := d.String()
-	daemon := core.AID(d.U64())
-	period := time.Duration(d.I64())
-	awaiting := d.Bool()
-	recovering := d.Bool()
-	recoveries := d.I64()
-	ftmEpoch := d.U64()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	e.FTMNode, e.FTMDaemon, e.Period = node, daemon, period
+// fields is ftm_watch's record layout.
+func (e *HeartbeatElem) Fields(c *core.Codec) {
+	core.Str(c, &e.FTMNode)
+	core.U64(c, &e.FTMDaemon, core.Heap(1, "ftmDaemon", 16))
+	core.I64(c, &e.Period, core.Heap(0, "period", 48))
 	// A recovered Heartbeat ARMOR starts a fresh poll cycle rather than
 	// trusting a stale in-flight state.
-	e.AwaitingReply = false
-	e.Recovering = false
-	_ = awaiting
-	_ = recovering
-	e.Recoveries = recoveries
-	e.FTMEpoch = ftmEpoch
-	return nil
+	core.Dropped(c, &e.AwaitingReply)
+	core.Dropped(c, &e.Recovering)
+	core.I64(c, &e.Recoveries, core.Heap(2, "recoveries", 8))
+	core.U64(c, &e.FTMEpoch)
 }
 
 // Check implements core.Element.
@@ -303,31 +274,4 @@ func (e *HeartbeatElem) Check() error {
 	return nil
 }
 
-// HeapFields implements core.HeapInjectable.
-func (e *HeartbeatElem) HeapFields() []core.HeapField {
-	return []core.HeapField{
-		{
-			Name: "ftm_watch.period",
-			Bits: 48,
-			Get:  func() uint64 { return uint64(e.Period) },
-			Set:  func(v uint64) { e.Period = time.Duration(v) },
-		},
-		{
-			Name: "ftm_watch.ftmDaemon",
-			Bits: 16,
-			Get:  func() uint64 { return uint64(e.FTMDaemon) },
-			Set:  func(v uint64) { e.FTMDaemon = core.AID(v) },
-		},
-		{
-			Name: "ftm_watch.recoveries",
-			Bits: 8,
-			Get:  func() uint64 { return uint64(e.Recoveries) },
-			Set:  func(v uint64) { e.Recoveries = int64(v) },
-		},
-	}
-}
-
-var (
-	_ core.Starter        = (*HeartbeatElem)(nil)
-	_ core.HeapInjectable = (*HeartbeatElem)(nil)
-)
+var _ core.Starter = (*HeartbeatElem)(nil)

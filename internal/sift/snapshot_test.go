@@ -59,8 +59,8 @@ func snapshotCases() []snapshotCase {
 		{f.AppParam, g.AppParam, nil},
 		{f.AppDetect, g.AppDetect, nil},
 		{
-			&HeartbeatElem{FTMNode: "node-a1", FTMDaemon: 10, Period: 10 * time.Second, Recoveries: 2, FTMEpoch: 4},
-			&HeartbeatElem{},
+			core.Checkpointed(&HeartbeatElem{FTMNode: "node-a1", FTMDaemon: 10, Period: 10 * time.Second, Recoveries: 2, FTMEpoch: 4}),
+			core.Checkpointed(&HeartbeatElem{}),
 			// FTMNode (5+len bytes), FTMDaemon and Period (9 each), then
 			// AwaitingReply and Recovering (tag, value).
 			func(enc []byte) []int {
@@ -69,9 +69,9 @@ func snapshotCases() []snapshotCase {
 			},
 		},
 		{
-			&ExecElem{App: app, Rank: 1, AppPID: 42, Launched: 2, ExpectKill: true, PICreated: true,
-				PIPeriod: 20 * time.Second, Counter: 300, PrevCounter: 299},
-			&ExecElem{App: app, Rank: 1},
+			core.Checkpointed(&ExecElem{App: app, Rank: 1, AppPID: 42, Launched: 2, ExpectKill: true, PICreated: true,
+				PIPeriod: 20 * time.Second, Counter: 300, PrevCounter: 299}),
+			core.Checkpointed(&ExecElem{App: app, Rank: 1}),
 			// App, rank and AppPID (9 bytes each), then Child (tag, value).
 			func([]byte) []int { return []int{28} },
 		},

@@ -6,6 +6,7 @@ import (
 
 	"reesift/internal/chaos"
 	"reesift/internal/inject"
+	"reesift/internal/sift"
 	"reesift/internal/sim"
 )
 
@@ -245,7 +246,8 @@ func (i Injection) config() (inject.Config, error) {
 	}
 	// Eager validation: every application must be placed on cluster
 	// nodes, or its ranks silently never launch and the run is
-	// misclassified as a system failure.
+	// misclassified as a system failure; and it must fit the FTM's
+	// records, or their assertions crash the FTM at submission.
 	inCluster := func(name string) bool {
 		for _, n := range nodes {
 			if n == name {
@@ -257,6 +259,12 @@ func (i Injection) config() (inject.Config, error) {
 	for _, app := range cfg.Apps {
 		if app == nil {
 			return inject.Config{}, fmt.Errorf("reesift: Injection: nil AppSpec")
+		}
+		if app.Ranks < 1 || app.Ranks > sift.MaxRanks {
+			return inject.Config{}, fmt.Errorf("reesift: Injection: app %d has %d ranks, want 1 to %d", app.ID, app.Ranks, sift.MaxRanks)
+		}
+		if len(app.Nodes) > sift.MaxAppNodes {
+			return inject.Config{}, fmt.Errorf("reesift: Injection: app %d has %d node hints, at most %d", app.ID, len(app.Nodes), sift.MaxAppNodes)
 		}
 		for _, n := range app.Nodes {
 			if !inCluster(n) {

@@ -62,27 +62,38 @@ func WithSeed(seed int64) Option {
 // WithNodes provisions n cluster nodes. n == 4 uses the paper's testbed
 // names (node-a1, node-a2, node-b1, node-b2); other sizes use n1..nN. At
 // least two nodes are required so the FTM and the Heartbeat ARMOR can
-// live on different nodes.
+// live on different nodes, and at most sift.MaxNodes, the FTM's node
+// table bound.
 func WithNodes(n int) Option {
 	return func(s *settings) error {
 		if n < 2 {
 			return fmt.Errorf("reesift: WithNodes(%d): a SIFT cluster needs at least 2 nodes (FTM and Heartbeat ARMOR must be on different nodes)", n)
+		}
+		if n > sift.MaxNodes {
+			return fmt.Errorf("reesift: WithNodes(%d): the FTM's node table holds at most %d nodes", n, sift.MaxNodes)
 		}
 		s.nodes = defaultNodeNames(n)
 		return nil
 	}
 }
 
-// WithNodeNames provisions the cluster with explicit hostnames.
+// WithNodeNames provisions the cluster with explicit hostnames: from 2
+// to sift.MaxNodes of them, each at most sift.MaxHostname bytes.
 func WithNodeNames(names ...string) Option {
 	return func(s *settings) error {
 		if len(names) < 2 {
 			return fmt.Errorf("reesift: WithNodeNames: a SIFT cluster needs at least 2 nodes, got %d", len(names))
 		}
+		if len(names) > sift.MaxNodes {
+			return fmt.Errorf("reesift: WithNodeNames: the FTM's node table holds at most %d nodes, got %d", sift.MaxNodes, len(names))
+		}
 		seen := make(map[string]bool, len(names))
 		for _, name := range names {
 			if name == "" {
 				return fmt.Errorf("reesift: WithNodeNames: empty hostname")
+			}
+			if len(name) > sift.MaxHostname {
+				return fmt.Errorf("reesift: WithNodeNames: hostname %q is %d bytes, at most %d", name, len(name), sift.MaxHostname)
 			}
 			if seen[name] {
 				return fmt.Errorf("reesift: WithNodeNames: duplicate hostname %q", name)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reesift/internal/sift"
 )
 
 func TestBuildConfigDefaults(t *testing.T) {
@@ -35,6 +37,8 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"few names", []Option{WithNodeNames("solo")}, "at least 2 nodes"},
 		{"dup names", []Option{WithNodeNames("a", "a")}, "duplicate hostname"},
 		{"empty name", []Option{WithNodeNames("a", "")}, "empty hostname"},
+		{"too many nodes", []Option{WithNodes(sift.MaxNodes + 1)}, "at most 1024 nodes"},
+		{"too many names", []Option{WithNodeNames(make([]string, sift.MaxNodes+1)...)}, "at most 1024 nodes"},
 		{"zero heartbeat", []Option{WithHeartbeatPeriod(0)}, "must be positive"},
 		{"negative ftm heartbeat", []Option{WithFTMHeartbeatPeriod(-time.Second)}, "must be positive"},
 		{"zero armor heartbeat", []Option{WithHeartbeatArmorPeriod(0)}, "must be positive"},
@@ -239,5 +243,57 @@ func TestInjectionValidatesClusterOptions(t *testing.T) {
 	}.Run()
 	if err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Fatalf("err = %v, want node-count validation error", err)
+	}
+}
+
+// TestNodeNamesRejectHostnameOverLimit: node_mgmt's Check rejects a
+// hostname longer than sift.MaxHostname bytes, so a cluster with one
+// would crash its FTM at every daemon registration and never finish an
+// application. The façade refuses it; a hostname exactly at the limit
+// runs an application to completion.
+func TestNodeNamesRejectHostnameOverLimit(t *testing.T) {
+	long := "node-" + strings.Repeat("x", 64)
+	if _, err := NewCluster(WithNodeNames("node-a1", "node-a2", "node-b1", long)); err == nil ||
+		!strings.Contains(err.Error(), "69 bytes, at most 64") {
+		t.Fatalf("err = %v, want the hostname length error", err)
+	}
+	atLimit := long[:sift.MaxHostname]
+	c, err := NewCluster(WithNodeNames("node-a1", "node-a2", "node-b1", atLimit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Submit(RoverApp(1, "node-b1", atLimit), 5*time.Second)
+	if !c.RunUntilDone(10 * time.Minute) {
+		t.Fatal("application on a 64-byte hostname did not complete")
+	}
+}
+
+// TestInjectionRejectsAppsOverRecordLimits: app_param and mgr_app_detect
+// assert 1 to sift.MaxRanks ranks, and app_param's Restore refuses more
+// than sift.MaxAppNodes node hints.
+func TestInjectionRejectsAppsOverRecordLimits(t *testing.T) {
+	hints := make([]string, sift.MaxAppNodes+1)
+	for i := range hints {
+		hints[i] = "node-a1"
+	}
+	many := RoverApp(1)
+	many.Nodes = hints
+	cases := []struct {
+		name  string
+		ranks int
+		app   *AppSpec
+		want  string
+	}{
+		{"no ranks", 0, RoverApp(1), "has 0 ranks, want 1 to 64"},
+		{"too many ranks", sift.MaxRanks + 1, RoverApp(1), "has 65 ranks, want 1 to 64"},
+		{"too many node hints", 2, many, "has 65 node hints, at most 64"},
+	}
+	for _, tc := range cases {
+		tc.app.Ranks = tc.ranks
+		_, err := Injection{Seed: 1, Model: ModelNone, Target: TargetNone, Apps: []*AppSpec{tc.app}}.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
