@@ -7,7 +7,9 @@ package core
 //
 // Elements must route all state changes through Handle so that
 // microcheckpointing (which snapshots the element after each event
-// delivery) captures every mutation.
+// delivery) captures every mutation. An element with checkpointed state
+// writes its record layout once, as a Fields method, and embeds Schema,
+// which derives Snapshot, Restore and HeapFields from it.
 type Element interface {
 	// Name identifies the element; checkpoint regions are keyed by it.
 	Name() string
@@ -43,7 +45,8 @@ type Starter interface {
 
 // HeapField exposes one non-pointer scalar datum of an element's live
 // state for targeted heap injection (Section 7.2). Get/Set views the value
-// as a 64-bit word; the injector flips one bit.
+// as a 64-bit word; the injector flips one bit. Schema.HeapFields builds
+// one for every field the element's layout declares with Heap.
 type HeapField struct {
 	// Name labels the field for result reporting, e.g.
 	// "node_mgmt.daemonID[2]".
@@ -57,9 +60,9 @@ type HeapField struct {
 }
 
 // HeapInjectable is implemented by elements that expose their dynamic data
-// for targeted heap injection. Only non-pointer data is exposed, matching
-// the paper's targeted experiments ("a single error in data (not pointers)
-// was injected").
+// for targeted heap injection, as every element embedding Schema does.
+// Only non-pointer data is exposed, matching the paper's targeted
+// experiments ("a single error in data (not pointers) was injected").
 type HeapInjectable interface {
 	Element
 	HeapFields() []HeapField

@@ -11,8 +11,9 @@ import (
 // declaration of its checkpointed record layout: the element's Fields
 // method, which walks every checkpointed field in encoding order through
 // a Codec, one call per field (U64, I64, Str, Bool, Dropped, Strs, Rows,
-// BindU64, BindI64). The walk encodes for Snapshot, decodes for Restore and lists the
-// heap-injectable fields for HeapFields, so the three cannot disagree.
+// BindU64, BindI64). The walk encodes for Snapshot, decodes for Restore
+// and lists the heap-injectable fields for HeapFields, so the three
+// cannot disagree.
 // Check stays hand-written: its assertions are the element's, not the
 // layout's.
 //
@@ -53,14 +54,16 @@ func (s *Schema[E, P]) Snapshot() []byte {
 // keeps the copy only if every field parsed, every bound and binding held
 // and no bytes were left over, so a rejected checkpoint changes nothing.
 func (s *Schema[E, P]) Restore(data []byte) error {
-	next := *s.self
-	c := &s.c
-	c.op, c.elem, c.err, c.nkeys, c.dec = opDecode, s.self.Name(), nil, 0, Decoder{buf: data}
-	P(&next).Fields(c)
-	err := c.result()
-	c.dec = Decoder{}
+	r := &struct {
+		next E
+		w    walk
+	}{*s.self, walk{dec: Decoder{buf: data}, elem: s.self.Name()}}
+	s.c.op, s.c.walk = opDecode, &r.w
+	P(&r.next).Fields(&s.c)
+	err := s.c.result()
+	s.c.walk = nil
 	if err == nil {
-		*s.self = next
+		*s.self = r.next
 	}
 	return err
 }
@@ -69,13 +72,14 @@ func (s *Schema[E, P]) Restore(data []byte) error {
 // HeapSpec, named element.field (element.field[i] for record i of a
 // table), each record's fields in their declared HeapFields order.
 func (s *Schema[E, P]) HeapFields() []HeapField {
-	c := &s.c
-	c.op, c.elem, c.rec, c.base, c.heap = opList, s.self.Name(), -1, 0, nil
-	s.self.Fields(c)
-	return c.heap
+	s.c.op, s.c.walk = opList, &walk{elem: s.self.Name(), rec: -1}
+	s.self.Fields(&s.c)
+	fields := s.c.heap
+	s.c.walk = nil
+	return fields
 }
 
-// HeapSpec declares a field heap-injectable (Section 7.2).
+// HeapSpec declares whether a field is heap-injectable (Section 7.2).
 type HeapSpec struct {
 	pos  int
 	name string
@@ -87,6 +91,9 @@ type HeapSpec struct {
 // injectable fields.
 func Heap(pos int, name string, bits uint) HeapSpec { return HeapSpec{pos, name, bits} }
 
+// NoHeap declares a field not heap-injectable.
+var NoHeap HeapSpec
+
 type codecOp uint8
 
 const (
@@ -97,8 +104,14 @@ const (
 
 // Codec is one walk over an element's fields, driven by its Schema.
 type Codec struct {
-	op   codecOp
-	enc  Encoder
+	op  codecOp
+	enc Encoder
+	*walk
+}
+
+// walk is the state of a decode or a listing, allocated per Restore or
+// HeapFields call so that an element at rest carries only its encoder.
+type walk struct {
 	dec  Decoder
 	err  error // the first bound violation, which outranks dec's error
 	elem string
@@ -150,52 +163,51 @@ func (c *Codec) bound(max uint64, noun string) (uint64, bool) {
 }
 
 // add lists one injectable field at its declared place in the record.
-func (c *Codec) add(h []HeapSpec, get func() uint64, set func(uint64)) {
-	name := c.elem + "." + h[0].name
+func (c *Codec) add(h HeapSpec, get func() uint64, set func(uint64)) {
+	name := c.elem + "." + h.name
 	if c.rec >= 0 {
 		name += "[" + strconv.Itoa(c.rec) + "]"
 	}
-	i := c.base + h[0].pos
+	i := c.base + h.pos
 	for len(c.heap) <= i {
 		c.heap = append(c.heap, HeapField{})
 	}
-	c.heap[i] = HeapField{Name: name, Bits: h[0].bits, Get: get, Set: set}
+	c.heap[i] = HeapField{Name: name, Bits: h.bits, Get: get, Set: set}
 }
 
-// U64 declares an unsigned 64-bit field (a process ID travels as one),
-// heap-injectable when given a HeapSpec.
-func U64[T ~uint64 | ~int](c *Codec, p *T, h ...HeapSpec) {
+// U64 declares an unsigned 64-bit field (a process ID travels as one).
+func U64[T ~uint64 | ~int](c *Codec, p *T, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutU64(uint64(*p))
 	case c.op == opDecode:
 		*p = T(c.dec.U64())
-	case len(h) > 0:
+	case h.bits > 0:
 		c.add(h, func() uint64 { return uint64(*p) }, func(v uint64) { *p = T(v) })
 	}
 }
 
 // I64 declares a signed 64-bit field.
-func I64[T ~int64](c *Codec, p *T, h ...HeapSpec) {
+func I64[T ~int64](c *Codec, p *T, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutI64(int64(*p))
 	case c.op == opDecode:
 		*p = T(c.dec.I64())
-	case len(h) > 0:
+	case h.bits > 0:
 		c.add(h, func() uint64 { return uint64(*p) }, func(v uint64) { *p = T(v) })
 	}
 }
 
 // Str declares a string field; an injection flips a bit of its first
 // eight bytes.
-func Str(c *Codec, p *string, h ...HeapSpec) {
+func Str(c *Codec, p *string, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutString(*p)
 	case c.op == opDecode:
 		*p = c.dec.String()
-	case len(h) > 0:
+	case h.bits > 0:
 		c.add(h, func() uint64 { return packString(*p) }, func(v uint64) { *p = unpackString(*p, v) })
 	}
 }
@@ -279,7 +291,9 @@ func Rows[R any](c *Codec, recs *[]R, max uint64, noun string) int {
 
 // Row marks the start of record i of a table and returns c.
 func (c *Codec) Row(i int) *Codec {
-	c.rec, c.base = i, len(c.heap)
+	if c.op == opList {
+		c.rec, c.base = i, len(c.heap)
+	}
 	return c
 }
 

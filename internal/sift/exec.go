@@ -320,7 +320,7 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"})
 }
 
-// fields is app_mon's record layout. The application and rank the ARMOR
+// Fields is app_mon's record layout. The application and rank the ARMOR
 // was installed for are binding keys: a checkpoint taken for another
 // binding is refused as corrupt.
 func (e *ExecElem) Fields(c *core.Codec) {
@@ -337,7 +337,7 @@ func (e *ExecElem) Fields(c *core.Codec) {
 	core.Bool(c, &e.PICreated)
 	core.I64(c, &e.PIPeriod, core.Heap(2, "piPeriod", 48))
 	core.U64(c, &e.Counter, core.Heap(1, "counter", 32))
-	core.U64(c, &e.PrevCounter)
+	core.U64(c, &e.PrevCounter, core.NoHeap)
 }
 
 // Check implements core.Element.

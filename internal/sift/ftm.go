@@ -154,7 +154,7 @@ func (e *NodeMgmtElem) Fields(c *core.Codec) {
 	}
 }
 
-// fields is node_mgmt's record layout. Hostname bytes and daemon AIDs are
+// Fields is node_mgmt's record layout. Hostname bytes and daemon AIDs are
 // the element's dynamic data; both were "repeatedly written to during the
 // initialization phases" in the paper and were the most sensitive to
 // propagation.
@@ -163,8 +163,8 @@ func (r *nodeRec) Fields(c *core.Codec) {
 	core.U64(c, &r.DaemonAID, core.Heap(0, "daemonAID", 16)) // small IDs: flips stay in a plausible range
 	core.Bool(c, &r.Alive)
 	core.Bool(c, &r.AwaitingReply)
-	core.I64(c, &r.Missed)
-	core.U64(c, &r.Epoch)
+	core.I64(c, &r.Missed, core.NoHeap)
+	core.U64(c, &r.Epoch, core.NoHeap)
 }
 
 type hbRoundTag struct{}
@@ -354,10 +354,10 @@ func (e *MgrArmorInfoElem) Fields(c *core.Codec) {
 
 func (r *armorRec) Fields(c *core.Codec) {
 	core.U64(c, &r.ID, core.Heap(0, "id", 16))
-	core.I64(c, &r.Kind)
+	core.I64(c, &r.Kind, core.NoHeap)
 	core.Str(c, &r.Node, core.Heap(2, "node", 64))
 	core.I64(c, &r.Status, core.Heap(1, "status", 8))
-	core.U64(c, &r.Epoch)
+	core.U64(c, &r.Epoch, core.NoHeap)
 }
 
 // Name implements core.Element.
@@ -525,9 +525,9 @@ func (e *ExecArmorInfoElem) Fields(c *core.Codec) {
 
 func (r *execRec) Fields(c *core.Codec) {
 	core.U64(c, &r.ArmorID, core.Heap(0, "armorID", 16))
-	core.U64(c, &r.App)
+	core.U64(c, &r.App, core.NoHeap)
 	core.I64(c, &r.Rank, core.Heap(1, "rank", 8))
-	core.Str(c, &r.Node)
+	core.Str(c, &r.Node, core.NoHeap)
 	core.I64(c, &r.AppStatus, core.Heap(2, "appStatus", 8))
 }
 
@@ -641,9 +641,9 @@ func (e *AppParamElem) Fields(c *core.Codec) {
 }
 
 func (r *appRec) Fields(c *core.Codec) {
-	core.U64(c, &r.App)
+	core.U64(c, &r.App, core.NoHeap)
 	core.Str(c, &r.Name, core.Heap(1, "name", 64))
-	core.I64(c, &r.Ranks)
+	core.I64(c, &r.Ranks, core.NoHeap)
 	core.I64(c, &r.Restarts, core.Heap(0, "restarts", 8))
 	core.Strs(c, &r.Nodes, MaxAppNodes, "nodes")
 }
@@ -724,11 +724,11 @@ func (e *MgrAppDetectElem) Fields(c *core.Codec) {
 }
 
 func (r *detectRec) Fields(c *core.Codec) {
-	core.U64(c, &r.App)
+	core.U64(c, &r.App, core.NoHeap)
 	core.I64(c, &r.Ranks, core.Heap(1, "ranks", 8))
 	core.U64(c, &r.Completed, core.Heap(0, "completed", 8))
 	core.Bool(c, &r.Recovering)
-	core.U64(c, &r.KillsLeft)
+	core.U64(c, &r.KillsLeft, core.NoHeap)
 	core.Bool(c, &r.Done)
 }
 

@@ -247,9 +247,9 @@ func (e *HeartbeatElem) poll(ctx *core.Ctx) {
 	ctx.SendUnreliable(AIDFTM, core.EventAreYouAlive, nil)
 }
 
-// fields is ftm_watch's record layout.
+// Fields is ftm_watch's record layout.
 func (e *HeartbeatElem) Fields(c *core.Codec) {
-	core.Str(c, &e.FTMNode)
+	core.Str(c, &e.FTMNode, core.NoHeap)
 	core.U64(c, &e.FTMDaemon, core.Heap(1, "ftmDaemon", 16))
 	core.I64(c, &e.Period, core.Heap(0, "period", 48))
 	// A recovered Heartbeat ARMOR starts a fresh poll cycle rather than
@@ -257,7 +257,7 @@ func (e *HeartbeatElem) Fields(c *core.Codec) {
 	core.Dropped(c, &e.AwaitingReply)
 	core.Dropped(c, &e.Recovering)
 	core.I64(c, &e.Recoveries, core.Heap(2, "recoveries", 8))
-	core.U64(c, &e.FTMEpoch)
+	core.U64(c, &e.FTMEpoch, core.NoHeap)
 }
 
 // Check implements core.Element.
