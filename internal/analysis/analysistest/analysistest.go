@@ -41,10 +41,7 @@ import (
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	for _, pkgPath := range pkgPaths {
-		pkg, err := loadFixture(testdata, pkgPath)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", pkgPath, err)
-		}
+		pkg := Load(t, testdata, pkgPath)
 		findings, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
@@ -60,10 +57,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 func RunWithFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	for _, pkgPath := range pkgPaths {
-		pkg, err := loadFixture(testdata, pkgPath)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", pkgPath, err)
-		}
+		pkg := Load(t, testdata, pkgPath)
 		findings, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
@@ -73,8 +67,8 @@ func RunWithFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths 
 	}
 }
 
-// Load parses and type-checks one fixture package, for tests of what an
-// analyzer's package exports besides its diagnostics.
+// Load parses and type-checks one fixture package, failing the test if it
+// cannot.
 func Load(t *testing.T, testdata, pkgPath string) *analysis.Package {
 	t.Helper()
 	pkg, err := loadFixture(testdata, pkgPath)

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Schema gives an element its Snapshot, Restore and HeapFields from one
 // declaration of its checkpointed record layout: the element's Fields
 // method, which walks every checkpointed field in encoding order through
-// a Codec, one call per field (U64, I64, Str, Bool, Dropped, Strs, Rows,
-// BindU64, BindI64). The walk encodes for Snapshot, decodes for Restore
+// a Codec, one call per field (U64, I64, Str, Bool, Dropped, BindU64,
+// BindI64) or per table (Rows). The walk encodes for Snapshot, decodes for Restore
 // and lists the heap-injectable fields for HeapFields, so the three
 // cannot disagree.
 // Check stays hand-written: its assertions are the element's, not the
@@ -50,21 +51,25 @@ func (s *Schema[E, P]) Snapshot() []byte {
 	return s.c.enc.Bytes()
 }
 
-// Restore implements Element. It decodes into a copy of the element and
-// keeps the copy only if every field parsed, every bound and binding held
-// and no bytes were left over, so a rejected checkpoint changes nothing.
+// Restore implements Element. A checkpoint is accepted only if every
+// field parsed, every bound and binding held and no bytes were left over;
+// a rejected one leaves the element as it was, decoded back from a
+// snapshot taken first.
 func (s *Schema[E, P]) Restore(data []byte) error {
-	r := &struct {
-		next E
-		w    walk
-	}{*s.self, walk{dec: Decoder{buf: data}, elem: s.self.Name()}}
-	s.c.op, s.c.walk = opDecode, &r.w
-	P(&r.next).Fields(&s.c)
+	w := walks.Get().(*walk)
+	s.c.enc, w.prior = w.prior, s.c.enc
+	prior := s.Snapshot()
+	s.c.enc, w.prior = w.prior, s.c.enc
+	w.dec, w.elem = Decoder{buf: data}, s.self.Name()
+	s.c.op, s.c.walk = opDecode, w
+	s.self.Fields(&s.c)
 	err := s.c.result()
-	s.c.walk = nil
-	if err == nil {
-		*s.self = r.next
+	if err != nil {
+		s.c.op, w.dec, w.err, w.nkeys = opUndo, Decoder{buf: prior}, nil, 0
+		s.self.Fields(&s.c)
 	}
+	s.c.walk, w.dec, w.err, w.nkeys = nil, Decoder{}, nil, 0
+	walks.Put(w)
 	return err
 }
 
@@ -72,10 +77,13 @@ func (s *Schema[E, P]) Restore(data []byte) error {
 // HeapSpec, named element.field (element.field[i] for record i of a
 // table), each record's fields in their declared HeapFields order.
 func (s *Schema[E, P]) HeapFields() []HeapField {
-	s.c.op, s.c.walk = opList, &walk{elem: s.self.Name(), rec: -1}
+	w := walks.Get().(*walk)
+	w.elem, w.rec, w.base = s.self.Name(), -1, 0
+	s.c.op, s.c.walk = opList, w
 	s.self.Fields(&s.c)
-	fields := s.c.heap
-	s.c.walk = nil
+	fields := w.heap
+	s.c.walk, w.heap = nil, nil
+	walks.Put(w)
 	return fields
 }
 
@@ -98,8 +106,11 @@ type codecOp uint8
 
 const (
 	opEncode codecOp = iota
-	opDecode
 	opList
+	opDecode
+	// opUndo decodes an element's own prior snapshot back into it: it
+	// drops no flag and checks no bound or binding.
+	opUndo
 )
 
 // Codec is one walk over an element's fields, driven by its Schema.
@@ -109,12 +120,17 @@ type Codec struct {
 	*walk
 }
 
-// walk is the state of a decode or a listing, allocated per Restore or
-// HeapFields call so that an element at rest carries only its encoder.
+// walks recycles the state of a decode or a listing, so that an element
+// at rest carries only its encoder and a restore allocates only what it
+// decodes.
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// walk is the state of a decode or a listing.
 type walk struct {
-	dec  Decoder
-	err  error // the first bound violation, which outranks dec's error
-	elem string
+	prior Encoder // the element's state before a Restore
+	dec   Decoder
+	err   error // the first bound violation, which outranks dec's error
+	elem  string
 
 	keys  [2]bindKey // the binding keys read by this decode
 	nkeys int
@@ -152,16 +168,6 @@ func (c *Codec) result() error {
 	return nil
 }
 
-// bound reads a count and checks it against max, reporting a violation as
-// "element: n noun".
-func (c *Codec) bound(max uint64, noun string) (uint64, bool) {
-	n := c.dec.U64()
-	if n > max && c.err == nil {
-		c.err = fmt.Errorf("%s: %d %s: %w", c.elem, n, noun, ErrCorrupt)
-	}
-	return n, c.err == nil
-}
-
 // add lists one injectable field at its declared place in the record.
 func (c *Codec) add(h HeapSpec, get func() uint64, set func(uint64)) {
 	name := c.elem + "." + h.name
@@ -180,7 +186,7 @@ func U64[T ~uint64 | ~int](c *Codec, p *T, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutU64(uint64(*p))
-	case c.op == opDecode:
+	case c.op >= opDecode:
 		*p = T(c.dec.U64())
 	case h.bits > 0:
 		c.add(h, func() uint64 { return uint64(*p) }, func(v uint64) { *p = T(v) })
@@ -192,7 +198,7 @@ func I64[T ~int64](c *Codec, p *T, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutI64(int64(*p))
-	case c.op == opDecode:
+	case c.op >= opDecode:
 		*p = T(c.dec.I64())
 	case h.bits > 0:
 		c.add(h, func() uint64 { return uint64(*p) }, func(v uint64) { *p = T(v) })
@@ -205,7 +211,7 @@ func Str(c *Codec, p *string, h HeapSpec) {
 	switch {
 	case c.op == opEncode:
 		c.enc.PutString(*p)
-	case c.op == opDecode:
+	case c.op >= opDecode:
 		*p = c.dec.String()
 	case h.bits > 0:
 		c.add(h, func() uint64 { return packString(*p) }, func(v uint64) { *p = unpackString(*p, v) })
@@ -214,10 +220,10 @@ func Str(c *Codec, p *string, h HeapSpec) {
 
 // Bool declares a boolean field.
 func Bool(c *Codec, p *bool) {
-	switch c.op {
-	case opEncode:
+	switch {
+	case c.op == opEncode:
 		c.enc.PutBool(*p)
-	case opDecode:
+	case c.op >= opDecode:
 		*p = c.dec.Bool()
 	}
 }
@@ -235,53 +241,38 @@ func Dropped(c *Codec, p *bool) {
 // checkpointed so that Restore refuses, once the whole input has parsed, a
 // checkpoint taken for another binding. An element has at most two.
 func BindU64(c *Codec, name string, v uint64) {
-	switch c.op {
-	case opEncode:
+	switch {
+	case c.op == opEncode:
 		c.enc.PutU64(v)
-	case opDecode:
+	case c.op >= opDecode:
 		c.keys[c.nkeys], c.nkeys = bindKey{name, c.dec.U64(), v}, c.nkeys+1
 	}
 }
 
 // BindI64 is BindU64 for a signed key.
 func BindI64(c *Codec, name string, v int64) {
-	switch c.op {
-	case opEncode:
+	switch {
+	case c.op == opEncode:
 		c.enc.PutI64(v)
-	case opDecode:
+	case c.op >= opDecode:
 		c.keys[c.nkeys], c.nkeys = bindKey{name, c.dec.I64(), v}, c.nkeys+1
 	}
 }
 
-// Strs declares a list of at most max strings (noun names them in the
-// bound violation).
-func Strs(c *Codec, p *[]string, max uint64, noun string) {
-	switch c.op {
-	case opEncode:
-		c.enc.PutU64(uint64(len(*p)))
-		for _, s := range *p {
-			c.enc.PutString(s)
-		}
-	case opDecode:
-		n, ok := c.bound(max, noun)
-		var out []string
-		for i := uint64(0); ok && i < n; i++ {
-			out = append(out, c.dec.String())
-		}
-		*p = out
-	}
-}
-
-// Rows declares a table of at most max records and returns how many
-// records to walk, each as recs[i].Fields(c.Row(i)). Decoding reads the
-// count and gives the table a fresh slice of that length.
+// Rows declares a table of at most max entries (noun names them in the
+// bound violation) and returns how many to walk, a record as
+// recs[i].Fields(c.Row(i)). Decoding reads the count and gives the table
+// a fresh slice of that length.
 func Rows[R any](c *Codec, recs *[]R, max uint64, noun string) int {
-	switch c.op {
-	case opEncode:
+	switch {
+	case c.op == opEncode:
 		c.enc.PutU64(uint64(len(*recs)))
-	case opDecode:
-		n, ok := c.bound(max, noun)
-		if !ok {
+	case c.op >= opDecode:
+		n := c.dec.U64()
+		if n > max && c.op == opDecode && c.err == nil {
+			c.err = fmt.Errorf("%s: %d %s: %w", c.elem, n, noun, ErrCorrupt)
+		}
+		if c.err != nil {
 			return 0
 		}
 		*recs = make([]R, n)

@@ -17,7 +17,9 @@ type probeRec struct {
 func (r *probeRec) Fields(c *Codec) {
 	U64(c, &r.ID, Heap(1, "id", 16))
 	Str(c, &r.Name, Heap(0, "name", 64))
-	Strs(c, &r.Hint, 2, "hints")
+	for i := range Rows(c, &r.Hint, 2, "hints") {
+		Str(c, &r.Hint[i], NoHeap)
+	}
 }
 
 type probeElem struct {

@@ -320,7 +320,7 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"})
 }
 
-// Fields is app_mon's record layout. The application and rank the ARMOR
+// Fields declares app_mon's checkpointed state. The application and rank the ARMOR
 // was installed for are binding keys: a checkpoint taken for another
 // binding is refused as corrupt.
 func (e *ExecElem) Fields(c *core.Codec) {

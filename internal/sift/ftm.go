@@ -148,13 +148,14 @@ type NodeMgmtElem struct {
 	Nodes []nodeRec
 }
 
+// Fields declares node_mgmt's checkpointed state: the node table.
 func (e *NodeMgmtElem) Fields(c *core.Codec) {
 	for i := range core.Rows(c, &e.Nodes, MaxNodes, "nodes") {
 		e.Nodes[i].Fields(c.Row(i))
 	}
 }
 
-// Fields is node_mgmt's record layout. Hostname bytes and daemon AIDs are
+// Fields is a node record's layout. Hostname bytes and daemon AIDs are
 // the element's dynamic data; both were "repeatedly written to during the
 // initialization phases" in the paper and were the most sensitive to
 // propagation.
@@ -346,6 +347,7 @@ type MgrArmorInfoElem struct {
 	Recs []armorRec
 }
 
+// Fields declares mgr_armor_info's checkpointed state: the ARMOR table.
 func (e *MgrArmorInfoElem) Fields(c *core.Codec) {
 	for i := range core.Rows(c, &e.Recs, MaxArmors, "records") {
 		e.Recs[i].Fields(c.Row(i))
@@ -517,6 +519,7 @@ type ExecArmorInfoElem struct {
 	Recs []execRec
 }
 
+// Fields declares exec_armor_info's checkpointed state: the binding table.
 func (e *ExecArmorInfoElem) Fields(c *core.Codec) {
 	for i := range core.Rows(c, &e.Recs, MaxArmors, "records") {
 		e.Recs[i].Fields(c.Row(i))
@@ -634,6 +637,7 @@ type AppParamElem struct {
 	Recs []appRec
 }
 
+// Fields declares app_param's checkpointed state: the application table.
 func (e *AppParamElem) Fields(c *core.Codec) {
 	for i := range core.Rows(c, &e.Recs, MaxApps, "records") {
 		e.Recs[i].Fields(c.Row(i))
@@ -645,7 +649,9 @@ func (r *appRec) Fields(c *core.Codec) {
 	core.Str(c, &r.Name, core.Heap(1, "name", 64))
 	core.I64(c, &r.Ranks, core.NoHeap)
 	core.I64(c, &r.Restarts, core.Heap(0, "restarts", 8))
-	core.Strs(c, &r.Nodes, MaxAppNodes, "nodes")
+	for i := range core.Rows(c, &r.Nodes, MaxAppNodes, "nodes") {
+		core.Str(c, &r.Nodes[i], core.NoHeap)
+	}
 }
 
 // Name implements core.Element.
@@ -717,6 +723,7 @@ type MgrAppDetectElem struct {
 	Recs []detectRec
 }
 
+// Fields declares mgr_app_detect's checkpointed state: the detection table.
 func (e *MgrAppDetectElem) Fields(c *core.Codec) {
 	for i := range core.Rows(c, &e.Recs, MaxApps, "records") {
 		e.Recs[i].Fields(c.Row(i))

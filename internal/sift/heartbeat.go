@@ -247,7 +247,7 @@ func (e *HeartbeatElem) poll(ctx *core.Ctx) {
 	ctx.SendUnreliable(AIDFTM, core.EventAreYouAlive, nil)
 }
 
-// Fields is ftm_watch's record layout.
+// Fields declares ftm_watch's checkpointed state.
 func (e *HeartbeatElem) Fields(c *core.Codec) {
 	core.Str(c, &e.FTMNode, core.NoHeap)
 	core.U64(c, &e.FTMDaemon, core.Heap(1, "ftmDaemon", 16))

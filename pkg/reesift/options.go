@@ -66,11 +66,8 @@ func WithSeed(seed int64) Option {
 // table bound.
 func WithNodes(n int) Option {
 	return func(s *settings) error {
-		if n < 2 {
-			return fmt.Errorf("reesift: WithNodes(%d): a SIFT cluster needs at least 2 nodes (FTM and Heartbeat ARMOR must be on different nodes)", n)
-		}
-		if n > sift.MaxNodes {
-			return fmt.Errorf("reesift: WithNodes(%d): the FTM's node table holds at most %d nodes", n, sift.MaxNodes)
+		if n < 2 || n > sift.MaxNodes {
+			return fmt.Errorf("reesift: WithNodes(%d): a SIFT cluster needs at least 2 nodes (FTM and Heartbeat ARMOR must be on different nodes) and at most %d nodes (the FTM's node table)", n, sift.MaxNodes)
 		}
 		s.nodes = defaultNodeNames(n)
 		return nil
@@ -81,11 +78,8 @@ func WithNodes(n int) Option {
 // to sift.MaxNodes of them, each at most sift.MaxHostname bytes.
 func WithNodeNames(names ...string) Option {
 	return func(s *settings) error {
-		if len(names) < 2 {
-			return fmt.Errorf("reesift: WithNodeNames: a SIFT cluster needs at least 2 nodes, got %d", len(names))
-		}
-		if len(names) > sift.MaxNodes {
-			return fmt.Errorf("reesift: WithNodeNames: the FTM's node table holds at most %d nodes, got %d", sift.MaxNodes, len(names))
+		if len(names) < 2 || len(names) > sift.MaxNodes {
+			return fmt.Errorf("reesift: WithNodeNames: a SIFT cluster needs at least 2 nodes and at most %d nodes (the FTM's node table), got %d", sift.MaxNodes, len(names))
 		}
 		seen := make(map[string]bool, len(names))
 		for _, name := range names {
