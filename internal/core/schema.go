@@ -12,11 +12,10 @@ import (
 // declaration of its checkpointed record layout: the element's Fields
 // method, which walks every checkpointed field in encoding order through
 // a Codec, one call per field (U64, I64, Str, Bool, Dropped, BindU64,
-// BindI64) or per table (Rows). The walk encodes for Snapshot, decodes for Restore
-// and lists the heap-injectable fields for HeapFields, so the three
-// cannot disagree.
-// Check stays hand-written: its assertions are the element's, not the
-// layout's.
+// BindI64) or per table (Rows). The walk encodes for Snapshot, decodes
+// for Restore and lists the heap-injectable fields for HeapFields, so the
+// three cannot disagree. Check stays hand-written: its assertions are the
+// element's, not the layout's.
 //
 // An element embeds Schema[E, *E] and is wired to itself with
 // Checkpointed before use.
