@@ -109,9 +109,12 @@ type Config struct {
 type Armor struct {
 	cfg  Config
 	proc *sim.Proc
-	ckpt *Checkpoint
-	comm *commState
-	subs map[EventKind][]Element
+	// ckpt is nil until Run or Start aims ckptBuf at this incarnation's
+	// store and path.
+	ckpt    *Checkpoint
+	ckptBuf Checkpoint
+	comm    commState
+	subs    map[EventKind][]Element
 
 	// ctx is the one element execution context. Every dispatch entry
 	// point re-aims it instead of allocating a Ctx per delivery; handlers
@@ -211,28 +214,88 @@ func (t Timer) Cancel() {
 func (t Timer) Reschedule(d time.Duration) bool { return t.ev.Reschedule(d) }
 
 // New builds an ARMOR from a config. Run must be called on a sim process.
-func New(cfg Config) *Armor {
+func New(cfg Config) *Armor { return new(Armor).Reset(cfg) }
+
+// Reset re-initialises an ARMOR for a new incarnation built from cfg, and
+// returns it. It is New's initialiser; the daemon also calls it on the
+// ARMOR of a dead incarnation of the same AID, so a reinstall reuses that
+// runtime's storage instead of rebuilding it:
+//
+//   - the subs, unacked, retries and peerEpoch maps and the channel state's
+//     three maps are cleared, keeping their capacity, as are the
+//     subscription lists and the channel state's key slices;
+//   - the checkpoint buffer keeps its region buffers and encode scratch;
+//     Run (or Start) re-aims it at the new store and path, and until then
+//     Checkpoint returns nil, as on a fresh ARMOR;
+//   - the timer pool is kept: a record in it is free, never pending;
+//   - deaf, corruptNext, Restored, the process and the element context
+//     are reset.
+//
+// Reset frees nothing into a pool. The dead incarnation's boxes and pending
+// timer records are dropped, never returned to Config.Boxes or the timer
+// pool: the kernel drops whatever is still addressed to the dead process,
+// and a record's Timer handle may outlive it. The caller must pass fresh
+// elements and must not Reset an ARMOR whose process is still alive.
+func (a *Armor) Reset(cfg Config) *Armor {
 	if cfg.CheckpointPath == "" {
-		cfg.CheckpointPath = "ckpt/" + strconv.FormatUint(uint64(cfg.ID), 10)
+		cfg.CheckpointPath = a.defaultPath(cfg.ID)
 	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 2 * time.Second
 	}
-	a := &Armor{
-		cfg:       cfg,
-		self:      cfg.ID,
-		comm:      newCommState(),
-		subs:      make(map[EventKind][]Element),
-		unacked:   make(map[ackKey]Envelope),
-		retries:   make(map[ackKey]int),
-		peerEpoch: make(map[AID]uint64),
+	if a.subs == nil {
+		a.subs = make(map[EventKind][]Element)
+		a.unacked = make(map[ackKey]Envelope)
+		a.retries = make(map[ackKey]int)
+		a.peerEpoch = make(map[AID]uint64)
+	}
+	clear(a.unacked)
+	clear(a.retries)
+	clear(a.peerEpoch)
+	a.comm.reset()
+	for kind, els := range a.subs {
+		clear(els)
+		a.subs[kind] = els[:0]
 	}
 	for _, el := range cfg.Elements {
 		for _, kind := range el.Subscriptions() {
 			a.subs[kind] = append(a.subs[kind], el)
 		}
 	}
+	for kind, els := range a.subs {
+		if len(els) == 0 {
+			delete(a.subs, kind)
+		}
+	}
+	if id, ok := a.self.(AID); !ok || id != cfg.ID {
+		a.self = cfg.ID
+	}
+	a.cfg = cfg
+	a.proc, a.ckpt, a.ctx = nil, nil, Ctx{}
+	a.deaf, a.corruptNext, a.Restored = false, false, false
 	return a
+}
+
+// defaultPath returns "ckpt/<id>", reusing the previous incarnation's
+// string when it is the same.
+func (a *Armor) defaultPath(id AID) string {
+	var buf [32]byte
+	path := strconv.AppendUint(append(buf[:0], "ckpt/"...), uint64(id), 10)
+	if a.cfg.CheckpointPath == string(path) {
+		return a.cfg.CheckpointPath
+	}
+	return string(path)
+}
+
+// aimCheckpoint points the checkpoint buffer at this incarnation's store
+// and path, emptied.
+func (a *Armor) aimCheckpoint(p *sim.Proc) {
+	store := a.cfg.Store
+	if store == nil {
+		store = p.Node().RAMDisk()
+	}
+	a.ckptBuf.aim(store, a.cfg.CheckpointPath)
+	a.ckpt = &a.ckptBuf
 }
 
 // ID returns the ARMOR's identification number.
@@ -374,11 +437,7 @@ func (c *Ctx) Crashf(format string, args ...interface{}) {
 // (the process dies by crash, kill, or node failure).
 func (a *Armor) Run(p *sim.Proc) {
 	a.proc = p
-	store := a.cfg.Store
-	if store == nil {
-		store = p.Node().RAMDisk()
-	}
-	a.ckpt = NewCheckpoint(store, a.cfg.CheckpointPath)
+	a.aimCheckpoint(p)
 	if a.cfg.AutoRestore {
 		a.restoreFromCheckpoint()
 	}
@@ -401,11 +460,7 @@ func (a *Armor) Run(p *sim.Proc) {
 func (a *Armor) Start(p *sim.Proc) {
 	a.proc = p
 	if a.ckpt == nil {
-		store := a.cfg.Store
-		if store == nil {
-			store = p.Node().RAMDisk()
-		}
-		a.ckpt = NewCheckpoint(store, a.cfg.CheckpointPath)
+		a.aimCheckpoint(p)
 	}
 	// Start re-enters from deliverEvent on a restore command: give the
 	// delivery in progress its source back afterwards.

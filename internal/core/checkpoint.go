@@ -17,9 +17,11 @@ import (
 // checkpoints across the system is always globally consistent and recovery
 // rolls back exactly one process.
 type Checkpoint struct {
-	path    string
-	regions map[string][]byte
-	// names mirrors the region map keys in sorted order, maintained
+	path string
+	// regions holds every region this checkpoint has held, live or not,
+	// so a region's buffer outlives Load and aim and is reused by name.
+	regions map[string]region
+	// names mirrors the live regions' names in sorted order, maintained
 	// incrementally so the per-transmission commit encodes without
 	// sorting; scratch is the reusable encode buffer. Together they make
 	// the steady-state Update/Commit cycle allocation-free.
@@ -30,14 +32,41 @@ type Checkpoint struct {
 	updates int
 }
 
+// region is one element's buffered snapshot. A region that is not live is
+// absent from the checkpoint; its buffer waits for the name's next use.
+type region struct {
+	buf  []byte
+	live bool
+}
+
 // NewCheckpoint creates an empty checkpoint buffer that commits to the
 // given store under path.
 func NewCheckpoint(store *sim.FS, path string) *Checkpoint {
-	return &Checkpoint{
-		path:    path,
-		regions: make(map[string][]byte),
-		store:   store,
+	c := new(Checkpoint)
+	c.aim(store, path)
+	return c
+}
+
+// aim points the checkpoint at a store and path and empties it: no region
+// is live and the counters restart. Region buffers and the encode scratch
+// are kept for reuse.
+func (c *Checkpoint) aim(store *sim.FS, path string) {
+	if c.regions == nil {
+		c.regions = make(map[string]region)
 	}
+	c.store, c.path = store, path
+	c.dropRegions()
+	c.commits, c.updates = 0, 0
+}
+
+// dropRegions makes every region absent, keeping the buffers.
+func (c *Checkpoint) dropRegions() {
+	for _, name := range c.names {
+		r := c.regions[name]
+		r.live = false
+		c.regions[name] = r
+	}
+	c.names = c.names[:0]
 }
 
 // Update copies an element snapshot into its region of the buffer before
@@ -47,11 +76,13 @@ func NewCheckpoint(store *sim.FS, path string) *Checkpoint {
 //
 //reesift:noalloc
 func (c *Checkpoint) Update(element string, state []byte) {
-	buf, existed := c.regions[element]
-	c.regions[element] = append(buf[:0], state...)
-	if !existed {
+	r := c.regions[element]
+	r.buf = append(r.buf[:0], state...)
+	if !r.live {
+		r.live = true
 		c.names = insertName(c.names, element)
 	}
+	c.regions[element] = r
 	c.updates++
 }
 
@@ -70,7 +101,13 @@ func insertName(names []string, s string) []string {
 // Region returns the current buffered snapshot for an element (nil if
 // none). The returned slice is the live region; the heap injector uses it
 // to corrupt checkpoint contents in place.
-func (c *Checkpoint) Region(element string) []byte { return c.regions[element] }
+func (c *Checkpoint) Region(element string) []byte {
+	r := c.regions[element]
+	if !r.live {
+		return nil
+	}
+	return r.buf
+}
 
 // Elements lists element names with buffered regions, sorted. The caller
 // may keep the returned slice; it is a copy of the maintained index.
@@ -97,23 +134,48 @@ func (c *Checkpoint) Updates() int { return c.updates }
 
 // Load reads the last committed checkpoint from stable storage into the
 // buffer. It returns false if no checkpoint exists, and an error if the
-// stored image is structurally unparseable (length corruption).
+// stored image is structurally unparseable (length corruption), in which
+// case the buffer is left as it was. The image's regions are copied into
+// the buffers kept for their names.
 func (c *Checkpoint) Load() (bool, error) {
 	data, err := c.store.Read(c.path)
 	if err != nil {
 		return false, nil // no checkpoint yet: cold start
 	}
-	regions, err := decodeCheckpoint(data)
-	if err != nil {
+	if err := walkCheckpoint(data, nil); err != nil {
 		return true, err
 	}
-	c.regions = regions
-	c.names = c.names[:0]
-	for n := range regions {
-		c.names = append(c.names, n)
-	}
-	sort.Strings(c.names)
+	c.dropRegions()
+	_ = walkCheckpoint(data, c.loadRegion) // the image parsed above
 	return true, nil
+}
+
+// loadRegion copies one region of a loaded image into the buffer kept
+// for its name and makes it live. A loaded region is never nil, even when
+// empty.
+func (c *Checkpoint) loadRegion(name, data []byte) {
+	key := c.intern(name)
+	r := c.regions[key]
+	if r.buf == nil {
+		r.buf = make([]byte, 0, len(data))
+	}
+	r.buf = append(r.buf[:0], data...)
+	if !r.live {
+		r.live = true
+		c.names = insertName(c.names, key)
+	}
+	c.regions[key] = r
+}
+
+// intern returns the region name spelled by b: the key this checkpoint
+// already holds for it, or a new string for a name it has never held.
+func (c *Checkpoint) intern(b []byte) string {
+	for name := range c.regions {
+		if name == string(b) {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // Discard removes the stable checkpoint, used when an ARMOR is cleanly
@@ -154,7 +216,7 @@ func (c *Checkpoint) encode() []byte {
 	for _, n := range c.names {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(n)))
 		out = append(out, n...)
-		region := c.regions[n]
+		region := c.regions[n].buf
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(region)))
 		out = append(out, region...)
 	}
@@ -162,8 +224,10 @@ func (c *Checkpoint) encode() []byte {
 	return out
 }
 
-func decodeCheckpoint(data []byte) (map[string][]byte, error) {
-	regions := make(map[string][]byte)
+// walkCheckpoint parses an encoded image, calling fn (when non-nil) with
+// each region's name and bytes, which alias data. It reports the first
+// structural error; regions before it have already been passed to fn.
+func walkCheckpoint(data []byte, fn func(name, region []byte)) error {
 	off := 0
 	read32 := func() (int, error) {
 		if off+4 > len(data) {
@@ -175,32 +239,32 @@ func decodeCheckpoint(data []byte) (map[string][]byte, error) {
 	}
 	n, err := read32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n < 0 || n > 1<<16 {
-		return nil, fmt.Errorf("checkpoint region count %d: %w", n, ErrCorrupt)
+		return fmt.Errorf("checkpoint region count %d: %w", n, ErrCorrupt)
 	}
 	for i := 0; i < n; i++ {
 		nameLen, err := read32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nameLen < 0 || off+nameLen > len(data) {
-			return nil, fmt.Errorf("checkpoint name length %d: %w", nameLen, ErrCorrupt)
+			return fmt.Errorf("checkpoint name length %d: %w", nameLen, ErrCorrupt)
 		}
-		name := string(data[off : off+nameLen])
+		name := data[off : off+nameLen]
 		off += nameLen
 		regionLen, err := read32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if regionLen < 0 || off+regionLen > len(data) {
-			return nil, fmt.Errorf("checkpoint region length %d: %w", regionLen, ErrCorrupt)
+			return fmt.Errorf("checkpoint region length %d: %w", regionLen, ErrCorrupt)
 		}
-		region := make([]byte, regionLen)
-		copy(region, data[off:off+regionLen])
+		if fn != nil {
+			fn(name, data[off:off+regionLen])
+		}
 		off += regionLen
-		regions[name] = region
 	}
-	return regions, nil
+	return nil
 }

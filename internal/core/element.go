@@ -13,7 +13,9 @@ package core
 type Element interface {
 	// Name identifies the element; checkpoint regions are keyed by it.
 	Name() string
-	// Subscriptions lists the event kinds the element handles.
+	// Subscriptions lists the event kinds the element handles. The
+	// runtime only reads the list, so every instance of an element type
+	// may return one shared slice.
 	Subscriptions() []EventKind
 	// Handle processes one event. It may send messages, start timers,
 	// and mutate the element's own private state via ctx.

@@ -43,11 +43,23 @@ type commPair struct {
 }
 
 func newCommState() *commState {
-	return &commState{
-		nextSeq:   make(map[AID]uint64),
-		lastSeen:  make(map[AID]uint64),
-		extraSeen: make(map[AID]map[uint64]bool),
+	c := new(commState)
+	c.reset()
+	return c
+}
+
+// reset empties the channel state, keeping the maps' and key slices'
+// capacity.
+func (c *commState) reset() {
+	if c.nextSeq == nil {
+		c.nextSeq = make(map[AID]uint64)
+		c.lastSeen = make(map[AID]uint64)
+		c.extraSeen = make(map[AID]map[uint64]bool)
 	}
+	clear(c.nextSeq)
+	clear(c.lastSeen)
+	clear(c.extraSeen)
+	c.seqKeys, c.seenKeys = c.seqKeys[:0], c.seenKeys[:0]
 }
 
 // insertAID adds k to a sorted key slice if absent.
@@ -154,9 +166,13 @@ func (c *commState) snapshot() []byte {
 	e.Reset()
 	putSeqMap(e, c.nextSeq, c.seqKeys)
 	putSeqMap(e, c.lastSeen, c.seenKeys)
-	// extraSeen: flattened (src, seq) pairs. Almost always empty (only
-	// out-of-order arrivals populate it), so the steady-state path never
-	// reaches the sort.
+	// extraSeen: flattened (src, seq) pairs, sorted. Only out-of-order
+	// arrivals populate it, and markSeen prunes a source's set once its
+	// window closes. A window that never closes pins its pairs for good,
+	// and that is a leak today: the SCC numbers its reliable sends from
+	// one counter shared by every destination, so a receiver never sees
+	// SCC seq 1, every SCC message stays here, and each snapshot re-sorts
+	// them all (ROADMAP item 24, a per-destination counter, mends it).
 	pairs := c.pairScratch[:0]
 	for src, seqs := range c.extraSeen {
 		for seq := range seqs {
@@ -175,46 +191,45 @@ func (c *commState) snapshot() []byte {
 	return e.Bytes()
 }
 
-// restore replaces the channel state from a snapshot.
+// restore replaces the channel state from a snapshot, decoding into the
+// emptied maps and key slices. On error the state is partly restored; the
+// runtime crashes the ARMOR then, so nothing reads it.
 func (c *commState) restore(data []byte) error {
+	c.reset()
 	d := NewDecoder(data)
-	getMap := func() map[AID]uint64 {
-		n := d.U64()
-		if n > 1<<20 {
-			d.fail("comm map size %d", n)
-			return nil
-		}
-		m := make(map[AID]uint64, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			k := AID(d.U64())
-			m[k] = d.U64()
-		}
-		return m
-	}
-	nextSeq := getMap()
-	lastSeen := getMap()
+	getSeqMap(d, c.nextSeq)
+	getSeqMap(d, c.lastSeen)
 	n := d.U64()
 	if n > 1<<20 {
 		d.fail("comm extra size %d", n)
 	}
-	extra := make(map[AID]map[uint64]bool)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		src := AID(d.U64())
 		seq := d.U64()
-		if extra[src] == nil {
-			extra[src] = make(map[uint64]bool)
+		if c.extraSeen[src] == nil {
+			c.extraSeen[src] = make(map[uint64]bool)
 		}
-		extra[src][seq] = true
+		c.extraSeen[src][seq] = true
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
-	c.nextSeq = nextSeq
-	c.lastSeen = lastSeen
-	c.extraSeen = extra
-	c.seqKeys = sortedAIDs(nextSeq, c.seqKeys[:0])
-	c.seenKeys = sortedAIDs(lastSeen, c.seenKeys[:0])
+	c.seqKeys = sortedAIDs(c.nextSeq, c.seqKeys)
+	c.seenKeys = sortedAIDs(c.lastSeen, c.seenKeys)
 	return nil
+}
+
+// getSeqMap decodes a per-peer sequence map written by putSeqMap into m.
+func getSeqMap(d *Decoder, m map[AID]uint64) {
+	n := d.U64()
+	if n > 1<<20 {
+		d.fail("comm map size %d", n)
+		return
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := AID(d.U64())
+		m[k] = d.U64()
+	}
 }
 
 // sortedAIDs rebuilds a sorted key slice from a map, reusing dst.

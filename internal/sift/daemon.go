@@ -228,11 +228,13 @@ func (d *Daemon) deliver(p *sim.Proc, env *core.Envelope) {
 func (e *daemonElem) Name() string { return "daemon_core" }
 
 // Subscriptions implements core.Element.
-func (e *daemonElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{
-		EvInstallArmor, EvUninstallArmor, EvLocation,
-		core.EventChildExit, core.EventIAmAlive,
-	}
+//
+//reesift:noalloc
+func (e *daemonElem) Subscriptions() []core.EventKind { return daemonSubscriptions }
+
+var daemonSubscriptions = []core.EventKind{
+	EvInstallArmor, EvUninstallArmor, EvLocation,
+	core.EventChildExit, core.EventIAmAlive,
 }
 
 // Start arms the local are-you-alive round.

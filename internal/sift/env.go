@@ -392,7 +392,11 @@ func (e *Environment) ftmSites(own string) []FTMSite {
 // buildArmor constructs an ARMOR process image for a daemon install on
 // the given node. The node matters: the ARMOR's lower layer is its *local*
 // daemon, which after a migration is not the node named in the original
-// placement.
+// placement. When the AID's current incarnation is dead, its runtime is
+// Reset for the new one (see core.Armor.Reset); an incarnation whose
+// process is still alive, say on the far side of a partition, is never
+// reused. Either way the elements are new structs, so no element state of
+// an old incarnation reaches the new one.
 func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 	sendViaDaemon := func(p *sim.Proc, env core.Envelope) {
 		p.Send(e.daemonPID[node], e.boxes.Box(env))
@@ -445,6 +449,9 @@ func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 		})}
 	default:
 		cfg.Elements = nil
+	}
+	if old := e.armors[spec.ID]; old != nil && !e.K.Alive(e.procOfAID[spec.ID]) {
+		return old.Reset(cfg)
 	}
 	return core.New(cfg)
 }

@@ -82,11 +82,13 @@ func watchdogSlack(period time.Duration) time.Duration { return period / 4 }
 func (e *ExecElem) Name() string { return "app_mon" }
 
 // Subscriptions implements core.Element.
-func (e *ExecElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{
-		EvLaunchApp, EvAppPID, EvPICreate, EvProgress,
-		EvAppExiting, EvKillApp, core.EventChildExit,
-	}
+//
+//reesift:noalloc
+func (e *ExecElem) Subscriptions() []core.EventKind { return execSubscriptions }
+
+var execSubscriptions = []core.EventKind{
+	EvLaunchApp, EvAppPID, EvPICreate, EvProgress,
+	EvAppExiting, EvKillApp, core.EventChildExit,
 }
 
 // Start arms the process-table poll used for ranks this ARMOR did not

@@ -95,6 +95,12 @@ type FTM struct {
 	// Deliberately soft (not element state): losing it across a restore
 	// costs at most one extra re-broadcast round.
 	reconciledAt time.Duration
+
+	// scopeNodes and scope are submitScope's reusable storage: the
+	// submission's host names, and per NodeMgmt.Nodes entry whether it is
+	// one of them.
+	scopeNodes map[string]bool
+	scope      []bool
 }
 
 // NewFTM builds the element set for a Fault Tolerance Manager.
@@ -174,9 +180,11 @@ type hbRoundTag struct{}
 func (e *NodeMgmtElem) Name() string { return "node_mgmt" }
 
 // Subscriptions implements core.Element.
-func (e *NodeMgmtElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{EvRegisterDaemon, core.EventIAmAlive}
-}
+//
+//reesift:noalloc
+func (e *NodeMgmtElem) Subscriptions() []core.EventKind { return nodeMgmtSubscriptions }
+
+var nodeMgmtSubscriptions = []core.EventKind{EvRegisterDaemon, core.EventIAmAlive}
 
 // Start arms the daemon heartbeat round timer.
 func (e *NodeMgmtElem) Start(ctx *core.Ctx) {
@@ -366,9 +374,11 @@ func (r *armorRec) Fields(c *core.Codec) {
 func (e *MgrArmorInfoElem) Name() string { return "mgr_armor_info" }
 
 // Subscriptions implements core.Element.
-func (e *MgrArmorInfoElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{core.EventInstalled, EvArmorFailed, EvStaleSender}
-}
+//
+//reesift:noalloc
+func (e *MgrArmorInfoElem) Subscriptions() []core.EventKind { return armorInfoSubscriptions }
+
+var armorInfoSubscriptions = []core.EventKind{core.EventInstalled, EvArmorFailed, EvStaleSender}
 
 // Handle implements core.Element.
 func (e *MgrArmorInfoElem) Handle(ctx *core.Ctx, ev core.Event) {
@@ -538,9 +548,11 @@ func (r *execRec) Fields(c *core.Codec) {
 func (e *ExecArmorInfoElem) Name() string { return "exec_armor_info" }
 
 // Subscriptions implements core.Element.
-func (e *ExecArmorInfoElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{EvAppPIDs}
-}
+//
+//reesift:noalloc
+func (e *ExecArmorInfoElem) Subscriptions() []core.EventKind { return execInfoSubscriptions }
+
+var execInfoSubscriptions = []core.EventKind{EvAppPIDs}
 
 // Handle implements core.Element: forwards rank PIDs from the rank-0
 // process to the Execution ARMORs overseeing ranks 1..n-1 (Table 1,
@@ -658,6 +670,8 @@ func (r *appRec) Fields(c *core.Codec) {
 func (e *AppParamElem) Name() string { return "app_param" }
 
 // Subscriptions implements core.Element.
+//
+//reesift:noalloc
 func (e *AppParamElem) Subscriptions() []core.EventKind { return nil }
 
 // Handle implements core.Element.
@@ -743,9 +757,11 @@ func (r *detectRec) Fields(c *core.Codec) {
 func (e *MgrAppDetectElem) Name() string { return "mgr_app_detect" }
 
 // Subscriptions implements core.Element.
-func (e *MgrAppDetectElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{EvAppComplete, EvAppFailed, EvKillAppDone}
-}
+//
+//reesift:noalloc
+func (e *MgrAppDetectElem) Subscriptions() []core.EventKind { return appDetectSubscriptions }
+
+var appDetectSubscriptions = []core.EventKind{EvAppComplete, EvAppFailed, EvKillAppDone}
 
 func (e *MgrAppDetectElem) find(app AppID) *detectRec {
 	for i := range e.Recs {
@@ -893,9 +909,11 @@ type submitElem struct {
 func (e *submitElem) Name() string { return "scc_interface" }
 
 // Subscriptions implements core.Element.
-func (e *submitElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{EvSubmitApp}
-}
+//
+//reesift:noalloc
+func (e *submitElem) Subscriptions() []core.EventKind { return submitSubscriptions }
+
+var submitSubscriptions = []core.EventKind{EvSubmitApp}
 
 // Handle implements core.Element.
 func (e *submitElem) Handle(ctx *core.Ctx, ev core.Event) {
@@ -928,6 +946,10 @@ func (f *FTM) submit(ctx *core.Ctx, app *AppSpec) {
 	f.AppDetect.add(app.ID, app.Ranks)
 	ctx.Touch(f.AppDetect)
 	f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppSubmitted, id: uint64(app.ID), ref: f.env.Log.intern(app.Name)})
+	var scope []bool
+	if f.env.cfg.ScopedLocationBroadcast {
+		scope = f.submitScope(app)
+	}
 	for rank := 0; rank < app.Ranks; rank++ {
 		node := f.env.rankNode(app, rank)
 		aid := AIDExec(app.ID, rank)
@@ -959,38 +981,55 @@ func (f *FTM) submit(ctx *core.Ctx, app *AppSpec) {
 		ctx.Touch(f.ArmorInfo)
 		daemon := f.NodeMgmt.Translate(node)
 		ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: spec})
-		f.announceSubmitLocation(ctx, app, aid, node)
+		f.announceSubmitLocation(ctx, scope, aid, node)
 		// The application process itself attaches under a pseudo-AID on
 		// the same node; daemons need it in their location caches to
 		// route acknowledgments back to it. Application processes are
 		// not epoched (they predate the ARMOR runtime), so epoch zero.
-		f.announceSubmitLocation(ctx, app, AIDApp(app.ID, rank), node)
+		f.announceSubmitLocation(ctx, scope, AIDApp(app.ID, rank), node)
 	}
+}
+
+// submitScope computes which daemons route traffic for a submission under
+// ScopedLocationBroadcast: the application's own rank nodes plus the
+// FTM's node. The result is indexed like NodeMgmt.Nodes and valid until
+// the next submission; it is computed once per submission, which cannot
+// change the node table before its last announcement.
+func (f *FTM) submitScope(app *AppSpec) []bool {
+	if f.scopeNodes == nil {
+		f.scopeNodes = make(map[string]bool)
+	}
+	hosts := f.scopeNodes
+	clear(hosts)
+	for rank := 0; rank < app.Ranks; rank++ {
+		hosts[f.env.rankNode(app, rank)] = true
+	}
+	if own := f.env.placementNode(AIDFTM); own != "" {
+		hosts[own] = true
+	} else {
+		hosts[f.env.cfg.FTMNode] = true
+	}
+	scope := f.scope[:0]
+	for _, n := range f.NodeMgmt.Nodes {
+		scope = append(scope, hosts[n.Hostname])
+	}
+	f.scope = scope
+	return scope
 }
 
 // announceSubmitLocation distributes a submit-time location record
 // (Execution ARMOR or application pseudo-AID, always epoch zero). The
 // default is the cluster-wide broadcast; with ScopedLocationBroadcast
-// the record goes only to the daemons that route traffic for the
-// submission — the application's own rank nodes plus the FTM's node.
+// the record goes only to the daemons submitScope marked in scope.
 // Recovery-time updates (recoverNode, reconcile) keep the full
 // broadcast: after a failure any daemon may hold a stale entry.
-func (f *FTM) announceSubmitLocation(ctx *core.Ctx, app *AppSpec, id core.AID, node string) {
+func (f *FTM) announceSubmitLocation(ctx *core.Ctx, scope []bool, id core.AID, node string) {
 	if !f.env.cfg.ScopedLocationBroadcast {
 		f.broadcastLocation(ctx, id, node, 0)
 		return
 	}
-	scope := make(map[string]bool, app.Ranks+1)
-	for rank := 0; rank < app.Ranks; rank++ {
-		scope[f.env.rankNode(app, rank)] = true
-	}
-	if own := f.env.placementNode(AIDFTM); own != "" {
-		scope[own] = true
-	} else {
-		scope[f.env.cfg.FTMNode] = true
-	}
-	for _, n := range f.NodeMgmt.Nodes {
-		if !n.Alive || !scope[n.Hostname] {
+	for i, n := range f.NodeMgmt.Nodes {
+		if !n.Alive || !scope[i] {
 			continue
 		}
 		ctx.SendUnreliable(n.DaemonAID, EvLocation, Location{ID: id, Node: node, Epoch: 0})

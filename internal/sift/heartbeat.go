@@ -85,9 +85,11 @@ type ftmRetryTag struct{ epoch int64 }
 func (e *HeartbeatElem) Name() string { return "ftm_watch" }
 
 // Subscriptions implements core.Element.
-func (e *HeartbeatElem) Subscriptions() []core.EventKind {
-	return []core.EventKind{core.EventIAmAlive, core.EventInstalled}
-}
+//
+//reesift:noalloc
+func (e *HeartbeatElem) Subscriptions() []core.EventKind { return heartbeatSubscriptions }
+
+var heartbeatSubscriptions = []core.EventKind{core.EventIAmAlive, core.EventInstalled}
 
 // Start arms the polling timer.
 func (e *HeartbeatElem) Start(ctx *core.Ctx) {

@@ -13,24 +13,47 @@ import (
 // contract for this package: the scenarios below must run at zero
 // allocations, and every annotated function must be named by one.
 func TestNoallocRuntime(t *testing.T) {
-	noalloctest.Verify(t, []noalloctest.Check{snapshotCheck(), forwardCheck(t)})
+	noalloctest.Verify(t, []noalloctest.Check{snapshotCheck(), subscriptionsCheck(), forwardCheck(t)})
 }
 
-// snapshotCheck re-encodes every populated element into its scratch
-// Encoder (core.Schema.Snapshot, whose own check is in core, walking this
-// package's record declarations), plus the two elements that checkpoint
-// nothing.
-func snapshotCheck() noalloctest.Check {
+// checkedElements is one populated instance of every element type: the
+// seven checkpointed ones plus the two that checkpoint nothing.
+func checkedElements() []core.Element {
 	els := []core.Element{&daemonElem{}, &submitElem{}}
 	for _, c := range snapshotCases() {
 		els = append(els, c.el)
 	}
+	return els
+}
+
+// snapshotCheck re-encodes every populated element into its scratch
+// Encoder (core.Schema.Snapshot, whose own check is in core, walking this
+// package's record declarations).
+func snapshotCheck() noalloctest.Check {
+	els := checkedElements()
 	return noalloctest.Check{
 		Name:   "element snapshots",
 		Covers: []string{"daemonElem.Snapshot", "submitElem.Snapshot"},
 		Run: func() {
 			for _, el := range els {
 				el.Snapshot()
+			}
+		},
+	}
+}
+
+// subscriptionsCheck reads every element's subscription list, as the
+// ARMOR runtime does at each install and reinstall.
+func subscriptionsCheck() noalloctest.Check {
+	els := checkedElements()
+	return noalloctest.Check{
+		Name: "element subscriptions",
+		Covers: []string{"daemonElem.Subscriptions", "submitElem.Subscriptions", "NodeMgmtElem.Subscriptions",
+			"MgrArmorInfoElem.Subscriptions", "ExecArmorInfoElem.Subscriptions", "AppParamElem.Subscriptions",
+			"MgrAppDetectElem.Subscriptions", "HeartbeatElem.Subscriptions", "ExecElem.Subscriptions"},
+		Run: func() {
+			for _, el := range els {
+				el.Subscriptions()
 			}
 		},
 	}

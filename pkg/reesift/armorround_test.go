@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"reesift/internal/core"
+	"reesift/internal/sift"
 	"reesift/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func TestArmorRoundAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	c.Run(5 * time.Second)
-	c.Submit(ChaosServiceApp(1, "node-b1", 0), c.Now())
+	mustSubmit(t, c, ChaosServiceApp(1, "node-b1", 0), c.Now())
 	limit := c.Run(6 * period) // installed, pools and scratch buffers warm
 
 	// An envelope is counted where it enters the network (Hops == 0).
@@ -62,5 +63,53 @@ func TestArmorRoundAllocs(t *testing.T) {
 	}
 	if allocs > maxAllocs {
 		t.Fatalf("one heartbeat period allocates %.0f objects for %d envelopes, want ≤ %d", allocs, envelopes, maxAllocs)
+	}
+}
+
+// TestArmorReinstallAllocs pins the allocation cost of recovering a
+// crashed ARMOR (the SIGINT/Execution ARMOR path of Tables 4–7): on the
+// 4-node testbed with the chaos relay service running, each iteration
+// kills the service's Execution ARMOR and runs one heartbeat period, in
+// which the daemon detects the crash, the FTM reinstalls the ARMOR and it
+// restores from its microcheckpoint. The reinstall Resets the dead
+// incarnation's runtime instead of rebuilding it, so what remains is the
+// recovery protocol's own traffic, the new process, and the fresh element
+// structs. A reinstall measured 22 objects (25 with -race); the bound of
+// 30 leaves the race detector's 3 and 5 more, while rebuilding the
+// runtime from nothing took 75.
+//
+// Not parallel: AllocsPerRun counts every allocation in the process.
+func TestArmorReinstallAllocs(t *testing.T) {
+	const (
+		period    = 10 * time.Second
+		maxAllocs = 30
+	)
+	c, err := NewCluster(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(5 * time.Second)
+	app := ChaosServiceApp(1, "node-b1", 0)
+	mustSubmit(t, c, app, c.Now())
+	limit := c.Run(6 * period) // installed, pools and scratch buffers warm
+
+	aid := sift.AIDExec(app.ID, 0)
+	var reinstalls int
+	allocs := testing.AllocsPerRun(10, func() {
+		old := c.Env().ProcOf(aid)
+		c.Kernel().Kill(old, "SIGINT")
+		limit += period
+		c.Run(limit)
+		if pid := c.Env().ProcOf(aid); pid != old && c.Kernel().Alive(pid) && c.Env().ArmorOf(aid).Restored {
+			reinstalls++
+		}
+	})
+	t.Logf("%.0f allocations per reinstall", allocs)
+	if reinstalls != 11 {
+		t.Fatalf("%d of 11 kills were followed by a restored reinstall within %v", reinstalls, period)
+	}
+	if allocs > maxAllocs {
+		t.Fatalf("one reinstall allocates %.0f objects, want ≤ %d", allocs, maxAllocs)
 	}
 }

@@ -1,6 +1,7 @@
 package reesift
 
 import (
+	"fmt"
 	"time"
 
 	"reesift/internal/sift"
@@ -79,11 +80,17 @@ func (c *Cluster) SharedFS() *sim.FS { return c.k.SharedFS() }
 func (c *Cluster) Now() time.Duration { return c.k.Now() }
 
 // Submit schedules an application submission through the SCC at virtual
-// time at, returning the handle to poll after the run.
-func (c *Cluster) Submit(app *AppSpec, at time.Duration) *AppHandle {
+// time at, returning the handle to poll after the run. An application
+// the cluster cannot run — placed on a node outside it, or beyond the
+// FTM's rank or node-hint limits — is refused with an error, as
+// Injection refuses it, and nothing is submitted.
+func (c *Cluster) Submit(app *AppSpec, at time.Duration) (*AppHandle, error) {
+	if err := validateApp(app, c.env.Config().Nodes); err != nil {
+		return nil, fmt.Errorf("reesift: Submit: %w", err)
+	}
 	h := c.env.Submit(app, at)
 	c.handles = append(c.handles, h)
-	return h
+	return h, nil
 }
 
 // At schedules fn to run at the given absolute virtual time (or

@@ -26,7 +26,11 @@ func ExampleNewCluster() {
 
 	// Step 2: submit the texture analysis program on two nodes.
 	app := reesift.RoverApp(1, "node-a1", "node-a2")
-	handle := c.Submit(app, 5*time.Second)
+	handle, err := c.Submit(app, 5*time.Second)
+	if err != nil {
+		fmt.Println("submission refused:", err)
+		return
+	}
 
 	if !c.RunUntilDone(10 * time.Minute) {
 		fmt.Println("application did not complete")
@@ -84,8 +88,16 @@ func ExampleCluster_SuspendExecArmor() {
 
 	roverApp := reesift.RoverApp(1, "n1", "n2")
 	otisApp := reesift.OTISApp(2, "n3", "n4")
-	hr := c.Submit(roverApp, 5*time.Second)
-	ho := c.Submit(otisApp, 5*time.Second)
+	hr, err := c.Submit(roverApp, 5*time.Second)
+	if err != nil {
+		fmt.Println("submission refused:", err)
+		return
+	}
+	ho, err := c.Submit(otisApp, 5*time.Second)
+	if err != nil {
+		fmt.Println("submission refused:", err)
+		return
+	}
 
 	// Hang OTIS's rank-0 Execution ARMOR mid-run: the daemon's
 	// are-you-alive polling detects it, the FTM reinstalls it from its

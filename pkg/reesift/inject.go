@@ -2,6 +2,7 @@ package reesift
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"reesift/internal/chaos"
@@ -244,33 +245,33 @@ func (i Injection) config() (inject.Config, error) {
 			return inject.Config{}, fmt.Errorf("reesift: Injection: %w", err)
 		}
 	}
-	// Eager validation: every application must be placed on cluster
-	// nodes, or its ranks silently never launch and the run is
-	// misclassified as a system failure; and it must fit the FTM's
-	// records, or their assertions crash the FTM at submission.
-	inCluster := func(name string) bool {
-		for _, n := range nodes {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, app := range cfg.Apps {
-		if app == nil {
-			return inject.Config{}, fmt.Errorf("reesift: Injection: nil AppSpec")
-		}
-		if app.Ranks < 1 || app.Ranks > sift.MaxRanks {
-			return inject.Config{}, fmt.Errorf("reesift: Injection: app %d has %d ranks, want 1 to %d", app.ID, app.Ranks, sift.MaxRanks)
-		}
-		if len(app.Nodes) > sift.MaxAppNodes {
-			return inject.Config{}, fmt.Errorf("reesift: Injection: app %d has %d node hints, at most %d", app.ID, len(app.Nodes), sift.MaxAppNodes)
-		}
-		for _, n := range app.Nodes {
-			if !inCluster(n) {
-				return inject.Config{}, fmt.Errorf("reesift: Injection: app %d placed on node %q, which is not in the cluster %v", app.ID, n, nodes)
-			}
+		if err := validateApp(app, nodes); err != nil {
+			return inject.Config{}, fmt.Errorf("reesift: Injection: %w", err)
 		}
 	}
 	return cfg, nil
+}
+
+// validateApp is the eager check Injection and Cluster.Submit share: an
+// application must be placed on cluster nodes, or its ranks silently never
+// launch and the run is misclassified as a system failure; and it must
+// fit the FTM's records, or their assertions crash the FTM at submission
+// and the application never finishes.
+func validateApp(app *AppSpec, nodes []string) error {
+	if app == nil {
+		return fmt.Errorf("nil AppSpec")
+	}
+	if app.Ranks < 1 || app.Ranks > sift.MaxRanks {
+		return fmt.Errorf("app %d has %d ranks, want 1 to %d", app.ID, app.Ranks, sift.MaxRanks)
+	}
+	if len(app.Nodes) > sift.MaxAppNodes {
+		return fmt.Errorf("app %d has %d node hints, at most %d", app.ID, len(app.Nodes), sift.MaxAppNodes)
+	}
+	for _, n := range app.Nodes {
+		if !slices.Contains(nodes, n) {
+			return fmt.Errorf("app %d placed on node %q, which is not in the cluster %v", app.ID, n, nodes)
+		}
+	}
+	return nil
 }

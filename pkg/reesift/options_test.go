@@ -105,12 +105,12 @@ func TestRunUntilDoneTwice(t *testing.T) {
 	if !c.RunUntilDone(10 * time.Minute) {
 		t.Fatal("no-submission RunUntilDone returned false")
 	}
-	ha := c.Submit(RoverApp(1), c.Now()+5*time.Second)
+	ha := mustSubmit(t, c, RoverApp(1), c.Now()+5*time.Second)
 	if !c.RunUntilDone(c.Now() + 10*time.Minute) {
 		t.Fatal("first submission did not complete")
 	}
 	after := c.Now()
-	hb := c.Submit(RoverApp(2), c.Now()+5*time.Second)
+	hb := mustSubmit(t, c, RoverApp(2), c.Now()+5*time.Second)
 	if !c.RunUntilDone(c.Now() + 10*time.Minute) {
 		t.Fatal("second submission did not complete")
 	}
@@ -134,7 +134,7 @@ func TestRunUntilDoneIgnoresForeignSubmissions(t *testing.T) {
 	}
 	defer c.Close()
 	foreign := c.Env().Submit(RoverApp(1, "n1", "n2"), 5*time.Second)
-	tracked := c.Submit(RoverApp(2, "n3", "n4"), 40*time.Second)
+	tracked := mustSubmit(t, c, RoverApp(2, "n3", "n4"), 40*time.Second)
 	if !c.RunUntilDone(20 * time.Minute) {
 		t.Fatalf("tracked submission did not complete (foreign done=%v tracked done=%v)",
 			foreign.Done, tracked.Done)
@@ -185,7 +185,7 @@ func TestClusterRunsRoverSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h := c.Submit(RoverApp(1), 5*time.Second)
+	h := mustSubmit(t, c, RoverApp(1), 5*time.Second)
 	if !c.RunUntilDone(10 * time.Minute) {
 		t.Fatal("application did not complete")
 	}
@@ -263,7 +263,7 @@ func TestNodeNamesRejectHostnameOverLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Submit(RoverApp(1, "node-b1", atLimit), 5*time.Second)
+	mustSubmit(t, c, RoverApp(1, "node-b1", atLimit), 5*time.Second)
 	if !c.RunUntilDone(10 * time.Minute) {
 		t.Fatal("application on a 64-byte hostname did not complete")
 	}
@@ -296,4 +296,43 @@ func TestInjectionRejectsAppsOverRecordLimits(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestSubmitRejectsAppsOverRecordLimits: Submit shares Injection's check,
+// so an application the FTM cannot hold is refused at submission instead
+// of crashing the FTM's assertions and never finishing. Nothing is
+// submitted, so RunUntilDone has nothing to wait for.
+func TestSubmitRejectsAppsOverRecordLimits(t *testing.T) {
+	c, err := NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wide := RoverApp(1)
+	wide.Ranks = sift.MaxRanks + 1
+	if h, err := c.Submit(wide, 5*time.Second); err == nil || h != nil ||
+		!strings.Contains(err.Error(), "reesift: Submit: app 1 has 65 ranks, want 1 to 64") {
+		t.Fatalf("Submit(65 ranks) = %v, %v; want the rank-limit error and no handle", h, err)
+	}
+	if _, err := c.Submit(RoverApp(2, "node-z9"), 5*time.Second); err == nil ||
+		!strings.Contains(err.Error(), `placed on node "node-z9", which is not in the cluster`) {
+		t.Fatalf("Submit(foreign node) err = %v, want the placement error", err)
+	}
+	if !c.RunUntilDone(time.Minute) {
+		t.Fatal("RunUntilDone waited on a refused submission")
+	}
+	if got := c.Log().Count(sift.LogAppSubmitted); got != 0 {
+		t.Fatalf("%d submissions reached the FTM, want 0", got)
+	}
+}
+
+// mustSubmit submits an application the test expects the cluster to
+// accept.
+func mustSubmit(t *testing.T, c *Cluster, app *AppSpec, at time.Duration) *AppHandle {
+	t.Helper()
+	h, err := c.Submit(app, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
