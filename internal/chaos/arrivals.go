@@ -4,14 +4,19 @@ import (
 	"time"
 
 	"reesift/internal/inject"
+	"reesift/internal/sift"
 	"reesift/internal/trace"
 )
 
-// arm schedules the arrival process on the trial's kernel. It runs
-// before the kernel starts; the process itself begins at the
-// application's submit time, mirroring the one-shot models' injection
-// window.
+// arm has the trial's log fold the observed application's beats and
+// schedules the arrival process on the trial's kernel. It runs before the
+// kernel starts; the process itself begins at the application's submit
+// time, mirroring the one-shot models' injection window.
 func (d *driver) arm() {
+	if apps := d.r.RunConfig().Apps; len(apps) > 0 {
+		d.fold = sift.BeatFold{App: apps[0].ID, Grace: d.spec.DownGrace}
+		d.r.Env().Log.FoldBeats(&d.fold)
+	}
 	start := d.r.RunConfig().SubmitAt
 	k := d.r.Kernel()
 	switch d.spec.Process {

@@ -28,9 +28,9 @@
 //
 // Availability is observed from the outside, through a beat convention:
 // the built-in relay service (ServiceApp) sends one progress-indicator
-// update per ServicePeriod and logs a BeatKind entry after each
-// acknowledged update. Gaps between consecutive beats in excess of the
-// period are down intervals — this sees both failure/repair cycles
+// update per period and logs a BeatKind beat after each acknowledged
+// update. Gaps between consecutive beats in excess of the period are down
+// intervals — this sees both failure/repair cycles
 // (process dead until restarted) and blocked time (the SIFT interface
 // retransmitting into a dead Execution ARMOR), the two components of the
 // SAN model's AppUnavailability prediction.
@@ -43,6 +43,7 @@ import (
 
 	"reesift/internal/campaign"
 	"reesift/internal/inject"
+	"reesift/internal/sift"
 )
 
 // Process selects the arrival process shape.
@@ -131,8 +132,9 @@ type Spec struct {
 	// after each primary, conditioned on an in-flight recovery.
 	Second    *inject.CompoundStage
 	SecondLag time.Duration
-	// ServicePeriod is the relay service's beat period (default 5s) and
-	// the baseline for the beat-gap availability measurement.
+	// ServicePeriod is the beat period of the relay service the façade
+	// builds for a trial (default 5s). The beat-gap measurement judges
+	// each gap against the period the beating service itself logs.
 	ServicePeriod time.Duration
 	// DownGrace is the beat-gap slack before a gap counts as downtime
 	// (default 500ms).
@@ -251,6 +253,9 @@ type driver struct {
 
 	arrivals int
 	events   []inject.ArrivalEvent
+	// fold is the observed application's beat record, folded by the
+	// trial's log as beats arrive.
+	fold sift.BeatFold
 }
 
 // newDriver derives the process's private seed stream from the run seed

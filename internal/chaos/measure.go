@@ -7,8 +7,8 @@ import (
 	"reesift/internal/stats"
 )
 
-// measure folds the trial's beat record into the chaos statistics. It
-// runs after the kernel has stopped, on the host side.
+// measure turns the trial's beat fold into the chaos statistics. It runs
+// after the kernel has stopped, on the host side.
 //
 // The service is up while beats arrive on schedule; any inter-beat gap
 // in excess of the beat period (plus DownGrace slack) is one down
@@ -23,32 +23,11 @@ func (d *driver) measure() inject.ChaosStats {
 		Arrivals: d.arrivals,
 		Events:   d.events,
 	}
-	period := d.spec.ServicePeriod
-	grace := d.spec.DownGrace
-	cfg := d.r.RunConfig()
-	// One pass over the observed application's beats: the first opens
-	// the window, and each later one closes the gap since the one before.
-	var first, prev time.Duration
-	var down []time.Duration
-	var downtime time.Duration
-	beats := 0
-	for _, e := range d.r.Env().Log.Entries {
-		if e.Kind != BeatKind || len(cfg.Apps) == 0 || e.App() != cfg.Apps[0].ID {
-			continue
-		}
-		if beats == 0 {
-			first = e.At
-		} else if excess := e.At - prev - period; excess > grace {
-			down = append(down, excess)
-			downtime += excess
-		}
-		prev = e.At
-		beats++
-	}
-	if beats == 0 {
+	f := &d.fold
+	if f.Beats == 0 {
 		// The service never produced a single beat: down for the whole
 		// trial, unrecoverable from the submit time.
-		start := cfg.SubmitAt
+		start := d.r.RunConfig().SubmitAt
 		whole := d.spec.Horizon - start
 		st.Downs = 1
 		st.Down = []time.Duration{whole}
@@ -59,20 +38,21 @@ func (d *driver) measure() inject.ChaosStats {
 		st.TimeToUnrecoverable = start
 		return st
 	}
+	down, downtime := f.Down, f.Downtime
 	// The tail: silence from the last beat to the horizon. Long enough,
 	// and the trial ends in an unrecoverable state.
-	if tail := d.spec.Horizon - prev - period; tail > grace {
+	if tail := d.spec.Horizon - f.Last - f.Period; tail > f.Grace {
 		down = append(down, tail)
 		downtime += tail
 		if tail >= d.spec.UnrecoverableAfter {
 			st.Unrecoverable = true
-			st.TimeToUnrecoverable = prev + period
+			st.TimeToUnrecoverable = f.Last + f.Period
 		}
 	}
 	st.Down = down
 	st.Downs = len(down)
 	st.Downtime = downtime
-	if window := d.spec.Horizon - first; window > 0 {
+	if window := d.spec.Horizon - f.First; window > 0 {
 		st.Availability = 1 - float64(downtime)/float64(window)
 	}
 	if len(down) > 0 {

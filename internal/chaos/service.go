@@ -7,10 +7,11 @@ import (
 )
 
 // BeatKind is the event-log kind of one acknowledged service beat. The
-// availability measurement is a gap analysis over these entries; an
-// application other than the built-in relay service can opt into
-// measurement by logging them with the same convention (one
-// EventLog.Beat per Spec.ServicePeriod, under its own AppID).
+// availability measurement is a gap analysis over these beats, folded as
+// they arrive (sift.BeatFold); an application other than the built-in
+// relay service can opt into measurement by logging them with the same
+// convention (one EventLog.Beat per period, under its own AppID and with
+// that period).
 const BeatKind = sift.LogChaosBeat
 
 // ServiceApp builds the chaos relay service: a single-rank application
@@ -47,6 +48,6 @@ func runService(ac *sift.AppContext, spec *sift.AppSpec, period time.Duration) {
 	for i := uint64(1); ; i++ {
 		ac.Proc.Sleep(period)
 		ac.Progress(i)
-		ac.Env.Log.Beat(ac.Proc.Now(), spec.ID, i)
+		ac.Env.Log.Beat(ac.Proc.Now(), spec.ID, i, period)
 	}
 }

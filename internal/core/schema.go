@@ -53,7 +53,9 @@ func (s *Schema[E, P]) Snapshot() []byte {
 // Restore implements Element. A checkpoint is accepted only if every
 // field parsed, every bound and binding held and no bytes were left over;
 // a rejected one leaves the element as it was, decoded back from a
-// snapshot taken first.
+// snapshot taken first. An accepted one also sizes the element's scratch
+// encoder to the checkpoint's length, so that a restored element's first
+// Snapshot does not regrow it from nothing.
 func (s *Schema[E, P]) Restore(data []byte) error {
 	w := walks.Get().(*walk)
 	s.c.enc, w.prior = w.prior, s.c.enc
@@ -66,6 +68,8 @@ func (s *Schema[E, P]) Restore(data []byte) error {
 	if err != nil {
 		s.c.op, w.dec, w.err, w.nkeys = opUndo, Decoder{buf: prior}, nil, 0
 		s.self.Fields(&s.c)
+	} else if cap(s.c.enc.buf) < len(data) {
+		s.c.enc.buf = make([]byte, 0, len(data))
 	}
 	s.c.walk, w.dec, w.err, w.nkeys = nil, Decoder{}, nil, 0
 	walks.Put(w)

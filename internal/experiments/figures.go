@@ -256,7 +256,7 @@ func Figure10(sc Scale) (*reesift.Result, error) {
 		envlp.Seq = 12345
 		k.SendExternal(env.ProcOf(sift.AIDFTM), envlp)
 		k.Run(10 * time.Second)
-		for _, e := range env.Log.All(sift.LogArmorRecoveryInitiated) {
+		for e := range env.Log.All(sift.LogArmorRecoveryInitiated) {
 			if e.AID() == phantom {
 				recovered++
 			}

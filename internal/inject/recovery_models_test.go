@@ -177,7 +177,7 @@ func TestNodeCrashAgainstApplicationNodeRecovers(t *testing.T) {
 
 // declaredFailed reports whether the FTM declared node failed.
 func declaredFailed(log *sift.EventLog, node string) bool {
-	for _, e := range log.All(sift.LogNodeDeclaredFailed) {
+	for e := range log.All(sift.LogNodeDeclaredFailed) {
 		if e.Node() == node {
 			return true
 		}

@@ -164,7 +164,7 @@ func (r *Runner) armMetrics() {
 	reg.Register("events-fired", func() int64 { return int64(r.k.EventsFired()) })
 	reg.Register("messages-sent", func() int64 { return int64(r.k.MessagesSent()) })
 	reg.Register("queue-depth", func() int64 { return int64(r.k.QueueDepth()) })
-	reg.Register("log-entries", func() int64 { return int64(len(r.env.Log.Entries)) })
+	reg.Register("log-entries", func() int64 { return int64(r.env.Log.Len()) })
 	reg.Register("detections", func() int64 { return int64(len(r.env.Log.Detections)) })
 	reg.Register("recoveries", func() int64 { return int64(len(r.env.Log.Recoveries)) })
 	reg.Register("injections", func() int64 { return int64(r.res.Injected) })
@@ -523,7 +523,7 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 	res.StandDowns = env.Log.Count(sift.LogArmorStoodDown)
 	res.SupersededEpochs = env.Log.Count(sift.LogInstallRefusedStale) +
 		env.Log.Count(sift.LogStaleSenderDropped)
-	for _, e := range env.Log.All(sift.LogArmorStoodDown) {
+	for e := range env.Log.All(sift.LogArmorStoodDown) {
 		if id := e.AID(); id == sift.AIDFTM || id == sift.AIDHeartbeat {
 			res.StaleRecovererStoodDown = true
 		}
@@ -554,11 +554,14 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 		}
 		var startAt, endAt time.Duration
 		haveStart, haveEnd := false, false
-		for _, e := range env.Log.Entries {
-			if e.Kind == sift.LogAppStarted && !haveStart && e.App() == h.App.ID {
+		for e := range env.Log.All(sift.LogAppStarted) {
+			if e.App() == h.App.ID {
 				startAt, haveStart = e.At, true
+				break
 			}
-			if e.Kind == sift.LogAppRankExit && e.App() == h.App.ID {
+		}
+		for e := range env.Log.All(sift.LogAppRankExit) {
+			if e.App() == h.App.ID {
 				endAt, haveEnd = e.At, true
 			}
 		}
@@ -594,7 +597,7 @@ func (r *Runner) systemFailureMode() SystemFailureMode {
 		ranks = r.cfg.Apps[0].Ranks
 	}
 	execs := 0
-	for _, e := range log.All(sift.LogArmorInstalled) {
+	for e := range log.All(sift.LogArmorInstalled) {
 		if e.ArmorKind() == sift.KindExecution {
 			execs++
 		}

@@ -32,10 +32,8 @@ func runTrial(seed int64, crashAt time.Duration, node string) []install {
 	r.Kernel().Run(r.RunConfig().Timeout)
 	r.Finish(handles)
 	var done []install
-	for _, e := range r.Env().Log.Entries {
-		if e.Kind == sift.LogArmorInstalled {
-			done = append(done, install{at: e.At, node: e.Node()})
-		}
+	for e := range r.Env().Log.All(sift.LogArmorInstalled) {
+		done = append(done, install{at: e.At, node: e.Node()})
 	}
 	return done
 }

@@ -137,6 +137,10 @@ type Environment struct {
 	// daemon is epoch 1, each boot-agent reinstall bumps it. Zero when
 	// epoching is disabled.
 	daemonEpoch map[string]uint64
+	// sendLower holds each node's ARMOR lower layer: it sends through
+	// whichever daemon the node runs at send time, so one serves every
+	// ARMOR installed there.
+	sendLower map[string]func(*sim.Proc, core.Envelope)
 
 	scc    *sccProc
 	sccPID sim.PID
@@ -398,13 +402,10 @@ func (e *Environment) ftmSites(own string) []FTMSite {
 // reused. Either way the elements are new structs, so no element state of
 // an old incarnation reaches the new one.
 func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
-	sendViaDaemon := func(p *sim.Proc, env core.Envelope) {
-		p.Send(e.daemonPID[node], e.boxes.Box(env))
-	}
 	cfg := core.Config{
 		ID:              spec.ID,
 		Name:            spec.Name,
-		SendLower:       sendViaDaemon,
+		SendLower:       e.lowerLayer(node),
 		Boxes:           &e.boxes,
 		AutoRestore:     spec.AutoRestore,
 		AwaitRestore:    spec.AwaitRestore,
@@ -454,6 +455,22 @@ func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 		return old.Reset(cfg)
 	}
 	return core.New(cfg)
+}
+
+// lowerLayer returns the node's ARMOR lower layer, making it on first
+// use.
+func (e *Environment) lowerLayer(node string) func(*sim.Proc, core.Envelope) {
+	send, ok := e.sendLower[node]
+	if !ok {
+		if e.sendLower == nil {
+			e.sendLower = make(map[string]func(*sim.Proc, core.Envelope), len(e.cfg.Nodes))
+		}
+		send = func(p *sim.Proc, env core.Envelope) {
+			p.Send(e.daemonPID[node], e.boxes.Box(env))
+		}
+		e.sendLower[node] = send
+	}
+	return send
 }
 
 // ftmEpochNow returns the incarnation epoch of the most recently

@@ -1,6 +1,8 @@
 package sift
 
 import (
+	"iter"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -128,7 +130,8 @@ const (
 	// "app=<id> restarts=<n>".
 	LogSCCNotified
 	// LogChaosBeat: the chaos relay service's acknowledged beat (see
-	// EventLog.Beat). "app=<id> i=<n>".
+	// EventLog.Beat), counted and mirrored but never stored.
+	// "app=<id> i=<n>".
 	LogChaosBeat
 
 	numLogKinds
@@ -194,8 +197,7 @@ func (k LogKind) appKind() bool {
 
 // LogEntry is one observational record emitted by the environment. It
 // holds the record's values, not its text: Detail renders the text on
-// read. An entry is 40 bytes, so a day-long trial's log of beats stays
-// small.
+// read. An entry is 40 bytes.
 type LogEntry struct {
 	At   time.Duration
 	Kind LogKind
@@ -409,12 +411,47 @@ type AppRecovery struct {
 	RestartedAt time.Duration
 }
 
+// The chunks of a log's entry storage: the first holds logChunkFirst
+// entries and each later one twice its predecessor's, for logChunkGrown
+// chunks, and every chunk after those holds logChunkMax. A full chunk is
+// never grown or copied: the next entry starts a new one.
+const (
+	logChunkFirst = 32
+	logChunkGrown = 8
+	logChunkMax   = logChunkFirst << (logChunkGrown - 1)
+	// logGrownEntries is how many entries the growing chunks hold.
+	logGrownEntries = logChunkFirst * (1<<logChunkGrown - 1)
+)
+
+// chunkCap is the capacity of chunk c.
+func chunkCap(c int) int {
+	if c >= logChunkGrown {
+		return logChunkMax
+	}
+	return logChunkFirst << c
+}
+
+// locate returns the chunk holding stored entry p and its index there.
+func locate(p int) (c, i int) {
+	if p < logGrownEntries {
+		c = bits.Len(uint(p/logChunkFirst+1)) - 1
+		return c, p - logChunkFirst*(1<<c-1)
+	}
+	p -= logGrownEntries
+	return logChunkGrown + p/logChunkMax, p % logChunkMax
+}
+
 // EventLog collects environment observations for the experiment harness.
 // It is measurement infrastructure, not part of the simulated system.
+//
+// Entries are added through the log's methods and read through Each, All,
+// First, Last, Count and Len. The log stores them in chunks that are
+// never copied, with each kind's first and latest position indexed, so
+// First and Last are O(1) and All walks only its kind's span. A relay
+// beat (LogChaosBeat, see Beat) is counted and mirrored to the sink but
+// never stored: Count and Len include beats, and Each, All, First and
+// Last never list one.
 type EventLog struct {
-	// Entries is every entry in order. Read it; add through the log's
-	// methods, which keep the per-kind counts.
-	Entries       []LogEntry
 	Detections    []Detection
 	AppDetections []AppDetection
 	Recoveries    []Recovery
@@ -427,25 +464,52 @@ type EventLog struct {
 	// Runner wires the trial's trace.Recorder here.
 	Sink *trace.Recorder
 
+	// chunks holds the stored entries in order: full chunks, then the
+	// one being filled. Its first logChunkGrown headers live in inline.
+	chunks [][]LogEntry
+	inline [logChunkGrown][]LogEntry
+	stored int
+	// first and last are each kind's first and latest stored position,
+	// meaningful while the kind has a stored entry.
+	first, last [numLogKinds]int32
+	counts      [numLogKinds]int
+	fold        *BeatFold
+
 	pending    map[core.AID]Detection
 	pendingApp map[AppID]AppDetection
-	counts     [numLogKinds]int
 	interned   map[string]*logRef
 }
 
 // NewEventLog returns an empty log.
 func NewEventLog() *EventLog {
-	return &EventLog{
+	l := &EventLog{
 		pending:    make(map[core.AID]Detection),
 		pendingApp: make(map[AppID]AppDetection),
 	}
+	l.chunks = l.inline[:0]
+	return l
 }
 
-// add appends e, counts it, and mirrors it to the sink. Only a traced
-// log renders the entry's text here.
+// add stores e, indexes and counts it, and mirrors it to the sink.
 func (l *EventLog) add(e LogEntry) {
-	l.Entries = append(l.Entries, e)
+	n := len(l.chunks)
+	if n == 0 || len(l.chunks[n-1]) == cap(l.chunks[n-1]) {
+		l.chunks = append(l.chunks, make([]LogEntry, 0, chunkCap(n)))
+		n++
+	}
+	l.chunks[n-1] = append(l.chunks[n-1], e)
+	p := int32(l.stored)
+	l.stored++
+	if l.counts[e.Kind] == 0 {
+		l.first[e.Kind] = p
+	}
+	l.last[e.Kind] = p
 	l.counts[e.Kind]++
+	l.mirror(e)
+}
+
+// mirror emits e to the sink. Only a traced log renders the entry's text.
+func (l *EventLog) mirror(e LogEntry) {
 	if l.Sink.Enabled() {
 		l.Sink.Emit(trace.Record{At: e.At, Kind: trace.KindLog, Op: e.Kind.String(), Detail: e.Detail()})
 	}
@@ -480,11 +544,53 @@ func (l *EventLog) addApp(at time.Duration, kind LogKind, app AppID, rank int, n
 	l.add(LogEntry{At: at, Kind: kind, id: uint64(app), rank: int32(rank), n: n})
 }
 
-// Beat records one acknowledged beat i of application app: the relay
-// service's progress record, which the chaos availability measurement
-// reads back (LogChaosBeat). It allocates only when Entries grows.
-func (l *EventLog) Beat(at time.Duration, app AppID, i uint64) {
-	l.add(LogEntry{At: at, Kind: LogChaosBeat, id: uint64(app), n: i})
+// BeatFold is the beat-gap record of one application, folded as its beats
+// arrive (EventLog.FoldBeats): the chaos availability measurement's input.
+// Each gap between consecutive beats is measured against the period the
+// later beat was sent with; an excess over that period beyond Grace is one
+// down interval.
+type BeatFold struct {
+	// App is the observed application and Grace the slack before a gap's
+	// excess counts as down.
+	App   AppID
+	Grace time.Duration
+
+	// Beats is how many beats App logged; First and Last are the times of
+	// its first and latest, and Period the latest beat's period.
+	Beats       int
+	First, Last time.Duration
+	Period      time.Duration
+	// Down is every excess beyond Grace, in order, and Downtime their sum.
+	Down     []time.Duration
+	Downtime time.Duration
+}
+
+// beat folds one beat at at, sent with the given period.
+func (f *BeatFold) beat(at, period time.Duration) {
+	if f.Beats == 0 {
+		f.First = at
+	} else if excess := at - f.Last - period; excess > f.Grace {
+		f.Down = append(f.Down, excess)
+		f.Downtime += excess
+	}
+	f.Last, f.Period = at, period
+	f.Beats++
+}
+
+// FoldBeats folds every later beat of f.App into f.
+func (l *EventLog) FoldBeats(f *BeatFold) { l.fold = f }
+
+// Beat records one acknowledged beat i of application app, which beats
+// every period: the relay service's progress record (LogChaosBeat). The
+// beat is counted, folded into the log's BeatFold when it is app's, and
+// mirrored to the sink; it is not stored, and it allocates only when the
+// fold records a down interval.
+func (l *EventLog) Beat(at time.Duration, app AppID, i uint64, period time.Duration) {
+	l.counts[LogChaosBeat]++
+	if l.fold != nil && l.fold.App == app {
+		l.fold.beat(at, period)
+	}
+	l.mirror(LogEntry{At: at, Kind: LogChaosBeat, id: uint64(app), n: i})
 }
 
 // Detect records an ARMOR failure detection and opens a recovery
@@ -559,40 +665,72 @@ func (l *EventLog) RecoveryDone(at time.Duration, id core.AID) {
 	}
 }
 
-// All returns entries of one kind.
-func (l *EventLog) All(kind LogKind) []LogEntry {
-	out := make([]LogEntry, 0, l.counts[kind])
-	for _, e := range l.Entries {
-		if e.Kind == kind {
-			out = append(out, e)
+// Each returns the stored entries in the order they were recorded.
+func (l *EventLog) Each() iter.Seq[LogEntry] {
+	return func(yield func(LogEntry) bool) {
+		for _, c := range l.chunks {
+			for _, e := range c {
+				if !yield(e) {
+					return
+				}
+			}
 		}
 	}
-	return out
 }
 
-// First returns the earliest entry of a kind.
+// All returns the stored entries of one kind, in order. It walks only
+// from the kind's first entry to its latest.
+func (l *EventLog) All(kind LogKind) iter.Seq[LogEntry] {
+	return func(yield func(LogEntry) bool) {
+		if !l.holds(kind) {
+			return
+		}
+		left := l.counts[kind]
+		for c, i := locate(int(l.first[kind])); ; c, i = c+1, 0 {
+			for _, e := range l.chunks[c][i:] {
+				if e.Kind != kind {
+					continue
+				}
+				if !yield(e) {
+					return
+				}
+				if left--; left == 0 {
+					return
+				}
+			}
+		}
+	}
+}
+
+// First returns the earliest stored entry of a kind.
 func (l *EventLog) First(kind LogKind) (LogEntry, bool) {
-	if l.counts[kind] > 0 {
-		for _, e := range l.Entries {
-			if e.Kind == kind {
-				return e, true
-			}
-		}
+	if !l.holds(kind) {
+		return LogEntry{}, false
 	}
-	return LogEntry{}, false
+	return l.at(l.first[kind]), true
 }
 
-// Last returns the latest entry of a kind.
+// Last returns the latest stored entry of a kind.
 func (l *EventLog) Last(kind LogKind) (LogEntry, bool) {
-	if l.counts[kind] > 0 {
-		for i := len(l.Entries) - 1; i >= 0; i-- {
-			if l.Entries[i].Kind == kind {
-				return l.Entries[i], true
-			}
-		}
+	if !l.holds(kind) {
+		return LogEntry{}, false
 	}
-	return LogEntry{}, false
+	return l.at(l.last[kind]), true
 }
 
-// Count returns how many entries of a kind were recorded.
+// holds reports whether the log stores an entry of kind.
+func (l *EventLog) holds(kind LogKind) bool {
+	return kind != LogChaosBeat && l.counts[kind] > 0
+}
+
+// at returns stored entry p.
+func (l *EventLog) at(p int32) LogEntry {
+	c, i := locate(int(p))
+	return l.chunks[c][i]
+}
+
+// Count returns how many entries of a kind were recorded, beats included.
 func (l *EventLog) Count(kind LogKind) int { return l.counts[kind] }
+
+// Len returns how many entries were recorded, beats included.
+func (l *EventLog) Len() int { return l.stored + l.counts[LogChaosBeat] }

@@ -2,6 +2,7 @@ package sift
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -187,7 +188,7 @@ func TestSCCReinstallsFTMWhenRecovererIsDeaf(t *testing.T) {
 
 // tailLog renders the last n log entries for failure diagnostics.
 func tailLog(env *Environment, n int) []string {
-	entries := env.Log.Entries
+	entries := slices.Collect(env.Log.Each())
 	if len(entries) > n {
 		entries = entries[len(entries)-n:]
 	}

@@ -23,8 +23,8 @@ var updateRender = flag.Bool("update-render", false, "rewrite testdata/log-rende
 // detail.
 func render(e sift.LogEntry) (kind, detail string) { return e.Kind.String(), e.Detail() }
 
-// renderTrial runs one trial and returns its log. A trial that owns its
-// log from the start mirrors it into a recorder, returned as rec.
+// renderTrial runs one trial and returns its log and the recorder the log
+// mirrored every record into from the start.
 type renderTrial struct {
 	name string
 	run  func(t *testing.T) (log *sift.EventLog, rec *trace.Recorder)
@@ -96,8 +96,8 @@ func splitBrain(epochs bool) (*sift.EventLog, *trace.Recorder) {
 	return env.Log, rec
 }
 
-// chaosTrial runs a ten-minute chaos trial of the relay service under one
-// fault model and returns its log.
+// chaosTrial runs a traced ten-minute chaos trial of the relay service
+// under one fault model and returns its log and recorder.
 func chaosTrial(t *testing.T, seed int64, model inject.Model, target inject.TargetKind) (*sift.EventLog, *trace.Recorder) {
 	app := chaos.ServiceApp(1, "node-a1", chaos.DefaultServicePeriod)
 	var env *sift.Environment
@@ -111,44 +111,64 @@ func chaosTrial(t *testing.T, seed int64, model inject.Model, target inject.Targ
 		Model:  model,
 		Target: target,
 		Apps:   []*sift.AppSpec{app},
+		Trace:  &trace.Options{Buffer: 1 << 16, MetricsEvery: -1},
 	}, chaos.Spec{Process: chaos.Poisson, Horizon: 10 * time.Minute, MeanBetween: 2 * time.Minute})
 	if env == nil || res.Chaos == nil || res.Chaos.Arrivals == 0 {
 		t.Fatal("the chaos trial never launched its service or drew no arrival")
 	}
-	return env.Log, nil
+	return env.Log, env.Log.Sink
 }
+
+// logKinds holds the name of every log kind: a traced trial's sink also
+// receives the ARMORs' own log records, which are not the event log's.
+var logKinds = func() map[string]bool {
+	names := map[string]bool{}
+	for k := sift.LogKind(1); !strings.HasPrefix(k.String(), "log-kind("); k++ {
+		names[k.String()] = true
+	}
+	return names
+}()
 
 // TestLogRenderGolden pins the rendered text of every log entry — the
 // kind and detail a reader (and a trace) sees — over five trials that
 // between them produce the split-brain, node-recovery, crash and chaos
-// entries. Where the trial's log has a trace sink from the start, every
-// log record the sink received must match its entry. Regenerate with
+// entries. The text is read from each trial's trace sink, which holds the
+// beats the log does not store; every entry the log stores must match
+// its record there, in order. Regenerate with
 // go test ./internal/sift -run TestLogRenderGolden -update-render.
 func TestLogRenderGolden(t *testing.T) {
 	var b strings.Builder
 	for _, tr := range renderTrials {
 		log, rec := tr.run(t)
 		fmt.Fprintf(&b, "== %s\n", tr.name)
-		var mirrored []trace.Record
-		if rec != nil {
-			for _, r := range rec.Records() {
-				if r.Kind == trace.KindLog {
-					mirrored = append(mirrored, r)
-				}
+		if rec.Total() > uint64(rec.Options().Buffer) {
+			t.Fatalf("%s: the sink kept %d of %d records", tr.name, rec.Options().Buffer, rec.Total())
+		}
+		var stored []trace.Record
+		beats := 0
+		for _, r := range rec.Records() {
+			if r.Kind != trace.KindLog || !logKinds[r.Op] {
+				continue
 			}
-			if len(mirrored) != len(log.Entries) {
-				t.Fatalf("%s: sink received %d log records for %d entries", tr.name, len(mirrored), len(log.Entries))
+			fmt.Fprintf(&b, "%d %s %s\n", int64(r.At), r.Op, r.Detail)
+			if r.Op == sift.LogChaosBeat.String() {
+				beats++
+			} else {
+				stored = append(stored, r)
 			}
 		}
-		for i, e := range log.Entries {
+		if beats != log.Count(sift.LogChaosBeat) || len(stored)+beats != log.Len() {
+			t.Fatalf("%s: sink received %d beats and %d other log records for %d beats of %d entries",
+				tr.name, beats, len(stored), log.Count(sift.LogChaosBeat), log.Len())
+		}
+		i := 0
+		for e := range log.Each() {
 			kind, detail := render(e)
-			fmt.Fprintf(&b, "%d %s %s\n", int64(e.At), kind, detail)
-			if mirrored != nil {
-				if m := mirrored[i]; m.At != e.At || m.Op != kind || m.Detail != detail {
-					t.Fatalf("%s: entry %d renders %v %s %q, its trace record %v %s %q",
-						tr.name, i, e.At, kind, detail, m.At, m.Op, m.Detail)
-				}
+			if m := stored[i]; m.At != e.At || m.Op != kind || m.Detail != detail {
+				t.Fatalf("%s: entry %d renders %v %s %q, its trace record %v %s %q",
+					tr.name, i, e.At, kind, detail, m.At, m.Op, m.Detail)
 			}
+			i++
 		}
 	}
 	path := filepath.Join("testdata", "log-render.golden")

@@ -39,7 +39,7 @@ func splitBrainConfig() EnvConfig {
 // countAID counts the entries of a kind about one ARMOR.
 func countAID(l *EventLog, kind LogKind, id core.AID) int {
 	n := 0
-	for _, e := range l.All(kind) {
+	for e := range l.All(kind) {
 		if e.AID() == id {
 			n++
 		}

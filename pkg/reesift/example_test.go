@@ -56,7 +56,7 @@ func ExampleNewCluster() {
 		return
 	}
 	fmt.Printf("  output verdict      %8s\n", verdict)
-	fmt.Printf("  SIFT log entries    %8d\n", len(c.Log().Entries))
+	fmt.Printf("  SIFT log entries    %8d\n", c.Log().Len())
 	// Output:
 	// REE SIFT quickstart: Mars Rover texture analysis on a 4-node cluster
 	//   submitted at            5.00 s (virtual)
