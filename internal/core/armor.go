@@ -221,9 +221,9 @@ func New(cfg Config) *Armor { return new(Armor).Reset(cfg) }
 // ARMOR of a dead incarnation of the same AID, so a reinstall reuses that
 // runtime's storage instead of rebuilding it:
 //
-//   - the subs, unacked, retries and peerEpoch maps and the channel state's
-//     three maps are cleared, keeping their capacity, as are the
-//     subscription lists and the channel state's key slices;
+//   - the subs, unacked, retries and peerEpoch maps, the subscription
+//     lists and the channel state's three tables are emptied, keeping
+//     their capacity;
 //   - the checkpoint buffer keeps its region buffers and encode scratch;
 //     Run (or Start) re-aims it at the new store and path, and until then
 //     Checkpoint returns nil, as on a fresh ARMOR;
@@ -358,7 +358,7 @@ func (a *Armor) CorruptNextSend() { a.corruptNext = true }
 func (a *Armor) ResetPeer(peer AID) {
 	a.comm.forgetPeer(peer)
 	if a.ckpt != nil {
-		a.ckpt.Update(commName, a.comm.snapshot())
+		a.ckpt.Update(commName, a.comm.Snapshot())
 	}
 }
 
@@ -650,7 +650,7 @@ func (a *Armor) handleEnvelope(p *sim.Proc, env Envelope, box *Envelope) (handed
 	a.deliverEvent(p, env.Src, env.Event)
 	if env.Seq > 0 {
 		a.comm.markSeen(env.Src, env.Seq)
-		a.ckpt.Update(commName, a.comm.snapshot())
+		a.ckpt.Update(commName, a.comm.Snapshot())
 		a.sendAck(p, env.Src, env.Seq)
 	}
 	return false
@@ -746,7 +746,7 @@ func (a *Armor) sendReliable(p *sim.Proc, env Envelope) {
 	}
 	key := ackKey{dst: env.Dst, seq: env.Seq}
 	a.unacked[key] = env
-	a.ckpt.Update(commName, a.comm.snapshot())
+	a.ckpt.Update(commName, a.comm.Snapshot())
 	a.transmitCommitted(p, env)
 	a.armRetry(p, key)
 }
@@ -812,7 +812,7 @@ func (a *Armor) restoreFromCheckpoint() {
 			Detail: a.cfg.Name, A: int64(len(a.ckpt.Elements()))})
 	}
 	if data := a.ckpt.Region(commName); data != nil {
-		if err := a.comm.restore(data); err != nil {
+		if err := a.comm.Restore(data); err != nil {
 			a.proc.Crash(fmt.Sprintf("%s: comm state: %v", ReasonRestoreFail, err))
 		}
 	}

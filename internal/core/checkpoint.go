@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"reesift/internal/sim"
@@ -19,13 +20,11 @@ import (
 type Checkpoint struct {
 	path string
 	// regions holds every region this checkpoint has held, live or not,
-	// so a region's buffer outlives Load and aim and is reused by name.
-	regions map[string]region
-	// names mirrors the live regions' names in sorted order, maintained
-	// incrementally so the per-transmission commit encodes without
-	// sorting; scratch is the reusable encode buffer. Together they make
-	// the steady-state Update/Commit cycle allocation-free.
-	names   []string
+	// sorted by name: a region's buffer outlives Load and aim and is
+	// reused by name, and a commit encodes without sorting. With the
+	// reusable encode scratch they make the steady-state Update/Commit
+	// cycle allocation-free.
+	regions []region
 	scratch []byte
 	store   *sim.FS
 	commits int
@@ -35,6 +34,7 @@ type Checkpoint struct {
 // region is one element's buffered snapshot. A region that is not live is
 // absent from the checkpoint; its buffer waits for the name's next use.
 type region struct {
+	name string
 	buf  []byte
 	live bool
 }
@@ -51,9 +51,6 @@ func NewCheckpoint(store *sim.FS, path string) *Checkpoint {
 // is live and the counters restart. Region buffers and the encode scratch
 // are kept for reuse.
 func (c *Checkpoint) aim(store *sim.FS, path string) {
-	if c.regions == nil {
-		c.regions = make(map[string]region)
-	}
 	c.store, c.path = store, path
 	c.dropRegions()
 	c.commits, c.updates = 0, 0
@@ -61,12 +58,15 @@ func (c *Checkpoint) aim(store *sim.FS, path string) {
 
 // dropRegions makes every region absent, keeping the buffers.
 func (c *Checkpoint) dropRegions() {
-	for _, name := range c.names {
-		r := c.regions[name]
-		r.live = false
-		c.regions[name] = r
+	for i := range c.regions {
+		c.regions[i].live = false
 	}
-	c.names = c.names[:0]
+}
+
+// find locates the region named name, or where it goes.
+func (c *Checkpoint) find(name string) (int, bool) {
+	i := sort.Search(len(c.regions), func(i int) bool { return c.regions[i].name >= name })
+	return i, i < len(c.regions) && c.regions[i].name == name
 }
 
 // Update copies an element snapshot into its region of the buffer before
@@ -76,44 +76,35 @@ func (c *Checkpoint) dropRegions() {
 //
 //reesift:noalloc
 func (c *Checkpoint) Update(element string, state []byte) {
-	r := c.regions[element]
+	i, found := c.find(element)
+	if !found {
+		c.regions = slices.Insert(c.regions, i, region{name: element})
+	}
+	r := &c.regions[i]
 	r.buf = append(r.buf[:0], state...)
-	if !r.live {
-		r.live = true
-		c.names = insertName(c.names, element)
-	}
-	c.regions[element] = r
+	r.live = true
 	c.updates++
-}
-
-// insertName adds s to a sorted name slice if absent.
-func insertName(names []string, s string) []string {
-	i := sort.SearchStrings(names, s)
-	if i < len(names) && names[i] == s {
-		return names
-	}
-	names = append(names, "")
-	copy(names[i+1:], names[i:])
-	names[i] = s
-	return names
 }
 
 // Region returns the current buffered snapshot for an element (nil if
 // none). The returned slice is the live region; the heap injector uses it
 // to corrupt checkpoint contents in place.
 func (c *Checkpoint) Region(element string) []byte {
-	r := c.regions[element]
-	if !r.live {
-		return nil
+	if i, found := c.find(element); found && c.regions[i].live {
+		return c.regions[i].buf
 	}
-	return r.buf
+	return nil
 }
 
-// Elements lists element names with buffered regions, sorted. The caller
-// may keep the returned slice; it is a copy of the maintained index.
+// Elements lists element names with buffered regions, sorted, in a slice
+// the caller may keep.
 func (c *Checkpoint) Elements() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
+	out := make([]string, 0, len(c.regions))
+	for _, r := range c.regions {
+		if r.live {
+			out = append(out, r.name)
+		}
+	}
 	return out
 }
 
@@ -154,28 +145,16 @@ func (c *Checkpoint) Load() (bool, error) {
 // for its name and makes it live. A loaded region is never nil, even when
 // empty.
 func (c *Checkpoint) loadRegion(name, data []byte) {
-	key := c.intern(name)
-	r := c.regions[key]
+	i, found := c.find(string(name))
+	if !found {
+		c.regions = slices.Insert(c.regions, i, region{name: string(name)})
+	}
+	r := &c.regions[i]
 	if r.buf == nil {
 		r.buf = make([]byte, 0, len(data))
 	}
 	r.buf = append(r.buf[:0], data...)
-	if !r.live {
-		r.live = true
-		c.names = insertName(c.names, key)
-	}
-	c.regions[key] = r
-}
-
-// intern returns the region name spelled by b: the key this checkpoint
-// already holds for it, or a new string for a name it has never held.
-func (c *Checkpoint) intern(b []byte) string {
-	for name := range c.regions {
-		if name == string(b) {
-			return name
-		}
-	}
-	return string(b)
+	r.live = true
 }
 
 // Discard removes the stable checkpoint, used when an ARMOR is cleanly
@@ -207,19 +186,23 @@ func (c *Checkpoint) CorruptStable(rng *rand.Rand, flips int) bool {
 	return true
 }
 
-// encode flattens regions deterministically (sorted by element name) into
-// the checkpoint's reusable scratch buffer; the result is valid until the
-// next encode and is copied by FS.Write.
+// encode flattens the live regions, in name order, into the checkpoint's
+// reusable scratch buffer; the result is valid until the next encode and
+// is copied by FS.Write.
 func (c *Checkpoint) encode() []byte {
-	out := c.scratch[:0]
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.names)))
-	for _, n := range c.names {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(n)))
-		out = append(out, n...)
-		region := c.regions[n].buf
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(region)))
-		out = append(out, region...)
+	out := append(c.scratch[:0], 0, 0, 0, 0) // the region count, set below
+	live := 0
+	for _, r := range c.regions {
+		if !r.live {
+			continue
+		}
+		live++
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.name)))
+		out = append(out, r.name...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.buf)))
+		out = append(out, r.buf...)
 	}
+	binary.LittleEndian.PutUint32(out, uint32(live))
 	c.scratch = out
 	return out
 }

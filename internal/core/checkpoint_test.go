@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,11 +162,11 @@ func TestCommStateDuplicateSuppression(t *testing.T) {
 	if !c.seen(1, 2) {
 		t.Fatal("gap fill failed")
 	}
-	if c.lastSeen[1] != 3 {
-		t.Fatalf("window did not advance: lastSeen=%d", c.lastSeen[1])
+	if !slices.Equal(c.recv, []seqRow{{1, 3}}) {
+		t.Fatalf("window did not advance: recv=%v", c.recv)
 	}
-	if len(c.extraSeen[1]) != 0 {
-		t.Fatal("extraSeen not pruned")
+	if len(c.extra) != 0 {
+		t.Fatalf("out-of-order pairs not folded: extra=%v", c.extra)
 	}
 }
 
@@ -176,14 +177,17 @@ func TestCommStateSnapshotRestore(t *testing.T) {
 	c.assign(7)
 	c.markSeen(3, 1)
 	c.markSeen(3, 5) // out of order survives snapshot
-	snap := c.snapshot()
+	snap := c.Snapshot()
 
 	c2 := newCommState()
-	if err := c2.restore(snap); err != nil {
+	if err := c2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if c2.nextSeq[2] != 2 || c2.nextSeq[7] != 1 {
-		t.Fatalf("nextSeq = %v", c2.nextSeq)
+	if !slices.Equal(c2.sent, []seqRow{{2, 2}, {7, 1}}) {
+		t.Fatalf("sent = %v", c2.sent)
+	}
+	if !bytes.Equal(c2.Snapshot(), snap) {
+		t.Fatal("restored state re-encodes differently")
 	}
 	if !c2.seen(3, 1) || !c2.seen(3, 5) || c2.seen(3, 2) {
 		t.Fatal("seen state wrong after restore")
@@ -192,7 +196,7 @@ func TestCommStateSnapshotRestore(t *testing.T) {
 
 func TestCommStateRestoreRejectsGarbage(t *testing.T) {
 	c := newCommState()
-	if err := c.restore([]byte{0xde, 0xad}); err == nil {
+	if err := c.Restore([]byte{0xde, 0xad}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

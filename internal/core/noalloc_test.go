@@ -139,7 +139,7 @@ func armorRoundCheck(t *testing.T) noalloctest.Check {
 			"NewMsg", "Ctx.After", "Timer.Cancel", "Timer.Reschedule",
 			"Armor.newTimer", "Armor.freeTimer", "Armor.aim", "Armor.Dispatch", "Armor.deliverEvent",
 			"Armor.handle", "Armor.handleTimer", "Armor.armRetry", "Armor.sendReliable", "Armor.sendAck",
-			"Armor.transmitCommitted", "Armor.transmit", "putSeqMap", "commState.snapshot",
+			"Armor.transmitCommitted", "Armor.transmit",
 			"Boxes.Box", "Boxes.Free",
 		},
 		Run: func() {

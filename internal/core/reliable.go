@@ -15,228 +15,157 @@ import (
 // message itself is corrupt.
 const commName = "core.comm"
 
-// commState implements sequencing for reliable point-to-point ARMOR
-// messaging: per-peer send sequence numbers and duplicate suppression on
-// the receive side.
+// commState is the sequencing of reliable point-to-point ARMOR messaging,
+// held in three tables of rows:
 //
-// The peer-key slices mirror the map keys in sorted order, maintained
-// incrementally (binary insert on first use of a peer), so the
-// per-transmission snapshot is a straight O(peers) encode with no sorting
-// and — together with the persistent scratch encoder — no allocation.
+//   - sent: {peer, the last sequence number assigned to it};
+//   - recv: {peer, the top of its receive window}: every number up to
+//     the top has been processed;
+//   - extra: {src, seq} pairs processed out of order above src's window.
+//     markSeen folds them into the window once the gap below them closes.
+//
+// Each table is kept sorted on insert (by peer; extra by src, then seq),
+// so the embedded Schema writes the region straight from the rows, with no
+// sorting and, through its scratch encoder, no allocation.
+//
+// A pair whose window never closes stays in extra for good. The SCC
+// numbers its reliable sends from one counter shared by every
+// destination, so a receiver never sees SCC seq 1 and keeps every SCC
+// message there (ROADMAP item 24, a per-destination counter, mends it).
 type commState struct {
-	nextSeq  map[AID]uint64
-	lastSeen map[AID]uint64
-	// extraSeen holds out-of-order seen sequence numbers above
-	// lastSeen, pruned as the window closes.
-	extraSeen map[AID]map[uint64]bool
-
-	seqKeys  []AID // sorted keys of nextSeq
-	seenKeys []AID // sorted keys of lastSeen
-
-	enc         Encoder    // reused by snapshot
-	pairScratch []commPair // reused by snapshot for extraSeen flattening
+	Schema[commState, *commState]
+	sent  []seqRow
+	recv  []seqRow
+	extra []seqRow
 }
 
-type commPair struct {
-	src AID
-	seq uint64
+// seqRow is one row of a commState table.
+type seqRow struct {
+	peer AID
+	seq  uint64
 }
 
-func newCommState() *commState {
-	c := new(commState)
-	c.reset()
-	return c
+func (r *seqRow) Fields(c *Codec) {
+	U64(c, &r.peer, NoHeap)
+	U64(c, &r.seq, NoHeap)
 }
 
-// reset empties the channel state, keeping the maps' and key slices'
-// capacity.
-func (c *commState) reset() {
-	if c.nextSeq == nil {
-		c.nextSeq = make(map[AID]uint64)
-		c.lastSeen = make(map[AID]uint64)
-		c.extraSeen = make(map[AID]map[uint64]bool)
+// reset empties the channel state, keeping the tables' capacity.
+func (s *commState) reset() {
+	s.attach(s)
+	s.sent, s.recv, s.extra = s.sent[:0], s.recv[:0], s.extra[:0]
+}
+
+// Name names the checkpoint region.
+func (s *commState) Name() string { return commName }
+
+// Fields declares the region: sent, recv and extra, each a count and its
+// (key, value) words. A decoded table is put back in order, which a
+// corrupted key may have broken: a peer's last row wins, and a pair is
+// kept once.
+func (s *commState) Fields(c *Codec) {
+	peerRows(c, &s.sent)
+	peerRows(c, &s.recv)
+	for i := range Rows(c, &s.extra, 1<<20, "out-of-order pairs") {
+		s.extra[i].Fields(c.Row(i))
 	}
-	clear(c.nextSeq)
-	clear(c.lastSeen)
-	clear(c.extraSeen)
-	c.seqKeys, c.seenKeys = c.seqKeys[:0], c.seenKeys[:0]
+	if c.op >= opDecode {
+		slices.SortFunc(s.extra, comparePair)
+		s.extra = slices.Compact(s.extra)
+	}
 }
 
-// insertAID adds k to a sorted key slice if absent.
-func insertAID(keys []AID, k AID) []AID {
-	i, found := slices.BinarySearch(keys, k)
-	if found {
-		return keys
+// peerRows walks a table keyed by peer.
+func peerRows(c *Codec, t *[]seqRow) {
+	for i := range Rows(c, t, 1<<20, "peers") {
+		(*t)[i].Fields(c.Row(i))
 	}
-	keys = append(keys, 0)
-	copy(keys[i+1:], keys[i:])
-	keys[i] = k
-	return keys
+	if c.op >= opDecode {
+		// Reversed, a stable sort puts a peer's last row first, and
+		// Compact keeps the first of a run.
+		slices.Reverse(*t)
+		slices.SortStableFunc(*t, comparePeer)
+		*t = slices.CompactFunc(*t, func(x, y seqRow) bool { return x.peer == y.peer })
+	}
 }
 
-// removeAID deletes k from a sorted key slice if present.
-func removeAID(keys []AID, k AID) []AID {
-	i, found := slices.BinarySearch(keys, k)
-	if !found {
-		return keys
-	}
-	copy(keys[i:], keys[i+1:])
-	return keys[:len(keys)-1]
+func comparePeer(x, y seqRow) int { return cmp.Compare(x.peer, y.peer) }
+
+func comparePair(x, y seqRow) int {
+	return cmp.Or(cmp.Compare(x.peer, y.peer), cmp.Compare(x.seq, y.seq))
+}
+
+// find locates peer's row in a table sorted by peer, or where it goes.
+func find(t []seqRow, peer AID) (int, bool) {
+	return slices.BinarySearchFunc(t, seqRow{peer: peer}, comparePeer)
 }
 
 // assign returns the next sequence number for messages to dst.
-func (c *commState) assign(dst AID) uint64 {
-	if _, ok := c.nextSeq[dst]; !ok {
-		c.seqKeys = insertAID(c.seqKeys, dst)
+func (s *commState) assign(dst AID) uint64 {
+	i, ok := find(s.sent, dst)
+	if !ok {
+		s.sent = slices.Insert(s.sent, i, seqRow{peer: dst})
 	}
-	c.nextSeq[dst]++
-	return c.nextSeq[dst]
+	s.sent[i].seq++
+	return s.sent[i].seq
+}
+
+// window finds src's row in recv, and the top of its window: 0 without a
+// row.
+func (s *commState) window(src AID) (i int, ok bool, top uint64) {
+	if i, ok = find(s.recv, src); ok {
+		top = s.recv[i].seq
+	}
+	return i, ok, top
 }
 
 // seen reports whether (src, seq) was already processed.
-func (c *commState) seen(src AID, seq uint64) bool {
-	if seq <= c.lastSeen[src] {
+func (s *commState) seen(src AID, seq uint64) bool {
+	if _, _, top := s.window(src); seq <= top {
 		return true
 	}
-	return c.extraSeen[src][seq]
+	_, ok := slices.BinarySearchFunc(s.extra, seqRow{src, seq}, comparePair)
+	return ok
 }
 
 // markSeen records (src, seq) as processed.
-func (c *commState) markSeen(src AID, seq uint64) {
-	if seq <= c.lastSeen[src] {
+func (s *commState) markSeen(src AID, seq uint64) {
+	i, ok, top := s.window(src)
+	if seq <= top {
 		return
 	}
-	if seq == c.lastSeen[src]+1 {
-		if _, ok := c.lastSeen[src]; !ok {
-			c.seenKeys = insertAID(c.seenKeys, src)
-		}
-		c.lastSeen[src] = seq
-		extra := c.extraSeen[src]
-		for extra[c.lastSeen[src]+1] {
-			delete(extra, c.lastSeen[src]+1)
-			c.lastSeen[src]++
-		}
-		if len(extra) == 0 {
-			delete(c.extraSeen, src)
+	if seq != top+1 {
+		if j, dup := slices.BinarySearchFunc(s.extra, seqRow{src, seq}, comparePair); !dup {
+			s.extra = slices.Insert(s.extra, j, seqRow{src, seq})
 		}
 		return
 	}
-	if c.extraSeen[src] == nil {
-		c.extraSeen[src] = make(map[uint64]bool)
+	if !ok {
+		s.recv = slices.Insert(s.recv, i, seqRow{peer: src})
 	}
-	c.extraSeen[src][seq] = true
+	j, _ := slices.BinarySearchFunc(s.extra, seqRow{src, seq + 1}, comparePair)
+	k := j
+	for k < len(s.extra) && s.extra[k] == (seqRow{src, seq + 1}) {
+		seq++
+		k++
+	}
+	s.extra = slices.Delete(s.extra, j, k)
+	s.recv[i].seq = seq
 }
 
 // forgetPeer drops all sequencing state for one peer (a fresh incarnation
 // restarts numbering from one).
-func (c *commState) forgetPeer(peer AID) {
-	if _, ok := c.nextSeq[peer]; ok {
-		delete(c.nextSeq, peer)
-		c.seqKeys = removeAID(c.seqKeys, peer)
+func (s *commState) forgetPeer(peer AID) {
+	if i, ok := find(s.sent, peer); ok {
+		s.sent = slices.Delete(s.sent, i, i+1)
 	}
-	if _, ok := c.lastSeen[peer]; ok {
-		delete(c.lastSeen, peer)
-		c.seenKeys = removeAID(c.seenKeys, peer)
+	if i, ok := find(s.recv, peer); ok {
+		s.recv = slices.Delete(s.recv, i, i+1)
 	}
-	delete(c.extraSeen, peer)
-}
-
-// putSeqMap encodes a per-peer sequence map in sorted key order.
-//
-//reesift:noalloc
-func putSeqMap(e *Encoder, m map[AID]uint64, keys []AID) {
-	e.PutU64(uint64(len(keys)))
-	for _, k := range keys {
-		e.PutU64(uint64(k))
-		e.PutU64(m[k])
+	i, _ := find(s.extra, peer)
+	j := i
+	for j < len(s.extra) && s.extra[j].peer == peer {
+		j++
 	}
-}
-
-func compareCommPair(x, y commPair) int {
-	return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.seq, y.seq))
-}
-
-// snapshot serializes the channel state deterministically. The returned
-// slice is the commState's scratch buffer, valid until the next snapshot
-// call; Checkpoint.Update copies it immediately.
-//
-//reesift:noalloc
-func (c *commState) snapshot() []byte {
-	e := &c.enc
-	e.Reset()
-	putSeqMap(e, c.nextSeq, c.seqKeys)
-	putSeqMap(e, c.lastSeen, c.seenKeys)
-	// extraSeen: flattened (src, seq) pairs, sorted. Only out-of-order
-	// arrivals populate it, and markSeen prunes a source's set once its
-	// window closes. A window that never closes pins its pairs for good,
-	// and that is a leak today: the SCC numbers its reliable sends from
-	// one counter shared by every destination, so a receiver never sees
-	// SCC seq 1, every SCC message stays here, and each snapshot re-sorts
-	// them all (ROADMAP item 24, a per-destination counter, mends it).
-	pairs := c.pairScratch[:0]
-	for src, seqs := range c.extraSeen {
-		for seq := range seqs {
-			pairs = append(pairs, commPair{src, seq})
-		}
-	}
-	c.pairScratch = pairs
-	if len(pairs) > 1 {
-		slices.SortFunc(pairs, compareCommPair)
-	}
-	e.PutU64(uint64(len(pairs)))
-	for _, p := range pairs {
-		e.PutU64(uint64(p.src))
-		e.PutU64(p.seq)
-	}
-	return e.Bytes()
-}
-
-// restore replaces the channel state from a snapshot, decoding into the
-// emptied maps and key slices. On error the state is partly restored; the
-// runtime crashes the ARMOR then, so nothing reads it.
-func (c *commState) restore(data []byte) error {
-	c.reset()
-	d := NewDecoder(data)
-	getSeqMap(d, c.nextSeq)
-	getSeqMap(d, c.lastSeen)
-	n := d.U64()
-	if n > 1<<20 {
-		d.fail("comm extra size %d", n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		src := AID(d.U64())
-		seq := d.U64()
-		if c.extraSeen[src] == nil {
-			c.extraSeen[src] = make(map[uint64]bool)
-		}
-		c.extraSeen[src][seq] = true
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	c.seqKeys = sortedAIDs(c.nextSeq, c.seqKeys)
-	c.seenKeys = sortedAIDs(c.lastSeen, c.seenKeys)
-	return nil
-}
-
-// getSeqMap decodes a per-peer sequence map written by putSeqMap into m.
-func getSeqMap(d *Decoder, m map[AID]uint64) {
-	n := d.U64()
-	if n > 1<<20 {
-		d.fail("comm map size %d", n)
-		return
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := AID(d.U64())
-		m[k] = d.U64()
-	}
-}
-
-// sortedAIDs rebuilds a sorted key slice from a map, reusing dst.
-func sortedAIDs(m map[AID]uint64, dst []AID) []AID {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
+	s.extra = slices.Delete(s.extra, i, j)
 }

@@ -23,7 +23,7 @@ func TestResetMatchesNew(t *testing.T) {
 	w := &wire{pids: make(map[AID]sim.PID)}
 	// The ARMOR's second message is lost every time, so it stays unacked
 	// and keeps being retransmitted; the peer's second is lost once, so its
-	// third arrives out of order and waits in the ARMOR's extraSeen.
+	// third arrives out of order and waits in the ARMOR's comm.extra.
 	peerLost := false
 	w.drop = func(env Envelope) bool {
 		switch {
@@ -53,10 +53,10 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Fatal("the first incarnation survived its kill")
 	}
 	// The dead incarnation holds every kind of state Reset must drop.
-	if len(x.comm.extraSeen) == 0 || len(x.unacked) == 0 || len(x.retries) == 0 ||
+	if len(x.comm.extra) == 0 || len(x.unacked) == 0 || len(x.retries) == 0 ||
 		len(x.peerEpoch) < 2 || !x.deaf || !x.corruptNext || x.ckpt.Commits() == 0 {
-		t.Fatalf("the first incarnation did not reach the state under test: extraSeen %v unacked %d retries %v peerEpoch %v deaf %v corruptNext %v commits %d",
-			x.comm.extraSeen, len(x.unacked), x.retries, x.peerEpoch, x.deaf, x.corruptNext, x.ckpt.Commits())
+		t.Fatalf("the first incarnation did not reach the state under test: comm.extra %v unacked %d retries %v peerEpoch %v deaf %v corruptNext %v commits %d",
+			x.comm.extra, len(x.unacked), x.retries, x.peerEpoch, x.deaf, x.corruptNext, x.ckpt.Commits())
 	}
 
 	cfg := func(el *counterElem) Config {
@@ -77,8 +77,8 @@ func TestResetMatchesNew(t *testing.T) {
 	if !fresh.Restored || freshEl.count == 0 {
 		t.Fatalf("the fresh ARMOR did not restore (count %d)", freshEl.count)
 	}
-	if len(fresh.comm.extraSeen) == 0 || len(fresh.ckpt.names) < 2 {
-		t.Fatalf("the loaded image lacks the state under test: extraSeen %v, regions %v", fresh.comm.extraSeen, fresh.ckpt.names)
+	if len(fresh.comm.extra) == 0 || len(fresh.ckpt.Elements()) < 2 {
+		t.Fatalf("the loaded image lacks the state under test: comm.extra %v, regions %v", fresh.comm.extra, fresh.ckpt.Elements())
 	}
 	if resetEl.count != freshEl.count {
 		t.Fatalf("restored element count %d after Reset, %d fresh", resetEl.count, freshEl.count)
@@ -129,10 +129,10 @@ func compareArmors(t *testing.T, when string, got, want *Armor) {
 			t.Errorf("%s: ckpt does not point at the ARMOR's own buffer", when)
 		}
 		g, w := got.ckpt, want.ckpt
-		if !slices.Equal(g.names, w.names) {
-			fail("ckpt regions", g.names, w.names)
+		if !slices.Equal(g.Elements(), w.Elements()) {
+			fail("ckpt regions", g.Elements(), w.Elements())
 		}
-		for _, name := range w.names {
+		for _, name := range w.Elements() {
 			if !slices.Equal(g.Region(name), w.Region(name)) {
 				fail("ckpt region "+name, g.Region(name), w.Region(name))
 			}
@@ -147,17 +147,16 @@ func compareArmors(t *testing.T, when string, got, want *Armor) {
 	}
 
 	gm, wm := &got.comm, &want.comm
-	if !maps.Equal(gm.nextSeq, wm.nextSeq) {
-		fail("comm.nextSeq", gm.nextSeq, wm.nextSeq)
+	if gm.self != gm {
+		t.Errorf("%s: comm's schema is not wired to the ARMOR's own comm state", when)
 	}
-	if !maps.Equal(gm.lastSeen, wm.lastSeen) {
-		fail("comm.lastSeen", gm.lastSeen, wm.lastSeen)
-	}
-	if !maps.EqualFunc(gm.extraSeen, wm.extraSeen, maps.Equal) {
-		fail("comm.extraSeen", gm.extraSeen, wm.extraSeen)
-	}
-	if !slices.Equal(gm.seqKeys, wm.seqKeys) || !slices.Equal(gm.seenKeys, wm.seenKeys) {
-		fail("comm keys", [][]AID{gm.seqKeys, gm.seenKeys}, [][]AID{wm.seqKeys, wm.seenKeys})
+	for _, tab := range []struct {
+		name string
+		g, w []seqRow
+	}{{"sent", gm.sent, wm.sent}, {"recv", gm.recv, wm.recv}, {"extra", gm.extra, wm.extra}} {
+		if !slices.Equal(tab.g, tab.w) {
+			fail("comm."+tab.name, tab.g, tab.w)
+		}
 	}
 
 	if !maps.EqualFunc(got.subs, want.subs, func(g, w []Element) bool { return names(g) == names(w) }) {

@@ -8,17 +8,20 @@ import (
 	"sync"
 )
 
-// Schema gives an element its Snapshot, Restore and HeapFields from one
-// declaration of its checkpointed record layout: the element's Fields
-// method, which walks every checkpointed field in encoding order through
-// a Codec, one call per field (U64, I64, Str, Bool, Dropped, BindU64,
-// BindI64) or per table (Rows). The walk encodes for Snapshot, decodes
-// for Restore and lists the heap-injectable fields for HeapFields, so the
-// three cannot disagree. Check stays hand-written: its assertions are the
-// element's, not the layout's.
+// Schema gives a checkpointed record its Snapshot, Restore and HeapFields
+// from one declaration of its layout: its Fields method, which walks every
+// checkpointed field in encoding order through a Codec, one call per field
+// (U64, I64, Str, Bool, Dropped, BindU64, BindI64) or per table (Rows). The
+// walk encodes for Snapshot, decodes for Restore and lists the
+// heap-injectable fields for HeapFields, so the three cannot disagree.
 //
-// An element embeds Schema[E, *E] and is wired to itself with
-// Checkpointed before use.
+// Every element's region is declared this way, and so is the ARMOR
+// runtime's own: the reliable channel's sequence tables (commState). An
+// element's Check stays hand-written: its assertions are the element's,
+// not the layout's.
+//
+// A record embeds Schema[E, *E] and is wired to itself with Checkpointed
+// before use.
 type Schema[E any, P interface {
 	*E
 	Name() string
@@ -264,8 +267,11 @@ func BindI64(c *Codec, name string, v int64) {
 
 // Rows declares a table of at most max entries (noun names them in the
 // bound violation) and returns how many to walk, a record as
-// recs[i].Fields(c.Row(i)). Decoding reads the count and gives the table
-// a fresh slice of that length.
+// recs[i].Fields(c.Row(i)). Decoding reads the count and resizes the
+// table to it: into its own backing array, zeroed, when that is large
+// enough, else into a fresh one. A count larger than the bytes left is
+// refused before anything is allocated, since every record takes at
+// least one byte.
 func Rows[R any](c *Codec, recs *[]R, max uint64, noun string) int {
 	switch {
 	case c.op == opEncode:
@@ -275,10 +281,18 @@ func Rows[R any](c *Codec, recs *[]R, max uint64, noun string) int {
 		if n > max && c.op == opDecode && c.err == nil {
 			c.err = fmt.Errorf("%s: %d %s: %w", c.elem, n, noun, ErrCorrupt)
 		}
-		if c.err != nil {
+		if left := len(c.dec.buf) - c.dec.off; n > uint64(left) {
+			c.dec.fail("%d %s in %d bytes", n, noun, left)
+		}
+		if c.err != nil || c.dec.err != nil {
 			return 0
 		}
-		*recs = make([]R, n)
+		if uint64(cap(*recs)) >= n {
+			*recs = (*recs)[:n]
+			clear(*recs)
+		} else {
+			*recs = make([]R, n)
+		}
 	}
 	return len(*recs)
 }

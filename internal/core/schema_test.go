@@ -12,6 +12,7 @@ type probeRec struct {
 	ID   AID
 	Name string
 	Hint []string
+	memo int // not checkpointed
 }
 
 func (r *probeRec) Fields(c *Codec) {
@@ -88,6 +89,23 @@ func TestSchemaRestore(t *testing.T) {
 	e.Pending = true
 	if !bytes.Equal(e.Snapshot(), snap) || bytes.Equal(again, snap) {
 		t.Fatal("only the dropped field should differ after a restore")
+	}
+}
+
+// TestSchemaRestoreReusesTables restores a table into the backing array
+// it already has, zeroed first: a record's field that is not checkpointed
+// comes back zero.
+func TestSchemaRestoreReusesTables(t *testing.T) {
+	e := newProbe()
+	snap := bytes.Clone(e.Snapshot())
+	e.Recs = append(e.Recs, probeRec{ID: 12})
+	first := &e.Recs[0]
+	first.memo = 7
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Recs) != 2 || &e.Recs[0] != first || first.memo != 0 || first.Hint[0] != "x" {
+		t.Fatalf("restored %+v into a new array (%v) or without zeroing it", e.Recs, &e.Recs[0] != first)
 	}
 }
 

@@ -78,8 +78,7 @@ type Proc struct {
 	// are ignored.
 	waitSeq uint64
 
-	children map[PID]*Proc
-	exit     *ExitStatus
+	exit ExitStatus
 
 	// Extra is an arbitrary per-process annotation slot. The fault
 	// injectors use it to attach simulated memory images to a process
@@ -198,23 +197,19 @@ func (k *Kernel) spawn(n *Node, name string, parent PID, fn func(*Proc), h Handl
 		panic(fmt.Sprintf("sim: spawn %q on down node %q", name, n.name))
 	}
 	p := &Proc{
-		kernel:   k,
-		node:     n,
-		pid:      k.nextPID,
-		name:     name,
-		parent:   parent,
-		state:    stateNew,
-		children: make(map[PID]*Proc),
-		body:     fn,
-		h:        h,
+		kernel: k,
+		node:   n,
+		pid:    k.nextPID,
+		name:   name,
+		parent: parent,
+		state:  stateNew,
+		body:   fn,
+		h:      h,
 	}
 	k.nextPID++
 	k.procs = append(k.procs, p) // dense table: p.pid == len(k.procs)-1
 	n.procs[p.pid] = p
 	k.liveProcs++
-	if pp := k.proc(parent); pp != nil {
-		pp.children[p.pid] = p
-	}
 	if h == nil {
 		p.co = getCoro(p)
 	}
@@ -300,10 +295,11 @@ func (k *Kernel) unwindHandler(p *Proc) {
 	k.finalize(p, code, reason)
 }
 
-// finalize tears down a dead process: removes it from the node table,
-// notifies the parent, and reparents children. Runs on the dying process's
-// coroutine, as the last step of main, or in dispatch for a handler
-// process.
+// finalize tears down a dead process: removes it from the node table and
+// notifies its parent if that is still alive. An orphan keeps running and
+// keeps its dead parent's PID, which is never notified. Runs on the dying
+// process's coroutine, as the last step of main, or in dispatch for a
+// handler process.
 func (k *Kernel) finalize(p *Proc, code int, reason string) {
 	if p.state == stateDead {
 		return
@@ -311,23 +307,16 @@ func (k *Kernel) finalize(p *Proc, code int, reason string) {
 	p.state = stateDead
 	k.liveProcs--
 	delete(p.node.procs, p.pid)
-	p.exit = &ExitStatus{Code: code, Reason: reason, At: k.now}
+	p.exit = ExitStatus{Code: code, Reason: reason, At: k.now}
 	if k.TraceOn() {
 		k.Emit(trace.Record{Kind: trace.KindProcExit, Op: p.name, Node: p.node.name,
 			PID: int64(p.pid), A: int64(code), Detail: reason})
 	}
 	if pp := k.proc(p.parent); pp != nil && pp.state != stateDead {
-		delete(pp.children, p.pid)
 		k.deliver(p.parent, Msg{From: p.pid, SentAt: k.now, Payload: ChildExit{
 			Child: p.pid, Name: p.name, Code: code, Reason: reason,
 		}})
 	}
-	// Orphaned children keep running (init adopts them); they simply no
-	// longer have a parent to notify.
-	for _, c := range p.children {
-		c.parent = NoPID
-	}
-	p.children = nil
 	p.inbox = nil
 	p.inboxHead = 0
 	p.inboxLen = 0
@@ -401,10 +390,10 @@ func (k *Kernel) Suspended(pid PID) bool {
 // alive or unknown.
 func (k *Kernel) Exit(pid PID) *ExitStatus {
 	p := k.proc(pid)
-	if p == nil {
+	if p == nil || p.state != stateDead {
 		return nil
 	}
-	return p.exit
+	return &p.exit
 }
 
 // ProcName returns the name a process was spawned with.
@@ -513,9 +502,6 @@ func (p *Proc) Kernel() *Kernel { return p.kernel }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.kernel.now }
-
-// Parent returns the parent PID (NoPID if orphaned or top-level).
-func (p *Proc) Parent() PID { return p.parent }
 
 // Sleep blocks the process for d of virtual time. It models computation as
 // well as idle waiting; the texture-analysis filters "compute" by sleeping

@@ -116,6 +116,52 @@ func TestChildExitDeliveredToParent(t *testing.T) {
 	}
 }
 
+// TestSpawnUnderExitedParent spawns a child of a process that has already
+// exited, next to an orphan whose parent died while it ran: both run and
+// exit without a parent to notify, and a live parent still hears of its
+// own child's exit.
+func TestSpawnUnderExitedParent(t *testing.T) {
+	k := newTestKernel(t)
+	n := k.AddNode("a")
+	var orphan, late PID
+	dead := k.Spawn(n, "dead", NoPID, func(p *Proc) {
+		orphan = p.SpawnChild(n, "orphan", func(c *Proc) {
+			c.Sleep(2 * time.Second)
+			c.Exit(3, "")
+		})
+	})
+	var exited ChildExit
+	var heard int
+	k.Spawn(n, "live", NoPID, func(p *Proc) {
+		p.Sleep(time.Second)
+		p.SpawnChild(n, "child", func(c *Proc) { c.Exit(4, "") })
+		for {
+			if ce, ok := p.Recv().Payload.(ChildExit); ok {
+				exited = ce
+				heard++
+			}
+		}
+	})
+	k.Schedule(time.Second, func() {
+		if k.Alive(dead) || k.Exit(dead) == nil {
+			t.Errorf("the parent is alive at 1s (exit status %v)", k.Exit(dead))
+		}
+		late = k.Spawn(n, "late", dead, func(c *Proc) { c.Exit(5, "") })
+	})
+	k.Run(time.Hour)
+	for _, c := range []struct {
+		pid  PID
+		code int
+	}{{orphan, 3}, {late, 5}} {
+		if st := k.Exit(c.pid); k.Alive(c.pid) || st == nil || st.Code != c.code {
+			t.Errorf("%s: exit status %v, want code %d", k.ProcName(c.pid), st, c.code)
+		}
+	}
+	if heard != 1 || exited.Name != "child" || exited.Code != 4 {
+		t.Fatalf("the live parent heard %d exits, the last %+v; want one, of child with code 4", heard, exited)
+	}
+}
+
 func TestKillDeliversChildExitWithReason(t *testing.T) {
 	k := newTestKernel(t)
 	n := k.AddNode("a")
