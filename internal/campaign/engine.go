@@ -1,9 +1,11 @@
 // Package campaign is the parallel injection-campaign engine. Every
-// trial in a campaign builds its own simulation kernel and RNG from a
-// derived seed, so a trial is a pure function of (seed, config); the
-// engine fans trials across a worker pool and reduces their results in
-// run-index order, which makes every campaign's aggregate a pure
-// function of the campaign seed regardless of the worker count.
+// trial in a campaign runs on a simulation kernel and SIFT environment
+// reset for it from a derived seed (a worker reuses the ones its last
+// trial left, see inject.NewRunner), so a trial is a pure function of
+// (seed, config); the engine fans trials across a worker pool and
+// reduces their results in run-index order, which makes every campaign's
+// aggregate a pure function of the campaign seed regardless of the
+// worker count.
 //
 // Two shapes cover all of the paper's campaigns:
 //

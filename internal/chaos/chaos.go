@@ -271,38 +271,33 @@ func newDriver(r *inject.Runner, sp Spec, primary inject.CompoundStage) *driver 
 	}
 }
 
-// Trial runs one long-horizon chaos trial: the inject lifecycle with the
-// arrival process armed in place of the one-shot injector, then the beat
-// measurement folded into the Result before the censuses record it. The
-// spec is assumed validated (Validate); Trial is deterministic in
-// cfg.Seed.
+// Trial runs one long-horizon chaos trial: an inject run with the arrival
+// process armed in place of the one-shot injector, whose beat measurement
+// settles the Result before the censuses record it. The spec is assumed
+// validated (Validate); Trial is deterministic in cfg.Seed.
 func Trial(cfg inject.Config, spec Spec) inject.Result {
 	spec = spec.withDefaults()
 	primary := inject.CompoundStage{Model: cfg.Model, Target: cfg.Target, Rank: cfg.Rank}
 	// The kernel runs to the horizon: the relay service never completes,
 	// so the horizon is the trial's only clock limit.
 	cfg.Timeout = spec.Horizon
-	var d *driver
 	cfg.Arm = func(r *inject.Runner) {
-		d = newDriver(r, spec, primary)
+		d := newDriver(r, spec, primary)
 		d.arm()
+		r.Settle(d.settle)
 	}
-	r := inject.NewRunner(cfg)
-	defer r.Kernel().Shutdown()
-	handles := r.Deploy()
-	r.Kernel().Run(spec.Horizon)
-	r.Finish(handles)
-	res := r.Result()
+	return inject.Run(cfg)
+}
+
+// settle folds the beat measurement into the classified Result. It is a
+// long-horizon reclassification too: the one-shot verdict "application
+// did not complete" is the relay service's normal state, so a chaos trial
+// is a system failure exactly when the service never came back.
+func (d *driver) settle(res *inject.Result) {
 	st := d.measure()
 	res.Chaos = &st
-	// Long-horizon reclassification: the one-shot verdict "application
-	// did not complete" is the relay service's normal state. A chaos
-	// trial is a system failure exactly when the service never came
-	// back.
 	res.SystemFailure = st.Unrecoverable
 	if !st.Unrecoverable {
 		res.SysMode = inject.SysNone
 	}
-	r.Record()
-	return *res
 }

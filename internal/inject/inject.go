@@ -27,9 +27,10 @@
 //	Compound    two registered models armed with a controlled lag (the
 //	            Section 6 correlated failures, reproduced on purpose)
 //
-// Each run builds a fresh simulated cluster, SIFT environment, and
-// application from a seed, schedules the injector, runs to completion or
-// timeout, and classifies the outcome exactly as the paper does: failure
+// Each run resets a simulated cluster and SIFT environment (the trial kit
+// an earlier run released, or a new one) for its seed, submits the
+// application, schedules the injector, runs to completion or timeout,
+// and classifies the outcome exactly as the paper does: failure
 // class (segmentation fault / illegal instruction / hang / assertion),
 // successful recovery, correlated application failures, and system
 // failures (the application cannot complete within the predefined timeout,
@@ -373,14 +374,22 @@ func (cfg Config) withDefaults() Config {
 
 // Run executes one injection run and classifies it: the Runner builds the
 // cluster and SIFT environment from the seed, the Model's registered
-// injector inserts the errors, and the Runner extracts the paper's
-// classification from the environment log.
+// injector (or the Config's Arm hook) inserts the errors, and the Runner
+// extracts the paper's classification from the environment log.
 func Run(cfg Config) Result {
 	r := NewRunner(cfg)
-	defer r.k.Shutdown()
+	defer r.Release()
 	handles := r.deploy()
 	r.k.Run(r.cfg.Timeout)
 	r.finish(handles)
 	r.Record()
+	if fn := observe; fn != nil {
+		fn(cfg, r)
+	}
 	return *r.res
 }
+
+// observe, when set, is handed the configuration and the Runner of every
+// run Run completes, before the Runner is released; the kit reuse test
+// replays campaigns' trials through it.
+var observe func(Config, *Runner)

@@ -38,7 +38,7 @@ const (
 // Injector is one error model's insertion strategy. The Runner owns the
 // run lifecycle — cluster construction, scheduling, outcome
 // classification, tallying — and hands the injector a single hook to arm
-// itself on the freshly built simulation. Injectors draw all randomness
+// itself on the simulation set up for the run. Injectors draw all randomness
 // from the Runner's RNG so a run stays a pure function of its seed.
 type Injector interface {
 	// Schedule arms the model's first insertion on the Runner's kernel.

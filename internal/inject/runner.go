@@ -2,7 +2,9 @@ package inject
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"reesift/internal/core"
@@ -44,6 +46,12 @@ type Runner struct {
 	// their state across repeated arrivals and their Finishers run
 	// exactly once.
 	stages []*firedStage
+
+	// settle, when set, adjusts the Result at the end of Finish.
+	settle func(*Result)
+
+	// released latches once Release has given the kit back.
+	released bool
 }
 
 // firedStage is one cached FireStage injector.
@@ -78,16 +86,28 @@ func (r *Runner) withTarget(t targetRef, fn func()) {
 	r.override = old
 }
 
-// NewRunner builds the kernel, environment configuration, and injector
-// for one run, with the framework defaults applied. Run drives the whole
-// lifecycle itself; external drivers (internal/chaos) use the exported
-// lifecycle — NewRunner, Deploy, Kernel().Run, Finish, Record — to
-// interleave their own measurement between the phases. The caller owns
-// the kernel shutdown (defer r.Kernel().Shutdown()).
+// kits is the free list of trial kits: Runners a finished trial released,
+// each with the kernel and environment it ran, for NewRunner to reset. It
+// holds at most GOMAXPROCS kits, one per trial that can run at once.
+var kits struct {
+	sync.Mutex
+	free []*Runner
+}
+
+// NewRunner sets up the kernel, environment and injector of one run, with
+// the framework defaults applied. Run drives the whole lifecycle itself;
+// external drivers use the exported lifecycle — NewRunner, Deploy,
+// Kernel().Run, Finish, Record, Release — to interleave their own
+// measurement between the phases.
+//
+// A run is one turn of a trial kit: NewRunner takes a kit off the free
+// list (or makes one when the list is empty) and resets its kernel
+// (sim.Kernel.Reset) and environment (sift.Environment.Reset) for cfg;
+// Release shuts the kernel down and gives the kit back. A driver that
+// never calls Release must shut the kernel down itself (defer
+// r.Kernel().Shutdown()); its kit is then simply not reused.
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	res := &Result{Seed: cfg.Seed, Model: cfg.Model, Target: cfg.Target}
-	k := sim.NewKernel(sim.DefaultConfig(cfg.Seed))
 	var envCfg sift.EnvConfig
 	if cfg.Env != nil {
 		envCfg = *cfg.Env
@@ -100,16 +120,29 @@ func NewRunner(cfg Config) *Runner {
 	if prep, ok := inj.(EnvPreparer); ok {
 		prep.PrepareEnv(&cfg, &envCfg)
 	}
-	env := sift.New(k, envCfg)
-	r := &Runner{
-		cfg: cfg,
-		env: env,
-		k:   k,
-		res: res,
-		//reesift:allow seedlint -- fixed-constant stream split of one trial seed; distinct per subsystem, pinned by every injection golden
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		inj: inj,
+	r := takeKit()
+	k, env, rng, res, stages := r.k, r.env, r.rng, r.res, r.stages
+	if k == nil {
+		k, env, res = new(sim.Kernel), new(sift.Environment), new(Result)
 	}
+	//reesift:allow seedlint -- fixed-constant stream split of one trial seed; distinct per subsystem, pinned by every injection golden
+	seed := cfg.Seed ^ 0x5eed
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed) // the same stream as a new source
+	}
+	*res = Result{Seed: cfg.Seed, Model: cfg.Model, Target: cfg.Target}
+	clear(stages)
+	*r = Runner{
+		cfg:    cfg,
+		k:      k.Reset(sim.DefaultConfig(cfg.Seed)),
+		res:    res,
+		rng:    rng,
+		inj:    inj,
+		stages: stages[:0],
+	}
+	r.env = env.Reset(k, envCfg)
 	if cfg.Trace != nil {
 		// The recorder consumes no kernel randomness and its metric ticks
 		// draw none either, so enabling tracing never changes what the
@@ -119,6 +152,45 @@ func NewRunner(cfg Config) *Runner {
 		env.Log.Sink = r.rec
 	}
 	return r
+}
+
+// takeKit pops a released kit, or returns an empty Runner when none is
+// free.
+func takeKit() *Runner {
+	kits.Lock()
+	defer kits.Unlock()
+	n := len(kits.free)
+	if n == 0 {
+		return new(Runner)
+	}
+	r := kits.free[n-1]
+	kits.free[n-1] = nil
+	kits.free = kits.free[:n-1]
+	return r
+}
+
+// Release ends the run: it shuts the kernel down and gives the Runner,
+// with its kernel and environment, back to the free list for a later
+// NewRunner to reset. Until that happens the kernel and environment stay
+// readable, so a driver that runs its trials one at a time may still read
+// the environment of the trial it just released; nothing reached through
+// the Runner may be written after Release. A kernel a process outlived
+// Shutdown on (a process that would not unwind) is not reused; a second
+// Release is a no-op.
+func (r *Runner) Release() {
+	if r.released {
+		return
+	}
+	r.released = true
+	r.k.Shutdown()
+	if r.k.LiveProcs() > 0 {
+		return
+	}
+	kits.Lock()
+	if len(kits.free) < runtime.GOMAXPROCS(0) {
+		kits.free = append(kits.free, r)
+	}
+	kits.Unlock()
 }
 
 // deploy installs the SIFT environment, submits the applications, and
@@ -186,13 +258,19 @@ func (r *Runner) Deploy() []*sift.AppHandle { return r.deploy() }
 // adjust the Result before Record.
 func (r *Runner) Finish(handles []*sift.AppHandle) { r.finish(handles) }
 
+// Settle arranges for fn to adjust the run's Result once Finish has
+// classified it, before Record seals it: a long-horizon driver's
+// measurement and reclassification (internal/chaos). Call it from the
+// Config's Arm hook.
+func (r *Runner) Settle(fn func(*Result)) { r.settle = fn }
+
 // Record folds the run's Result into every census listed in the
 // Config. Run does this implicitly; external drivers call it last,
 // after any Result adjustments, so the tallies see the final
 // classification — which is also why the trace snapshot lives here:
-// the chaos driver reclassifies SystemFailure between Finish and
-// Record, and the breach bundle must freeze the final verdict, not the
-// interim one.
+// the chaos driver's Settle step reclassifies SystemFailure at the end
+// of Finish, and the breach bundle must freeze the final verdict, not
+// the interim one.
 func (r *Runner) Record() {
 	r.snapshotTrace()
 	record(&r.cfg, r.res)
@@ -582,6 +660,9 @@ func (r *Runner) finish(handles []*sift.AppHandle) {
 	}
 	if r.cfg.CheckVerdict != nil {
 		res.Verdict = r.cfg.CheckVerdict(r.k.SharedFS())
+	}
+	if r.settle != nil {
+		r.settle(res)
 	}
 }
 

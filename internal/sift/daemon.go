@@ -90,32 +90,52 @@ type ayaRoundTag struct{}
 
 // NewDaemon constructs the daemon for a node.
 func NewDaemon(env *Environment, node *sim.Node, aid core.AID) *Daemon {
-	d := &Daemon{
-		env:            env,
-		node:           node,
-		aid:            aid,
-		localPID:       make(map[core.AID]sim.PID),
-		nodeOf:         make(map[core.AID]string),
-		daemonPIDs:     make(map[string]sim.PID),
-		children:       make(map[sim.PID]core.AID),
-		expectedDeath:  make(map[sim.PID]bool),
-		ayaOutstanding: make(map[core.AID]bool),
-		armorEpoch:     make(map[core.AID]uint64),
-		localEpoch:     make(map[core.AID]uint64),
-		installDelay:   env.cfg.InstallDelay,
-		ayaPeriod:      env.cfg.DaemonAYAPeriod,
+	return new(Daemon).Reset(env, node, aid)
+}
+
+// Reset re-initialises d as the daemon of node in env, and returns it. It
+// is NewDaemon's initialiser; Setup also calls it on the daemon that held
+// the same node position in an earlier deployment, whose process is dead:
+// the tables are emptied with clear, keeping their buckets, and the ARMOR
+// runtime is Reset (core.Armor.Reset) around a new element.
+func (d *Daemon) Reset(env *Environment, node *sim.Node, aid core.AID) *Daemon {
+	d.env, d.node, d.aid = env, node, aid
+	if d.localPID == nil {
+		d.localPID = make(map[core.AID]sim.PID)
+		d.nodeOf = make(map[core.AID]string)
+		d.daemonPIDs = make(map[string]sim.PID)
+		d.children = make(map[sim.PID]core.AID)
+		d.expectedDeath = make(map[sim.PID]bool)
+		d.ayaOutstanding = make(map[core.AID]bool)
+		d.armorEpoch = make(map[core.AID]uint64)
+		d.localEpoch = make(map[core.AID]uint64)
 	}
-	el := &daemonElem{d: d}
-	d.armor = core.New(core.Config{
+	clear(d.localPID)
+	clear(d.nodeOf)
+	clear(d.daemonPIDs)
+	clear(d.children)
+	clear(d.expectedDeath)
+	clear(d.ayaOutstanding)
+	clear(d.armorEpoch)
+	clear(d.localEpoch)
+	d.sccPID = sim.NoPID
+	d.ayaScratch = d.ayaScratch[:0]
+	d.installDelay = env.cfg.InstallDelay
+	d.ayaPeriod = env.cfg.DaemonAYAPeriod
+	cfg := core.Config{
 		ID:            aid,
 		Name:          "daemon-" + node.Name(),
-		Elements:      []core.Element{el},
+		Elements:      []core.Element{&daemonElem{d: d}},
 		SendLower:     d.route,
 		OnForward:     d.forward,
 		Boxes:         &env.boxes,
 		Epoch:         env.nextDaemonEpoch(node.Name()),
 		OnStaleSender: d.staleSender,
-	})
+	}
+	if d.armor == nil {
+		d.armor = new(core.Armor)
+	}
+	d.armor.Reset(cfg)
 	return d
 }
 

@@ -149,6 +149,13 @@ type Environment struct {
 	// originated here is boxed from it, and its last reader frees it.
 	boxes core.Boxes
 
+	// setupDaemons holds the daemon Setup installed at each node
+	// position; Reset keeps them for the next Setup.
+	setupDaemons []*Daemon
+
+	// armors holds the last ARMOR runtime built for each AID. Reset keeps
+	// it, so a later install of the AID can reuse the runtime; ArmorOf
+	// reports it only once the AID is installed in this deployment.
 	armors    map[core.AID]*core.Armor
 	procOfAID map[core.AID]sim.PID
 	// placement is the SCC's placement table: where every ARMOR was last
@@ -205,9 +212,26 @@ func (h *AppHandle) PerceivedTime() (time.Duration, bool) {
 	return h.DoneAt - h.SubmittedAt, true
 }
 
-// New creates an environment on a fresh kernel. Call Setup to install the
-// SIFT processes.
-func New(k *sim.Kernel, cfg EnvConfig) *Environment {
+// New creates an environment on k. Call Setup to install the SIFT
+// processes.
+func New(k *sim.Kernel, cfg EnvConfig) *Environment { return new(Environment).Reset(k, cfg) }
+
+// Reset re-initialises e for a new deployment built from cfg on k, a new
+// or Reset kernel, and returns it. It is New's initialiser; a campaign
+// worker also calls it on the environment of a finished trial, whose
+// kernel has been shut down, so the next trial reuses its storage:
+//
+//   - every map is emptied with clear, keeping its buckets, and the event
+//     log keeps its entry chunks (EventLog.Reset);
+//   - the envelope free list and each node's lower layer are kept (a
+//     lower layer names its node and sends through whichever daemon runs
+//     there);
+//   - Setup reuses the daemon of each node position (Daemon.Reset), and
+//     an install reuses the ARMOR runtime the AID's last incarnation
+//     left, in this deployment or an earlier one (buildArmor).
+//
+// Elements, application contexts and submission handles are always new.
+func (e *Environment) Reset(k *sim.Kernel, cfg EnvConfig) *Environment {
 	if cfg.FTMHeartbeatPeriod <= 0 {
 		cfg.FTMHeartbeatPeriod = 10 * time.Second
 	}
@@ -223,24 +247,43 @@ func New(k *sim.Kernel, cfg EnvConfig) *Environment {
 	if cfg.AppStartDelay <= 0 {
 		cfg.AppStartDelay = 400 * time.Millisecond
 	}
-	return &Environment{
-		K:           k,
-		Log:         NewEventLog(),
-		cfg:         cfg,
-		daemons:     make(map[string]*Daemon),
-		daemonPID:   make(map[string]sim.PID),
-		daemonEpoch: make(map[string]uint64),
-		armors:      make(map[core.AID]*core.Armor),
-		procOfAID:   make(map[core.AID]sim.PID),
-		placement:   make(map[core.AID]placeRec),
-		appSpecs:    make(map[AppID]*AppSpec),
-		appMem:      make(map[appKey]*memsim.Memory),
-		appPID:      make(map[appKey]sim.PID),
-		appCtx:      make(map[appKey]*AppContext),
-		handles:     make(map[AppID]*AppHandle),
-		placeOf:     make(map[AppID][]string),
-		rankLoad:    make(map[string]int),
+	e.K, e.cfg = k, cfg
+	if e.Log == nil {
+		e.Log = new(EventLog)
 	}
+	e.Log.Reset()
+	clear(e.nodes)
+	e.nodes = e.nodes[:0]
+	if e.daemons == nil {
+		e.daemons = make(map[string]*Daemon)
+		e.daemonPID = make(map[string]sim.PID)
+		e.daemonEpoch = make(map[string]uint64)
+		e.armors = make(map[core.AID]*core.Armor)
+		e.procOfAID = make(map[core.AID]sim.PID)
+		e.placement = make(map[core.AID]placeRec)
+		e.appSpecs = make(map[AppID]*AppSpec)
+		e.appMem = make(map[appKey]*memsim.Memory)
+		e.appPID = make(map[appKey]sim.PID)
+		e.appCtx = make(map[appKey]*AppContext)
+		e.handles = make(map[AppID]*AppHandle)
+		e.placeOf = make(map[AppID][]string)
+		e.rankLoad = make(map[string]int)
+	}
+	clear(e.daemons)
+	clear(e.daemonPID)
+	clear(e.daemonEpoch)
+	clear(e.procOfAID)
+	clear(e.placement)
+	clear(e.appSpecs)
+	clear(e.appMem)
+	clear(e.appPID)
+	clear(e.appCtx)
+	clear(e.handles)
+	clear(e.placeOf)
+	clear(e.rankLoad)
+	e.scc, e.sccPID = nil, sim.NoPID
+	e.AppDoneHook = nil
+	return e
 }
 
 // initialEpoch returns the epoch stamped on first-incarnation installs:
@@ -271,7 +314,10 @@ func (e *Environment) Setup() {
 	for i, name := range e.cfg.Nodes {
 		n := e.K.AddNode(name)
 		e.nodes = append(e.nodes, n)
-		d := NewDaemon(e, n, AIDDaemon(i))
+		if i == len(e.setupDaemons) {
+			e.setupDaemons = append(e.setupDaemons, new(Daemon))
+		}
+		d := e.setupDaemons[i].Reset(e, n, AIDDaemon(i))
 		e.daemons[name] = d
 		pid := e.K.SpawnHandler(n, "daemon-"+name, sim.NoPID, d)
 		e.daemonPID[name] = pid
@@ -343,9 +389,15 @@ func (e *Environment) DaemonAID(host string) core.AID {
 // ProcOf returns the current process of an ARMOR (the injection oracle).
 func (e *Environment) ProcOf(aid core.AID) sim.PID { return e.procOfAID[aid] }
 
-// ArmorOf returns the live ARMOR object (the targeted heap injector
-// corrupts element fields through it).
-func (e *Environment) ArmorOf(aid core.AID) *core.Armor { return e.armors[aid] }
+// ArmorOf returns the ARMOR object of the AID's latest incarnation, nil
+// before its first install (the targeted heap injector corrupts element
+// fields through it).
+func (e *Environment) ArmorOf(aid core.AID) *core.Armor {
+	if _, ok := e.procOfAID[aid]; !ok {
+		return nil
+	}
+	return e.armors[aid]
+}
 
 // AppProc returns the current process of an application rank.
 func (e *Environment) AppProc(app AppID, rank int) sim.PID {
@@ -396,11 +448,12 @@ func (e *Environment) ftmSites(own string) []FTMSite {
 // buildArmor constructs an ARMOR process image for a daemon install on
 // the given node. The node matters: the ARMOR's lower layer is its *local*
 // daemon, which after a migration is not the node named in the original
-// placement. When the AID's current incarnation is dead, its runtime is
-// Reset for the new one (see core.Armor.Reset); an incarnation whose
-// process is still alive, say on the far side of a partition, is never
-// reused. Either way the elements are new structs, so no element state of
-// an old incarnation reaches the new one.
+// placement. When the AID's latest incarnation is dead, or belongs to an
+// earlier deployment of a Reset environment, its runtime is Reset for the
+// new one (see core.Armor.Reset); an incarnation whose process is still
+// alive, say on the far side of a partition, is never reused. Either way
+// the elements are new structs, so no element state of an old
+// incarnation reaches the new one.
 func (e *Environment) buildArmor(spec ArmorSpec, node string) *core.Armor {
 	cfg := core.Config{
 		ID:              spec.ID,

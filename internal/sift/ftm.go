@@ -1,8 +1,9 @@
 package sift
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"reesift/internal/core"
@@ -527,6 +528,8 @@ type ExecArmorInfoElem struct {
 	core.Schema[ExecArmorInfoElem, *ExecArmorInfoElem]
 	ftm  *FTM
 	Recs []execRec
+	// byAppScratch is byApp's reusable result; it is not checkpointed.
+	byAppScratch []execRec
 }
 
 // Fields declares exec_armor_info's checkpointed state: the binding table.
@@ -566,7 +569,7 @@ func (e *ExecArmorInfoElem) Handle(ctx *core.Ctx, ev core.Event) {
 	for rank := range pids.PIDs {
 		ranks = append(ranks, rank)
 	}
-	sort.Ints(ranks)
+	slices.Sort(ranks)
 	for _, rank := range ranks {
 		if rank == 0 {
 			continue
@@ -589,14 +592,17 @@ func (e *ExecArmorInfoElem) add(rec execRec) {
 	e.Recs = append(e.Recs, rec)
 }
 
+// byApp returns the records of app's ranks in rank order. The result is
+// the element's scratch slice: valid until the next byApp call.
 func (e *ExecArmorInfoElem) byApp(app AppID) []execRec {
-	var out []execRec
+	out := e.byAppScratch[:0]
 	for _, r := range e.Recs {
 		if r.App == uint64(app) {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
+	slices.SortFunc(out, func(a, b execRec) int { return cmp.Compare(a.Rank, b.Rank) })
+	e.byAppScratch = out
 	return out
 }
 

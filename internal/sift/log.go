@@ -481,20 +481,49 @@ type EventLog struct {
 }
 
 // NewEventLog returns an empty log.
-func NewEventLog() *EventLog {
-	l := &EventLog{
-		pending:    make(map[core.AID]Detection),
-		pendingApp: make(map[AppID]AppDetection),
+func NewEventLog() *EventLog { return new(EventLog).Reset() }
+
+// Reset empties the log for a new trial and returns it. It is
+// NewEventLog's initialiser; Environment.Reset calls it on a finished
+// trial's log, which keeps its entry chunks and the arrays of its
+// detection and recovery lists. The sink, the fold and the interned refs
+// are dropped.
+func (l *EventLog) Reset() *EventLog {
+	for i, c := range l.chunks {
+		clear(c)
+		l.chunks[i] = c[:0]
 	}
-	l.chunks = l.inline[:0]
+	if l.chunks == nil {
+		l.chunks = l.inline[:0]
+	}
+	l.chunks = l.chunks[:0]
+	l.Detections = l.Detections[:0]
+	l.AppDetections = l.AppDetections[:0]
+	l.Recoveries = l.Recoveries[:0]
+	l.AppRecoveries = l.AppRecoveries[:0]
+	l.Sink, l.fold = nil, nil
+	l.stored = 0
+	l.first, l.last, l.counts = [numLogKinds]int32{}, [numLogKinds]int32{}, [numLogKinds]int{}
+	if l.pending == nil {
+		l.pending = make(map[core.AID]Detection)
+		l.pendingApp = make(map[AppID]AppDetection)
+	}
+	clear(l.pending)
+	clear(l.pendingApp)
+	clear(l.interned)
 	return l
 }
 
-// add stores e, indexes and counts it, and mirrors it to the sink.
+// add stores e, indexes and counts it, and mirrors it to the sink. A
+// chunk kept by Reset is filled again before a new one is made.
 func (l *EventLog) add(e LogEntry) {
 	n := len(l.chunks)
 	if n == 0 || len(l.chunks[n-1]) == cap(l.chunks[n-1]) {
-		l.chunks = append(l.chunks, make([]LogEntry, 0, chunkCap(n)))
+		if n < cap(l.chunks) && cap(l.chunks[:n+1][n]) > 0 {
+			l.chunks = l.chunks[:n+1]
+		} else {
+			l.chunks = append(l.chunks, make([]LogEntry, 0, chunkCap(n)))
+		}
 		n++
 	}
 	l.chunks[n-1] = append(l.chunks[n-1], e)

@@ -50,8 +50,12 @@ type NetFaultStats struct {
 // A nil fault clears the model.
 func (k *Kernel) InstallNetFault(seed int64, f *NetFault) {
 	k.netFault = f
-	if f != nil {
+	switch {
+	case f == nil:
+	case k.netRNG == nil:
 		k.netRNG = rand.New(rand.NewSource(seed))
+	default:
+		k.netRNG.Seed(seed) // the same stream as a new source
 	}
 }
 

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"reesift/internal/trace"
 )
@@ -35,7 +35,7 @@ func (n *Node) Procs() []PID {
 	for pid := range n.procs {
 		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
 	return pids
 }
 

@@ -206,6 +206,11 @@ func (k *Kernel) spawn(n *Node, name string, parent PID, fn func(*Proc), h Handl
 		body:   fn,
 		h:      h,
 	}
+	if i := len(k.inboxes) - 1; i >= 0 {
+		p.inbox = k.inboxes[i]
+		k.inboxes[i] = nil
+		k.inboxes = k.inboxes[:i]
+	}
 	k.nextPID++
 	k.procs = append(k.procs, p) // dense table: p.pid == len(k.procs)-1
 	n.procs[p.pid] = p
@@ -295,8 +300,9 @@ func (k *Kernel) unwindHandler(p *Proc) {
 	k.finalize(p, code, reason)
 }
 
-// finalize tears down a dead process: removes it from the node table and
-// notifies its parent if that is still alive. An orphan keeps running and
+// finalize tears down a dead process: removes it from the node table,
+// notifies its parent if that is still alive, and gives its emptied inbox
+// ring to the kernel for the next spawn. An orphan keeps running and
 // keeps its dead parent's PID, which is never notified. Runs on the dying
 // process's coroutine, as the last step of main, or in dispatch for a
 // handler process.
@@ -316,6 +322,10 @@ func (k *Kernel) finalize(p *Proc, code int, reason string) {
 		k.deliver(p.parent, Msg{From: p.pid, SentAt: k.now, Payload: ChildExit{
 			Child: p.pid, Name: p.name, Code: code, Reason: reason,
 		}})
+	}
+	if p.inbox != nil {
+		clear(p.inbox)
+		k.inboxes = append(k.inboxes, p.inbox)
 	}
 	p.inbox = nil
 	p.inboxHead = 0

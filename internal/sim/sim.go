@@ -130,6 +130,10 @@ type Kernel struct {
 	readyHead int
 	readyLen  int
 
+	// inboxes holds the emptied inbox rings of dead processes; spawn
+	// hands them to new ones.
+	inboxes [][]Msg
+
 	sink    *trace.Recorder
 	traceOn bool // cached sink.Enabled()
 
@@ -138,21 +142,74 @@ type Kernel struct {
 }
 
 // NewKernel creates a kernel with no nodes or processes.
-func NewKernel(cfg Config) *Kernel {
+func NewKernel(cfg Config) *Kernel { return new(Kernel).Reset(cfg) }
+
+// Reset re-initialises k for a new simulation built from cfg, and returns
+// it. It is NewKernel's initialiser; a campaign worker also calls it on
+// the kernel of a finished trial, so the next trial reuses its storage:
+//
+//   - pending events go back to the event free list, which is kept;
+//   - the process table, the ready ring and the node list are emptied,
+//     keeping their arrays; AddNode reuses the nodes, their process
+//     tables and RAM disks emptied, and spawn reuses dead processes'
+//     inbox rings;
+//   - the random sources are reseeded in place, which gives the stream a
+//     new source seeded alike would;
+//   - the clock, the counters, the stop flag, the node watchers, the
+//     shared file system, the message fault model and the trace sink
+//     start over.
+//
+// Processes are always new structs. Reset must not be called while a
+// process is alive: Shutdown first.
+func (k *Kernel) Reset(cfg Config) *Kernel {
+	if k.liveProcs > 0 {
+		panic(fmt.Sprintf("sim: Reset of a kernel with %d live processes", k.liveProcs))
+	}
 	if cfg.LocalLatency <= 0 {
 		cfg.LocalLatency = 100 * time.Microsecond
 	}
 	if cfg.RemoteLatency <= 0 {
 		cfg.RemoteLatency = time.Millisecond
 	}
-	return &Kernel{
-		cfg:      cfg,
-		procs:    make([]*Proc, 1, 64), // index 0 = NoPID
-		nextPID:  1,
-		nodes:    make(map[string]*Node),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		sharedFS: NewFS(),
+	k.cfg = cfg
+	k.now, k.seq, k.fired, k.stopped = 0, 0, 0, false
+	for _, e := range k.events {
+		e.index = -1
+		k.recycle(e)
 	}
+	clear(k.events)
+	k.events = k.events[:0]
+	if k.procs == nil {
+		k.procs = make([]*Proc, 1, 64) // index 0 = NoPID
+	}
+	clear(k.procs)
+	k.procs = k.procs[:1]
+	k.nextPID = 1
+	if k.nodes == nil {
+		k.nodes = make(map[string]*Node)
+	}
+	clear(k.nodes)
+	for _, n := range k.nodeList {
+		clear(n.procs)
+		clear(n.ramDisk.files)
+	}
+	k.nodeList = k.nodeList[:0]
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		k.rng.Seed(cfg.Seed)
+	}
+	if k.sharedFS == nil {
+		k.sharedFS = NewFS()
+	}
+	clear(k.sharedFS.files)
+	k.netFault, k.netStats = nil, NetFaultStats{}
+	clear(k.nodeWatchers)
+	clear(k.ready)
+	k.readyHead, k.readyLen = 0, 0
+	k.sink, k.traceOn = nil, false
+	k.liveProcs, k.msgsSent = 0, 0
+	return k
 }
 
 // Now reports the current virtual time.
@@ -207,13 +264,14 @@ func (k *Kernel) AddNode(name string) *Node {
 	if _, ok := k.nodes[name]; ok {
 		panic(fmt.Sprintf("sim: duplicate node %q", name))
 	}
-	n := &Node{
-		kernel:  k,
-		name:    name,
-		up:      true,
-		procs:   make(map[PID]*Proc),
-		ramDisk: NewFS(),
+	var n *Node
+	if i := len(k.nodeList); i < cap(k.nodeList) {
+		n = k.nodeList[:i+1][i] // a node Reset kept, already emptied
 	}
+	if n == nil {
+		n = &Node{kernel: k, procs: make(map[PID]*Proc), ramDisk: NewFS()}
+	}
+	n.name, n.up = name, true
 	k.nodes[name] = n
 	k.nodeList = append(k.nodeList, n)
 	return n

@@ -85,9 +85,10 @@ type InjectionResult = inject.Result
 type FS = sim.FS
 
 // Injection describes one fault-injection run driven through the façade:
-// a fresh cluster is built from the Cluster options, the applications
-// are submitted, the error model fires against the target, and the
-// outcome is classified exactly as the paper does.
+// a cluster is set up from the Cluster options (on a trial kit an earlier
+// run left, reset, or a new one), the applications are submitted, the
+// error model fires against the target, and the outcome is classified
+// exactly as the paper does.
 type Injection struct {
 	// Seed determines the run (cluster, application, and injection
 	// draw). The seed of any WithSeed option in Cluster is ignored;
