@@ -35,6 +35,24 @@ type InstallAck struct {
 	PID sim.PID
 }
 
+// Event returns the acknowledgment as an EventInstalled event, inline.
+//
+//reesift:noalloc
+func (a InstallAck) Event() Event {
+	return Event{Kind: EventInstalled, A: uint64(a.ID), B: uint64(a.PID)}
+}
+
+// InstallAckOf reads an EventInstalled event; ok is false for any other
+// kind.
+//
+//reesift:noalloc
+func InstallAckOf(ev Event) (a InstallAck, ok bool) {
+	if ev.Kind != EventInstalled {
+		return InstallAck{}, false
+	}
+	return InstallAck{ID: AID(ev.A), PID: sim.PID(ev.B)}, true
+}
+
 // Config assembles an ARMOR.
 type Config struct {
 	ID   AID
@@ -301,6 +319,11 @@ func (a *Armor) aimCheckpoint(p *sim.Proc) {
 // ID returns the ARMOR's identification number.
 func (a *Armor) ID() AID { return a.cfg.ID }
 
+// Config returns the configuration of the ARMOR's latest Reset, with its
+// defaults filled in. A caller that Resets the ARMOR again may reuse its
+// name, lower layers and hooks; the elements only where they hold no state.
+func (a *Armor) Config() Config { return a.cfg }
+
 // Checkpoint exposes the checkpoint buffer (the heap injector corrupts it
 // through this).
 func (a *Armor) Checkpoint() *Checkpoint { return a.ckpt }
@@ -379,15 +402,28 @@ func (c *Ctx) Now() time.Duration { return c.Proc.Now() }
 // Send transmits a single-event message reliably: it is sequenced,
 // acknowledged, and retransmitted until acknowledged.
 func (c *Ctx) Send(dst AID, kind EventKind, data interface{}) {
-	env := NewMsg(c.Armor.cfg.ID, dst, kind, data)
-	c.Armor.sendReliable(c.Proc, env)
+	c.SendEvent(dst, Event{Kind: kind, Data: data})
 }
 
 // SendUnreliable transmits a single-event message with no sequencing, no
 // ack, and no retransmission — the are-you-alive traffic pattern.
 func (c *Ctx) SendUnreliable(dst AID, kind EventKind, data interface{}) {
-	env := NewMsg(c.Armor.cfg.ID, dst, kind, data)
-	c.Armor.transmit(c.Proc, env)
+	c.SendEventUnreliable(dst, Event{Kind: kind, Data: data})
+}
+
+// SendEvent transmits a built event reliably, like Send: the way a typed
+// protocol constructor's event, its payload inline, is sent.
+//
+//reesift:noalloc
+func (c *Ctx) SendEvent(dst AID, ev Event) {
+	c.Armor.sendReliable(c.Proc, Envelope{Src: c.Armor.cfg.ID, Dst: dst, Event: ev})
+}
+
+// SendEventUnreliable transmits a built event like SendUnreliable.
+//
+//reesift:noalloc
+func (c *Ctx) SendEventUnreliable(dst AID, ev Event) {
+	c.Armor.transmit(c.Proc, Envelope{Src: c.Armor.cfg.ID, Dst: dst, Event: ev})
 }
 
 // After arranges for the named element to receive an EventTimer carrying
@@ -442,8 +478,8 @@ func (a *Armor) Run(p *sim.Proc) {
 		a.restoreFromCheckpoint()
 	}
 	if a.cfg.NotifyInstalled.Valid() {
-		a.sendReliable(p, NewMsg(a.cfg.ID, a.cfg.NotifyInstalled, EventKind("core.installed"),
-			InstallAck{ID: a.cfg.ID, PID: p.Self()}))
+		a.sendReliable(p, Envelope{Src: a.cfg.ID, Dst: a.cfg.NotifyInstalled,
+			Event: InstallAck{ID: a.cfg.ID, PID: p.Self()}.Event()})
 	}
 	if !a.cfg.AwaitRestore {
 		a.Start(p)

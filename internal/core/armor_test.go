@@ -445,7 +445,7 @@ func TestInstallAckNotification(t *testing.T) {
 			return
 		}
 		env := m.Payload.(Envelope)
-		ack, got = env.Event.Data.(InstallAck)
+		ack, got = InstallAckOf(env.Event)
 	})
 	k.Run(time.Minute)
 	if !got || ack.ID != 2 {

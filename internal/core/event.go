@@ -47,15 +47,28 @@ const (
 
 // Event is one unit of work inside an ARMOR message. A message consists of
 // sequential events that trigger element actions (Section 3.1).
+//
+// A small fixed payload travels inline, in N, A, B and S: each protocol
+// kind with such a payload has a typed constructor that sets Kind and the
+// words, and a typed accessor that reads them back only for that kind
+// (InstallAck.Event and InstallAckOf here, the SIFT protocol's in
+// internal/sift). Sending one allocates nothing. A large payload keeps one
+// pointer in Data, built once and never copied into a second box.
 type Event struct {
 	Kind EventKind
-	// Data is the event payload. Payload types are plain structs defined
-	// by the element packages.
+	// Data is the payload that does not fit inline: a pointer to a
+	// large, immutable record, a timer tag, or a child-exit report.
 	Data interface{}
-	// N is an inline scalar argument for the payload: a value that changes
-	// with every event of a kind (a progress counter) travels here, so the
-	// payload can be one immutable box shared by all of them.
+	// N is an inline scalar argument: a value that changes with every
+	// event of a kind (a progress counter) travels here, so the payload
+	// can be one immutable box shared by all of them.
 	N uint64
+	// A and B are inline words: an ID, a rank, a PID, an epoch.
+	A, B uint64
+	// S is an inline string header. It only ever carries a string that
+	// already exists, such as a hostname or a child's exit reason, never
+	// one formatted for the event.
+	S string
 }
 
 // Envelope is the wire format for ARMOR-to-ARMOR communication. Envelopes
@@ -83,11 +96,11 @@ type Envelope struct {
 	// AckSeq is the sequence number an acknowledgment (Ack) answers.
 	AckSeq uint64
 	// Event is delivered to the subscribed elements. It is held inline —
-	// no multi-event message is ever built — so constructing an envelope
-	// allocates nothing.
+	// no multi-event message is ever built — and so is its small payload,
+	// so constructing an envelope allocates nothing.
 	Event Event
 	// Ack marks an acknowledgment for AckSeq; Event is zero. The three
-	// flags sit together so the envelope stays 96 bytes.
+	// flags sit together so the envelope stays 128 bytes, one size class.
 	Ack bool
 	// Corrupt marks an envelope whose contents were damaged by an error
 	// inside the sender (a fail-silence violation). Parsing a corrupted

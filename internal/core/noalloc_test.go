@@ -12,7 +12,8 @@ import (
 // contract for this package: the scenarios below must run at zero
 // allocations, and every annotated function must be named by one.
 func TestNoallocRuntime(t *testing.T) {
-	noalloctest.Verify(t, []noalloctest.Check{encoderCheck(), schemaCheck(), checkpointCheck(), armorRoundCheck(t)})
+	noalloctest.Verify(t, []noalloctest.Check{encoderCheck(), schemaCheck(), checkpointCheck(), installAckCheck(),
+		armorRoundCheck(t)})
 }
 
 // encoderCheck re-encodes one record of every field type into a
@@ -64,6 +65,21 @@ func checkpointCheck() noalloctest.Check {
 			state[0]++
 			ck.Update("element", state)
 			ck.Commit()
+		},
+	}
+}
+
+// installAckCheck builds an install acknowledgment's event and reads it
+// back: the payload travels inline.
+func installAckCheck() noalloctest.Check {
+	ack := InstallAck{ID: 7, PID: 42}
+	return noalloctest.Check{
+		Name:   "install ack payload",
+		Covers: []string{"InstallAck.Event", "InstallAckOf"},
+		Run: func() {
+			if got, ok := InstallAckOf(ack.Event()); !ok || got != ack {
+				panic("install ack did not round-trip")
+			}
 		},
 	}
 }
@@ -136,7 +152,7 @@ func armorRoundCheck(t *testing.T) noalloctest.Check {
 	return noalloctest.Check{
 		Name: "armor round",
 		Covers: []string{
-			"NewMsg", "Ctx.After", "Timer.Cancel", "Timer.Reschedule",
+			"NewMsg", "Ctx.SendEvent", "Ctx.SendEventUnreliable", "Ctx.After", "Timer.Cancel", "Timer.Reschedule",
 			"Armor.newTimer", "Armor.freeTimer", "Armor.aim", "Armor.Dispatch", "Armor.deliverEvent",
 			"Armor.handle", "Armor.handleTimer", "Armor.armRetry", "Armor.sendReliable", "Armor.sendAck",
 			"Armor.transmitCommitted", "Armor.transmit",

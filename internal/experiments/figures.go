@@ -251,9 +251,8 @@ func Figure10(sc Scale) (*reesift.Result, error) {
 		// Deliver a failure notification for an ARMOR that the FTM has
 		// not registered (the race's message ordering).
 		phantom := sift.AIDExec(9, 0)
-		envlp := core.NewMsg(env.DaemonAID(cfg.Nodes[2]), sift.AIDFTM, sift.EvArmorFailed,
-			sift.ArmorFailed{ID: phantom, Reason: "crash"})
-		envlp.Seq = 12345
+		envlp := core.Envelope{Src: env.DaemonAID(cfg.Nodes[2]), Dst: sift.AIDFTM, Seq: 12345,
+			Event: sift.ArmorFailed{ID: phantom, Reason: "crash"}.Event()}
 		k.SendExternal(env.ProcOf(sift.AIDFTM), envlp)
 		k.Run(10 * time.Second)
 		for e := range env.Log.All(sift.LogArmorRecoveryInitiated) {

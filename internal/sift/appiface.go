@@ -297,7 +297,7 @@ func (ac *AppContext) RecvMatch(timeout time.Duration, pred func(sim.Msg) bool) 
 // ("the application must tell the Execution ARMOR at what frequency to
 // check for progress indicator updates").
 func (ac *AppContext) PICreate(period time.Duration) {
-	ac.sendReliableBlocking(ac.ExecAID, core.Event{Kind: EvPICreate, Data: PICreate{AppID: ac.App.ID, Rank: ac.Rank, Period: period}})
+	ac.sendReliableBlocking(ac.ExecAID, PICreate{AppID: ac.App.ID, Rank: ac.Rank, Period: period}.Event())
 }
 
 // Progress sends one progress-indicator update. It blocks until the
@@ -313,7 +313,7 @@ func (ac *AppContext) Progress(counter uint64) {
 // NotifyExiting tells the Execution ARMOR the process is terminating
 // normally, so the exit is not misread as a crash (Section 3.3).
 func (ac *AppContext) NotifyExiting() {
-	ac.sendReliableBlocking(ac.ExecAID, core.Event{Kind: EvAppExiting, Data: AppExiting{AppID: ac.App.ID, Rank: ac.Rank}})
+	ac.sendReliableBlocking(ac.ExecAID, AppExiting{AppID: ac.App.ID, Rank: ac.Rank}.Event())
 }
 
 // SendPIDs reports the remotely launched ranks' PIDs to the FTM (Table 1,
@@ -341,7 +341,7 @@ func isChannelOpen(m sim.Msg) bool {
 	if !isEnv {
 		return false
 	}
-	_, isOpen := env.Event.Data.(ChannelOpen)
+	_, isOpen := ChannelOpenOf(env.Event)
 	return isOpen
 }
 

@@ -57,7 +57,7 @@ func (b *BootAgent) Run(p *sim.Proc) {
 	p.Sleep(e.cfg.InstallDelay)
 	aid := e.DaemonAID(b.node)
 	d := NewDaemon(e, n, aid)
-	pid := p.SpawnChildHandler(n, "daemon-"+b.node, d)
+	pid := p.SpawnChildHandler(n, d.procName(), d)
 	e.daemons[b.node] = d
 	e.daemonPID[b.node] = pid
 

@@ -3,6 +3,7 @@ package sift
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"reesift/internal/core"
@@ -97,7 +98,10 @@ func NewDaemon(env *Environment, node *sim.Node, aid core.AID) *Daemon {
 // is NewDaemon's initialiser; Setup also calls it on the daemon that held
 // the same node position in an earlier deployment, whose process is dead:
 // the tables are emptied with clear, keeping their buckets, and the ARMOR
-// runtime is Reset (core.Armor.Reset) around a new element.
+// runtime is Reset (core.Armor.Reset). What does not depend on the trial
+// is kept: the ARMOR's one element (which holds no state but d), its
+// element slice, the method values of its lower layer and hooks, and its
+// name when the node's is the same.
 func (d *Daemon) Reset(env *Environment, node *sim.Node, aid core.AID) *Daemon {
 	d.env, d.node, d.aid = env, node, aid
 	if d.localPID == nil {
@@ -122,22 +126,28 @@ func (d *Daemon) Reset(env *Environment, node *sim.Node, aid core.AID) *Daemon {
 	d.ayaScratch = d.ayaScratch[:0]
 	d.installDelay = env.cfg.InstallDelay
 	d.ayaPeriod = env.cfg.DaemonAYAPeriod
-	cfg := core.Config{
-		ID:            aid,
-		Name:          "daemon-" + node.Name(),
-		Elements:      []core.Element{&daemonElem{d: d}},
-		SendLower:     d.route,
-		OnForward:     d.forward,
-		Boxes:         &env.boxes,
-		Epoch:         env.nextDaemonEpoch(node.Name()),
-		OnStaleSender: d.staleSender,
-	}
 	if d.armor == nil {
 		d.armor = new(core.Armor)
+	}
+	kept := d.armor.Config()
+	cfg := core.Config{ID: aid, Name: kept.Name, Elements: kept.Elements, SendLower: kept.SendLower,
+		OnForward: kept.OnForward, Boxes: &env.boxes, Epoch: env.nextDaemonEpoch(node.Name()),
+		OnStaleSender: kept.OnStaleSender}
+	if cfg.Elements == nil {
+		cfg.Elements = []core.Element{&daemonElem{d: d}}
+		cfg.SendLower, cfg.OnForward, cfg.OnStaleSender = d.route, d.forward, d.staleSender
+	}
+	// Read the node from the name: a kernel Reset renames the node structs
+	// it keeps, so a node pointer does not tell.
+	if host, ok := strings.CutPrefix(cfg.Name, "daemon-"); !ok || host != node.Name() {
+		cfg.Name = "daemon-" + node.Name()
 	}
 	d.armor.Reset(cfg)
 	return d
 }
+
+// procName is the name of the daemon's process: its ARMOR's.
+func (d *Daemon) procName() string { return d.armor.Config().Name }
 
 // AID returns the daemon's ARMOR ID.
 func (d *Daemon) AID() core.AID { return d.aid }
@@ -266,19 +276,19 @@ func (e *daemonElem) Start(ctx *core.Ctx) {
 func (e *daemonElem) Handle(ctx *core.Ctx, ev core.Event) {
 	switch ev.Kind {
 	case EvInstallArmor:
-		ins, ok := ev.Data.(InstallArmor)
+		ins, ok := InstallArmorOf(ev)
 		if !ok {
 			return
 		}
-		e.d.install(ctx, ins.Spec)
+		e.d.install(ctx, *ins.Spec)
 	case EvUninstallArmor:
-		un, ok := ev.Data.(UninstallArmor)
+		un, ok := UninstallArmorOf(ev)
 		if !ok {
 			return
 		}
 		e.d.uninstall(ctx, un.ID)
 	case EvLocation:
-		loc, ok := ev.Data.(Location)
+		loc, ok := LocationOf(ev)
 		if !ok {
 			return
 		}
@@ -345,14 +355,14 @@ func (d *Daemon) location(ctx *core.Ctx, loc Location) {
 // stale incarnation's own node and makes it stand down.
 func (d *Daemon) staleSender(ctx *core.Ctx, env core.Envelope) {
 	known := d.armor.PeerEpoch(env.Src)
-	if ins, ok := env.Event.Data.(InstallArmor); ok && env.Event.Kind == EvInstallArmor {
+	if ins, ok := InstallArmorOf(env.Event); ok {
 		d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogInstallRefusedStale, id: uint64(ins.Spec.ID), n: env.SrcEpoch,
 			flag: true, ref: &logRef{id2: env.Src, n2: known}})
 	}
 	d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogStaleSenderDropped, id: uint64(env.Src), n: env.SrcEpoch,
 		flag: true, ref: &logRef{s: d.node.Name(), n2: known}})
-	ctx.SendUnreliable(AIDFTM, EvStaleSender,
-		StaleSender{ID: env.Src, SeenEpoch: env.SrcEpoch, KnownEpoch: known, Node: d.node.Name()})
+	ctx.SendEventUnreliable(AIDFTM,
+		StaleSender{ID: env.Src, SeenEpoch: env.SrcEpoch, KnownEpoch: known, Node: d.node.Name()}.Event())
 }
 
 // install spawns an ARMOR process on this node. Installing over a live
@@ -368,8 +378,8 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 		// report so the FTM re-broadcasts authoritative locations.
 		d.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogInstallRefusedStale, id: uint64(spec.ID), n: spec.Epoch,
 			ref: &logRef{s: d.node.Name(), n2: d.armorEpoch[spec.ID]}})
-		ctx.SendUnreliable(AIDFTM, EvStaleSender,
-			StaleSender{ID: spec.ID, SeenEpoch: spec.Epoch, KnownEpoch: d.armorEpoch[spec.ID], Node: d.node.Name()})
+		ctx.SendEventUnreliable(AIDFTM,
+			StaleSender{ID: spec.ID, SeenEpoch: spec.Epoch, KnownEpoch: d.armorEpoch[spec.ID], Node: d.node.Name()}.Event())
 		return
 	}
 	if old, ok := d.localPID[spec.ID]; ok && ctx.Proc.Kernel().Alive(old) {
@@ -476,5 +486,5 @@ func (d *Daemon) notifyFailure(ctx *core.Ctx, aid core.AID, hang bool, reason st
 	if aid == AIDFTM {
 		return
 	}
-	ctx.Send(AIDFTM, EvArmorFailed, ArmorFailed{ID: aid, Hang: hang, Reason: reason})
+	ctx.SendEvent(AIDFTM, ArmorFailed{ID: aid, Hang: hang, Reason: reason}.Event())
 }

@@ -141,6 +141,9 @@ type Environment struct {
 	// whichever daemon the node runs at send time, so one serves every
 	// ARMOR installed there.
 	sendLower map[string]func(*sim.Proc, core.Envelope)
+	// execNames holds the name of each application rank's Execution
+	// ARMOR, built at its first install: a recovery's spec reuses it.
+	execNames map[appKey]string
 
 	scc    *sccProc
 	sccPID sim.PID
@@ -223,9 +226,10 @@ func New(k *sim.Kernel, cfg EnvConfig) *Environment { return new(Environment).Re
 //
 //   - every map is emptied with clear, keeping its buckets, and the event
 //     log keeps its entry chunks (EventLog.Reset);
-//   - the envelope free list and each node's lower layer are kept (a
-//     lower layer names its node and sends through whichever daemon runs
-//     there);
+//   - the envelope free list, each node's lower layer and the Execution
+//     ARMOR names are kept (a lower layer names its node and sends
+//     through whichever daemon runs there; a name is a function of its
+//     application and rank);
 //   - Setup reuses the daemon of each node position (Daemon.Reset), and
 //     an install reuses the ARMOR runtime the AID's last incarnation
 //     left, in this deployment or an earlier one (buildArmor).
@@ -319,7 +323,7 @@ func (e *Environment) Setup() {
 		}
 		d := e.setupDaemons[i].Reset(e, n, AIDDaemon(i))
 		e.daemons[name] = d
-		pid := e.K.SpawnHandler(n, "daemon-"+name, sim.NoPID, d)
+		pid := e.K.SpawnHandler(n, d.procName(), sim.NoPID, d)
 		e.daemonPID[name] = pid
 	}
 	ground := e.K.AddNode("scc-ground")
@@ -524,6 +528,21 @@ func (e *Environment) lowerLayer(node string) func(*sim.Proc, core.Envelope) {
 		e.sendLower[node] = send
 	}
 	return send
+}
+
+// execName returns "exec-<app>-<rank>", the name of an application rank's
+// Execution ARMOR, building it once.
+func (e *Environment) execName(app AppID, rank int) string {
+	key := appKey{app: app, rank: rank}
+	name, ok := e.execNames[key]
+	if !ok {
+		if e.execNames == nil {
+			e.execNames = make(map[appKey]string)
+		}
+		name = "exec-" + strconv.FormatUint(uint64(app), 10) + "-" + strconv.Itoa(rank)
+		e.execNames[key] = name
+	}
+	return name
 }
 
 // ftmEpochNow returns the incarnation epoch of the most recently
@@ -737,14 +756,14 @@ type sccProc struct {
 func (s *sccProc) Run(p *sim.Proc) {
 	s.proc = p
 	// Step 1b: install the FTM through the daemon on its node.
-	ftmSpec := ArmorSpec{
+	ftmSpec := &ArmorSpec{
 		ID:              AIDFTM,
 		Kind:            KindFTM,
 		Name:            "ftm",
 		NotifyInstalled: AIDSCC,
 		Epoch:           s.env.initialEpoch(),
 	}
-	s.sendReliable(s.env.DaemonAID(s.env.cfg.FTMNode), EvInstallArmor, InstallArmor{Spec: ftmSpec})
+	s.sendReliable(s.env.DaemonAID(s.env.cfg.FTMNode), InstallArmor{Spec: ftmSpec}.Event())
 	// Wait for the FTM's install acknowledgment.
 	s.waitEvent(30*time.Second, core.EventInstalled)
 	// Step 1c: register every daemon with the FTM (this also triggers
@@ -752,11 +771,11 @@ func (s *sccProc) Run(p *sim.Proc) {
 	// the uplink command delay, giving the run a real setup phase.
 	for i, name := range s.env.cfg.Nodes {
 		s.proc.Sleep(s.env.cfg.SCCCommandDelay)
-		s.sendReliable(AIDFTM, EvRegisterDaemon, RegisterDaemon{
+		s.sendReliable(AIDFTM, RegisterDaemon{
 			Hostname:  name,
 			DaemonAID: AIDDaemon(i),
 			Epoch:     s.env.daemonEpoch[name],
-		})
+		}.Event())
 	}
 	s.env.Log.add(LogEntry{At: p.Now(), Kind: LogSiftInitialized})
 	for {
@@ -766,7 +785,7 @@ func (s *sccProc) Run(p *sim.Proc) {
 			h := s.env.handles[pl.App.ID]
 			h.SubmittedAt = p.Now()
 			s.env.Log.addApp(p.Now(), LogAppSubmit, pl.App.ID, 0, 0)
-			s.sendReliable(AIDFTM, EvSubmitApp, SubmitApp{App: pl.App})
+			s.sendReliable(AIDFTM, core.Event{Kind: EvSubmitApp, Data: SubmitApp{App: pl.App}})
 		case *core.Envelope:
 			s.handleEnvelope(*pl)
 			s.env.boxes.Free(pl)
@@ -824,7 +843,8 @@ func (s *sccProc) recoverNode(rep BootReport) {
 		if aid == AIDFTM && s.ftmRecovererAlive() {
 			continue // the Heartbeat ARMOR owns FTM recovery
 		}
-		spec := rec.Spec
+		spec := new(ArmorSpec)
+		*spec = rec.Spec
 		spec.AutoRestore = true
 		spec.AwaitRestore = false
 		spec.NotifyInstalled = AIDSCC
@@ -836,18 +856,18 @@ func (s *sccProc) recoverNode(rep BootReport) {
 			spec.Epoch++
 		}
 		s.env.Log.add(LogEntry{At: s.proc.Now(), Kind: LogArmorReregistered, id: uint64(aid), ref: s.env.Log.intern(rep.Node)})
-		s.sendReliable(rep.DaemonAID, EvInstallArmor, InstallArmor{Spec: spec})
+		s.sendReliable(rep.DaemonAID, InstallArmor{Spec: spec}.Event())
 	}
 	// Re-registration resumes the FTM's heartbeat rounds for the node
 	// and restores hostname translation for future installs. It blocks
 	// (retransmitting) until the FTM — possibly mid-migration — acks.
 	// The bumped daemon epoch tells the FTM this is a reborn daemon,
 	// not a stale one resurfacing.
-	s.sendReliable(AIDFTM, EvRegisterDaemon, RegisterDaemon{
+	s.sendReliable(AIDFTM, RegisterDaemon{
 		Hostname:  rep.Node,
 		DaemonAID: rep.DaemonAID,
 		Epoch:     rep.Epoch,
-	})
+	}.Event())
 	s.env.Log.addNode(s.proc.Now(), LogDaemonReregistered, rep.Node)
 }
 
@@ -879,7 +899,7 @@ func (s *sccProc) handleEnvelope(env core.Envelope) {
 	if !s.accept(env) {
 		return
 	}
-	if done, ok := env.Event.Data.(AppDone); ok && env.Event.Kind == EvAppDone {
+	if done, ok := AppDoneOf(env.Event); ok {
 		h := s.env.handles[done.AppID]
 		if h == nil || h.Done {
 			return
@@ -926,10 +946,9 @@ func (s *sccProc) ack(env core.Envelope) {
 // sendReliable transmits an event and blocks until acknowledged,
 // retransmitting every 2 s. The SCC's persistence is what lets submissions
 // survive FTM failures during the setup phase (Figure 7).
-func (s *sccProc) sendReliable(dst core.AID, kind core.EventKind, data interface{}) {
+func (s *sccProc) sendReliable(dst core.AID, ev core.Event) {
 	s.seq++
-	env := core.NewMsg(AIDSCC, dst, kind, data)
-	env.Seq = s.seq
+	env := core.Envelope{Src: AIDSCC, Dst: dst, Seq: s.seq, Event: ev}
 	for {
 		s.route(env)
 		if waitAck(s.proc, &s.env.boxes, s.stashMsg, dst, env.Seq, 2*time.Second) {

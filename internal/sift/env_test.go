@@ -397,8 +397,8 @@ func TestFigure10RaceConditionLegacyBehaviour(t *testing.T) {
 	ftmPID := env.ProcOf(AIDFTM)
 	daemonAID := env.DaemonAID(cfg.Nodes[2])
 	k.Schedule(0, func() {
-		envlp := core.NewMsg(daemonAID, AIDFTM, EvArmorFailed, ArmorFailed{ID: AIDExec(9, 0), Reason: "crash"})
-		envlp.Seq = 9999
+		envlp := core.Envelope{Src: daemonAID, Dst: AIDFTM, Seq: 9999,
+			Event: ArmorFailed{ID: AIDExec(9, 0), Reason: "crash"}.Event()}
 		k.SendExternal(ftmPID, envlp)
 	})
 	k.Run(10 * time.Second)

@@ -114,19 +114,19 @@ func (e *ExecElem) Start(ctx *core.Ctx) {
 func (e *ExecElem) Handle(ctx *core.Ctx, ev core.Event) {
 	switch ev.Kind {
 	case EvLaunchApp:
-		la, ok := ev.Data.(LaunchApp)
+		la, ok := LaunchAppOf(ev)
 		if !ok || la.AppID != e.App.ID {
 			return
 		}
 		e.launch(ctx, la)
 	case EvAppPID:
-		ap, ok := ev.Data.(AppPID)
+		ap, ok := AppPIDOf(ev)
 		if !ok || ap.AppID != e.App.ID || ap.Rank != e.Rank {
 			return
 		}
 		e.bind(ctx, ap)
 	case EvPICreate:
-		pc, ok := ev.Data.(PICreate)
+		pc, ok := PICreateOf(ev)
 		if !ok || pc.AppID != e.App.ID || pc.Rank != e.Rank {
 			return
 		}
@@ -152,7 +152,7 @@ func (e *ExecElem) Handle(ctx *core.Ctx, ev core.Event) {
 			e.armWatchdog(ctx)
 		}
 	case EvAppExiting:
-		ax, ok := ev.Data.(AppExiting)
+		ax, ok := AppExitingOf(ev)
 		if !ok || ax.AppID != e.App.ID || ax.Rank != e.Rank {
 			return
 		}
@@ -160,10 +160,10 @@ func (e *ExecElem) Handle(ctx *core.Ctx, ev core.Event) {
 		e.PICreated = false
 		if !e.Completed {
 			e.Completed = true
-			ctx.Send(AIDFTM, EvAppComplete, AppComplete{AppID: e.App.ID, Rank: e.Rank})
+			ctx.SendEvent(AIDFTM, AppComplete{AppID: e.App.ID, Rank: e.Rank}.Event())
 		}
 	case EvKillApp:
-		ka, ok := ev.Data.(KillApp)
+		ka, ok := KillAppOf(ev)
 		if !ok || ka.AppID != e.App.ID {
 			return
 		}
@@ -212,7 +212,7 @@ func (e *ExecElem) bind(ctx *core.Ctx, ap AppPID) {
 	ctx.Armor.ResetPeer(AIDApp(e.App.ID, e.Rank))
 	e.AppPID = ap.PID
 	e.Child = false
-	ctx.Send(AIDApp(e.App.ID, e.Rank), EvChannelOpen, ChannelOpen{AppID: e.App.ID, Rank: e.Rank})
+	ctx.SendEvent(AIDApp(e.App.ID, e.Rank), ChannelOpen{AppID: e.App.ID, Rank: e.Rank}.Event())
 }
 
 func (e *ExecElem) resetRun() {
@@ -232,7 +232,7 @@ func (e *ExecElem) kill(ctx *core.Ctx) {
 	if e.AppPID != sim.NoPID && ctx.Proc.Kernel().Alive(e.AppPID) {
 		ctx.Proc.Kernel().Kill(e.AppPID, "application recovery")
 	}
-	ctx.Send(AIDFTM, EvKillAppDone, KillAppDone{AppID: e.App.ID, Rank: e.Rank})
+	ctx.SendEvent(AIDFTM, KillAppDone{AppID: e.App.ID, Rank: e.Rank}.Event())
 }
 
 // childExited is the waitpid path for the rank-0 child: crashes are
@@ -247,7 +247,7 @@ func (e *ExecElem) childExited(ctx *core.Ctx, ce sim.ChildExit) {
 	}
 	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppCrashDetected, id: uint64(e.App.ID), rank: int32(e.Rank), ref: e.env.Log.intern(ce.Reason)})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, ce.Reason, false)
-	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: ce.Reason})
+	ctx.SendEvent(AIDFTM, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: ce.Reason}.Event())
 	e.AppPID = sim.NoPID
 }
 
@@ -264,7 +264,7 @@ func (e *ExecElem) procPoll(ctx *core.Ctx) {
 	}
 	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppCrashDetected, id: uint64(e.App.ID), rank: int32(e.Rank), flag: true})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "crash", false)
-	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: "crash"})
+	ctx.SendEvent(AIDFTM, AppFailed{AppID: e.App.ID, Rank: e.Rank, Reason: "crash"}.Event())
 	e.AppPID = sim.NoPID
 }
 
@@ -292,7 +292,7 @@ func (e *ExecElem) watchdogFired(ctx *core.Ctx, tag watchdogTag) {
 	e.PICreated = false
 	e.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogAppHangDetected, id: uint64(e.App.ID), rank: int32(e.Rank), n: e.Counter, flag: true})
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "hang", true)
-	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "watchdog expired"})
+	ctx.SendEvent(AIDFTM, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "watchdog expired"}.Event())
 }
 
 // piCheck is the Figure 6 polling rule: if the progress counter is
@@ -319,7 +319,7 @@ func (e *ExecElem) piCheck(ctx *core.Ctx, tag piCheckTag) {
 	e.PICreated = false
 	e.env.Log.addApp(ctx.Now(), LogAppHangDetected, e.App.ID, e.Rank, e.Counter)
 	e.env.Log.DetectApp(ctx.Now(), e.App.ID, e.Rank, "hang", true)
-	ctx.Send(AIDFTM, EvAppFailed, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"})
+	ctx.SendEvent(AIDFTM, AppFailed{AppID: e.App.ID, Rank: e.Rank, Hang: true, Reason: "progress indicator unchanged"}.Event())
 }
 
 // Fields declares app_mon's checkpointed state. The application and rank the ARMOR

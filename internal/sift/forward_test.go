@@ -35,24 +35,23 @@ func TestRetransmissionThroughDaemonsIsBitIdentical(t *testing.T) {
 			}
 		}
 	})
-	send := func(dst core.AID, kind core.EventKind, data interface{}) {
-		box := core.NewMsg(AIDFTM, dst, kind, data)
-		k.SendExternal(env.daemonPID[armorNode], &box)
+	send := func(dst core.AID, ev core.Event) {
+		k.SendExternal(env.daemonPID[armorNode], &core.Envelope{Src: AIDFTM, Dst: dst, Event: ev})
 	}
 	k.Schedule(0, func() {
-		send(env.DaemonAID(armorNode), EvInstallArmor, InstallArmor{Spec: ArmorSpec{
-			ID: execAID, Kind: KindExecution, Name: "exec-mute", App: app, Rank: 1}})
+		send(env.DaemonAID(armorNode), InstallArmor{Spec: &ArmorSpec{
+			ID: execAID, Kind: KindExecution, Name: "exec-mute", App: app, Rank: 1}}.Event())
 	})
 	// Binding the rank makes the ARMOR open the channel: a reliable send
 	// to the application's pseudo-AID, retransmitted until acknowledged.
-	k.Schedule(time.Second, func() { send(execAID, EvAppPID, AppPID{AppID: app.ID, Rank: 1, PID: mute}) })
+	k.Schedule(time.Second, func() { send(execAID, AppPID{AppID: app.ID, Rank: 1, PID: mute}.Event()) })
 	k.Run(k.Now() + 8*time.Second)
 
 	if len(arrived) < 3 {
 		t.Fatalf("%d transmissions arrived, want the first and at least two retransmissions", len(arrived))
 	}
 	first := arrived[0]
-	if _, ok := first.Event.Data.(ChannelOpen); !ok || first.Seq == 0 || first.Src != execAID {
+	if _, ok := ChannelOpenOf(first.Event); !ok || first.Seq == 0 || first.Src != execAID {
 		t.Fatalf("first arrival is not the reliable channel-open: %+v", first)
 	}
 	if first.Hops != 2 {

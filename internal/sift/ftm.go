@@ -196,7 +196,7 @@ func (e *NodeMgmtElem) Start(ctx *core.Ctx) {
 func (e *NodeMgmtElem) Handle(ctx *core.Ctx, ev core.Event) {
 	switch ev.Kind {
 	case EvRegisterDaemon:
-		reg, ok := ev.Data.(RegisterDaemon)
+		reg, ok := RegisterDaemonOf(ev)
 		if !ok {
 			return
 		}
@@ -249,7 +249,7 @@ func (e *NodeMgmtElem) register(ctx *core.Ctx, reg RegisterDaemon) {
 		// Table 1, step 1c: install the Heartbeat ARMOR through this
 		// node's daemon.
 		epoch := e.ftm.initialEpoch()
-		spec := ArmorSpec{
+		spec := &ArmorSpec{
 			ID:              AIDHeartbeat,
 			Kind:            KindHeartbeat,
 			Name:            "heartbeat",
@@ -259,7 +259,7 @@ func (e *NodeMgmtElem) register(ctx *core.Ctx, reg RegisterDaemon) {
 		e.ftm.ArmorInfo.recordArmor(AIDHeartbeat, KindHeartbeat, reg.Hostname, statusInstalling)
 		e.ftm.ArmorInfo.setEpoch(AIDHeartbeat, epoch)
 		ctx.Touch(e.ftm.ArmorInfo)
-		ctx.Send(reg.DaemonAID, EvInstallArmor, InstallArmor{Spec: spec})
+		ctx.SendEvent(reg.DaemonAID, InstallArmor{Spec: spec}.Event())
 	}
 }
 
@@ -385,19 +385,19 @@ var armorInfoSubscriptions = []core.EventKind{core.EventInstalled, EvArmorFailed
 func (e *MgrArmorInfoElem) Handle(ctx *core.Ctx, ev core.Event) {
 	switch ev.Kind {
 	case core.EventInstalled:
-		ack, ok := ev.Data.(core.InstallAck)
+		ack, ok := core.InstallAckOf(ev)
 		if !ok {
 			return
 		}
 		e.markUp(ctx, ack.ID)
 	case EvArmorFailed:
-		fail, ok := ev.Data.(ArmorFailed)
+		fail, ok := ArmorFailedOf(ev)
 		if !ok {
 			return
 		}
 		e.recover(ctx, fail)
 	case EvStaleSender:
-		rep, ok := ev.Data.(StaleSender)
+		rep, ok := StaleSenderOf(ev)
 		if !ok {
 			return
 		}
@@ -489,7 +489,7 @@ func (e *MgrArmorInfoElem) recover(ctx *core.Ctx, fail ArmorFailed) {
 	// Faithful to the paper: no check that daemon != 0. A corrupted
 	// node_mgmt translation escapes here and is detected only by the
 	// FTM's local daemon as an invalid destination — too late.
-	ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: *spec})
+	ctx.SendEvent(daemon, InstallArmor{Spec: spec}.Event())
 	e.ftm.env.Log.addArmor(ctx.Now(), LogArmorRecoveryInitiated, fail.ID)
 }
 
@@ -576,7 +576,7 @@ func (e *ExecArmorInfoElem) Handle(ctx *core.Ctx, ev core.Event) {
 		}
 		for _, r := range e.Recs {
 			if r.App == uint64(pids.AppID) && r.Rank == int64(rank) {
-				ctx.Send(r.ArmorID, EvAppPID, AppPID{AppID: pids.AppID, Rank: rank, PID: pids.PIDs[rank]})
+				ctx.SendEvent(r.ArmorID, AppPID{AppID: pids.AppID, Rank: rank, PID: pids.PIDs[rank]}.Event())
 			}
 		}
 	}
@@ -789,19 +789,19 @@ func (e *MgrAppDetectElem) add(app AppID, ranks int) {
 func (e *MgrAppDetectElem) Handle(ctx *core.Ctx, ev core.Event) {
 	switch ev.Kind {
 	case EvAppComplete:
-		done, ok := ev.Data.(AppComplete)
+		done, ok := AppCompleteOf(ev)
 		if !ok {
 			return
 		}
 		e.complete(ctx, done)
 	case EvAppFailed:
-		fail, ok := ev.Data.(AppFailed)
+		fail, ok := AppFailedOf(ev)
 		if !ok {
 			return
 		}
 		e.appFailed(ctx, fail)
 	case EvKillAppDone:
-		ack, ok := ev.Data.(KillAppDone)
+		ack, ok := KillAppDoneOf(ev)
 		if !ok {
 			return
 		}
@@ -839,7 +839,7 @@ func (e *MgrAppDetectElem) appFailed(ctx *core.Ctx, fail AppFailed) {
 	r.KillsLeft = 0
 	for _, ex := range execs {
 		r.KillsLeft |= 1 << uint(ex.Rank)
-		ctx.Send(ex.ArmorID, EvKillApp, KillApp{AppID: fail.AppID})
+		ctx.SendEvent(ex.ArmorID, KillApp{AppID: fail.AppID}.Event())
 	}
 	if len(execs) == 0 {
 		r.Recovering = false
@@ -871,7 +871,7 @@ func (e *MgrAppDetectElem) killAck(ctx *core.Ctx, ack KillAppDone) {
 			if p := e.ftm.AppParam.find(ack.AppID); p != nil {
 				restarts = p.Restarts
 			}
-			ctx.Send(ex.ArmorID, EvLaunchApp, LaunchApp{AppID: ack.AppID, Restart: int(restarts)})
+			ctx.SendEvent(ex.ArmorID, LaunchApp{AppID: ack.AppID, Restart: int(restarts)}.Event())
 		}
 	}
 	e.ftm.env.Log.addApp(ctx.Now(), LogAppRestartInitiated, ack.AppID, 0, 0)
@@ -969,10 +969,10 @@ func (f *FTM) submit(ctx *core.Ctx, app *AppSpec) {
 		// last-install-wins, whereas epoching it lets the migrated
 		// incarnation evict the app-co-located one and orphan the
 		// application.
-		spec := ArmorSpec{
+		spec := &ArmorSpec{
 			ID:              aid,
 			Kind:            KindExecution,
-			Name:            fmt.Sprintf("exec-%d-%d", app.ID, rank),
+			Name:            f.env.execName(app.ID, rank),
 			NotifyInstalled: AIDFTM,
 			App:             app,
 			Rank:            rank,
@@ -986,7 +986,7 @@ func (f *FTM) submit(ctx *core.Ctx, app *AppSpec) {
 		ctx.Touch(f.ExecInfo)
 		ctx.Touch(f.ArmorInfo)
 		daemon := f.NodeMgmt.Translate(node)
-		ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: spec})
+		ctx.SendEvent(daemon, InstallArmor{Spec: spec}.Event())
 		f.announceSubmitLocation(ctx, scope, aid, node)
 		// The application process itself attaches under a pseudo-AID on
 		// the same node; daemons need it in their location caches to
@@ -1038,7 +1038,7 @@ func (f *FTM) announceSubmitLocation(ctx *core.Ctx, scope []bool, id core.AID, n
 		if !n.Alive || !scope[i] {
 			continue
 		}
-		ctx.SendUnreliable(n.DaemonAID, EvLocation, Location{ID: id, Node: node, Epoch: 0})
+		ctx.SendEventUnreliable(n.DaemonAID, Location{ID: id, Node: node}.Event())
 	}
 }
 
@@ -1063,7 +1063,7 @@ func (f *FTM) onArmorInstalled(ctx *core.Ctx, id core.AID) {
 		}
 		for _, ex := range f.ExecInfo.byApp(app) {
 			if ex.Rank == 0 {
-				ctx.Send(ex.ArmorID, EvLaunchApp, LaunchApp{AppID: app})
+				ctx.SendEvent(ex.ArmorID, LaunchApp{AppID: app}.Event())
 			}
 		}
 		return
@@ -1079,11 +1079,11 @@ func (f *FTM) finishApp(ctx *core.Ctx, app AppID) {
 	}
 	for _, ex := range f.ExecInfo.byApp(app) {
 		daemon := f.NodeMgmt.Translate(ex.Node)
-		ctx.Send(daemon, EvUninstallArmor, UninstallArmor{ID: ex.ArmorID})
+		ctx.SendEvent(daemon, UninstallArmor{ID: ex.ArmorID}.Event())
 	}
 	f.ExecInfo.removeApp(app)
 	ctx.Touch(f.ExecInfo)
-	ctx.Send(f.cfg.SCC, EvAppDone, AppDone{AppID: app, Restarts: int(restarts)})
+	ctx.SendEvent(f.cfg.SCC, AppDone{AppID: app, Restarts: int(restarts)}.Event())
 	f.env.Log.addApp(ctx.Now(), LogAppFinished, app, 0, uint64(restarts))
 }
 
@@ -1110,7 +1110,7 @@ func (f *FTM) rebuildSpec(r *armorRec) *ArmorSpec {
 				return &ArmorSpec{
 					ID:              r.ID,
 					Kind:            KindExecution,
-					Name:            fmt.Sprintf("exec-%d-%d", ex.App, ex.Rank),
+					Name:            f.env.execName(AppID(ex.App), int(ex.Rank)),
 					AutoRestore:     true,
 					NotifyInstalled: AIDFTM,
 					Epoch:           r.Epoch,
@@ -1155,7 +1155,7 @@ func (f *FTM) recoverNode(ctx *core.Ctx, failed string) {
 		ctx.Touch(f.ArmorInfo)
 		ctx.Touch(f.ExecInfo)
 		daemon := f.NodeMgmt.Translate(dst)
-		ctx.Send(daemon, EvInstallArmor, InstallArmor{Spec: *spec})
+		ctx.SendEvent(daemon, InstallArmor{Spec: spec}.Event())
 		f.broadcastLocation(ctx, r.ID, dst, r.Epoch)
 		f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogArmorMigrated, id: uint64(r.ID), ref: f.env.Log.intern(dst)})
 	}
@@ -1167,7 +1167,7 @@ func (f *FTM) broadcastLocation(ctx *core.Ctx, id core.AID, node string, epoch u
 		if !n.Alive {
 			continue
 		}
-		ctx.SendUnreliable(n.DaemonAID, EvLocation, Location{ID: id, Node: node, Epoch: epoch})
+		ctx.SendEventUnreliable(n.DaemonAID, Location{ID: id, Node: node, Epoch: epoch}.Event())
 	}
 }
 
@@ -1205,7 +1205,7 @@ func (f *FTM) reconcile(ctx *core.Ctx) {
 	f.env.Log.add(LogEntry{At: ctx.Now(), Kind: LogEpochReconcile})
 	send := func(id core.AID, node string, epoch uint64) {
 		for _, n := range f.NodeMgmt.Nodes {
-			ctx.SendUnreliable(n.DaemonAID, EvLocation, Location{ID: id, Node: node, Epoch: epoch})
+			ctx.SendEventUnreliable(n.DaemonAID, Location{ID: id, Node: node, Epoch: epoch}.Event())
 		}
 	}
 	send(AIDFTM, ctx.Proc.Node().Name(), ctx.Armor.Epoch())

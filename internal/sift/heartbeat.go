@@ -104,7 +104,7 @@ func (e *HeartbeatElem) Handle(ctx *core.Ctx, ev core.Event) {
 			e.AwaitingReply = false
 		}
 	case core.EventInstalled:
-		ack, ok := ev.Data.(core.InstallAck)
+		ack, ok := core.InstallAckOf(ev)
 		if !ok || ack.ID != AIDFTM || !e.Recovering {
 			return
 		}
@@ -143,7 +143,7 @@ func (e *HeartbeatElem) installAcked(ctx *core.Ctx, ack core.InstallAck) {
 	if site.Node != "" {
 		e.FTMNode, e.FTMDaemon = site.Node, site.Daemon
 		for _, s := range e.Sites {
-			ctx.SendUnreliable(s.Daemon, EvLocation, Location{ID: AIDFTM, Node: site.Node, Epoch: e.FTMEpoch})
+			ctx.SendEventUnreliable(s.Daemon, Location{ID: AIDFTM, Node: site.Node, Epoch: e.FTMEpoch}.Event())
 		}
 	}
 	// Step two: restore the FTM's state from checkpoint.
@@ -168,7 +168,7 @@ func (e *HeartbeatElem) currentSite() FTMSite {
 // and arms the next retry step one period out.
 func (e *HeartbeatElem) sendInstall(ctx *core.Ctx) {
 	site := e.currentSite()
-	spec := ArmorSpec{
+	spec := &ArmorSpec{
 		ID:              AIDFTM,
 		Kind:            KindFTM,
 		Name:            "ftm",
@@ -179,7 +179,7 @@ func (e *HeartbeatElem) sendInstall(ctx *core.Ctx) {
 	if e.env != nil {
 		e.env.Log.addNode(ctx.Now(), LogFTMReinstallAttempt, site.Node)
 	}
-	ctx.SendUnreliable(site.Daemon, EvInstallArmor, InstallArmor{Spec: spec})
+	ctx.SendEventUnreliable(site.Daemon, InstallArmor{Spec: spec}.Event())
 	e.RetryEpoch++
 	ctx.After(e.Name(), e.Period, ftmRetryTag{epoch: e.RetryEpoch})
 }

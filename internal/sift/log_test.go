@@ -13,13 +13,14 @@ import (
 // TestLogEntryAndEnvelopeSizes pins the two per-message and per-entry
 // layouts the steady state allocates most of: a log entry stays within
 // 40–48 bytes (a week-long chaos trial stores thousands), and an envelope
-// box stays 96 bytes, inside the allocator's 96-byte size class.
+// box, which carries its event's small payload inline, stays 128 bytes,
+// inside the allocator's 128-byte size class.
 func TestLogEntryAndEnvelopeSizes(t *testing.T) {
 	if n := unsafe.Sizeof(LogEntry{}); n < 40 || n > 48 {
 		t.Errorf("LogEntry is %d bytes, want 40–48", n)
 	}
-	if n := unsafe.Sizeof(core.Envelope{}); n != 96 {
-		t.Errorf("core.Envelope is %d bytes, want 96", n)
+	if n := unsafe.Sizeof(core.Envelope{}); n != 128 {
+		t.Errorf("core.Envelope is %d bytes, want 128", n)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // contract for this package: the scenarios below must run at zero
 // allocations, and every annotated function must be named by one.
 func TestNoallocRuntime(t *testing.T) {
-	noalloctest.Verify(t, []noalloctest.Check{snapshotCheck(), subscriptionsCheck(), forwardCheck(t)})
+	noalloctest.Verify(t, []noalloctest.Check{snapshotCheck(), subscriptionsCheck(), payloadCheck(), forwardCheck(t)})
 }
 
 // checkedElements is one populated instance of every element type: the
@@ -54,6 +54,31 @@ func subscriptionsCheck() noalloctest.Check {
 		Run: func() {
 			for _, el := range els {
 				el.Subscriptions()
+			}
+		},
+	}
+}
+
+// payloadCheck builds every typed protocol event and reads it back: the
+// small payloads travel inline and an install carries its spec's pointer.
+func payloadCheck() noalloctest.Check {
+	cases := payloadCases()
+	return noalloctest.Check{
+		Name: "protocol payloads",
+		Covers: []string{"rankEvent", "rankOf",
+			"RegisterDaemon.Event", "RegisterDaemonOf", "InstallArmor.Event", "InstallArmorOf",
+			"UninstallArmor.Event", "UninstallArmorOf", "ArmorFailed.Event", "ArmorFailedOf",
+			"LaunchApp.Event", "LaunchAppOf", "AppPID.Event", "AppPIDOf", "PICreate.Event", "PICreateOf",
+			"AppExiting.Event", "AppExitingOf", "AppComplete.Event", "AppCompleteOf",
+			"AppFailed.Event", "AppFailedOf", "KillApp.Event", "KillAppOf",
+			"KillAppDone.Event", "KillAppDoneOf", "AppDone.Event", "AppDoneOf",
+			"ChannelOpen.Event", "ChannelOpenOf", "Location.Event", "LocationOf",
+			"StaleSender.Event", "StaleSenderOf"},
+		Run: func() {
+			for _, c := range cases {
+				if !c.roundTrip() {
+					panic("payload did not round-trip: " + c.name)
+				}
 			}
 		},
 	}

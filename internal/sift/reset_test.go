@@ -76,13 +76,14 @@ func TestEnvironmentResetMatchesNew(t *testing.T) {
 // agrees with want, a new one, on every field. It names each field of
 // Environment and of EventLog, so a field added later fails the test until
 // it is compared here. The kept storage is checked for being inert
-// instead: the ARMOR runtimes, which ArmorOf must no longer report. The
+// instead: the ARMOR runtimes, which ArmorOf must no longer report, and
+// the Execution ARMOR names, which must each spell their key. The
 // lower layers, the envelope free list (Boxes.Free zeroes every box it
 // takes back) and the daemons Setup reuses (TestDaemonResetMatchesNew
 // checks their Reset) are kept as they are.
 func compareEnvironments(t *testing.T, got, want *Environment, k *sim.Kernel) {
 	t.Helper()
-	compared := []string{"K", "Log", "cfg", "nodes", "daemons", "daemonPID", "daemonEpoch", "sendLower",
+	compared := []string{"K", "Log", "cfg", "nodes", "daemons", "daemonPID", "daemonEpoch", "sendLower", "execNames",
 		"scc", "sccPID", "boxes", "setupDaemons", "armors", "procOfAID", "placement", "appSpecs", "appMem",
 		"appPID", "appCtx", "handles", "placeOf", "rankLoad", "AppDoneHook"}
 	if typ := reflect.TypeFor[Environment](); typ.NumField() != len(compared) {
@@ -116,6 +117,11 @@ func compareEnvironments(t *testing.T, got, want *Environment, k *sim.Kernel) {
 	}
 	if (got.AppDoneHook == nil) != (want.AppDoneHook == nil) {
 		fail("AppDoneHook", got.AppDoneHook, want.AppDoneHook)
+	}
+	for key, name := range got.execNames {
+		if want := fmt.Sprintf("exec-%d-%d", key.app, key.rank); name != want {
+			fail("execNames", name, want)
+		}
 	}
 	for aid := range got.armors {
 		if a := got.ArmorOf(aid); a != nil {
@@ -182,6 +188,36 @@ func TestDaemonResetMatchesNew(t *testing.T) {
 		t.Fatal("Reset returned another daemon")
 	}
 	compareDaemons(t, got, want, env, n)
+}
+
+// TestDaemonResetKeepsNodeConfig Resets a daemon onto a node of its own
+// name, and then onto one of another name, which the Reset kernel builds
+// from the same node struct. Both keep the ARMOR's element; the first
+// keeps its name and the second names it anew. Each must equal a new
+// daemon of its node.
+func TestDaemonResetKeepsNodeConfig(t *testing.T) {
+	k := sim.NewKernel(sim.DefaultConfig(5))
+	env := New(k, resetTestConfig())
+	envTrial(k, env)
+	d := env.setupDaemons[1]
+	own, el := d.node.Name(), d.armor.Element("daemon_core")
+	for _, host := range []string{own, "node-x"} {
+		kcfg := sim.DefaultConfig(6)
+		fk := sim.NewKernel(kcfg)
+		fenv := New(fk, resetTestConfig())
+		k.Shutdown()
+		env.Reset(k.Reset(kcfg), resetTestConfig())
+		n := k.AddNode(host)
+		got, want := d.Reset(env, n, AIDDaemon(1)), NewDaemon(fenv, fk.AddNode(host), AIDDaemon(1))
+		compareDaemons(t, got, want, env, n)
+		if got.armor.Element("daemon_core") != el {
+			t.Errorf("Reset onto %s built a new element", host)
+		}
+		if got.procName() != want.procName() {
+			t.Errorf("Reset onto %s: process name %q, new daemon %q", host, got.procName(), want.procName())
+		}
+		fk.Shutdown()
+	}
 }
 
 // compareDaemons fails unless got, a daemon Reset into env on node n,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"reesift/internal/trace"
@@ -163,6 +164,21 @@ type handlerMisuse string
 
 func (e handlerMisuse) Error() string { return string(e) }
 
+// downNodeSpawn is panicked by a spawn on a node that is down. It is
+// formatted only where it is read: by exitStatus, when it ends the
+// spawning process, or by whoever recovers it.
+type downNodeSpawn struct {
+	name, node string
+}
+
+func (e downNodeSpawn) Error() string { return string(e.appendTo(nil)) }
+
+// appendTo appends the message: the spawn's name and node, quoted.
+func (e downNodeSpawn) appendTo(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "sim: spawn "...), e.name)
+	return strconv.AppendQuote(append(b, " on down node "...), e.node)
+}
+
 // exitStatus maps a panic that unwound a process to its exit status: Exit,
 // Crash and a kill keep their codes, and anything else is the moral
 // equivalent of a segmentation fault — the process crashes and the parent
@@ -173,6 +189,9 @@ func exitStatus(r any) (int, string) {
 		return u.code, u.reason
 	case handlerMisuse:
 		panic(u)
+	case downNodeSpawn:
+		var buf [128]byte
+		return 139, string(u.appendTo(append(buf[:0], "segmentation fault: "...)))
 	}
 	return 139, fmt.Sprintf("segmentation fault: %v", r)
 }
@@ -194,7 +213,7 @@ func (k *Kernel) SpawnHandler(n *Node, name string, parent PID, h Handler) PID {
 
 func (k *Kernel) spawn(n *Node, name string, parent PID, fn func(*Proc), h Handler) PID {
 	if !n.up {
-		panic(fmt.Sprintf("sim: spawn %q on down node %q", name, n.name))
+		panic(downNodeSpawn{name: name, node: n.name})
 	}
 	p := &Proc{
 		kernel: k,

@@ -473,3 +473,22 @@ func TestKillWhileSuspendedUnblocksParent(t *testing.T) {
 		t.Fatalf("reason = %q", exited.Reason)
 	}
 }
+
+// TestSpawnOnDownNodeCrashesSpawner: a process that spawns onto a down node
+// crashes, and its parent reads the spawn's name and node, quoted, as the
+// segmentation fault's reason.
+func TestSpawnOnDownNodeCrashesSpawner(t *testing.T) {
+	k := newTestKernel(t)
+	a, b := k.AddNode("a"), k.AddNode("b")
+	k.CrashNode("b")
+	var exited ChildExit
+	k.Spawn(a, "parent", NoPID, func(p *Proc) {
+		p.SpawnChild(a, "launcher", func(c *Proc) { c.SpawnChild(b, `rank "1"`, func(*Proc) {}) })
+		exited = p.Recv().Payload.(ChildExit)
+	})
+	k.Run(time.Second)
+	const want = `segmentation fault: sim: spawn "rank \"1\"" on down node "b"`
+	if exited.Code != 139 || exited.Reason != want {
+		t.Fatalf("exit = %d %q, want 139 %q", exited.Code, exited.Reason, want)
+	}
+}

@@ -74,15 +74,17 @@ func TestArmorRoundAllocs(t *testing.T) {
 // restores from its microcheckpoint. The reinstall Resets the dead
 // incarnation's runtime instead of rebuilding it, so what remains is the
 // recovery protocol's own traffic, the new process, and the fresh element
-// structs. A reinstall measured 22 objects (25 with -race); the bound of
-// 30 leaves the race detector's 3 and 5 more, while rebuilding the
-// runtime from nothing took 75.
+// structs; its control messages carry their payloads inline and the
+// install its spec's one pointer. A reinstall measured 11 objects (13–15
+// with -race); the bound of 16 leaves the race detector's 4 and one more,
+// while boxing every payload took 18 and rebuilding the runtime from
+// nothing 75.
 //
 // Not parallel: AllocsPerRun counts every allocation in the process.
 func TestArmorReinstallAllocs(t *testing.T) {
 	const (
 		period    = 10 * time.Second
-		maxAllocs = 30
+		maxAllocs = 16
 	)
 	c, err := NewCluster(WithSeed(1))
 	if err != nil {
