@@ -93,7 +93,6 @@ func Spec(id sift.AppID, nodes []string, p Params) *sift.AppSpec {
 
 // Paths on shared stable storage.
 func InputPath(id sift.AppID) string  { return fmt.Sprintf("otis/%d/input", id) }
-func TruthPath(id sift.AppID) string  { return fmt.Sprintf("otis/%d/truth", id) }
 func OutputPath(id sift.AppID) string { return fmt.Sprintf("otis/%d/output", id) }
 
 // Scene is the synthetic ground truth.

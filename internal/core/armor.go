@@ -112,13 +112,6 @@ type Config struct {
 	OnStaleSender func(ctx *Ctx, env Envelope)
 	// DisableChecks turns off all element assertions (ablation only).
 	DisableChecks bool
-	// SelfCheckCoverage is the probability that the runtime's
-	// assertion sweep after an event actually exercises the check that
-	// would catch an arbitrary corruption; real assertions don't cover
-	// every field. Elements' own Check implementations decide what is
-	// checkable; this knob is not used by the runtime itself but is
-	// read by elements that want probabilistic coverage. Default 1.
-	SelfCheckCoverage float64
 }
 
 // Armor is a running ARMOR process: an event loop dispatching message
@@ -362,10 +355,6 @@ func (a *Armor) NotePeerEpoch(id AID, epoch uint64) {
 // unknown).
 func (a *Armor) PeerEpoch(id AID) uint64 { return a.peerEpoch[id] }
 
-// Deaf reports whether a receive-omission error has silenced the inbound
-// path.
-func (a *Armor) Deaf() bool { return a.deaf }
-
 // MakeDeaf forces the receive-omission failure mode (used directly by
 // targeted injections and tests).
 func (a *Armor) MakeDeaf() { a.deaf = true }
@@ -458,14 +447,6 @@ func (a *Armor) runCheck(p *sim.Proc, el Element, suffix string) {
 	if err := el.Check(); err != nil {
 		p.Crash(fmt.Sprintf("%s: element %s%s: %v", ReasonAssertion, el.Name(), suffix, err))
 	}
-}
-
-// Crashf kills the ARMOR with an assertion failure. Elements call it (or
-// return an error from Check) when internal self-checks detect corrupted
-// state; per Section 3.3 the ARMOR kills itself to limit error
-// propagation.
-func (c *Ctx) Crashf(format string, args ...interface{}) {
-	c.Proc.Crash(ReasonAssertion + ": " + fmt.Sprintf(format, args...))
 }
 
 // Run is the ARMOR process body. It restores checkpointed state if

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"reesift/internal/apps/rover"
-	engine "reesift/internal/campaign"
 	"reesift/internal/inject"
 	"reesift/internal/sift"
-	"reesift/internal/sim"
 	"reesift/internal/stats"
 	"reesift/pkg/reesift"
 )
@@ -18,18 +15,15 @@ import (
 // interrupt-driven watchdog design Section 5.1 proposes (latency bounded
 // by one period plus slack).
 func AblationWatchdog(sc Scale) (*reesift.Result, error) {
-	measure := func(interrupt bool) (*stats.Sample, error) {
+	measure := func(arm string, interrupt bool) (*stats.Sample, error) {
 		var lat stats.Sample
 		steps := max(4, sc.Runs/2)
-		// Both arms derive from the same identity on purpose: the
-		// polling/watchdog comparison replays identical hang scenarios.
-		for _, l := range engine.Map(sc.Workers, steps, func(run int) time.Duration {
-			hangAt := 25*time.Second + time.Duration(int64(run)*int64(35*time.Second)/int64(steps))
-			if at := hangDetectedAt(engine.DeriveSeed(sc.Seed, "ablation-watchdog", run), hangAt, interrupt); at != 0 {
-				return at - hangAt
-			}
-			return 0
-		}) {
+		hangAt := func(run int) time.Duration {
+			return 25*time.Second + time.Duration(int64(run)*int64(35*time.Second)/int64(steps))
+		}
+		// Both arms derive their seeds from the same identity on purpose:
+		// the polling/watchdog comparison replays identical hang scenarios.
+		for _, l := range hangLatencies(sc, "ablation-watchdog", arm, steps, hangAt, interrupt) {
 			if l > 0 {
 				lat.AddDuration(l)
 			}
@@ -39,11 +33,13 @@ func AblationWatchdog(sc Scale) (*reesift.Result, error) {
 		}
 		return &lat, nil
 	}
-	polling, err := measure(false)
-	if err != nil {
-		return nil, err
+	// Both arms run before either is checked: a replay of a watchdog-arm
+	// bundle runs nothing in the polling arm.
+	polling, pollErr := measure("polling", false)
+	watchdog, err := measure("watchdog", true)
+	if pollErr != nil {
+		return nil, pollErr
 	}
-	watchdog, err := measure(true)
 	if err != nil {
 		return nil, err
 	}
@@ -74,29 +70,21 @@ func AblationWatchdog(sc Scale) (*reesift.Result, error) {
 // assertions-plus-microcheckpointing actually prevent (the Section 11
 // claim: up to 42% fewer system failures from data errors).
 func AblationAssertions(sc Scale) (*reesift.Result, error) {
-	arm := func(disable bool) (sys, runs int, err error) {
-		// The enabled/disabled arms share seed identities on purpose
-		// (both campaigns are named "ablation-assertions"): the ablation
-		// replays identical injections with assertions off.
-		var cells []reesift.CampaignCell
+	arm := func(name string, disable bool) (sys, runs int) {
+		// The enabled/disabled arms derive their seeds from the same
+		// identities on purpose: the ablation replays identical
+		// injections with assertions off.
 		for _, element := range ftmElements {
-			inj := roverInjection(inject.ModelHeapData, inject.TargetFTM)
-			inj.Element = element
-			if disable {
-				inj.Cluster = []reesift.Option{reesift.WithoutSelfChecks()}
-			}
-			cells = append(cells, reesift.CampaignCell{
-				Name:      element,
-				Runs:      sc.TargetedHeapRuns,
-				Injection: inj,
-			})
-		}
-		cres, err := runCampaign(sc, "ablation-assertions", cells...)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, cell := range cres.Cells {
-			for _, res := range cell.Results {
+			for _, res := range runTrials(sc, "ablation-assertions/"+element, name, sc.TargetedHeapRuns, func(int) inject.Config {
+				cfg := inject.Config{Model: inject.ModelHeapData, Target: inject.TargetFTM, Element: element,
+					Apps: []*sift.AppSpec{roverApp()}}
+				if disable {
+					env := sift.DefaultEnvConfig()
+					env.DisableSelfChecks = true
+					cfg.Env = &env
+				}
+				return cfg
+			}) {
 				if res.Injected == 0 {
 					continue
 				}
@@ -106,16 +94,10 @@ func AblationAssertions(sc Scale) (*reesift.Result, error) {
 				}
 			}
 		}
-		return sys, runs, nil
+		return sys, runs
 	}
-	sysOn, runsOn, err := arm(false)
-	if err != nil {
-		return nil, err
-	}
-	sysOff, runsOff, err := arm(true)
-	if err != nil {
-		return nil, err
-	}
+	sysOn, runsOn := arm("enabled", false)
+	sysOff, runsOff := arm("disabled", true)
 	rate := func(s, r int) string {
 		if r == 0 {
 			return "-"
@@ -145,44 +127,44 @@ func AblationAssertions(sc Scale) (*reesift.Result, error) {
 // state is lost) against centralized nonvolatile storage (the paper's
 // stated requirement for tolerating node failures).
 func AblationSharedCheckpoints(sc Scale) (*reesift.Result, error) {
-	outcome := func(shared bool) (appDone int, restored int, runs int) {
-		n := max(3, sc.Runs/3)
-		type crashOut struct {
-			done, restored bool
-		}
-		// The local/shared arms share seed identities on purpose: the
-		// comparison replays identical node crashes against both stores.
-		for _, o := range engine.Map(sc.Workers, n, func(run int) crashOut {
-			k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "ablation-checkpoints", run)))
-			defer k.Shutdown()
-			cfg := sift.DefaultEnvConfig()
-			cfg.SharedCheckpoints = shared
-			env := sift.New(k, cfg)
-			env.Setup()
-			app := rover.Spec(1, []string{"node-a1", "node-a2"}, rover.DefaultParams())
-			h := env.Submit(app, 5*time.Second)
-			k.Schedule(20*time.Second+time.Duration(run)*3*time.Second, func() { k.CrashNode("node-a2") })
-			env.AppDoneHook = func(sift.AppID) { k.Stop() }
-			k.Run(400 * time.Second)
-			var o crashOut
-			o.done = h.Done
-			if a := env.ArmorOf(sift.AIDExec(1, 1)); a != nil && a.Restored {
-				o.restored = true
-			}
-			return o
+	n := max(3, sc.Runs/3)
+	outcome := func(arm string, shared bool) (appDone, restored int) {
+		restoredIn := make([]bool, n)
+		// The local/shared arms derive their seeds from the same identity
+		// on purpose: the comparison replays identical node crashes
+		// against both stores.
+		for _, res := range runTrials(sc, "ablation-checkpoints", arm, n, func(run int) inject.Config {
+			env := sift.DefaultEnvConfig()
+			env.SharedCheckpoints = shared
+			at := 20*time.Second + time.Duration(run)*3*time.Second
+			return inject.Config{Model: inject.ModelNodeCrash, Target: inject.TargetExecArmor, Rank: 1,
+				Apps: []*sift.AppSpec{roverApp()}, Env: &env,
+				Arm: func(r *inject.Runner) {
+					// Unlike the registered node-crash model's outage, the
+					// node never restarts: rank 1's ARMOR must migrate.
+					r.Kernel().Schedule(at, func() {
+						r.Kernel().CrashNode("node-a2")
+						r.NoteInjections(at, 1)
+					})
+					r.Settle(func(*inject.Result) {
+						a := r.Env().ArmorOf(sift.AIDExec(1, 1))
+						restoredIn[run] = a != nil && a.Restored
+					})
+				}}
 		}) {
-			runs++
-			if o.done {
+			if res.Done {
 				appDone++
 			}
-			if o.restored {
+		}
+		for _, ok := range restoredIn {
+			if ok {
 				restored++
 			}
 		}
-		return appDone, restored, runs
+		return appDone, restored
 	}
-	doneLocal, restLocal, n := outcome(false)
-	doneShared, restShared, _ := outcome(true)
+	doneLocal, restLocal := outcome("local", false)
+	doneShared, restShared := outcome("shared", true)
 	t := &Table{
 		ID:     "ablation-checkpoint-store",
 		Title:  "Node failure with node-local vs centralized checkpoint storage",

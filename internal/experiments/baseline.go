@@ -53,7 +53,7 @@ func Table3(sc Scale) (*reesift.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range cres.Cell("sift").Results {
+	for i, res := range cres.Cells[0].Results {
 		if !res.Done {
 			return nil, fmt.Errorf("table3: SIFT baseline run %d did not finish", i)
 		}

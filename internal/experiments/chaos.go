@@ -193,11 +193,8 @@ func Chaos(sc Scale) (*reesift.Result, error) {
 		unavail float64 // mean per-trial unavailability
 	}
 	pooledByName := make(map[string]pooled, len(cells))
-	for _, c := range cells {
-		cell := cres.Cell(c.name)
-		if cell == nil {
-			return nil, fmt.Errorf("chaos: missing cell %q", c.name)
-		}
+	for i, cell := range cres.Cells {
+		c := cells[i]
 		arrivals, downs, unrecov := 0, 0, 0
 		var mttr, ttfu stats.Sample
 		perTrial := make([]*reesift.ChaosStats, 0, len(cell.Results))

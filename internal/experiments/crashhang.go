@@ -42,7 +42,7 @@ func Table4(sc Scale) (*reesift.Result, error) {
 		return nil, err
 	}
 
-	base := foldAgg(cres.Cell("baseline"))
+	base := foldAgg(&cres.Cells[0])
 	total := 0
 
 	t := &Table{
@@ -51,24 +51,24 @@ func Table4(sc Scale) (*reesift.Result, error) {
 		Header: []string{"TARGET", "ERRORS INJECTED", "SUCCESSFUL RECOVERIES",
 			"PERCEIVED (s)", "ACTUAL (s)", "RECOVERY TIME (s)"},
 	}
-	for _, model := range table4Models {
-		t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", ""))
-		t.Rows = append(t.Rows, []Cell{str("Baseline"), str("-"), str("-"),
-			secCell(&base.perceived), secCell(&base.actual), str("-")})
-		for _, target := range table4Targets {
-			key := model.String() + "/" + target.String()
-			a := foldAgg(cres.Cell(key))
-			total += a.injectedRuns
-			recoveries := a.injectedRuns - a.sysFailures
-			t.Rows = append(t.Rows, []Cell{
-				str(target.String()),
-				num(a.injectedRuns),
-				num(recoveries),
-				secCell(&a.perceived),
-				secCell(&a.actual),
-				secCell(&a.recovery),
-			})
+	for i, cr := range cres.Cells[1:] {
+		model, target := table4Models[i/len(table4Targets)], table4Targets[i%len(table4Targets)]
+		if target == table4Targets[0] {
+			t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", ""))
+			t.Rows = append(t.Rows, []Cell{str("Baseline"), str("-"), str("-"),
+				secCell(&base.perceived), secCell(&base.actual), str("-")})
 		}
+		a := foldAgg(&cr)
+		total += a.injectedRuns
+		recoveries := a.injectedRuns - a.sysFailures
+		t.Rows = append(t.Rows, []Cell{
+			str(target.String()),
+			num(a.injectedRuns),
+			num(recoveries),
+			secCell(&a.perceived),
+			secCell(&a.actual),
+			secCell(&a.recovery),
+		})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n = %d injected runs; no-failure 95%% bound on unrecoverable-failure probability: p < %.5f (Section 5)",

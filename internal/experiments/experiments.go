@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"reesift/internal/apps/rover"
+	engine "reesift/internal/campaign"
 	"reesift/internal/inject"
 	"reesift/internal/sift"
 	"reesift/internal/stats"
@@ -147,6 +148,36 @@ func runCampaign(sc Scale, name string, cells ...reesift.CampaignCell) (*reesift
 		Replay:  sc.Replay,
 		Cells:   cells,
 	}.Run()
+}
+
+// runTrials runs n trials of one harness through inject.Run on the
+// scale's worker pool and returns their results in run order: the figure
+// and ablation scenarios, whose trials arm their own faults (Config.Arm)
+// instead of drawing a registered model's. Each trial's seed derives from
+// (sc.Seed, id, run), and its trace and replay identity is campaign id,
+// cell arm. The paired arms of an ablation share id, and so replay
+// identical kernels, but write and replay their own bundles. Like a
+// campaign, runTrials counts every trial in sc.Census, traces it under
+// sc.Trace, and under sc.Replay runs only the recorded trial.
+func runTrials(sc Scale, id, arm string, n int, config func(run int) inject.Config) []inject.Result {
+	execute := func(run int) inject.Result {
+		cfg := config(run)
+		cfg.Seed = engine.DeriveSeed(sc.Seed, id, run)
+		cfg.Census = []*inject.Census{sc.Census}
+		cfg.Trace = sc.Trace.Options(id, arm, run, sc.Seed)
+		return inject.Run(cfg)
+	}
+	if rp := sc.Replay; rp != nil {
+		if rp.Campaign != id || rp.Cell != arm {
+			return nil
+		}
+		r := execute(rp.Run)
+		if rp.OnResult != nil {
+			rp.OnResult(r)
+		}
+		return []inject.Result{r}
+	}
+	return engine.Map(sc.Workers, n, execute)
 }
 
 // foldAgg folds one cell's results into the shared aggregate.

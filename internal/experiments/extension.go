@@ -87,8 +87,8 @@ func TableExtension(sc Scale) (*reesift.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cell := range extCells {
-		a := foldAgg(cres.Cell(fmt.Sprintf("%s/%s", cell.model, cell.target)))
+	for i, cr := range cres.Cells {
+		cell, a := extCells[i], foldAgg(&cr)
 		verdicts := "-"
 		if cell.verdict {
 			verdicts = fmt.Sprintf("%d/%d/%d", a.verdictCorrect, a.verdictIncorrect, a.verdictMissing)

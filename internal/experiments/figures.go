@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	engine "reesift/internal/campaign"
 	"reesift/internal/core"
 	"reesift/internal/inject"
 	"reesift/internal/sift"
-	"reesift/internal/sim"
 	"reesift/pkg/reesift"
 )
 
@@ -16,18 +14,21 @@ import (
 // execution time anatomy: submission, setup, application start, end,
 // teardown, SCC notification.
 func Figure5(sc Scale) (*reesift.Result, error) {
-	k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure5", 0)))
-	defer k.Shutdown()
-	env := sift.New(k, sift.DefaultEnvConfig())
-	env.Setup()
-	h := env.Submit(roverApp(), 5*time.Second)
-	env.AppDoneHook = func(sift.AppID) { k.Stop() }
-	k.Run(10 * time.Minute)
+	var h sift.AppHandle
+	var started, ended sift.LogEntry
+	runTrials(sc, "figure5", "", 1, func(int) inject.Config {
+		app := roverApp()
+		return inject.Config{Apps: []*sift.AppSpec{app}, Arm: func(r *inject.Runner) {
+			r.Settle(func(*inject.Result) {
+				h = *r.Env().Handle(app.ID)
+				started, _ = r.Env().Log.First(sift.LogAppStarted)
+				ended, _ = r.Env().Log.Last(sift.LogAppRankExit)
+			})
+		}}
+	})
 	if !h.Done {
 		return nil, fmt.Errorf("figure5: run did not complete")
 	}
-	started, _ := env.Log.First(sift.LogAppStarted)
-	ended, _ := env.Log.Last(sift.LogAppRankExit)
 	t := &Table{
 		ID:     "figure5",
 		Title:  "Perceived vs actual application execution time (one fault-free run)",
@@ -50,30 +51,33 @@ func Figure5(sc Scale) (*reesift.Result, error) {
 // unit of the hang-detection latencies.
 const hangPIPeriod = 20 * time.Second
 
-// hangDetectedAt runs one rover submission at 5 s, suspends its rank 0 at
-// suspendAt, and returns when the first hang detection fired (0 if none
-// did within three checking periods). interrupt selects the
-// interrupt-driven watchdog instead of the paper's polling.
-func hangDetectedAt(seed int64, suspendAt time.Duration, interrupt bool) time.Duration {
-	k := sim.NewKernel(sim.DefaultConfig(seed))
-	defer k.Shutdown()
-	env := sift.New(k, sift.DefaultEnvConfig())
-	env.Setup()
-	app := roverApp()
-	app.InterruptPI = interrupt
-	env.Submit(app, 5*time.Second)
-	k.Schedule(suspendAt, func() {
-		if pid := env.AppProc(app.ID, 0); pid != sim.NoPID {
-			k.Suspend(pid)
-		}
+// hangLatencies runs n rover submissions at 5 s, suspends rank 0 of run
+// run at hangAt(run) (SIGSTOP), and returns per run how long after the
+// hang the first hang detection fired (0 if none did within three
+// checking periods). interrupt selects the interrupt-driven watchdog
+// instead of the paper's polling.
+func hangLatencies(sc Scale, id, arm string, n int, hangAt func(run int) time.Duration, interrupt bool) []time.Duration {
+	lat := make([]time.Duration, n)
+	stop := inject.CompoundStage{Model: inject.ModelSIGSTOP, Target: inject.TargetApp}
+	runTrials(sc, id, arm, n, func(run int) inject.Config {
+		app := roverApp()
+		app.InterruptPI = interrupt
+		at := hangAt(run)
+		return inject.Config{Model: stop.Model, Target: stop.Target, Apps: []*sift.AppSpec{app},
+			Timeout: at + 3*hangPIPeriod,
+			Arm: func(r *inject.Runner) {
+				r.Kernel().Schedule(at, func() { r.FireStage(stop, at) })
+				r.Settle(func(*inject.Result) {
+					for _, d := range r.Env().Log.AppDetections {
+						if d.Hang {
+							lat[run] = d.At - at
+							return
+						}
+					}
+				})
+			}}
 	})
-	k.Run(suspendAt + 3*hangPIPeriod)
-	for _, d := range env.Log.AppDetections {
-		if d.Hang {
-			return d.At
-		}
-	}
-	return 0
+	return lat
 }
 
 // Figure6 reproduces the hang-detection-latency phenomenon: the Execution
@@ -88,25 +92,28 @@ func Figure6(sc Scale) (*reesift.Result, error) {
 		Header: []string{"HANG AT (s)", "DETECTED AT (s)", "LATENCY (s)", "LATENCY / PI PERIOD"},
 	}
 	steps := max(4, sc.Runs/2)
-	type hangProbe struct {
-		abs, detected time.Duration
+	hangAt := func(run int) time.Duration {
+		return 25*time.Second + time.Duration(int64(run)*int64(40*time.Second)/int64(steps))
 	}
-	for _, pr := range engine.Map(sc.Workers, steps, func(run int) hangProbe {
-		hangAt := 20*time.Second + time.Duration(int64(run)*int64(40*time.Second)/int64(steps))
-		abs := 5*time.Second + hangAt
-		return hangProbe{abs: abs, detected: hangDetectedAt(engine.DeriveSeed(sc.Seed, "figure6", run), abs, false)}
-	}) {
-		if pr.detected == 0 {
+	for run, lat := range hangLatencies(sc, "figure6", "", steps, hangAt, false) {
+		if lat == 0 {
 			continue
 		}
-		lat := pr.detected - pr.abs
 		t.Rows = append(t.Rows, []Cell{
-			durCell(pr.abs), durCell(pr.detected), durCell(lat),
+			durCell(hangAt(run)), durCell(hangAt(run) + lat), durCell(lat),
 			flt(float64(lat)/float64(hangPIPeriod), 2),
 		})
 	}
 	t.Notes = append(t.Notes, "latency must fall in [1, 2] checking periods (paper Figure 6: up to 40 s)")
 	return reesift.NewResult(t), nil
+}
+
+// ftmKill is the SIGINT into the FTM that Figures 7 and 8 fire.
+var ftmKill = inject.CompoundStage{Model: inject.ModelSIGINT, Target: inject.TargetFTM}
+
+// ftmKillRun is one rover submission whose arm hook schedules ftmKill.
+func ftmKillRun(arm func(r *inject.Runner)) inject.Config {
+	return inject.Config{Model: ftmKill.Model, Target: ftmKill.Target, Apps: []*sift.AppSpec{roverApp()}, Arm: arm}
 }
 
 // Figure7 sweeps the FTM kill instant across the run: failures landing in
@@ -124,8 +131,11 @@ func Figure7(sc Scale) (*reesift.Result, error) {
 		100 * time.Millisecond, 10 * time.Second, 30 * time.Second,
 		50 * time.Second, 70 * time.Second, 77 * time.Second,
 	}
-	for i, res := range engine.Map(sc.Workers, len(offsets), func(run int) inject.Result {
-		return runWithFTMKill(engine.DeriveSeed(sc.Seed, "figure7", run), offsets[run])
+	for i, res := range runTrials(sc, "figure7", "", len(offsets), func(run int) inject.Config {
+		return ftmKillRun(func(r *inject.Runner) {
+			at := 5*time.Second + offsets[run]
+			r.Kernel().Schedule(at, func() { r.FireStage(ftmKill, at) })
+		})
 	}) {
 		off := offsets[i]
 		if !res.Done {
@@ -138,84 +148,50 @@ func Figure7(sc Scale) (*reesift.Result, error) {
 	return reesift.NewResult(t), nil
 }
 
-// runWithFTMKill runs one rover submission and kills the FTM at a fixed
-// offset after submission.
-func runWithFTMKill(seed int64, offset time.Duration) inject.Result {
-	k := sim.NewKernel(sim.DefaultConfig(seed))
-	defer k.Shutdown()
-	env := sift.New(k, sift.DefaultEnvConfig())
-	env.Setup()
-	app := roverApp()
-	h := env.Submit(app, 5*time.Second)
-	k.Schedule(5*time.Second+offset, func() {
-		if pid := env.ProcOf(sift.AIDFTM); pid != sim.NoPID {
-			k.Kill(pid, "SIGINT")
-		}
-	})
-	env.AppDoneHook = func(sift.AppID) { k.Stop() }
-	k.Run(400 * time.Second)
-	res := inject.Result{Done: h.Done}
-	if h.Done {
-		res.Perceived = h.DoneAt - h.SubmittedAt
-	}
-	if start, ok := env.Log.First(sift.LogAppStarted); ok {
-		if end, ok2 := env.Log.Last(sift.LogAppRankExit); ok2 {
-			res.Actual = end.At - start.At
-		}
-	}
-	return res
-}
-
 // Figure8 demonstrates the FTM-application correlated failure: the FTM
 // dies during the MPI startup handshake, the rank-0 process times out
 // waiting for the PID exchange, the application aborts, and — because the
 // detectors are decoupled from the failed pair — the environment recovers
 // both and the application completes with one restart.
 func Figure8(sc Scale) (*reesift.Result, error) {
-	k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure8", 0)))
-	defer k.Shutdown()
-	env := sift.New(k, sift.DefaultEnvConfig())
-	env.Setup()
-	app := roverApp()
-	h := env.Submit(app, 5*time.Second)
-	// Kill the FTM inside the MPI startup window: the rank-0 process
-	// has been launched but has not yet completed the PID registration
-	// through the FTM. A poller watches for the launch so the timing is
-	// robust against setup jitter.
-	killed := false
-	var poll func()
-	poll = func() {
-		if killed {
-			return
-		}
-		if st, ok := env.Log.First(sift.LogAppStarted); ok {
-			killed = true
-			delay := st.At + 200*time.Millisecond - k.Now()
-			k.Schedule(delay, func() {
-				if pid := env.ProcOf(sift.AIDFTM); pid != sim.NoPID {
-					k.Kill(pid, "SIGINT")
+	var res inject.Result
+	var rows [][]Cell
+	runTrials(sc, "figure8", "", 1, func(int) inject.Config {
+		return ftmKillRun(func(r *inject.Runner) {
+			// Kill the FTM inside the MPI startup window: the rank-0
+			// process has been launched but has not yet completed the PID
+			// registration through the FTM. A poller watches for the
+			// launch so the timing is robust against setup jitter.
+			k, log := r.Kernel(), r.Env().Log
+			var poll func()
+			poll = func() {
+				st, ok := log.First(sift.LogAppStarted)
+				if !ok {
+					k.Schedule(100*time.Millisecond, poll)
+					return
+				}
+				at := st.At + 200*time.Millisecond
+				k.Schedule(at-k.Now(), func() { r.FireStage(ftmKill, at) })
+			}
+			k.Schedule(5*time.Second, poll)
+			r.Settle(func(final *inject.Result) {
+				res = *final
+				rows = [][]Cell{
+					{str("application completed"), str(fmt.Sprintf("%v", res.Done))},
+					{str("application restarts (correlated failure)"), num(res.AppRestarts)},
+				}
+				if started, ok := log.First(sift.LogAppStarted); ok {
+					rows = append(rows, []Cell{str("first app start (s)"), durCell(started.At)})
+				}
+				if re, ok := log.First(sift.LogAppRelaunched); ok {
+					rows = append(rows, []Cell{str("app restarted at (s)"), durCell(re.At)})
+				}
+				for _, d := range log.AppDetections {
+					rows = append(rows, []Cell{str("app failure detected"), str(fmt.Sprintf("t=%.2fs reason=%q", d.At.Seconds(), d.Reason))})
 				}
 			})
-			return
-		}
-		k.Schedule(100*time.Millisecond, poll)
-	}
-	k.Schedule(5*time.Second, poll)
-	env.AppDoneHook = func(sift.AppID) { k.Stop() }
-	k.Run(400 * time.Second)
-	rows := [][]Cell{
-		{str("application completed"), str(fmt.Sprintf("%v", h.Done))},
-		{str("application restarts (correlated failure)"), num(h.Restarts)},
-	}
-	if started, ok := env.Log.First(sift.LogAppStarted); ok {
-		rows = append(rows, []Cell{str("first app start (s)"), durCell(started.At)})
-	}
-	if re, ok := env.Log.First(sift.LogAppRelaunched); ok {
-		rows = append(rows, []Cell{str("app restarted at (s)"), durCell(re.At)})
-	}
-	for _, d := range env.Log.AppDetections {
-		rows = append(rows, []Cell{str("app failure detected"), str(fmt.Sprintf("t=%.2fs reason=%q", d.At.Seconds(), d.Reason))})
-	}
+		})
+	})
 	t := &Table{
 		ID:     "figure8",
 		Title:  "FTM-application correlated failure during MPI startup (Figure 8)",
@@ -223,10 +199,10 @@ func Figure8(sc Scale) (*reesift.Result, error) {
 		Rows:   rows,
 		Notes:  []string{"paper: 2 of 178 FTM injections hit this window; recovery succeeds because the Heartbeat ARMOR and Execution ARMORs are decoupled from the failed pair"},
 	}
-	if !h.Done {
+	if !res.Done {
 		return reesift.NewResult(t), fmt.Errorf("figure8: application did not recover from the correlated failure")
 	}
-	if h.Restarts == 0 {
+	if res.AppRestarts == 0 {
 		return reesift.NewResult(t), fmt.Errorf("figure8: the correlated failure (application restart) did not occur")
 	}
 	return reesift.NewResult(t), nil
@@ -238,47 +214,46 @@ func Figure8(sc Scale) (*reesift.Result, error) {
 // the ARMOR is never recovered. The fixed ordering registers before
 // installing.
 func Figure10(sc Scale) (*reesift.Result, error) {
-	outcome := func(fixRace bool) (aborted int, recovered int) {
-		// Both arms share one identity on purpose: the race demonstration
-		// compares legacy vs fixed ordering over identical kernels.
-		k := sim.NewKernel(sim.DefaultConfig(engine.DeriveSeed(sc.Seed, "figure10", 0)))
-		defer k.Shutdown()
-		cfg := sift.DefaultEnvConfig()
-		cfg.FixRegistrationRace = fixRace
-		env := sift.New(k, cfg)
-		env.Setup()
-		k.Run(3 * time.Second)
-		// Deliver a failure notification for an ARMOR that the FTM has
-		// not registered (the race's message ordering).
-		phantom := sift.AIDExec(9, 0)
-		envlp := core.Envelope{Src: env.DaemonAID(cfg.Nodes[2]), Dst: sift.AIDFTM, Seq: 12345,
-			Event: sift.ArmorFailed{ID: phantom, Reason: "crash"}.Event()}
-		k.SendExternal(env.ProcOf(sift.AIDFTM), envlp)
-		k.Run(10 * time.Second)
-		for e := range env.Log.All(sift.LogArmorRecoveryInitiated) {
-			if e.AID() == phantom {
-				recovered++
-			}
-		}
-		return env.Log.Count(sift.LogFailureNotificationAborted), recovered
-	}
-	legacyAborted, legacyRecovered := outcome(false)
+	var aborted, recovered int
+	runTrials(sc, "figure10", "", 1, func(int) inject.Config {
+		env := sift.DefaultEnvConfig()
+		env.FixRegistrationRace = false
+		return inject.Config{Env: &env, Timeout: 10 * time.Second, Arm: func(r *inject.Runner) {
+			// Deliver a failure notification for an ARMOR that the FTM
+			// has not registered (the race's message ordering). No
+			// registered model sends one, so the trial notes it itself.
+			e, phantom, at := r.Env(), sift.AIDExec(9, 0), 3*time.Second
+			r.Kernel().Schedule(at, func() {
+				r.Kernel().SendExternal(e.ProcOf(sift.AIDFTM), core.Envelope{
+					Src: e.DaemonAID(env.Nodes[2]), Dst: sift.AIDFTM, Seq: 12345,
+					Event: sift.ArmorFailed{ID: phantom, Reason: "crash"}.Event()})
+				r.NoteInjections(at, 1)
+			})
+			r.Settle(func(*inject.Result) {
+				aborted, recovered = e.Log.Count(sift.LogFailureNotificationAborted), 0
+				for ev := range e.Log.All(sift.LogArmorRecoveryInitiated) {
+					if ev.AID() == phantom {
+						recovered++
+					}
+				}
+			})
+		}}
+	})
 	// With the fix, the FTM registers ARMORs before install, so a
 	// pre-registration notification cannot exist in the fixed protocol;
-	// the demonstration instead shows the notification being handled
-	// for a registered ARMOR.
+	// only the legacy ordering is demonstrated.
 	t := &Table{
 		ID:     "figure10",
 		Title:  "Execution ARMOR registration race (legacy ordering)",
 		Header: []string{"OBSERVATION", "VALUE"},
 		Rows: [][]Cell{
-			{str("failure notification aborted (unknown ARMOR)"), num(legacyAborted)},
-			{str("recovery initiated for the ARMOR"), num(legacyRecovered)},
+			{str("failure notification aborted (unknown ARMOR)"), num(aborted)},
+			{str("recovery initiated for the ARMOR"), num(recovered)},
 		},
 		Notes: []string{"paper: the race was eliminated by adding the Execution ARMOR to the FTM's table before instructing the daemon to install it"},
 	}
-	if legacyAborted != 1 || legacyRecovered != 0 {
-		return reesift.NewResult(t), fmt.Errorf("figure10: legacy race not reproduced (aborted=%d recovered=%d)", legacyAborted, legacyRecovered)
+	if aborted != 1 || recovered != 0 {
+		return reesift.NewResult(t), fmt.Errorf("figure10: legacy race not reproduced (aborted=%d recovered=%d)", aborted, recovered)
 	}
 	return reesift.NewResult(t), nil
 }

@@ -131,6 +131,20 @@ func TestScenarioGoldenOutput(t *testing.T) {
 	}
 }
 
+// TestScenarioTalliesCountEveryTrial: every trial a scenario simulates is
+// counted in its tally, figure and ablation harnesses included. fig9 is
+// the one exception: it solves the SAN model and simulates no trial.
+func TestScenarioTalliesCountEveryTrial(t *testing.T) {
+	for _, s := range reesift.Scenarios() {
+		if s.ID == "fig9" {
+			continue
+		}
+		if res := runTiny(t, s.ID, 1).res; res.Runs == 0 {
+			t.Errorf("%s reports 0 runs", s.ID)
+		}
+	}
+}
+
 // registryAliases pins every CLI alias to the scenario it resolves to.
 var registryAliases = map[string]string{
 	"table9":                    "table8",

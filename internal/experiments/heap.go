@@ -34,10 +34,10 @@ func Table7(sc Scale) (*reesift.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, target := range table7Targets {
-		a := foldAgg(cres.Cell(target.String()))
+	for _, cr := range cres.Cells {
+		a := foldAgg(&cr)
 		t.Rows = append(t.Rows, []Cell{
-			str(target.String()),
+			str(cr.Name),
 			num(sc.Runs),
 			num(a.failures),
 			num(a.sucRec),
@@ -91,10 +91,10 @@ func Table8And9(sc Scale) (*reesift.Result, error) {
 			"SUCCESSFUL RECOVERY AFTER ASSERTION"},
 	}
 	totalFired, totalSaved := 0, 0
-	for _, element := range ftmElements {
+	for _, cr := range cres.Cells {
 		sys := make(map[inject.SystemFailureMode]int)
 		fired, sysAfterAssert, savedByAssert, sysNoAssert := 0, 0, 0, 0
-		for _, res := range cres.Cell(element).Results {
+		for _, res := range cr.Results {
 			if res.Injected == 0 {
 				continue
 			}
@@ -112,7 +112,7 @@ func Table8And9(sc Scale) (*reesift.Result, error) {
 				sysNoAssert++
 			}
 		}
-		row := []Cell{str(element)}
+		row := []Cell{str(cr.Name)}
 		total := 0
 		for _, m := range modes {
 			total += sys[m]
@@ -120,7 +120,7 @@ func Table8And9(sc Scale) (*reesift.Result, error) {
 		}
 		t8.Rows = append(t8.Rows, append(row, num(total)))
 		t9.Rows = append(t9.Rows, []Cell{
-			str(element),
+			str(cr.Name),
 			num(sysNoAssert),
 			num(sysAfterAssert),
 			num(savedByAssert),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"reesift/internal/apps/otis"
@@ -25,27 +26,6 @@ func multiAppSpecs() []*sift.AppSpec {
 // multiAppModels are the error models of the Section 8 campaigns.
 var multiAppModels = []inject.Model{
 	inject.ModelSIGINT, inject.ModelSIGSTOP, inject.ModelRegister, inject.ModelText,
-}
-
-// multiAgg aggregates a two-application campaign.
-type multiAgg struct {
-	agg
-	roverPerceived stats.Sample
-	roverActual    stats.Sample
-	otisPerceived  stats.Sample
-	otisActual     stats.Sample
-}
-
-func (m *multiAgg) addMulti(r inject.Result) {
-	m.add(r)
-	if a, ok := r.PerApp[1]; ok && a.Done {
-		m.roverPerceived.AddDuration(a.Perceived)
-		m.roverActual.AddDuration(a.Actual)
-	}
-	if a, ok := r.PerApp[2]; ok && a.Done {
-		m.otisPerceived.AddDuration(a.Perceived)
-		m.otisActual.AddDuration(a.Actual)
-	}
 }
 
 // Table11And12 reproduces the two-application experiments: Table 11 (mean
@@ -110,31 +90,31 @@ func Table11And12(sc Scale) (*reesift.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// otisApp and armors aggregate each error model's cells.
-	otisApp := make(map[inject.Model]*multiAgg)
-	armors := make(map[inject.Model]*multiAgg)
-	for _, model := range multiAppModels {
-		oa := &multiAgg{}
-		for _, r := range cres.Cell("otis/" + model.String()).Results {
-			oa.addMulti(r)
-		}
-		otisApp[model] = oa
-
-		ar := &multiAgg{}
-		for _, target := range armorTargets {
-			for _, r := range cres.Cell("armors/" + model.String() + "/" + target.String()).Results {
-				ar.addMulti(r)
+	// fold folds, in campaign order, the results of every cell aimed at
+	// the OTIS application (app) or at the ARMORs (!app) under one of the
+	// given models, with each application's times indexed by AppID.
+	type times struct{ perceived, actual stats.Sample }
+	fold := func(app bool, models ...inject.Model) (a agg, apps [3]times) {
+		for _, cr := range cres.Cells {
+			for _, r := range cr.Results {
+				if (r.Target == inject.TargetApp) != app || !slices.Contains(models, r.Model) {
+					continue
+				}
+				a.add(r)
+				for id, m := range r.PerApp {
+					if m.Done {
+						apps[id].perceived.AddDuration(m.Perceived)
+						apps[id].actual.AddDuration(m.Actual)
+					}
+				}
 			}
 		}
-		armors[model] = ar
+		return a, apps
 	}
 
 	// Table 11: mean performance summary across all models.
-	var otisAll, armorAll multiAgg
-	for _, model := range multiAppModels {
-		mergeMulti(&otisAll, otisApp[model])
-		mergeMulti(&armorAll, armors[model])
-	}
+	otisAll, otisTimes := fold(true, multiAppModels...)
+	armorAll, armorTimes := fold(false, multiAppModels...)
 	t11 := &Table{
 		ID:    "table11",
 		Title: "Performance under error injection with two applications (six nodes)",
@@ -142,10 +122,10 @@ func Table11And12(sc Scale) (*reesift.Result, error) {
 			"OTIS PERCEIVED (s)", "OTIS ACTUAL (s)", "RECOVERY (s)"},
 		Rows: [][]Cell{
 			{str("Baseline (no SIFT)"), str("-"), secCell(&baseRover), str("-"), secCell(&baseOTIS), str("-")},
-			{str("OTIS app"), secCell(&otisAll.roverPerceived), secCell(&otisAll.roverActual),
-				secCell(&otisAll.otisPerceived), secCell(&otisAll.otisActual), secCell(&otisAll.recovery)},
-			{str("ARMORs"), secCell(&armorAll.roverPerceived), secCell(&armorAll.roverActual),
-				secCell(&armorAll.otisPerceived), secCell(&armorAll.otisActual), secCell(&armorAll.recovery)},
+			{str("OTIS app"), secCell(&otisTimes[1].perceived), secCell(&otisTimes[1].actual),
+				secCell(&otisTimes[2].perceived), secCell(&otisTimes[2].actual), secCell(&otisAll.recovery)},
+			{str("ARMORs"), secCell(&armorTimes[1].perceived), secCell(&armorTimes[1].actual),
+				secCell(&armorTimes[2].perceived), secCell(&armorTimes[2].actual), secCell(&armorAll.recovery)},
 		},
 		Notes: []string{"paper: SIFT recovery adds 1-3% to baseline execution; recovery time matches the single-app value"},
 	}
@@ -157,11 +137,8 @@ func Table11And12(sc Scale) (*reesift.Result, error) {
 		Header: []string{"TARGET", "FAILURES", "SUC. REC.",
 			"SEG. FAULT", "ILLEGAL", "HANG", "SELF-CHECK"},
 	}
-	group := func(label string, src map[inject.Model]*multiAgg, models []inject.Model) {
-		var g multiAgg
-		for _, m := range models {
-			mergeMulti(&g, src[m])
-		}
+	group := func(label string, app bool, models ...inject.Model) {
+		g, _ := fold(app, models...)
 		t12.Rows = append(t12.Rows, []Cell{
 			str(label),
 			num(g.failures),
@@ -172,33 +149,12 @@ func Table11And12(sc Scale) (*reesift.Result, error) {
 			num(g.assertion),
 		})
 	}
-	sigModels := []inject.Model{inject.ModelSIGINT, inject.ModelSIGSTOP}
-	memModels := []inject.Model{inject.ModelRegister, inject.ModelText}
 	t12.Rows = append(t12.Rows, strRow("-- SIGINT/SIGSTOP --", "", "", "", "", "", ""))
-	group("OTIS app", otisApp, sigModels)
-	group("ARMORs", armors, sigModels)
+	group("OTIS app", true, inject.ModelSIGINT, inject.ModelSIGSTOP)
+	group("ARMORs", false, inject.ModelSIGINT, inject.ModelSIGSTOP)
 	t12.Rows = append(t12.Rows, strRow("-- register/text --", "", "", "", "", "", ""))
-	group("OTIS app", otisApp, memModels)
-	group("ARMORs", armors, memModels)
+	group("OTIS app", true, inject.ModelRegister, inject.ModelText)
+	group("ARMORs", false, inject.ModelRegister, inject.ModelText)
 	t12.Notes = append(t12.Notes, "paper: all but 2 SIGINT/SIGSTOP and all but 14 register/text errors recovered")
 	return reesift.NewResult(t11, t12), nil
-}
-
-func mergeMulti(dst, src *multiAgg) {
-	dst.injectedRuns += src.injectedRuns
-	dst.failures += src.failures
-	dst.sucRec += src.sucRec
-	dst.segFault += src.segFault
-	dst.illegal += src.illegal
-	dst.hang += src.hang
-	dst.assertion += src.assertion
-	dst.sysFailures += src.sysFailures
-	dst.correlated += src.correlated
-	dst.perceived.Merge(&src.perceived)
-	dst.actual.Merge(&src.actual)
-	dst.recovery.Merge(&src.recovery)
-	dst.roverPerceived.Merge(&src.roverPerceived)
-	dst.roverActual.Merge(&src.roverActual)
-	dst.otisPerceived.Merge(&src.otisPerceived)
-	dst.otisActual.Merge(&src.otisActual)
 }

@@ -89,8 +89,8 @@ func TableRecovery(sc Scale) (*reesift.Result, error) {
 	// first violation is reported alongside the complete table.
 	var checkErr error
 	ftmMigrated := false
-	for _, cell := range recoveryCells {
-		a := foldAgg(cres.Cell(cell.id))
+	for i, cr := range cres.Cells {
+		cell, a := recoveryCells[i], foldAgg(&cr)
 		switch {
 		case checkErr != nil:
 		case a.injectedRuns == 0:

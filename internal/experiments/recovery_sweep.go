@@ -76,38 +76,34 @@ func RecoverySweep(sc Scale) (*reesift.Result, error) {
 			"MEAN RECOVERY (s)", "PERCEIVED (s)", "SYSTEM FAILURES"},
 	}
 	recoveries := 0
-	for _, restart := range recoverySweepRestarts {
-		for _, period := range recoverySweepPeriods {
-			cellName := fmt.Sprintf("restart=%ds/hb=%ds", int(restart.Seconds()), int(period.Seconds()))
-			cell := cres.Cell(cellName)
-			if cell == nil {
-				return nil, fmt.Errorf("recovery-sweep: missing cell %q", cellName)
+	// The sweep's cells run restart-major, the last axis fastest.
+	for i, cell := range cres.Cells {
+		n := len(recoverySweepPeriods)
+		restart, period := recoverySweepRestarts[i/n], recoverySweepPeriods[i%n]
+		var rec, perceived reesift.Sample
+		injected, recovered := 0, 0
+		for _, r := range cell.Results {
+			if r.Injected > 0 {
+				injected++
 			}
-			var rec, perceived reesift.Sample
-			injected, recovered := 0, 0
-			for _, r := range cell.Results {
-				if r.Injected > 0 {
-					injected++
-				}
-				if r.Recovered && r.RecoveryTime > 0 {
-					recovered++
-					rec.AddDuration(r.RecoveryTime)
-				}
-				if r.Done {
-					perceived.AddDuration(r.Perceived)
-				}
+			if r.Recovered && r.RecoveryTime > 0 {
+				recovered++
+				rec.AddDuration(r.RecoveryTime)
 			}
-			recoveries += recovered
-			t.Rows = append(t.Rows, []reesift.Cell{
-				reesift.Float(restart.Seconds(), 0),
-				reesift.Float(period.Seconds(), 0),
-				reesift.Int(injected),
-				reesift.Int(recovered),
-				reesift.SampleCell(&rec),
-				reesift.SampleCell(&perceived),
-				reesift.Int(int(cell.Tally.SystemFailures)),
-			})
+			if r.Done {
+				perceived.AddDuration(r.Perceived)
+			}
 		}
+		recoveries += recovered
+		t.Rows = append(t.Rows, []reesift.Cell{
+			reesift.Float(restart.Seconds(), 0),
+			reesift.Float(period.Seconds(), 0),
+			reesift.Int(injected),
+			reesift.Int(recovered),
+			reesift.SampleCell(&rec),
+			reesift.SampleCell(&perceived),
+			reesift.Int(int(cell.Tally.SystemFailures)),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"node crash under the application's rank-1 node; SIFT processes isolated on the non-application nodes; centralized checkpoints (Section 3.4)",

@@ -42,25 +42,25 @@ func Table6(sc Scale) (*reesift.Result, error) {
 			"SEG. FAULT", "ILLEGAL INSTR.", "HANG", "ASSERT.",
 			"PERCEIVED (s)", "ACTUAL (s)", "RECOVERY (s)"},
 	}
-	for _, model := range regtextModels {
-		t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", "", "", "", "", ""))
-		for _, target := range table4Targets {
-			key := model.String() + "/" + target.String()
-			a := foldAgg(cres.Cell(key))
-			sys[model] += a.sysFailures
-			t.Rows = append(t.Rows, []Cell{
-				str(target.String()),
-				num(a.failures),
-				num(a.sucRec),
-				num(a.segFault),
-				num(a.illegal),
-				num(a.hang),
-				num(a.assertion),
-				secCell(&a.perceived),
-				secCell(&a.actual),
-				secCell(&a.recovery),
-			})
+	for i, cr := range cres.Cells {
+		model, target := regtextModels[i/len(table4Targets)], table4Targets[i%len(table4Targets)]
+		if target == table4Targets[0] {
+			t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", "", "", "", "", ""))
 		}
+		a := foldAgg(&cr)
+		sys[model] += a.sysFailures
+		t.Rows = append(t.Rows, []Cell{
+			str(target.String()),
+			num(a.failures),
+			num(a.sucRec),
+			num(a.segFault),
+			num(a.illegal),
+			num(a.hang),
+			num(a.assertion),
+			secCell(&a.perceived),
+			secCell(&a.actual),
+			secCell(&a.recovery),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"paper: 11 system failures in ~700 failures, all from checkpoint corruption or error propagation; text errors dominated",

@@ -192,9 +192,9 @@ func TableScale(sc Scale) (*reesift.Result, error) {
 	}
 	aggs := make([]agg, len(cells))
 	events := make([]uint64, len(cells))
-	for i, cell := range cells {
-		cr := cres.Cell(cell.id())
-		aggs[i] = foldAgg(cr)
+	for i, cr := range cres.Cells {
+		cell := cells[i]
+		aggs[i] = foldAgg(&cr)
 		var simTotal time.Duration
 		for _, r := range cr.Results {
 			events[i] += r.EventsFired

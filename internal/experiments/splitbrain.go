@@ -94,8 +94,8 @@ func TableSplitBrain(sc Scale) (*reesift.Result, error) {
 	// actually hold, and the ablation must show the hazard was real. The
 	// first violation is reported alongside the complete table.
 	var checkErr error
-	for _, cell := range splitBrainCells {
-		a := foldAgg(cres.Cell(cell.id))
+	for i, cr := range cres.Cells {
+		cell, a := splitBrainCells[i], foldAgg(&cr)
 		switch {
 		case checkErr != nil:
 		case a.injectedRuns == 0:

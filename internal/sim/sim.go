@@ -426,9 +426,6 @@ func (k *Kernel) fire(e *event) {
 // Stop halts the kernel loop after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
 // ClearStop re-arms a kernel halted by Stop so a later Run call can
 // resume the simulation (the stop flag otherwise latches).
 func (k *Kernel) ClearStop() { k.stopped = false }
@@ -461,9 +458,6 @@ func (k *Kernel) Run(limit time.Duration) time.Duration {
 	}
 	return k.now
 }
-
-// Idle reports whether no events or runnable processes remain.
-func (k *Kernel) Idle() bool { return len(k.events) == 0 && k.readyLen == 0 }
 
 // LiveProcs reports how many processes are currently alive (running,
 // ready, waiting, or suspended).

@@ -225,7 +225,7 @@ func (c Campaign) runCell(cell CampaignCell, identity string, base inject.Config
 		// default into submitted specs (Submit's MPIStartTimeout
 		// backfill), which must never race across runs.
 		cfg.Apps = cloneApps(cfg.Apps)
-		cfg.Trace = c.traceOptions(cell.Name, run)
+		cfg.Trace = c.Trace.Options(c.Name, cell.Name, run, c.Seed)
 		if cell.Injection.Arrival != nil {
 			return chaos.Trial(cfg, *cell.Injection.Arrival)
 		}

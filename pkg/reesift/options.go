@@ -2,6 +2,7 @@ package reesift
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"reesift/internal/sift"
@@ -13,28 +14,14 @@ import (
 // run.
 type Option func(*settings) error
 
-// settings accumulates option values; buildConfig turns them into a
-// validated sift.EnvConfig.
+// settings is what the options write: the environment configuration
+// itself, plus what placement resolution needs once every option has
+// applied — the seed, and whether the FTM and Heartbeat ARMOR placements
+// were given explicitly. cfg.Nodes stays empty until a node option sets it.
 type settings struct {
+	cfg           sift.EnvConfig
 	seed          int64
-	nodes         []string
-	ftmNode       string
-	hbNode        string
-	ftmHB         time.Duration
-	hbArmor       time.Duration
-	daemonAYA     time.Duration
-	installDelay  time.Duration
-	appStartDelay time.Duration
-	sccDelay      time.Duration
-	sccDelaySet   bool
-	legacyRace    bool
-	shared        bool
-	noChecks      bool
-	noBootAgent   bool
-	noEpochs      bool
-	spread        bool
-	scopedLoc     bool
-	daemonRebind  bool
+	ftmSet, hbSet bool
 }
 
 // defaultNodeNames returns the paper's 4-node testbed names for n == 4
@@ -69,7 +56,7 @@ func WithNodes(n int) Option {
 		if n < 2 || n > sift.MaxNodes {
 			return fmt.Errorf("reesift: WithNodes(%d): a SIFT cluster needs at least 2 nodes (FTM and Heartbeat ARMOR must be on different nodes) and at most %d nodes (the FTM's node table)", n, sift.MaxNodes)
 		}
-		s.nodes = defaultNodeNames(n)
+		s.cfg.Nodes = defaultNodeNames(n)
 		return nil
 	}
 }
@@ -94,7 +81,7 @@ func WithNodeNames(names ...string) Option {
 			}
 			seen[name] = true
 		}
-		s.nodes = append([]string(nil), names...)
+		s.cfg.Nodes = append([]string(nil), names...)
 		return nil
 	}
 }
@@ -107,7 +94,7 @@ func WithFTMNode(name string) Option {
 		if name == "" {
 			return fmt.Errorf("reesift: WithFTMNode: empty hostname")
 		}
-		s.ftmNode = name
+		s.cfg.FTMNode, s.ftmSet = name, true
 		return nil
 	}
 }
@@ -120,7 +107,7 @@ func WithHeartbeatNode(name string) Option {
 		if name == "" {
 			return fmt.Errorf("reesift: WithHeartbeatNode: empty hostname")
 		}
-		s.hbNode = name
+		s.cfg.HeartbeatNode, s.hbSet = name, true
 		return nil
 	}
 }
@@ -132,8 +119,8 @@ func WithHeartbeatPeriod(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithHeartbeatPeriod(%v): period must be positive", d)
 		}
-		s.ftmHB = d
-		s.hbArmor = d
+		s.cfg.FTMHeartbeatPeriod = d
+		s.cfg.HeartbeatArmorPeriod = d
 		return nil
 	}
 }
@@ -144,7 +131,7 @@ func WithFTMHeartbeatPeriod(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithFTMHeartbeatPeriod(%v): period must be positive", d)
 		}
-		s.ftmHB = d
+		s.cfg.FTMHeartbeatPeriod = d
 		return nil
 	}
 }
@@ -155,7 +142,7 @@ func WithHeartbeatArmorPeriod(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithHeartbeatArmorPeriod(%v): period must be positive", d)
 		}
-		s.hbArmor = d
+		s.cfg.HeartbeatArmorPeriod = d
 		return nil
 	}
 }
@@ -167,7 +154,7 @@ func WithDaemonAYAPeriod(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithDaemonAYAPeriod(%v): period must be positive", d)
 		}
-		s.daemonAYA = d
+		s.cfg.DaemonAYAPeriod = d
 		return nil
 	}
 }
@@ -179,7 +166,7 @@ func WithInstallDelay(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithInstallDelay(%v): delay must be positive", d)
 		}
-		s.installDelay = d
+		s.cfg.InstallDelay = d
 		return nil
 	}
 }
@@ -191,7 +178,7 @@ func WithAppStartDelay(d time.Duration) Option {
 		if d <= 0 {
 			return fmt.Errorf("reesift: WithAppStartDelay(%v): delay must be positive", d)
 		}
-		s.appStartDelay = d
+		s.cfg.AppStartDelay = d
 		return nil
 	}
 }
@@ -203,8 +190,7 @@ func WithSCCCommandDelay(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("reesift: WithSCCCommandDelay(%v): delay must not be negative", d)
 		}
-		s.sccDelay = d
-		s.sccDelaySet = true
+		s.cfg.SCCCommandDelay = d
 		return nil
 	}
 }
@@ -214,7 +200,7 @@ func WithSCCCommandDelay(d time.Duration) Option {
 // Section 3.4 requirement for tolerating node failures.
 func WithSharedCheckpoints() Option {
 	return func(s *settings) error {
-		s.shared = true
+		s.cfg.SharedCheckpoints = true
 		return nil
 	}
 }
@@ -224,7 +210,7 @@ func WithSharedCheckpoints() Option {
 // system failures.
 func WithoutSelfChecks() Option {
 	return func(s *settings) error {
-		s.noChecks = true
+		s.cfg.DisableSelfChecks = true
 		return nil
 	}
 }
@@ -236,7 +222,7 @@ func WithoutSelfChecks() Option {
 // and re-registers the processes its placement table puts there.
 func WithoutBootAgent() Option {
 	return func(s *settings) error {
-		s.noBootAgent = true
+		s.cfg.DisableBootAgent = true
 		return nil
 	}
 }
@@ -248,7 +234,7 @@ func WithoutBootAgent() Option {
 // system failure); the split-brain scenario pins both behaviours.
 func WithoutEpochs() Option {
 	return func(s *settings) error {
-		s.noEpochs = true
+		s.cfg.DisableEpochs = true
 		return nil
 	}
 }
@@ -263,7 +249,7 @@ func WithoutEpochs() Option {
 // every rank onto a handful of hosts.
 func WithSpreadPlacement() Option {
 	return func(s *settings) error {
-		s.spread = true
+		s.cfg.SpreadPlacement = true
 		return nil
 	}
 }
@@ -276,7 +262,7 @@ func WithSpreadPlacement() Option {
 // submission burst into O(ranks²).
 func WithScopedLocationBroadcast() Option {
 	return func(s *settings) error {
-		s.scopedLoc = true
+		s.cfg.ScopedLocationBroadcast = true
 		return nil
 	}
 }
@@ -292,7 +278,7 @@ func WithScopedLocationBroadcast() Option {
 // testbed's behaviour.
 func WithDaemonRebind() Option {
 	return func(s *settings) error {
-		s.daemonRebind = true
+		s.cfg.DaemonRebind = true
 		return nil
 	}
 }
@@ -303,7 +289,7 @@ func WithDaemonRebind() Option {
 // has the race fixed.
 func WithRegistrationRace() Option {
 	return func(s *settings) error {
-		s.legacyRace = true
+		s.cfg.FixRegistrationRace = false
 		return nil
 	}
 }
@@ -318,7 +304,8 @@ func buildConfig(opts []Option) (sift.EnvConfig, int64, error) {
 // count, used by the injection façade to match the multi-application
 // testbed when no node option is given.
 func buildConfigNodes(opts []Option, defaultNodes int) (sift.EnvConfig, int64, error) {
-	s := &settings{seed: 1}
+	s := &settings{cfg: sift.DefaultEnvConfig(), seed: 1}
+	s.cfg.Nodes = nil
 	for _, opt := range opts {
 		if opt == nil {
 			return sift.EnvConfig{}, 0, fmt.Errorf("reesift: nil Option")
@@ -327,43 +314,34 @@ func buildConfigNodes(opts []Option, defaultNodes int) (sift.EnvConfig, int64, e
 			return sift.EnvConfig{}, 0, err
 		}
 	}
-	if len(s.nodes) == 0 {
-		s.nodes = defaultNodeNames(defaultNodes)
+	cfg := s.cfg
+	if len(cfg.Nodes) == 0 {
+		cfg.Nodes = defaultNodeNames(defaultNodes)
 	}
-	cfg := sift.DefaultEnvConfig(s.nodes...)
-	inCluster := func(name string) bool {
-		for _, n := range s.nodes {
-			if n == name {
-				return true
-			}
-		}
-		return false
+	placed := sift.DefaultEnvConfig(cfg.Nodes...)
+	if !s.ftmSet {
+		cfg.FTMNode = placed.FTMNode
+	} else if !slices.Contains(cfg.Nodes, cfg.FTMNode) {
+		return sift.EnvConfig{}, 0, fmt.Errorf("reesift: FTM node %q is not in the cluster %v", cfg.FTMNode, cfg.Nodes)
 	}
-	if s.ftmNode != "" {
-		if !inCluster(s.ftmNode) {
-			return sift.EnvConfig{}, 0, fmt.Errorf("reesift: FTM node %q is not in the cluster %v", s.ftmNode, s.nodes)
-		}
-		cfg.FTMNode = s.ftmNode
-	}
-	if s.hbNode != "" {
-		if !inCluster(s.hbNode) {
-			return sift.EnvConfig{}, 0, fmt.Errorf("reesift: Heartbeat node %q is not in the cluster %v", s.hbNode, s.nodes)
-		}
-		cfg.HeartbeatNode = s.hbNode
+	if !s.hbSet {
+		cfg.HeartbeatNode = placed.HeartbeatNode
+	} else if !slices.Contains(cfg.Nodes, cfg.HeartbeatNode) {
+		return sift.EnvConfig{}, 0, fmt.Errorf("reesift: Heartbeat node %q is not in the cluster %v", cfg.HeartbeatNode, cfg.Nodes)
 	}
 	// An explicit placement colliding with the *default* position of the
 	// other process relocates the defaulted one; only an explicit double
 	// booking is a conflict (checked below).
-	if s.ftmNode != "" && s.hbNode == "" && cfg.HeartbeatNode == cfg.FTMNode {
-		for _, n := range s.nodes {
+	if s.ftmSet && !s.hbSet && cfg.HeartbeatNode == cfg.FTMNode {
+		for _, n := range cfg.Nodes {
 			if n != cfg.FTMNode {
 				cfg.HeartbeatNode = n
 				break
 			}
 		}
 	}
-	if s.hbNode != "" && s.ftmNode == "" && cfg.FTMNode == cfg.HeartbeatNode {
-		for _, n := range s.nodes {
+	if s.hbSet && !s.ftmSet && cfg.FTMNode == cfg.HeartbeatNode {
+		for _, n := range cfg.Nodes {
 			if n != cfg.HeartbeatNode {
 				cfg.FTMNode = n
 				break
@@ -373,31 +351,5 @@ func buildConfigNodes(opts []Option, defaultNodes int) (sift.EnvConfig, int64, e
 	if cfg.FTMNode == cfg.HeartbeatNode {
 		return sift.EnvConfig{}, 0, fmt.Errorf("reesift: the FTM and the Heartbeat ARMOR must be on different nodes (both on %q): the Heartbeat ARMOR exists to detect FTM failures externally", cfg.FTMNode)
 	}
-	if s.ftmHB > 0 {
-		cfg.FTMHeartbeatPeriod = s.ftmHB
-	}
-	if s.hbArmor > 0 {
-		cfg.HeartbeatArmorPeriod = s.hbArmor
-	}
-	if s.daemonAYA > 0 {
-		cfg.DaemonAYAPeriod = s.daemonAYA
-	}
-	if s.installDelay > 0 {
-		cfg.InstallDelay = s.installDelay
-	}
-	if s.appStartDelay > 0 {
-		cfg.AppStartDelay = s.appStartDelay
-	}
-	if s.sccDelaySet {
-		cfg.SCCCommandDelay = s.sccDelay
-	}
-	cfg.FixRegistrationRace = !s.legacyRace
-	cfg.SharedCheckpoints = s.shared
-	cfg.DisableSelfChecks = s.noChecks
-	cfg.DisableBootAgent = s.noBootAgent
-	cfg.DisableEpochs = s.noEpochs
-	cfg.SpreadPlacement = s.spread
-	cfg.ScopedLocationBroadcast = s.scopedLoc
-	cfg.DaemonRebind = s.daemonRebind
 	return cfg, s.seed, nil
 }

@@ -29,7 +29,11 @@ type Scenario struct {
 	// must pass sc.Census to the campaigns it builds (Campaign.Census,
 	// Sweep.Census) and to one-off runs (Injection.Census). Work that
 	// bypasses the census still executes but reports zero in the
-	// scenario's totals.
+	// scenario's totals. Every registered scenario counts all of its
+	// trials, the figure and ablation harnesses included; the only
+	// uncounted work is the standalone no-SIFT baselines of table3 and
+	// table11, which simulate the applications without the SIFT
+	// environment.
 	Run func(Scale) (*Result, error)
 }
 

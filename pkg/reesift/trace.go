@@ -53,10 +53,13 @@ type Replay struct {
 	OnResult func(InjectionResult)
 }
 
-// traceOptions builds one run's recorder options from the campaign's
-// spec, or nil when tracing is off.
-func (c Campaign) traceOptions(cell string, run int) *trace.Options {
-	t := c.Trace
+// Options returns the recorder options of one trial traced under this
+// spec: the trial's trace and replay identity (campaign, cell, run) and
+// the base seed its seed derives from. A nil spec returns nil, which
+// keeps the trial untraced. Campaigns build every run's options here, and
+// so does scenario code that drives its own trials through the injection
+// runner, so its bundles carry the same identity and replay the same way.
+func (t *TraceSpec) Options(campaign, cell string, run int, baseSeed int64) *trace.Options {
 	if t == nil {
 		return nil
 	}
@@ -65,10 +68,10 @@ func (c Campaign) traceOptions(cell string, run int) *trace.Options {
 		Dir:          t.Dir,
 		MetricsEvery: t.MetricsEvery,
 		Scenario:     t.scenario,
-		Campaign:     c.Name,
+		Campaign:     campaign,
 		Cell:         cell,
 		Run:          run,
-		BaseSeed:     c.Seed,
+		BaseSeed:     baseSeed,
 		Meta:         t.meta,
 		OnBundle:     t.onBundle,
 	}
