@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"reesift/internal/inject"
@@ -51,10 +52,12 @@ func Table4(sc Scale) (*reesift.Result, error) {
 		Header: []string{"TARGET", "ERRORS INJECTED", "SUCCESSFUL RECOVERIES",
 			"PERCEIVED (s)", "ACTUAL (s)", "RECOVERY TIME (s)"},
 	}
-	for i, cr := range cres.Cells[1:] {
-		model, target := table4Models[i/len(table4Targets)], table4Targets[i%len(table4Targets)]
-		if target == table4Targets[0] {
-			t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", ""))
+	prev := ""
+	for _, cr := range cres.Cells[1:] {
+		model, target, _ := strings.Cut(cr.Name, "/")
+		if model != prev {
+			prev = model
+			t.Rows = append(t.Rows, strRow("-- "+model+" --", "", "", "", "", ""))
 			t.Rows = append(t.Rows, []Cell{str("Baseline"), str("-"), str("-"),
 				secCell(&base.perceived), secCell(&base.actual), str("-")})
 		}
@@ -62,7 +65,7 @@ func Table4(sc Scale) (*reesift.Result, error) {
 		total += a.injectedRuns
 		recoveries := a.injectedRuns - a.sysFailures
 		t.Rows = append(t.Rows, []Cell{
-			str(target.String()),
+			str(target),
 			num(a.injectedRuns),
 			num(recoveries),
 			secCell(&a.perceived),

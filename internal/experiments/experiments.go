@@ -16,6 +16,7 @@ import (
 	"reesift/internal/inject"
 	"reesift/internal/sift"
 	"reesift/internal/stats"
+	"reesift/internal/trace"
 	"reesift/pkg/reesift"
 )
 
@@ -164,7 +165,7 @@ func runTrials(sc Scale, id, arm string, n int, config func(run int) inject.Conf
 		cfg := config(run)
 		cfg.Seed = engine.DeriveSeed(sc.Seed, id, run)
 		cfg.Census = []*inject.Census{sc.Census}
-		cfg.Trace = sc.Trace.Options(id, arm, run, sc.Seed)
+		cfg.Trace = trace.TrialOptions(sc.Trace, id, arm, run, sc.Seed)
 		return inject.Run(cfg)
 	}
 	if rp := sc.Replay; rp != nil {

@@ -76,10 +76,11 @@ func RecoverySweep(sc Scale) (*reesift.Result, error) {
 			"MEAN RECOVERY (s)", "PERCEIVED (s)", "SYSTEM FAILURES"},
 	}
 	recoveries := 0
-	// The sweep's cells run restart-major, the last axis fastest.
-	for i, cell := range cres.Cells {
-		n := len(recoverySweepPeriods)
-		restart, period := recoverySweepRestarts[i/n], recoverySweepPeriods[i%n]
+	for _, cell := range cres.Cells {
+		var restart, period int
+		if _, err := fmt.Sscanf(cell.Name, "restart=%ds/hb=%ds", &restart, &period); err != nil {
+			return nil, fmt.Errorf("recovery-sweep: cell %q: %v", cell.Name, err)
+		}
 		var rec, perceived reesift.Sample
 		injected, recovered := 0, 0
 		for _, r := range cell.Results {
@@ -96,8 +97,8 @@ func RecoverySweep(sc Scale) (*reesift.Result, error) {
 		}
 		recoveries += recovered
 		t.Rows = append(t.Rows, []reesift.Cell{
-			reesift.Float(restart.Seconds(), 0),
-			reesift.Float(period.Seconds(), 0),
+			reesift.Float(float64(restart), 0),
+			reesift.Float(float64(period), 0),
 			reesift.Int(injected),
 			reesift.Int(recovered),
 			reesift.SampleCell(&rec),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"reesift/internal/inject"
 	"reesift/pkg/reesift"
@@ -34,7 +35,7 @@ func Table6(sc Scale) (*reesift.Result, error) {
 		return nil, err
 	}
 
-	sys := make(map[inject.Model]int)
+	sys := make(map[string]int)
 	t := &Table{
 		ID:    "table6",
 		Title: "Register and text-segment injection results",
@@ -42,15 +43,17 @@ func Table6(sc Scale) (*reesift.Result, error) {
 			"SEG. FAULT", "ILLEGAL INSTR.", "HANG", "ASSERT.",
 			"PERCEIVED (s)", "ACTUAL (s)", "RECOVERY (s)"},
 	}
-	for i, cr := range cres.Cells {
-		model, target := regtextModels[i/len(table4Targets)], table4Targets[i%len(table4Targets)]
-		if target == table4Targets[0] {
-			t.Rows = append(t.Rows, strRow("-- "+model.String()+" --", "", "", "", "", "", "", "", "", ""))
+	prev := ""
+	for _, cr := range cres.Cells {
+		model, target, _ := strings.Cut(cr.Name, "/")
+		if model != prev {
+			prev = model
+			t.Rows = append(t.Rows, strRow("-- "+model+" --", "", "", "", "", "", "", "", "", ""))
 		}
 		a := foldAgg(&cr)
 		sys[model] += a.sysFailures
 		t.Rows = append(t.Rows, []Cell{
-			str(target.String()),
+			str(target),
 			num(a.failures),
 			num(a.sucRec),
 			num(a.segFault),
@@ -65,6 +68,6 @@ func Table6(sc Scale) (*reesift.Result, error) {
 	t.Notes = append(t.Notes,
 		"paper: 11 system failures in ~700 failures, all from checkpoint corruption or error propagation; text errors dominated",
 		fmt.Sprintf("observed system failures: register=%d text=%d",
-			sys[inject.ModelRegister], sys[inject.ModelText]))
+			sys[inject.ModelRegister.String()], sys[inject.ModelText.String()]))
 	return reesift.NewResult(t), nil
 }

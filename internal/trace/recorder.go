@@ -50,6 +50,70 @@ type Options struct {
 	OnBundle func(path string)
 }
 
+// Spec switches on the structured trace recorder for every run of a
+// campaign or scenario (the public API names it reesift.TraceSpec). Each
+// run then carries a bounded ring of typed trace records (kernel
+// substrate events, protocol spans, metric samples) plus a running digest
+// of the full stream; runs classified as system failures snapshot a
+// self-contained repro bundle. Tracing draws no randomness, so
+// classifications are identical traced and untraced.
+type Spec struct {
+	// Dir is the directory breach repro bundles are written into. Empty
+	// disables bundle writing: runs still record and digest (the replay
+	// path traces this way to reproduce a recorded digest), but nothing
+	// touches the filesystem.
+	Dir string
+	// Buffer is the per-run ring capacity in records (default 4096).
+	Buffer int
+	// MetricsEvery is the sim-time period of metric gauge samples
+	// (default 5s; negative disables). Sampling ticks are kernel events
+	// and therefore part of the trace digest identity — a replay must
+	// use the recorded value, which bundles carry.
+	MetricsEvery time.Duration
+
+	// scenario, meta, and onBundle are stamped by a scenario run (see
+	// Stamp): the owning scenario id, the marshaled experiment
+	// configuration (so a bundle alone can reconstruct the experiment),
+	// and the bundle-path collector.
+	scenario string
+	meta     json.RawMessage
+	onBundle func(path string)
+}
+
+// Stamp returns a copy of s carrying a scenario run's identity: the
+// scenario id, the marshaled configuration every bundle stores, and the
+// collector each written bundle's path goes to. It is a function, not a
+// method, so the public alias of Spec exposes only the caller's settings.
+func Stamp(s *Spec, scenario string, meta json.RawMessage, onBundle func(path string)) *Spec {
+	t := *s
+	t.scenario, t.meta, t.onBundle = scenario, meta, onBundle
+	return &t
+}
+
+// TrialOptions returns the recorder options of one trial traced under s:
+// the trial's trace and replay identity (campaign, cell, run) and the
+// base seed its seed derives from. A nil spec returns nil, which keeps
+// the trial untraced. Campaigns build every run's options here, and so
+// does scenario code that drives its own trials through the injection
+// runner, so its bundles carry the same identity and replay the same way.
+func TrialOptions(s *Spec, campaign, cell string, run int, baseSeed int64) *Options {
+	if s == nil {
+		return nil
+	}
+	return &Options{
+		Buffer:       s.Buffer,
+		Dir:          s.Dir,
+		MetricsEvery: s.MetricsEvery,
+		Scenario:     s.scenario,
+		Campaign:     campaign,
+		Cell:         cell,
+		Run:          run,
+		BaseSeed:     baseSeed,
+		Meta:         s.meta,
+		OnBundle:     s.onBundle,
+	}
+}
+
 // withDefaults normalizes the zero values.
 func (o Options) withDefaults() Options {
 	if o.Buffer <= 0 {

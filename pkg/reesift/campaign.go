@@ -6,6 +6,7 @@ import (
 	engine "reesift/internal/campaign"
 	"reesift/internal/chaos"
 	"reesift/internal/inject"
+	"reesift/internal/trace"
 )
 
 // Tally counts injection work: framework runs, individual error
@@ -225,7 +226,7 @@ func (c Campaign) runCell(cell CampaignCell, identity string, base inject.Config
 		// default into submitted specs (Submit's MPIStartTimeout
 		// backfill), which must never race across runs.
 		cfg.Apps = cloneApps(cfg.Apps)
-		cfg.Trace = c.Trace.Options(c.Name, cell.Name, run, c.Seed)
+		cfg.Trace = trace.TrialOptions(c.Trace, c.Name, cell.Name, run, c.Seed)
 		if cell.Injection.Arrival != nil {
 			return chaos.Trial(cfg, *cell.Injection.Arrival)
 		}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"reesift/internal/trace"
 )
 
 // Scenario is one registered experiment workload. Workload packages
@@ -142,23 +144,18 @@ func RunScenario(s Scenario, sc Scale) (*Result, error) {
 		// (Census/Trace/Replay excluded) make every breach bundle
 		// self-contained, and the collector feeds Result.BreachBundles.
 		// Bundle paths arrive from worker goroutines, hence the lock.
-		t := *sc.Trace
-		t.scenario = s.ID
 		// Workers is zeroed in the recorded configuration: results are
 		// worker-invariant by construction, so bundles stay
 		// byte-identical at any pool size (replay runs sequentially
 		// regardless).
 		mc := sc
 		mc.Workers = 0
-		if meta, err := json.Marshal(mc); err == nil {
-			t.meta = meta
-		}
-		t.onBundle = func(path string) {
+		meta, _ := json.Marshal(mc) // nil on error: the bundle then carries no configuration
+		sc.Trace = trace.Stamp(sc.Trace, s.ID, meta, func(path string) {
 			bundleMu.Lock()
 			bundles = append(bundles, path)
 			bundleMu.Unlock()
-		}
-		sc.Trace = &t
+		})
 	}
 	start := time.Now()
 	res, err := s.Run(sc)

@@ -1,40 +1,14 @@
 package reesift
 
-import (
-	"encoding/json"
-	"time"
-
-	"reesift/internal/trace"
-)
+import "reesift/internal/trace"
 
 // TraceSpec switches on the structured trace recorder for every run of a
-// campaign or scenario. Each run then carries a bounded ring of typed
-// trace records (kernel substrate events, protocol spans, metric
-// samples) plus a running digest of the full stream; runs classified as
-// system failures snapshot a self-contained repro bundle. Tracing draws
-// no randomness, so classifications are identical traced and untraced.
-type TraceSpec struct {
-	// Dir is the directory breach repro bundles are written into. Empty
-	// disables bundle writing: runs still record and digest (the replay
-	// path traces this way to reproduce a recorded digest), but nothing
-	// touches the filesystem.
-	Dir string
-	// Buffer is the per-run ring capacity in records (default 4096).
-	Buffer int
-	// MetricsEvery is the sim-time period of metric gauge samples
-	// (default 5s; negative disables). Sampling ticks are kernel events
-	// and therefore part of the trace digest identity — a replay must
-	// use the recorded value, which bundles carry.
-	MetricsEvery time.Duration
-
-	// scenario, meta, and onBundle are stamped by RunScenario: the
-	// owning scenario id, the marshaled Scale (so a bundle alone can
-	// reconstruct the experiment), and the bundle-path collector feeding
-	// Result.BreachBundles.
-	scenario string
-	meta     json.RawMessage
-	onBundle func(path string)
-}
+// campaign or scenario: set Dir (where breach repro bundles go), Buffer
+// (the per-run ring capacity) and MetricsEvery (the metric sampling
+// period). Runs classified as system failures snapshot a self-contained
+// repro bundle; tracing draws no randomness, so classifications are
+// identical traced and untraced. See trace.Spec for each field.
+type TraceSpec = trace.Spec
 
 // Replay pins a campaign to exactly one recorded run: the cell and run
 // index a breach bundle identifies. Cells other than Replay.Cell are
@@ -51,30 +25,6 @@ type Replay struct {
 	Run int
 	// OnResult, if set, receives the replayed run's classified result.
 	OnResult func(InjectionResult)
-}
-
-// Options returns the recorder options of one trial traced under this
-// spec: the trial's trace and replay identity (campaign, cell, run) and
-// the base seed its seed derives from. A nil spec returns nil, which
-// keeps the trial untraced. Campaigns build every run's options here, and
-// so does scenario code that drives its own trials through the injection
-// runner, so its bundles carry the same identity and replay the same way.
-func (t *TraceSpec) Options(campaign, cell string, run int, baseSeed int64) *trace.Options {
-	if t == nil {
-		return nil
-	}
-	return &trace.Options{
-		Buffer:       t.Buffer,
-		Dir:          t.Dir,
-		MetricsEvery: t.MetricsEvery,
-		Scenario:     t.scenario,
-		Campaign:     campaign,
-		Cell:         cell,
-		Run:          run,
-		BaseSeed:     baseSeed,
-		Meta:         t.meta,
-		OnBundle:     t.onBundle,
-	}
 }
 
 // ReadBundle loads a breach repro bundle written by a traced campaign
