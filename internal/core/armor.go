@@ -133,8 +133,13 @@ type Armor struct {
 	ctx Ctx
 	// self is cfg.ID boxed once, the payload of every i-am-alive reply.
 	self interface{}
-	// timerFree pools timer records; see timerRec.
+	// run is Run bound to this ARMOR once, the body every incarnation is
+	// spawned with (Body).
+	run func(*sim.Proc)
+	// timerFree pools timer records; see timerRec. timers holds every
+	// record this runtime has made, so Reset can pool them all again.
 	timerFree []*timerRec
+	timers    []*timerRec
 
 	// Failure-injection side effects.
 	deaf        bool
@@ -166,17 +171,20 @@ const (
 
 // timerRec is what an ARMOR timer delivers to the process inbox. Records
 // are pooled per ARMOR and travel as a pointer, so arming and firing a
-// timer allocates nothing once the pool is warm. A record returns to the
-// pool exactly once: when its delivery is dispatched, or when its pending
-// kernel event is cancelled through a Timer handle. Records of a dead ARMOR
-// are never delivered (the kernel drops messages to dead processes) and
-// are collected with it.
+// timer allocates nothing once the pool is warm. Within an incarnation a
+// record returns to the pool exactly once: when its delivery is
+// dispatched, or when its pending kernel event is cancelled through a
+// Timer handle. What a dead incarnation left armed is never delivered (the
+// kernel drops messages to dead processes), and Reset pools it again.
 type timerRec struct {
 	a    *Armor
 	kind uint8
 	el   Element     // timerElement: nil when After named no element of this ARMOR
 	tag  interface{} // timerElement
 	key  ackKey      // timerRetry
+	// ev is the kernel event of the record's latest arming; a Timer
+	// handle of an earlier one no longer matches it.
+	ev sim.Event
 }
 
 //reesift:noalloc
@@ -187,7 +195,9 @@ func (a *Armor) newTimer(kind uint8) *timerRec {
 		t.kind = kind
 		return t
 	}
-	return &timerRec{a: a, kind: kind}
+	t := &timerRec{a: a, kind: kind}
+	a.timers = append(a.timers, t)
+	return t
 }
 
 //reesift:noalloc
@@ -200,7 +210,9 @@ func (a *Armor) freeTimer(t *timerRec) {
 // to nothing: Cancel and Reschedule are no-ops on it. The kernel event's
 // generation stamp guards the record: once the timer has fired or been
 // cancelled the handle is stale and can neither free the record a second
-// time nor touch the timer that reuses it.
+// time nor touch the timer that reuses it. A handle from a dead
+// incarnation may still name a pending event after Reset has pooled its
+// record; the record's own event then no longer matches the handle's.
 type Timer struct {
 	ev  sim.Event
 	rec *timerRec
@@ -211,7 +223,7 @@ type Timer struct {
 //
 //reesift:noalloc
 func (t Timer) Cancel() {
-	if !t.ev.Pending() {
+	if !t.ev.Pending() || t.rec.ev != t.ev {
 		return
 	}
 	t.ev.Cancel()
@@ -238,15 +250,17 @@ func New(cfg Config) *Armor { return new(Armor).Reset(cfg) }
 //   - the checkpoint buffer keeps its region buffers and encode scratch;
 //     Run (or Start) re-aims it at the new store and path, and until then
 //     Checkpoint returns nil, as on a fresh ARMOR;
-//   - the timer pool is kept: a record in it is free, never pending;
+//   - every timer record the runtime has made goes back to the timer pool,
+//     the ones the dead incarnation left armed included: their kernel
+//     events, if still pending, only deliver to the dead process, which
+//     drops them, and its Timer handles no longer match (see Timer);
+//   - Run stays bound (Body);
 //   - deaf, corruptNext, Restored, the process and the element context
 //     are reset.
 //
-// Reset frees nothing into a pool. The dead incarnation's boxes and pending
-// timer records are dropped, never returned to Config.Boxes or the timer
-// pool: the kernel drops whatever is still addressed to the dead process,
-// and a record's Timer handle may outlive it. The caller must pass fresh
-// elements and must not Reset an ARMOR whose process is still alive.
+// The dead incarnation's boxes are dropped, never returned to
+// Config.Boxes. The caller must pass fresh elements and must not Reset an
+// ARMOR whose process is still alive.
 func (a *Armor) Reset(cfg Config) *Armor {
 	if cfg.CheckpointPath == "" {
 		cfg.CheckpointPath = a.defaultPath(cfg.ID)
@@ -280,6 +294,14 @@ func (a *Armor) Reset(cfg Config) *Armor {
 	}
 	if id, ok := a.self.(AID); !ok || id != cfg.ID {
 		a.self = cfg.ID
+	}
+	if a.run == nil {
+		a.run = a.Run
+	}
+	a.timerFree = a.timerFree[:0]
+	for _, t := range a.timers {
+		t.el, t.tag, t.ev = nil, nil, sim.Event{}
+		a.timerFree = append(a.timerFree, t)
 	}
 	a.cfg = cfg
 	a.proc, a.ckpt, a.ctx = nil, nil, Ctx{}
@@ -316,6 +338,10 @@ func (a *Armor) ID() AID { return a.cfg.ID }
 // defaults filled in. A caller that Resets the ARMOR again may reuse its
 // name, lower layers and hooks; the elements only where they hold no state.
 func (a *Armor) Config() Config { return a.cfg }
+
+// Body returns Run bound to a, bound once per runtime: spawning each
+// incarnation with it allocates no method value.
+func (a *Armor) Body() func(*sim.Proc) { return a.run }
 
 // Checkpoint exposes the checkpoint buffer (the heap injector corrupts it
 // through this).
@@ -423,7 +449,8 @@ func (c *Ctx) After(element string, d time.Duration, tag interface{}) Timer {
 	a := c.Armor
 	t := a.newTimer(timerElement)
 	t.el, t.tag = a.Element(element), tag
-	return Timer{ev: c.Proc.After(d, t), rec: t}
+	t.ev = c.Proc.After(d, t)
+	return Timer{ev: t.ev, rec: t}
 }
 
 // Touch records that the handler mutated *another* element's state, so
@@ -519,7 +546,7 @@ func (a *Armor) Dispatch(p *sim.Proc, m sim.Msg) {
 		a.handleEnvelope(p, pl, nil)
 	case *timerRec:
 		a.handleTimer(p, pl)
-	case sim.ChildExit:
+	case *sim.ChildExit:
 		a.deliverEvent(p, InvalidAID, Event{Kind: EventChildExit, Data: m.Payload})
 	case RestoreCmd:
 		a.restoreFromCheckpoint()
@@ -746,7 +773,7 @@ func (a *Armor) handleTimer(p *sim.Proc, t *timerRec) {
 func (a *Armor) armRetry(p *sim.Proc, key ackKey) {
 	t := a.newTimer(timerRetry)
 	t.key = key
-	p.After(a.cfg.RetryInterval, t)
+	t.ev = p.After(a.cfg.RetryInterval, t)
 }
 
 // sendReliable sequences, records, and transmits an envelope, arming the

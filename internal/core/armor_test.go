@@ -215,8 +215,8 @@ func TestAssertionCrashesArmor(t *testing.T) {
 		w.pids[1] = k.Spawn(n, "tx", sim.NoPID, tx.Run)
 		for {
 			m := p.Recv()
-			if ce, ok := m.Payload.(sim.ChildExit); ok {
-				exit = ce
+			if ce, ok := m.Payload.(*sim.ChildExit); ok {
+				exit = *ce
 				return
 			}
 		}
@@ -348,7 +348,7 @@ func TestCorruptMessageCrashesReceiverAndRetransmitLoops(t *testing.T) {
 		k.Spawn(n, "rx-watcher", sim.NoPID, func(p *sim.Proc) {
 			w.pids[2] = p.SpawnChild(n, "rx", rx.Run)
 			m := p.Recv()
-			if _, ok := m.Payload.(sim.ChildExit); ok {
+			if _, ok := m.Payload.(*sim.ChildExit); ok {
 				crashes++
 				if crashes < 4 {
 					spawnRx()
@@ -400,7 +400,7 @@ func TestCorruptCheckpointCausesRestoreCrashLoop(t *testing.T) {
 			rx2 := New(Config{ID: 2, Name: "rx", Elements: []Element{el2}, SendLower: w.sendLower, AutoRestore: true})
 			w.pids[2] = p.SpawnChild(n, "rx", rx2.Run)
 			m := p.Recv()
-			if ce, ok := m.Payload.(sim.ChildExit); ok && ce.Code != 0 {
+			if ce, ok := m.Payload.(*sim.ChildExit); ok && ce.Code != 0 {
 				crashCount++
 			}
 		}
@@ -466,7 +466,7 @@ func TestHeapFieldCorruptionTripsAssertionOnNextEvent(t *testing.T) {
 		tx := New(Config{ID: 1, Name: "tx", Elements: []Element{txElem}, SendLower: w.sendLower})
 		w.pids[1] = k.Spawn(n, "tx", sim.NoPID, tx.Run)
 		m := p.Recv()
-		exit = m.Payload.(sim.ChildExit)
+		exit = *m.Payload.(*sim.ChildExit)
 	})
 	// Flip the sign bit of the live counter mid-run: the next event's
 	// post-handle Check sees count < 0.

@@ -119,7 +119,8 @@ type Envelope struct {
 // box and frees none.
 type Boxes struct {
 	free []*Envelope
-	made int
+	// all holds every box the list has made, for Reclaim.
+	all []*Envelope
 }
 
 // Box returns e in a box: the most recently freed one, or a new one when
@@ -134,10 +135,12 @@ func (b *Boxes) Box(e Envelope) *Envelope {
 			*box = e
 			return box
 		}
-		b.made++
 	}
 	box := new(Envelope)
 	*box = e
+	if b != nil {
+		b.all = append(b.all, box)
+	}
 	return box
 }
 
@@ -161,13 +164,29 @@ func (b *Boxes) Free(box *Envelope) {
 	b.free = append(b.free, box)
 }
 
+// Reclaim gives every box the list has made back to it, the ones still
+// held included, zeroed. Call it only when nothing can read or free a box
+// any more: once every process of the cluster is dead and no holder of a
+// box outlives the deployment. A box still held would otherwise be handed
+// out twice.
+func (b *Boxes) Reclaim() {
+	if b == nil {
+		return
+	}
+	b.free = b.free[:0]
+	for _, box := range b.all {
+		*box = Envelope{freed: true}
+		b.free = append(b.free, box)
+	}
+}
+
 // Stats reports how many boxes the list has allocated and how many of
 // them are free now.
 func (b *Boxes) Stats() (made, free int) {
 	if b == nil {
 		return 0, 0
 	}
-	return b.made, len(b.free)
+	return len(b.all), len(b.free)
 }
 
 // NewMsg builds an envelope carrying one event.

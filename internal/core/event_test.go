@@ -54,3 +54,26 @@ func TestNilBoxesAllocateAndKeep(t *testing.T) {
 		t.Fatal("a nil list reused a box")
 	}
 }
+
+// Reclaim takes back every box the list made, held ones included, zeroed
+// and marked free, and hands them out again without making a new one.
+func TestBoxesReclaimTakesBackHeldBoxes(t *testing.T) {
+	var b Boxes
+	held := b.Box(Envelope{Src: 1, Event: Event{Kind: evInc, Data: "payload"}})
+	freed := b.Box(Envelope{Src: 2})
+	b.Free(freed)
+	b.Reclaim()
+	if made, free := b.Stats(); made != 2 || free != 2 {
+		t.Fatalf("Stats after Reclaim = %d made, %d free; want 2, 2", made, free)
+	}
+	if held.Event.Data != nil || held.Src != 0 || !held.freed {
+		t.Fatalf("reclaimed box still holds %+v", *held)
+	}
+	one, two := b.Box(Envelope{Src: 3}), b.Box(Envelope{Src: 4})
+	if one == two || (one != held && one != freed) || (two != held && two != freed) {
+		t.Fatal("Box did not hand out the reclaimed boxes")
+	}
+	if made, free := b.Stats(); made != 2 || free != 0 {
+		t.Fatalf("Stats after reuse = %d made, %d free; want 2, 0", made, free)
+	}
+}

@@ -16,7 +16,9 @@ import (
 // commits, kills it, and Resets it for a new incarnation. The reset ARMOR
 // must equal a fresh New of the same config field by field, before it
 // runs and again once both have loaded the dead incarnation's checkpoint.
-// The timer pool is the one field allowed to differ: Reset keeps it.
+// The timer records are the one storage allowed to differ: Reset keeps
+// every record the runtime made and pools them all, the ones the dead
+// incarnation left armed included.
 func TestResetMatchesNew(t *testing.T) {
 	k := newCoreKernel(t)
 	n := k.AddNode("a")
@@ -93,8 +95,8 @@ func TestResetMatchesNew(t *testing.T) {
 func compareArmors(t *testing.T, when string, got, want *Armor) {
 	t.Helper()
 	fail := func(field string, g, w any) { t.Errorf("%s: %s = %v, fresh ARMOR has %v", when, field, g, w) }
-	compared := []string{"cfg", "proc", "ckpt", "ckptBuf", "comm", "subs", "ctx", "self", "timerFree",
-		"deaf", "corruptNext", "unacked", "retries", "peerEpoch", "Restored"}
+	compared := []string{"cfg", "proc", "ckpt", "ckptBuf", "comm", "subs", "ctx", "self", "run", "timerFree",
+		"timers", "deaf", "corruptNext", "unacked", "retries", "peerEpoch", "Restored"}
 	if typ := reflect.TypeFor[Armor](); typ.NumField() != len(compared) {
 		t.Fatalf("Armor has %d fields, compareArmors knows %d: %v", typ.NumField(), len(compared), compared)
 	}
@@ -169,6 +171,9 @@ func compareArmors(t *testing.T, when string, got, want *Armor) {
 	}
 	if got.self != want.self {
 		fail("self", got.self, want.self)
+	}
+	if got.run == nil || want.run == nil {
+		fail("run", got.run != nil, want.run != nil)
 	}
 	if got.deaf != want.deaf {
 		fail("deaf", got.deaf, want.deaf)

@@ -183,6 +183,54 @@ func TestTimerOfDeadArmorIsDropped(t *testing.T) {
 	}
 }
 
+// Reset pools every record a dead incarnation left armed. The dead
+// incarnation's kernel events stay pending and are dropped at the dead
+// process, a stale handle cannot free its reused record, and the next
+// incarnation arms from the pool without making a record.
+func TestResetPoolsArmedTimers(t *testing.T) {
+	el := &scriptElem{}
+	var stale Timer
+	el.onStart = func(ctx *Ctx) {
+		stale = ctx.After("script", time.Second, "orphan")
+		ctx.After("script", 2*time.Second, "orphan")
+	}
+	k, a, pid := spawnScript(t, el)
+	k.Run(100 * time.Millisecond)
+	k.Kill(pid, "SIGINT")
+	k.Run(200 * time.Millisecond)
+	if len(a.timers) != 2 || len(a.timerFree) != 0 || !stale.ev.Pending() {
+		t.Fatalf("before Reset: %d records made, %d pooled, stale pending %v; want 2, 0, true",
+			len(a.timers), len(a.timerFree), stale.ev.Pending())
+	}
+
+	next := &scriptElem{}
+	var fresh Timer
+	next.onStart = func(ctx *Ctx) { fresh = ctx.After("script", 1500*time.Millisecond, "fresh") }
+	a.Reset(Config{ID: 1, Name: "script", Elements: []Element{next}})
+	if len(a.timerFree) != 2 {
+		t.Fatalf("Reset pooled %d of the dead incarnation's 2 armed records", len(a.timerFree))
+	}
+	k.Spawn(k.Node("a"), "script", sim.NoPID, a.Run)
+	k.Run(300 * time.Millisecond)
+	if len(a.timerFree) != 1 {
+		t.Fatalf("the new incarnation did not arm from the pool: %d pooled", len(a.timerFree))
+	}
+	stale.Cancel() // its event is still pending, but its record is reused
+	if !fresh.ev.Pending() || len(a.timerFree) != 1 || len(a.timers) != 2 {
+		t.Fatalf("stale Cancel: fresh pending %v, %d pooled of %d made; want true, 1 of 2",
+			fresh.ev.Pending(), len(a.timerFree), len(a.timers))
+	}
+	distinctTimers(t, a)
+	k.Run(5 * time.Second)
+	if len(el.fired) != 0 || len(next.fired) != 1 || next.fired[0] != "fresh" {
+		t.Fatalf("fired: dead incarnation %v, new one %v; want none and [fresh]", el.fired, next.fired)
+	}
+	if len(a.timerFree) != 2 {
+		t.Fatalf("pool holds %d records, want 2", len(a.timerFree))
+	}
+	distinctTimers(t, a)
+}
+
 func TestTimerForUnknownElementIsDropped(t *testing.T) {
 	el := &scriptElem{}
 	el.onStart = func(ctx *Ctx) { ctx.After("no-such-element", time.Second, "lost") }

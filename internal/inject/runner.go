@@ -103,7 +103,7 @@ var kits struct {
 // A run is one turn of a trial kit: NewRunner takes a kit off the free
 // list (or makes one when the list is empty) and resets its kernel
 // (sim.Kernel.Reset) and environment (sift.Environment.Reset) for cfg;
-// Release shuts the kernel down and gives the kit back. A driver that
+// Release shuts the environment down and gives the kit back. A driver that
 // never calls Release must shut the kernel down itself (defer
 // r.Kernel().Shutdown()); its kit is then simply not reused.
 func NewRunner(cfg Config) *Runner {
@@ -169,9 +169,10 @@ func takeKit() *Runner {
 	return r
 }
 
-// Release ends the run: it shuts the kernel down and gives the Runner,
-// with its kernel and environment, back to the free list for a later
-// NewRunner to reset. Until that happens the kernel and environment stay
+// Release ends the run: it shuts the environment down
+// (sift.Environment.Shutdown: the kernel, and every envelope box back to
+// the cluster's free list) and gives the Runner, with its kernel and
+// environment, back to the free list for a later NewRunner to reset. Until that happens the kernel and environment stay
 // readable, so a driver that runs its trials one at a time may still read
 // the environment of the trial it just released; nothing reached through
 // the Runner may be written after Release. A kernel a process outlived
@@ -182,7 +183,7 @@ func (r *Runner) Release() {
 		return
 	}
 	r.released = true
-	r.k.Shutdown()
+	r.env.Shutdown()
 	if r.k.LiveProcs() > 0 {
 		return
 	}

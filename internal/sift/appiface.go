@@ -77,6 +77,8 @@ type AppContext struct {
 	// progress is this rank's progress-indicator header, boxed once and
 	// shared by every update; the counter travels in the event itself.
 	progress *Progress
+	// attach is what Attach sends the local daemon, by pointer.
+	attach LocalAttach
 
 	// Mem is the simulated memory image (register/text injection), nil
 	// when the application is not a target.
@@ -91,6 +93,34 @@ type AppContext struct {
 	// that the heap injector (Table 10) flips bits in.
 	heapF64 []HeapF64
 	heapInt []HeapInt
+}
+
+// reset readies ac for p, the process of one rank of app: a new context,
+// or the one a dead incarnation of the rank left, whose stash and heap
+// registrations are emptied, keeping their arrays, and whose progress
+// header, the rank's, is kept.
+func (ac *AppContext) reset(p *sim.Proc, e *Environment, app *AppSpec, rank, restart int, node string, mem *memsim.Memory) {
+	clear(ac.stash)
+	clear(ac.heapF64)
+	clear(ac.heapInt)
+	aid := AIDApp(app.ID, rank)
+	*ac = AppContext{
+		Proc:      p,
+		Env:       e,
+		App:       app,
+		Rank:      rank,
+		Restart:   restart,
+		AID:       aid,
+		ExecAID:   AIDExec(app.ID, rank),
+		node:      node,
+		daemonPID: e.daemonPID[node],
+		stash:     ac.stash[:0],
+		progress:  ac.progress,
+		attach:    LocalAttach{ID: aid},
+		Mem:       mem,
+		heapF64:   ac.heapF64[:0],
+		heapInt:   ac.heapInt[:0],
+	}
 }
 
 // HeapF64 names a float64 region of application heap data: the slice
@@ -158,7 +188,7 @@ func (ac *AppContext) Attach() {
 	if ac.App.Standalone {
 		return
 	}
-	ac.Proc.Send(ac.daemon(), LocalAttach{ID: ac.AID, PID: ac.Proc.Self()})
+	ac.Proc.Send(ac.daemon(), &ac.attach)
 }
 
 // daemon resolves the local daemon's current process address. With
@@ -174,7 +204,7 @@ func (ac *AppContext) daemon() sim.PID {
 	}
 	if cur, ok := ac.Env.daemonPID[ac.node]; ok && cur != ac.daemonPID {
 		ac.daemonPID = cur
-		ac.Proc.Send(cur, LocalAttach{ID: ac.AID, PID: ac.Proc.Self()})
+		ac.Proc.Send(cur, &ac.attach)
 	}
 	return ac.daemonPID
 }

@@ -55,8 +55,14 @@ func (b *BootAgent) Run(p *sim.Proc) {
 	// Loading the daemon image and forking it costs the same install
 	// delay as any daemon-driven process installation.
 	p.Sleep(e.cfg.InstallDelay)
+	// The node's dead daemon is reset for the new incarnation, as Setup
+	// does; a live one (a second restart's agent was quicker) is left be.
 	aid := e.DaemonAID(b.node)
-	d := NewDaemon(e, n, aid)
+	d := e.daemons[b.node]
+	if d == nil || e.K.Alive(e.daemonPID[b.node]) {
+		d = new(Daemon)
+	}
+	d.Reset(e, n, aid)
 	pid := p.SpawnChildHandler(n, d.procName(), d)
 	e.daemons[b.node] = d
 	e.daemonPID[b.node] = pid

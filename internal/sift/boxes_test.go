@@ -64,3 +64,26 @@ func TestSteadyStateHeartbeatAllocatesNoBoxes(t *testing.T) {
 		}
 	}
 }
+
+// Shutting a finished trial's environment down, as Runner.Release does,
+// takes back every box the cluster's free list made, the ones that dead
+// processes and lost messages still held included, so the next trial on
+// the reused environment boxes from the list without making new ones.
+func TestShutdownReclaimsEveryBox(t *testing.T) {
+	k := sim.NewKernel(sim.DefaultConfig(5))
+	env := New(k, resetTestConfig())
+	envTrial(k, env)
+	made, free := env.boxes.Stats()
+	if made == 0 || free == made {
+		t.Fatalf("the trial left %d of %d boxes free: none held, nothing under test", free, made)
+	}
+	env.Shutdown()
+	if made, free := env.boxes.Stats(); made != free {
+		t.Fatalf("after Shutdown %d of %d boxes are free", free, made)
+	}
+	envTrial(k.Reset(sim.DefaultConfig(5)), env.Reset(k, resetTestConfig()))
+	env.Shutdown()
+	if again, free := env.boxes.Stats(); again != made || free != again {
+		t.Fatalf("the same trial again: %d boxes made (%d the first time), %d free", again, made, free)
+	}
+}

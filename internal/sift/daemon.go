@@ -22,12 +22,13 @@ type DaemonBootstrap struct {
 	SCCPID sim.PID
 }
 
-// LocalAttach registers a non-ARMOR process (an application linked with
-// the SIFT interface) with its local daemon so envelopes addressed to its
-// pseudo-AID can be delivered.
+// LocalAttach registers the process that sends it, a non-ARMOR process (an
+// application linked with the SIFT interface), with its local daemon under
+// ID, so envelopes addressed to that pseudo-AID can be delivered. It
+// travels as a pointer: an application sends its AppContext's record,
+// which holds the rank's ID for every incarnation of the rank.
 type LocalAttach struct {
-	ID  core.AID
-	PID sim.PID
+	ID core.AID
 }
 
 // Daemon is the per-node gateway process (Section 3.1): it installs ARMOR
@@ -187,8 +188,8 @@ func (d *Daemon) Handle(p *sim.Proc, m sim.Msg) {
 			d.nodeOf[aid] = host
 		}
 		d.sccPID = pl.SCCPID
-	case LocalAttach:
-		d.localPID[pl.ID] = pl.PID
+	case *LocalAttach:
+		d.localPID[pl.ID] = m.From
 	case *core.Envelope:
 		if pl.Event.Kind == EvInstallArmor && pl.Dst == d.aid && !p.CanBlock() {
 			p.Block(m)
@@ -294,7 +295,7 @@ func (e *daemonElem) Handle(ctx *core.Ctx, ev core.Event) {
 		}
 		e.d.location(ctx, loc)
 	case core.EventChildExit:
-		ce, ok := ev.Data.(sim.ChildExit)
+		ce, ok := ev.Data.(*sim.ChildExit)
 		if !ok {
 			return
 		}
@@ -389,7 +390,7 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 	// Fork + element configuration time.
 	ctx.Proc.Sleep(d.installDelay)
 	armor := d.env.buildArmor(spec, d.node.Name())
-	pid := ctx.Proc.SpawnChild(d.node, spec.Name, armor.Run)
+	pid := ctx.Proc.SpawnChild(d.node, spec.Name, armor.Body())
 	d.localPID[spec.ID] = pid
 	d.children[pid] = spec.ID
 	if spec.Epoch > 0 {
@@ -420,7 +421,7 @@ func (d *Daemon) uninstall(ctx *core.Ctx, id core.AID) {
 
 // childDied is the waitpid path: crash failures of local ARMORs are
 // detected essentially immediately.
-func (d *Daemon) childDied(ctx *core.Ctx, ce sim.ChildExit) {
+func (d *Daemon) childDied(ctx *core.Ctx, ce *sim.ChildExit) {
 	aid, ok := d.children[ce.Child]
 	if !ok {
 		return

@@ -172,6 +172,12 @@ type Environment struct {
 	appCtx    map[appKey]*AppContext
 	handles   map[AppID]*AppHandle
 
+	// launches holds launchApp's record of each application rank; Reset
+	// keeps it. deployment numbers the deployments Reset starts, so a
+	// record tells whether its last process belongs to this one.
+	launches   map[appKey]*rankLaunch
+	deployment uint64
+
 	// placeOf holds the spread-placement rank assignments (node name per
 	// rank, computed at submission); rankLoad counts ranks assigned per
 	// node across submissions. Both stay empty unless
@@ -226,15 +232,17 @@ func New(k *sim.Kernel, cfg EnvConfig) *Environment { return new(Environment).Re
 //
 //   - every map is emptied with clear, keeping its buckets, and the event
 //     log keeps its entry chunks (EventLog.Reset);
-//   - the envelope free list, each node's lower layer and the Execution
-//     ARMOR names are kept (a lower layer names its node and sends
-//     through whichever daemon runs there; a name is a function of its
-//     application and rank);
+//   - the envelope free list, each node's lower layer, the Execution
+//     ARMOR names and each rank's launch record are kept (a lower layer
+//     names its node and sends through whichever daemon runs there; a
+//     name is a function of its application and rank; a launch record is
+//     reused once its last process is dead, which every process of an
+//     earlier deployment is);
 //   - Setup reuses the daemon of each node position (Daemon.Reset), and
 //     an install reuses the ARMOR runtime the AID's last incarnation
 //     left, in this deployment or an earlier one (buildArmor).
 //
-// Elements, application contexts and submission handles are always new.
+// Elements and submission handles are always new.
 func (e *Environment) Reset(k *sim.Kernel, cfg EnvConfig) *Environment {
 	if cfg.FTMHeartbeatPeriod <= 0 {
 		cfg.FTMHeartbeatPeriod = 10 * time.Second
@@ -272,7 +280,9 @@ func (e *Environment) Reset(k *sim.Kernel, cfg EnvConfig) *Environment {
 		e.handles = make(map[AppID]*AppHandle)
 		e.placeOf = make(map[AppID][]string)
 		e.rankLoad = make(map[string]int)
+		e.launches = make(map[appKey]*rankLaunch)
 	}
+	e.deployment++
 	clear(e.daemons)
 	clear(e.daemonPID)
 	clear(e.daemonEpoch)
@@ -288,6 +298,18 @@ func (e *Environment) Reset(k *sim.Kernel, cfg EnvConfig) *Environment {
 	e.scc, e.sccPID = nil, sim.NoPID
 	e.AppDoneHook = nil
 	return e
+}
+
+// Shutdown ends the deployment: it shuts the kernel down (Kernel.Shutdown)
+// and, once every process is dead, takes back every envelope box the
+// cluster's free list has made (Boxes.Reclaim), the ones that dead
+// processes, lost messages and pending deliveries still held included.
+// The environment stays readable; only Reset may run it again.
+func (e *Environment) Shutdown() {
+	e.K.Shutdown()
+	if e.K.LiveProcs() == 0 {
+		e.boxes.Reclaim()
+	}
 }
 
 // initialEpoch returns the epoch stamped on first-incarnation installs:
@@ -639,53 +661,87 @@ func (e *Environment) rankNode(app *AppSpec, rank int) string {
 	return app.Nodes[rank%len(app.Nodes)]
 }
 
+// rankLaunch is launchApp's record of one application rank, kept across
+// deployments: the process name, the process body, bound once, and the
+// rank's AppContext, which each process the record launches resets in
+// place. It also holds what the launch hands its process. A record is
+// reused only once its last process is dead; while that process lives (a
+// hung or orphaned rank), it keeps the record and a launch takes a new one.
+type rankLaunch struct {
+	env *Environment
+	// deployment and pid name the record's last process.
+	deployment uint64
+	pid        sim.PID
+
+	name string
+	body func(*sim.Proc)
+
+	app           *AppSpec
+	rank, restart int
+	node          string
+	mem           *memsim.Memory
+
+	ac AppContext
+}
+
+// setName names the record's process "<app>-r<rank>", keeping the name of
+// an earlier launch when it is the same.
+func (l *rankLaunch) setName(app string, rank int) {
+	var buf [64]byte
+	name := strconv.AppendInt(append(append(buf[:0], app...), "-r"...), int64(rank), 10)
+	if l.name != string(name) {
+		l.name = string(name)
+	}
+}
+
+// run is the body of an application rank's process.
+func (l *rankLaunch) run(p *sim.Proc) {
+	e, app, rank, restart := l.env, l.app, l.rank, l.restart
+	ac := &l.ac
+	ac.reset(p, e, app, rank, restart, l.node, l.mem)
+	e.appCtx[appKey{app.ID, rank}] = ac
+	// The communication channel exists as soon as the process is
+	// forked; application initialization (exec, linking, MPI init)
+	// happens afterwards.
+	ac.Attach()
+	p.Sleep(e.cfg.AppStartDelay)
+	if rank == 0 && restart > 0 {
+		// The restarted application is now running its code: the
+		// recovery window (failure detection to process restart)
+		// closes here.
+		e.Log.AppRecoveryDone(p.Now(), app.ID)
+	}
+	app.Launcher(ac)
+	e.Log.addApp(p.Now(), LogAppRankExit, app.ID, rank, uint64(restart))
+}
+
 // launchApp starts one application rank. When spawner is non-nil the
 // process becomes the spawner's child (the rank-0 / Execution ARMOR
 // relationship); otherwise it is a free-standing process watched through
 // the process table.
 func (e *Environment) launchApp(spawner *sim.Proc, app *AppSpec, rank, restart int) sim.PID {
+	key := appKey{app.ID, rank}
+	l := e.launches[key]
+	if l == nil || l.deployment == e.deployment && e.K.Alive(l.pid) {
+		l = &rankLaunch{env: e}
+		l.body = l.run
+		e.launches[key] = l
+	}
 	nodeName := e.rankNode(app, rank)
 	node := e.K.Node(nodeName)
-	name := app.Name + "-r" + strconv.Itoa(rank)
+	l.setName(app.Name, rank)
 	var mem *memsim.Memory
 	if app.MemProfile != nil {
 		mem = memsim.New(e.K.Rand(), *app.MemProfile)
 	}
-	body := func(p *sim.Proc) {
-		ac := &AppContext{
-			Proc:      p,
-			Env:       e,
-			App:       app,
-			Rank:      rank,
-			Restart:   restart,
-			AID:       AIDApp(app.ID, rank),
-			ExecAID:   AIDExec(app.ID, rank),
-			node:      nodeName,
-			daemonPID: e.daemonPID[nodeName],
-			Mem:       mem,
-		}
-		e.appCtx[appKey{app.ID, rank}] = ac
-		// The communication channel exists as soon as the process is
-		// forked; application initialization (exec, linking, MPI init)
-		// happens afterwards.
-		ac.Attach()
-		p.Sleep(e.cfg.AppStartDelay)
-		if rank == 0 && restart > 0 {
-			// The restarted application is now running its code: the
-			// recovery window (failure detection to process restart)
-			// closes here.
-			e.Log.AppRecoveryDone(p.Now(), app.ID)
-		}
-		app.Launcher(ac)
-		e.Log.addApp(p.Now(), LogAppRankExit, app.ID, rank, uint64(restart))
-	}
+	l.app, l.rank, l.restart, l.node, l.mem = app, rank, restart, nodeName, mem
 	var pid sim.PID
 	if spawner != nil {
-		pid = spawner.SpawnChild(node, name, body)
+		pid = spawner.SpawnChild(node, l.name, l.body)
 	} else {
-		pid = e.K.Spawn(node, name, sim.NoPID, body)
+		pid = e.K.Spawn(node, l.name, sim.NoPID, l.body)
 	}
-	key := appKey{app.ID, rank}
+	l.deployment, l.pid = e.deployment, pid
 	e.appPID[key] = pid
 	if mem != nil {
 		e.appMem[key] = mem

@@ -169,7 +169,7 @@ func (e *ExecElem) Handle(ctx *core.Ctx, ev core.Event) {
 		}
 		e.kill(ctx)
 	case core.EventChildExit:
-		ce, ok := ev.Data.(sim.ChildExit)
+		ce, ok := ev.Data.(*sim.ChildExit)
 		if !ok || ce.Child != e.AppPID {
 			return
 		}
@@ -237,7 +237,7 @@ func (e *ExecElem) kill(ctx *core.Ctx) {
 
 // childExited is the waitpid path for the rank-0 child: crashes are
 // detected immediately.
-func (e *ExecElem) childExited(ctx *core.Ctx, ce sim.ChildExit) {
+func (e *ExecElem) childExited(ctx *core.Ctx, ce *sim.ChildExit) {
 	if e.NormalExit || e.Completed {
 		return
 	}

@@ -27,7 +27,7 @@ func TestRetransmissionThroughDaemonsIsBitIdentical(t *testing.T) {
 	var boxes []*core.Envelope
 	var arrived []core.Envelope
 	mute := k.Spawn(k.Node(appNode), "mute", sim.NoPID, func(p *sim.Proc) {
-		p.Send(env.daemonPID[appNode], LocalAttach{ID: appAID, PID: p.Self()})
+		p.Send(env.daemonPID[appNode], &LocalAttach{ID: appAID})
 		for {
 			if box, ok := p.Recv().Payload.(*core.Envelope); ok {
 				boxes = append(boxes, box)

@@ -96,7 +96,7 @@ func forwardCheck(t *testing.T) noalloctest.Check {
 	env.daemons[far].nodeOf[aid] = home
 	rounds := 0
 	k.Spawn(k.Node(home), "bounce", sim.NoPID, func(p *sim.Proc) {
-		p.Send(env.daemonPID[home], LocalAttach{ID: aid, PID: p.Self()})
+		p.Send(env.daemonPID[home], &LocalAttach{ID: aid})
 		box := &core.Envelope{Src: aid, Dst: aid}
 		for {
 			box.Hops = 0

@@ -76,8 +76,9 @@ func TestEnvironmentResetMatchesNew(t *testing.T) {
 // agrees with want, a new one, on every field. It names each field of
 // Environment and of EventLog, so a field added later fails the test until
 // it is compared here. The kept storage is checked for being inert
-// instead: the ARMOR runtimes, which ArmorOf must no longer report, and
-// the Execution ARMOR names, which must each spell their key. The
+// instead: the ARMOR runtimes, which ArmorOf must no longer report, the
+// Execution ARMOR names, which must each spell their key, and the launch
+// records, whose processes must all belong to an earlier deployment. The
 // lower layers, the envelope free list (Boxes.Free zeroes every box it
 // takes back) and the daemons Setup reuses (TestDaemonResetMatchesNew
 // checks their Reset) are kept as they are.
@@ -85,7 +86,7 @@ func compareEnvironments(t *testing.T, got, want *Environment, k *sim.Kernel) {
 	t.Helper()
 	compared := []string{"K", "Log", "cfg", "nodes", "daemons", "daemonPID", "daemonEpoch", "sendLower", "execNames",
 		"scc", "sccPID", "boxes", "setupDaemons", "armors", "procOfAID", "placement", "appSpecs", "appMem",
-		"appPID", "appCtx", "handles", "placeOf", "rankLoad", "AppDoneHook"}
+		"appPID", "appCtx", "handles", "launches", "deployment", "placeOf", "rankLoad", "AppDoneHook"}
 	if typ := reflect.TypeFor[Environment](); typ.NumField() != len(compared) {
 		t.Fatalf("Environment has %d fields, compareEnvironments knows %d: %v", typ.NumField(), len(compared), compared)
 	}
@@ -122,6 +123,14 @@ func compareEnvironments(t *testing.T, got, want *Environment, k *sim.Kernel) {
 		if want := fmt.Sprintf("exec-%d-%d", key.app, key.rank); name != want {
 			fail("execNames", name, want)
 		}
+	}
+	for key, l := range got.launches {
+		if l.deployment >= got.deployment || l.name != fmt.Sprintf("%s-r%d", l.app.Name, key.rank) {
+			t.Errorf("launch record %v: deployment %d of %d, name %q", key, l.deployment, got.deployment, l.name)
+		}
+	}
+	if want.deployment != 1 || got.deployment <= 1 {
+		fail("deployment", got.deployment, want.deployment)
 	}
 	for aid := range got.armors {
 		if a := got.ArmorOf(aid); a != nil {

@@ -64,7 +64,7 @@ func lifecycleScenario(seed int64, coros map[*coro]bool) string {
 		k.Schedule(5*time.Millisecond, func() { k.CrashNode("b") })
 		for {
 			m := p.Recv()
-			if ce, ok := m.Payload.(ChildExit); ok {
+			if ce, ok := m.Payload.(*ChildExit); ok {
 				fmt.Fprintf(&log, "%v %s %d %s\n", p.Now(), ce.Name, ce.Code, ce.Reason)
 			}
 		}
@@ -231,12 +231,12 @@ func TestGoexitInBodyUnwindsRun(t *testing.T) {
 }
 
 // TestSpawnReapAllocs pins what one process costs on a warm pool: spawn,
-// run to exit, reap. The Proc, its children map and its ExitStatus are
-// the three objects; the coroutine comes from the pool.
+// run to exit, reap. The Proc is the one object; the coroutine comes from
+// the pool and the inbox ring from the kernel's.
 //
 // Not parallel: AllocsPerRun counts every allocation in the process.
 func TestSpawnReapAllocs(t *testing.T) {
-	const maxAllocs = 3
+	const maxAllocs = 1
 	k := NewKernel(Config{Seed: 1})
 	n := k.AddNode("a")
 	body := func(p *Proc) {}
@@ -254,5 +254,76 @@ func TestSpawnReapAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per spawn/reap", allocs)
 	if allocs > maxAllocs {
 		t.Fatalf("spawn/reap allocates %.0f objects, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestKillReapAllocs pins what a process death costs when the parent hears
+// of it: a child killed by Kill, the children of a crashed node, and a
+// child that spawns onto a down node. Each child's parent receives its
+// ChildExit, a pointer to the dead child's own record, and a kill unwinds
+// with the child's own exit record, so a death costs its Proc and nothing
+// more. A down-node spawn may cost one more object: the reason it
+// formats.
+//
+// Not parallel: AllocsPerRun counts every allocation in the process.
+func TestKillReapAllocs(t *testing.T) {
+	const crashed = 4 // children per node crash
+	k := NewKernel(Config{Seed: 1})
+	home, away := k.AddNode("home"), k.AddNode("away")
+	heard, code := 0, 0
+	parent := k.Spawn(home, "parent", NoPID, func(p *Proc) {
+		for {
+			if ce, ok := p.Recv().Payload.(*ChildExit); ok {
+				heard++
+				code = ce.Code
+			}
+		}
+	})
+	idle := func(p *Proc) { p.Recv() }
+	spawnDown := func(p *Proc) { p.SpawnChild(away, "lost", idle) }
+	step := func() { k.Run(k.Now() + time.Millisecond) }
+	step()
+	for _, c := range []struct {
+		name      string
+		procs     int // processes that die per round
+		maxAllocs float64
+		round     func()
+	}{
+		{"Kill", 1, 1, func() {
+			pid := k.Spawn(home, "victim", parent, idle)
+			step()
+			k.Kill(pid, "SIGINT")
+			step()
+		}},
+		{"CrashNode", crashed, crashed, func() {
+			for range crashed {
+				k.Spawn(away, "victim", parent, idle)
+			}
+			step()
+			k.CrashNode("away")
+			step()
+			k.RestartNode("away")
+		}},
+		{"down-node spawn", 1, 2, func() {
+			k.CrashNode("away")
+			k.Spawn(home, "spawner", parent, spawnDown)
+			step()
+			k.RestartNode("away")
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for range 20 {
+				c.round() // warm the pools, the process table and the node maps
+			}
+			heard, code = 0, 0
+			allocs := testing.AllocsPerRun(50, c.round)
+			t.Logf("%.2f allocations per round, %d deaths", allocs, c.procs)
+			if want := 51 * c.procs; heard != want || code == 0 {
+				t.Fatalf("parent heard %d exits (last code %d), want %d abnormal", heard, code, want)
+			}
+			if allocs > c.maxAllocs {
+				t.Fatalf("a round allocates %.2f objects for %d deaths, want ≤ %.0f", allocs, c.procs, c.maxAllocs)
+			}
+		})
 	}
 }

@@ -95,7 +95,7 @@ func equivScenario(seed int64, handlers bool) string {
 			}
 		}
 		for {
-			if ce, ok := p.Recv().Payload.(ChildExit); ok {
+			if ce, ok := p.Recv().Payload.(*ChildExit); ok {
 				fmt.Fprintf(&log, "%v parent: %s exit %d %s\n", p.Now(), ce.Name, ce.Code, ce.Reason)
 			}
 		}

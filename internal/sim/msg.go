@@ -13,10 +13,12 @@ type Msg struct {
 	Payload interface{}
 }
 
-// ChildExit is delivered to a parent's inbox when one of its children
-// terminates. It is the simulation's waitpid: the paper's daemons and
-// Execution ARMORs detect crash failures of their children through the
-// operating system this way, with effectively zero latency.
+// ChildExit is delivered to a parent's inbox, as a *ChildExit, when one of
+// its children terminates. It is the simulation's waitpid: the paper's
+// daemons and Execution ARMORs detect crash failures of their children
+// through the operating system this way, with effectively zero latency.
+// The record belongs to the dead child and never changes, so the parent
+// may keep the pointer but must not write through it.
 type ChildExit struct {
 	Child PID
 	Name  string

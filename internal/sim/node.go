@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 
 	"reesift/internal/trace"
@@ -18,6 +17,12 @@ type Node struct {
 	up      bool
 	procs   map[PID]*Proc
 	ramDisk *FS
+
+	// failure is the kill reason of a crash, "node <name> failure", kept
+	// while the node's name stays the same; victims is CrashNode's
+	// reusable list of the processes it kills.
+	failure string
+	victims []PID
 }
 
 // Name returns the node's name.
@@ -30,13 +35,27 @@ func (n *Node) Up() bool { return n.up }
 func (n *Node) RAMDisk() *FS { return n.ramDisk }
 
 // Procs returns the PIDs of live processes on the node, sorted.
-func (n *Node) Procs() []PID {
-	pids := make([]PID, 0, len(n.procs))
+func (n *Node) Procs() []PID { return n.appendProcs(make([]PID, 0, len(n.procs))) }
+
+// appendProcs appends the PIDs of the live processes on the node to pids,
+// sorted.
+func (n *Node) appendProcs(pids []PID) []PID {
 	for pid := range n.procs {
 		pids = append(pids, pid)
 	}
 	slices.Sort(pids)
 	return pids
+}
+
+// failureReason returns "node <name> failure", reusing the string an
+// earlier crash built when the name is the same.
+func (n *Node) failureReason() string {
+	var buf [64]byte
+	reason := append(append(append(buf[:0], "node "...), n.name...), " failure"...)
+	if n.failure != string(reason) {
+		n.failure = string(reason)
+	}
+	return n.failure
 }
 
 // WatchNode registers a process to receive a NodeDown message when the
@@ -70,13 +89,15 @@ func (k *Kernel) CrashNode(name string) {
 	if k.TraceOn() {
 		k.Emit(trace.Record{Kind: trace.KindNodeDown, Node: name, A: int64(len(n.procs))})
 	}
-	for _, pid := range n.Procs() {
+	reason := n.failureReason()
+	n.victims = n.appendProcs(n.victims[:0])
+	for _, pid := range n.victims {
 		p := n.procs[pid]
 		if p == nil || p.state == stateDead {
 			continue
 		}
 		p.killed = true
-		p.killReason = fmt.Sprintf("node %s failure", name)
+		p.exit.Code, p.exit.Reason = 137, reason
 		p.suspended = false
 		if p.state == stateWaiting {
 			p.state = stateReady

@@ -40,11 +40,9 @@ type Proc struct {
 	name   string
 	parent PID
 
-	state      procState
-	killReason string
+	state procState
 
-	// The flags share one word, which keeps a Proc in the 192-byte size
-	// class.
+	// The flags share one word.
 	suspended   bool
 	pendingWake bool
 	killed      bool
@@ -79,7 +77,13 @@ type Proc struct {
 	// are ignored.
 	waitSeq uint64
 
+	// exit is the process's exit status once it is dead. Until then it is
+	// the record Exit, Crash and a kill write their code and reason into
+	// and panic with, as a *procUnwind, so an unwind boxes nothing.
 	exit ExitStatus
+	// exitMsg is the ChildExit the parent receives, by pointer, when the
+	// process dies. It is written once, in finalize, and never changes.
+	exitMsg ChildExit
 
 	// Extra is an arbitrary per-process annotation slot. The fault
 	// injectors use it to attach simulated memory images to a process
@@ -145,11 +149,16 @@ type Handler interface {
 	Handle(p *Proc, m Msg)
 }
 
-// procUnwind is panicked inside a process body to unwind its coroutine when
-// the process exits or is killed.
-type procUnwind struct {
-	code   int
-	reason string
+// procUnwind is panicked, as a pointer to the process's own exit record,
+// inside a process body to unwind its coroutine when the process exits or
+// is killed.
+type procUnwind ExitStatus
+
+// unwind ends the process with code and reason: it panics with p's exit
+// record, which boxes nothing.
+func (p *Proc) unwind(code int, reason string) {
+	p.exit.Code, p.exit.Reason = code, reason
+	panic((*procUnwind)(&p.exit))
 }
 
 // procHang is panicked by Hang inside an inline handler to abandon the
@@ -164,17 +173,18 @@ type handlerMisuse string
 
 func (e handlerMisuse) Error() string { return string(e) }
 
-// downNodeSpawn is panicked by a spawn on a node that is down. It is
-// formatted only where it is read: by exitStatus, when it ends the
-// spawning process, or by whoever recovers it.
+// downNodeSpawn is panicked, as a pointer to the kernel's one record, by a
+// spawn on a node that is down. It is formatted only where it is read: by
+// exitStatus, when it ends the spawning process, or by whoever recovers it,
+// before the kernel's next down-node spawn reuses the record.
 type downNodeSpawn struct {
 	name, node string
 }
 
-func (e downNodeSpawn) Error() string { return string(e.appendTo(nil)) }
+func (e *downNodeSpawn) Error() string { return string(e.appendTo(nil)) }
 
 // appendTo appends the message: the spawn's name and node, quoted.
-func (e downNodeSpawn) appendTo(b []byte) []byte {
+func (e *downNodeSpawn) appendTo(b []byte) []byte {
 	b = strconv.AppendQuote(append(b, "sim: spawn "...), e.name)
 	return strconv.AppendQuote(append(b, " on down node "...), e.node)
 }
@@ -185,11 +195,11 @@ func (e downNodeSpawn) appendTo(b []byte) []byte {
 // observes an abnormal exit. A handler misuse propagates.
 func exitStatus(r any) (int, string) {
 	switch u := r.(type) {
-	case procUnwind:
-		return u.code, u.reason
+	case *procUnwind:
+		return u.Code, u.Reason
 	case handlerMisuse:
 		panic(u)
-	case downNodeSpawn:
+	case *downNodeSpawn:
 		var buf [128]byte
 		return 139, string(u.appendTo(append(buf[:0], "segmentation fault: "...)))
 	}
@@ -213,7 +223,8 @@ func (k *Kernel) SpawnHandler(n *Node, name string, parent PID, h Handler) PID {
 
 func (k *Kernel) spawn(n *Node, name string, parent PID, fn func(*Proc), h Handler) PID {
 	if !n.up {
-		panic(downNodeSpawn{name: name, node: n.name})
+		k.downSpawn = downNodeSpawn{name: name, node: n.name}
+		panic(&k.downSpawn)
 	}
 	p := &Proc{
 		kernel: k,
@@ -264,7 +275,7 @@ func (p *Proc) main() {
 			return
 		}
 		if p.killed {
-			panic(procUnwind{code: 137, reason: p.killReason})
+			panic((*procUnwind)(&p.exit))
 		}
 		p.body(p)
 	}()
@@ -338,9 +349,8 @@ func (k *Kernel) finalize(p *Proc, code int, reason string) {
 			PID: int64(p.pid), A: int64(code), Detail: reason})
 	}
 	if pp := k.proc(p.parent); pp != nil && pp.state != stateDead {
-		k.deliver(p.parent, Msg{From: p.pid, SentAt: k.now, Payload: ChildExit{
-			Child: p.pid, Name: p.name, Code: code, Reason: reason,
-		}})
+		p.exitMsg = ChildExit{Child: p.pid, Name: p.name, Code: code, Reason: reason}
+		k.deliver(p.parent, Msg{From: p.pid, SentAt: k.now, Payload: &p.exitMsg})
 	}
 	if p.inbox != nil {
 		clear(p.inbox)
@@ -361,7 +371,7 @@ func (k *Kernel) Kill(pid PID, reason string) {
 		return
 	}
 	p.killed = true
-	p.killReason = reason
+	p.exit.Code, p.exit.Reason = 137, reason
 	p.suspended = false
 	if p.state == stateWaiting {
 		p.state = stateReady
@@ -480,8 +490,7 @@ func (k *Kernel) SendExternal(dst PID, payload interface{}) {
 func (p *Proc) park() {
 	p.co.yield(struct{}{})
 	if p.killed {
-		//reesift:allow noalloc -- kill-path unwind: boxes once when the process dies, never on the steady-state park/dispatch cycle
-		panic(procUnwind{code: 137, reason: p.killReason})
+		panic((*procUnwind)(&p.exit))
 	}
 }
 
@@ -653,16 +662,12 @@ func (p *Proc) SpawnChildHandler(n *Node, name string, h Handler) PID {
 }
 
 // Exit terminates the process with the given code.
-func (p *Proc) Exit(code int, reason string) {
-	panic(procUnwind{code: code, reason: reason})
-}
+func (p *Proc) Exit(code int, reason string) { p.unwind(code, reason) }
 
 // Crash terminates the process abnormally, as if it had received a fatal
 // signal or tripped a hardware exception. ARMOR self-checks use it to
 // "kill themselves" when an assertion fires.
-func (p *Proc) Crash(reason string) {
-	panic(procUnwind{code: 134, reason: reason})
-}
+func (p *Proc) Crash(reason string) { p.unwind(134, reason) }
 
 // Hang suspends the calling process indefinitely, modelling an error that
 // sends the process into a tight loop or a deadlock: it stays in the

@@ -82,7 +82,7 @@ func compareKernels(t *testing.T, got, want *Kernel) {
 	t.Helper()
 	compared := []string{"cfg", "now", "seq", "events", "free", "fired", "stopped", "procs", "nextPID",
 		"nodes", "nodeList", "rng", "sharedFS", "netFault", "netRNG", "netStats", "nodeWatchers",
-		"ready", "readyHead", "readyLen", "inboxes", "sink", "traceOn", "liveProcs", "msgsSent"}
+		"ready", "readyHead", "readyLen", "inboxes", "downSpawn", "sink", "traceOn", "liveProcs", "msgsSent"}
 	if typ := reflect.TypeFor[Kernel](); typ.NumField() != len(compared) {
 		t.Fatalf("Kernel has %d fields, compareKernels knows %d: %v", typ.NumField(), len(compared), compared)
 	}
@@ -101,6 +101,7 @@ func compareKernels(t *testing.T, got, want *Kernel) {
 		{"readyHead", got.readyHead, want.readyHead}, {"readyLen", got.readyLen, want.readyLen},
 		{"sink", got.sink, want.sink}, {"traceOn", got.traceOn, want.traceOn},
 		{"liveProcs", got.liveProcs, want.liveProcs}, {"msgsSent", got.msgsSent, want.msgsSent},
+		{"downSpawn", got.downSpawn, want.downSpawn},
 	} {
 		if !reflect.DeepEqual(f.g, f.w) {
 			fail(f.name, f.g, f.w)

@@ -134,6 +134,9 @@ type Kernel struct {
 	// hands them to new ones.
 	inboxes [][]Msg
 
+	// downSpawn is the record a spawn on a down node panics with.
+	downSpawn downNodeSpawn
+
 	sink    *trace.Recorder
 	traceOn bool // cached sink.Enabled()
 
@@ -209,6 +212,7 @@ func (k *Kernel) Reset(cfg Config) *Kernel {
 	k.readyHead, k.readyLen = 0, 0
 	k.sink, k.traceOn = nil, false
 	k.liveProcs, k.msgsSent = 0, 0
+	k.downSpawn = downNodeSpawn{}
 	return k
 }
 
@@ -534,7 +538,7 @@ func (k *Kernel) dispatch(p *Proc) {
 	p.state = stateRunning
 	if p.co == nil && p.killed {
 		// A handler process killed while parked between messages.
-		k.finalize(p, 137, p.killReason)
+		k.finalize(p, 137, p.exit.Reason)
 		return
 	}
 	for {

@@ -108,7 +108,7 @@ func TestChildExitDeliveredToParent(t *testing.T) {
 			c.Exit(7, "")
 		})
 		m := p.Recv()
-		exited = m.Payload.(ChildExit)
+		exited = *m.Payload.(*ChildExit)
 	})
 	k.Run(time.Hour)
 	if exited.Code != 7 || exited.Name != "child" {
@@ -136,8 +136,8 @@ func TestSpawnUnderExitedParent(t *testing.T) {
 		p.Sleep(time.Second)
 		p.SpawnChild(n, "child", func(c *Proc) { c.Exit(4, "") })
 		for {
-			if ce, ok := p.Recv().Payload.(ChildExit); ok {
-				exited = ce
+			if ce, ok := p.Recv().Payload.(*ChildExit); ok {
+				exited = *ce
 				heard++
 			}
 		}
@@ -173,7 +173,7 @@ func TestKillDeliversChildExitWithReason(t *testing.T) {
 			c.Sleep(time.Hour) // would run forever
 		})
 		m := p.Recv()
-		exited = m.Payload.(ChildExit)
+		exited = *m.Payload.(*ChildExit)
 		detectedAt = p.Now()
 	})
 	k.Schedule(10*time.Second, func() { k.Kill(child, "SIGINT") })
@@ -288,7 +288,7 @@ func TestPanicInBodyBecomesSegfaultExit(t *testing.T) {
 			var s []int
 			_ = s[3] // out-of-range: simulated segfault
 		})
-		exited = p.Recv().Payload.(ChildExit)
+		exited = *p.Recv().Payload.(*ChildExit)
 	})
 	k.Run(time.Hour)
 	if exited.Code != 139 {
@@ -464,7 +464,7 @@ func TestKillWhileSuspendedUnblocksParent(t *testing.T) {
 	var child PID
 	k.Spawn(n, "parent", NoPID, func(p *Proc) {
 		child = p.SpawnChild(n, "c", func(c *Proc) { c.Sleep(time.Hour) })
-		exited = p.Recv().Payload.(ChildExit)
+		exited = *p.Recv().Payload.(*ChildExit)
 	})
 	k.Schedule(time.Second, func() { k.Suspend(child) })
 	k.Schedule(2*time.Second, func() { k.Kill(child, "recovery kill") })
@@ -484,7 +484,7 @@ func TestSpawnOnDownNodeCrashesSpawner(t *testing.T) {
 	var exited ChildExit
 	k.Spawn(a, "parent", NoPID, func(p *Proc) {
 		p.SpawnChild(a, "launcher", func(c *Proc) { c.SpawnChild(b, `rank "1"`, func(*Proc) {}) })
-		exited = p.Recv().Payload.(ChildExit)
+		exited = *p.Recv().Payload.(*ChildExit)
 	})
 	k.Run(time.Second)
 	const want = `segmentation fault: sim: spawn "rank \"1\"" on down node "b"`

@@ -72,19 +72,21 @@ func TestArmorRoundAllocs(t *testing.T) {
 // kills the service's Execution ARMOR and runs one heartbeat period, in
 // which the daemon detects the crash, the FTM reinstalls the ARMOR and it
 // restores from its microcheckpoint. The reinstall Resets the dead
-// incarnation's runtime instead of rebuilding it, so what remains is the
-// recovery protocol's own traffic, the new process, and the fresh element
-// structs; its control messages carry their payloads inline and the
-// install its spec's one pointer. A reinstall measured 11 objects (13–15
-// with -race); the bound of 16 leaves the race detector's 4 and one more,
-// while boxing every payload took 18 and rebuilding the runtime from
-// nothing 75.
+// incarnation's runtime instead of rebuilding it, timer records and bound
+// body included, and the kill unwinds and reports with the dead process's
+// own records, so what remains is the recovery protocol's own traffic, the
+// new process, and the fresh element structs; its control messages carry
+// their payloads inline and the install its spec's one pointer. A
+// reinstall measured 6 objects (8–11 with -race); the bound of 12 leaves
+// the race detector's 5 and one more. Before the runtime kept its timer
+// records and body and a death its records, it took 11 (13–15), boxing
+// every payload 18, and rebuilding the runtime from nothing 75.
 //
 // Not parallel: AllocsPerRun counts every allocation in the process.
 func TestArmorReinstallAllocs(t *testing.T) {
 	const (
 		period    = 10 * time.Second
-		maxAllocs = 16
+		maxAllocs = 12
 	)
 	c, err := NewCluster(WithSeed(1))
 	if err != nil {

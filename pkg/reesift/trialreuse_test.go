@@ -39,15 +39,18 @@ func beatApp() *AppSpec {
 // campaign-recovery cells — the FTM's node crashed under a beating
 // two-rank application, checkpoints on the shared store — run on one
 // worker. The trials after the first are counted, as the difference
-// between a 21-run and a 1-run campaign. A trial measured 342 objects
-// (353–357 with -race); boxing every protocol payload it took 425, and
-// building every trial's kit anew 981 (the benchmark's six cells 1,202 on
-// average). The bound of 365 leaves the race detector's 15 and about 8
-// more.
+// between a 21-run and a 1-run campaign. A trial measured 213 objects
+// (218–220 with -race) once a rank launch reused its record, a process
+// death its Proc's own exit records, a reinstall and a node restart the
+// dead incarnation's timer records and daemon, and the next trial the
+// envelope boxes the last one left held; before that it took 342
+// (353–357), boxing every protocol payload 425, and building every
+// trial's kit anew 981 (the benchmark's six cells 1,202 on average). The
+// bound of 228 leaves the race detector's 7 and about 8 more.
 //
 // Not parallel: it counts every allocation in the process.
 func TestTrialReuseAllocs(t *testing.T) {
-	const maxAllocs = 365
+	const maxAllocs = 228
 	campaign := func(runs int) uint64 {
 		c := Campaign{Name: "trial-reuse", Seed: 1, Workers: 1, Cells: []CampaignCell{{
 			Name: "node-crash/ftm-node", Runs: runs,
