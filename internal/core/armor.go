@@ -114,14 +114,22 @@ type Config struct {
 	DisableChecks bool
 }
 
-// Armor is a running ARMOR process: an event loop dispatching message
-// events to elements, with microcheckpointing and self-checking wrapped
-// around every delivery.
+// Armor is a running ARMOR process: it dispatches message events to
+// elements, with microcheckpointing and self-checking wrapped around every
+// delivery. It runs in one of two forms with the same boot and dispatch
+// steps: as a handler process (Handler), which the kernel calls once per
+// message with no coroutine and which is how the SIFT daemon installs
+// every ARMOR, or as a body process (Run), a Recv/Dispatch loop for
+// callers that spawn a function. The two see the same deliveries, send
+// the same messages and end the same way, with one difference: a memsim
+// Hang in the middle of a message abandons that message in a handler,
+// where a body parks in the middle of it. Only Kernel.Resume could tell
+// the two apart, by continuing the body's message.
 type Armor struct {
 	cfg  Config
 	proc *sim.Proc
-	// ckpt is nil until Run or Start aims ckptBuf at this incarnation's
-	// store and path.
+	// ckpt is nil until the boot step or Start aims ckptBuf at this
+	// incarnation's store and path.
 	ckpt    *Checkpoint
 	ckptBuf Checkpoint
 	comm    commState
@@ -133,9 +141,6 @@ type Armor struct {
 	ctx Ctx
 	// self is cfg.ID boxed once, the payload of every i-am-alive reply.
 	self interface{}
-	// run is Run bound to this ARMOR once, the body every incarnation is
-	// spawned with (Body).
-	run func(*sim.Proc)
 	// timerFree pools timer records; see timerRec. timers holds every
 	// record this runtime has made, so Reset can pool them all again.
 	timerFree []*timerRec
@@ -236,7 +241,8 @@ func (t Timer) Cancel() {
 //reesift:noalloc
 func (t Timer) Reschedule(d time.Duration) bool { return t.ev.Reschedule(d) }
 
-// New builds an ARMOR from a config. Run must be called on a sim process.
+// New builds an ARMOR from a config. Spawn it as a handler process
+// (Handler) or a body process (Run).
 func New(cfg Config) *Armor { return new(Armor).Reset(cfg) }
 
 // Reset re-initialises an ARMOR for a new incarnation built from cfg, and
@@ -248,13 +254,12 @@ func New(cfg Config) *Armor { return new(Armor).Reset(cfg) }
 //     lists and the channel state's three tables are emptied, keeping
 //     their capacity;
 //   - the checkpoint buffer keeps its region buffers and encode scratch;
-//     Run (or Start) re-aims it at the new store and path, and until then
-//     Checkpoint returns nil, as on a fresh ARMOR;
+//     the next boot (or Start) re-aims it at the new store and path, and
+//     until then Checkpoint returns nil, as on a fresh ARMOR;
 //   - every timer record the runtime has made goes back to the timer pool,
 //     the ones the dead incarnation left armed included: their kernel
 //     events, if still pending, only deliver to the dead process, which
 //     drops them, and its Timer handles no longer match (see Timer);
-//   - Run stays bound (Body);
 //   - deaf, corruptNext, Restored, the process and the element context
 //     are reset.
 //
@@ -294,9 +299,6 @@ func (a *Armor) Reset(cfg Config) *Armor {
 	}
 	if id, ok := a.self.(AID); !ok || id != cfg.ID {
 		a.self = cfg.ID
-	}
-	if a.run == nil {
-		a.run = a.Run
 	}
 	a.timerFree = a.timerFree[:0]
 	for _, t := range a.timers {
@@ -338,10 +340,6 @@ func (a *Armor) ID() AID { return a.cfg.ID }
 // defaults filled in. A caller that Resets the ARMOR again may reuse its
 // name, lower layers and hooks; the elements only where they hold no state.
 func (a *Armor) Config() Config { return a.cfg }
-
-// Body returns Run bound to a, bound once per runtime: spawning each
-// incarnation with it allocates no method value.
-func (a *Armor) Body() func(*sim.Proc) { return a.run }
 
 // Checkpoint exposes the checkpoint buffer (the heap injector corrupts it
 // through this).
@@ -476,10 +474,37 @@ func (a *Armor) runCheck(p *sim.Proc, el Element, suffix string) {
 	}
 }
 
-// Run is the ARMOR process body. It restores checkpointed state if
-// configured, acknowledges installation, then dispatches messages forever
-// (the process dies by crash, kill, or node failure).
+// armorHandler is an Armor in its handler form: the kernel calls its
+// Start once, at the process's first dispatch, and Handle per message.
+type armorHandler Armor
+
+// Handler returns the ARMOR as the handler of a handler process
+// (sim.Kernel.SpawnHandler). It is a converted pointer, so it allocates
+// nothing.
+func (a *Armor) Handler() sim.Handler { return (*armorHandler)(a) }
+
+// Start implements sim.Handler: the ARMOR's boot step.
+func (h *armorHandler) Start(p *sim.Proc) { (*Armor)(h).boot(p) }
+
+// Handle implements sim.Handler: one message, dispatched.
+//
+//reesift:noalloc
+func (h *armorHandler) Handle(p *sim.Proc, m sim.Msg) { (*Armor)(h).Dispatch(p, m) }
+
+// Run is the ARMOR's body form: the boot step, then a Recv/Dispatch loop
+// until the process dies by crash, kill, or node failure.
 func (a *Armor) Run(p *sim.Proc) {
+	a.boot(p)
+	for {
+		a.Dispatch(p, p.Recv())
+	}
+}
+
+// boot starts an incarnation on p, in either form: it aims the checkpoint
+// buffer, restores checkpointed state if configured, acknowledges the
+// installation, and starts the elements unless the ARMOR awaits a restore
+// command.
+func (a *Armor) boot(p *sim.Proc) {
 	a.proc = p
 	a.aimCheckpoint(p)
 	if a.cfg.AutoRestore {
@@ -492,15 +517,11 @@ func (a *Armor) Run(p *sim.Proc) {
 	if !a.cfg.AwaitRestore {
 		a.Start(p)
 	}
-	for {
-		m := p.Recv()
-		a.Dispatch(p, m)
-	}
 }
 
-// Start invokes every Starter element. Exposed (with Dispatch) so
-// composite processes driving the runtime from their own loops can run the
-// full lifecycle.
+// Start invokes every Starter element. The boot step calls it, and so do
+// a restore command and composite processes that embed the runtime in a
+// handler of their own (the daemon).
 func (a *Armor) Start(p *sim.Proc) {
 	a.proc = p
 	if a.ckpt == nil {
@@ -527,9 +548,9 @@ func (a *Armor) aim(p *sim.Proc, from AID) *Ctx {
 	return &a.ctx
 }
 
-// Dispatch processes one inbox message. Exposed so composite processes
-// (the daemon, which is both an ARMOR and a gateway) can drive the runtime
-// from their own receive loops.
+// Dispatch processes one inbox message: what both forms do per message.
+// Exposed so composite processes (the daemon, which is both an ARMOR and a
+// gateway) can drive the runtime from their own handlers.
 //
 //reesift:noalloc
 func (a *Armor) Dispatch(p *sim.Proc, m sim.Msg) {

@@ -146,14 +146,16 @@ func armorRoundCheck(t *testing.T) noalloctest.Check {
 	rxElem := &counterElem{name: "rx", limit: 1 << 40}
 	rx := New(Config{ID: 2, Name: "rx", Elements: []Element{rxElem}, SendLower: w.sendLower, Boxes: &w.boxes, RetryInterval: 5 * time.Millisecond})
 	tx := New(Config{ID: 1, Name: "tx", Elements: []Element{&beatElem{peer: 2}}, SendLower: w.sendLower, Boxes: &w.boxes, RetryInterval: 5 * time.Millisecond})
-	w.pids[2] = k.Spawn(n, "rx", sim.NoPID, rx.Run)
+	// The receiver runs in the handler form the daemon installs, the
+	// sender in the body form: both must stay allocation-free.
+	w.pids[2] = k.SpawnHandler(n, "rx", sim.NoPID, rx.Handler())
 	w.pids[1] = k.Spawn(n, "tx", sim.NoPID, tx.Run)
 	var limit time.Duration
 	return noalloctest.Check{
 		Name: "armor round",
 		Covers: []string{
 			"NewMsg", "Ctx.SendEvent", "Ctx.SendEventUnreliable", "Ctx.After", "Timer.Cancel", "Timer.Reschedule",
-			"Armor.newTimer", "Armor.freeTimer", "Armor.aim", "Armor.Dispatch", "Armor.deliverEvent",
+			"Armor.newTimer", "Armor.freeTimer", "Armor.aim", "Armor.Dispatch", "armorHandler.Handle", "Armor.deliverEvent",
 			"Armor.handle", "Armor.handleTimer", "Armor.armRetry", "Armor.sendReliable", "Armor.sendAck",
 			"Armor.transmitCommitted", "Armor.transmit",
 			"Boxes.Box", "Boxes.Free",

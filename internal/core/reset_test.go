@@ -95,7 +95,7 @@ func TestResetMatchesNew(t *testing.T) {
 func compareArmors(t *testing.T, when string, got, want *Armor) {
 	t.Helper()
 	fail := func(field string, g, w any) { t.Errorf("%s: %s = %v, fresh ARMOR has %v", when, field, g, w) }
-	compared := []string{"cfg", "proc", "ckpt", "ckptBuf", "comm", "subs", "ctx", "self", "run", "timerFree",
+	compared := []string{"cfg", "proc", "ckpt", "ckptBuf", "comm", "subs", "ctx", "self", "timerFree",
 		"timers", "deaf", "corruptNext", "unacked", "retries", "peerEpoch", "Restored"}
 	if typ := reflect.TypeFor[Armor](); typ.NumField() != len(compared) {
 		t.Fatalf("Armor has %d fields, compareArmors knows %d: %v", typ.NumField(), len(compared), compared)
@@ -171,9 +171,6 @@ func compareArmors(t *testing.T, when string, got, want *Armor) {
 	}
 	if got.self != want.self {
 		fail("self", got.self, want.self)
-	}
-	if got.run == nil || want.run == nil {
-		fail("run", got.run != nil, want.run != nil)
 	}
 	if got.deaf != want.deaf {
 		fail("deaf", got.deaf, want.deaf)

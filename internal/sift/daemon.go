@@ -390,7 +390,7 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 	// Fork + element configuration time.
 	ctx.Proc.Sleep(d.installDelay)
 	armor := d.env.buildArmor(spec, d.node.Name())
-	pid := ctx.Proc.SpawnChild(d.node, spec.Name, armor.Body())
+	pid := ctx.Proc.SpawnChildHandler(d.node, spec.Name, armor.Handler())
 	d.localPID[spec.ID] = pid
 	d.children[pid] = spec.ID
 	if spec.Epoch > 0 {

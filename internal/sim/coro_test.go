@@ -101,35 +101,54 @@ func TestLifecycleScenarioEndsEveryProcess(t *testing.T) {
 	}
 }
 
-// TestCoroPoolReuseAcrossGoroutines runs kernels on two goroutines at once
-// over the shared coroutine pool, so coroutines one goroutine releases are
+// TestCoroPoolReuseAcrossGoroutines runs kernels on two goroutines over
+// the shared coroutine pool, so coroutines one goroutine releases are
 // resumed by the other. Every kernel must match its single-goroutine run.
+// The two goroutines first run their kernels at once, which the race
+// detector watches, and then take turns in lockstep, each starting its
+// next kernel only once the other's has shut down: the coroutines a kernel
+// returned to the pool are then the ones the other goroutine's next
+// kernel takes, whatever the scheduler does.
 func TestCoroPoolReuseAcrossGoroutines(t *testing.T) {
 	const kernels = 50
 	want := make([]string, kernels)
 	for i := range want {
 		want[i] = lifecycleScenario(int64(i), nil)
 	}
-	used := [2]map[*coro]bool{{}, {}}
-	errs := make([][]string, 2)
-	var wg sync.WaitGroup
-	for g := range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range kernels {
-				if got := lifecycleScenario(int64(i), used[g]); got != want[i] {
-					errs[g] = append(errs[g], fmt.Sprintf("goroutine %d kernel %d:\n%s\nwant:\n%s", g, i, got, want[i]))
+	run := func(lockstep bool) [2]map[*coro]bool {
+		used := [2]map[*coro]bool{{}, {}}
+		errs := make([][]string, 2)
+		// turn[g] hands goroutine g the next kernel in lockstep.
+		turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+		turn[0] <- struct{}{}
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range kernels {
+					if lockstep {
+						<-turn[g]
+					}
+					if got := lifecycleScenario(int64(i), used[g]); got != want[i] {
+						errs[g] = append(errs[g], fmt.Sprintf("goroutine %d kernel %d:\n%s\nwant:\n%s", g, i, got, want[i]))
+					}
+					if lockstep {
+						turn[1-g] <- struct{}{}
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, e := range errs {
-		for _, msg := range e {
-			t.Error(msg)
+			}()
 		}
+		wg.Wait()
+		for _, e := range errs {
+			for _, msg := range e {
+				t.Error(msg)
+			}
+		}
+		return used
 	}
+	run(false)
+	used := run(true)
 	shared := 0
 	for c := range used[0] {
 		if used[1][c] {

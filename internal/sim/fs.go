@@ -25,15 +25,33 @@ type FS struct {
 }
 
 // file is one stored path. shared marks data as an immutable blob the FS
-// does not own: it is never written in place.
+// does not own: it is never written in place. spare marks a file that
+// reset emptied: it is absent to every reader, and only keeps its array
+// for the path's next Write.
 type file struct {
 	data   []byte
 	shared bool
+	spare  bool
 }
 
 // NewFS returns an empty file store.
 func NewFS() *FS {
 	return &FS{files: make(map[string]file)}
+}
+
+// reset empties the store for a new simulation, as NewFS would, but keeps
+// each owned file's array as spare capacity for its path's first Write:
+// a trial that checkpoints the same paths as the one before does not
+// allocate their images again. Spares the last trial did not write are
+// dropped, so the store holds at most one trial's paths.
+func (f *FS) reset() {
+	for path, stored := range f.files {
+		if stored.shared || stored.spare {
+			delete(f.files, path)
+			continue
+		}
+		f.files[path] = file{data: stored.data[:0], spare: true}
+	}
 }
 
 // Write stores a copy of data under path, replacing any previous content.
@@ -64,7 +82,7 @@ func (f *FS) Share(path string, data []byte) {
 // decode the view, or copy it, before the next Write of path.
 func (f *FS) Read(path string) ([]byte, error) {
 	stored, ok := f.files[path]
-	if !ok {
+	if !ok || stored.spare {
 		return nil, fmt.Errorf("sim/fs: %q: %w", path, ErrNotExist)
 	}
 	return stored.data, nil
@@ -72,8 +90,8 @@ func (f *FS) Read(path string) ([]byte, error) {
 
 // Exists reports whether path holds a file.
 func (f *FS) Exists(path string) bool {
-	_, ok := f.files[path]
-	return ok
+	stored, ok := f.files[path]
+	return ok && !stored.spare
 }
 
 // Remove deletes a file. Removing a missing file is a no-op.
@@ -82,8 +100,10 @@ func (f *FS) Remove(path string) { delete(f.files, path) }
 // List returns all paths in sorted order.
 func (f *FS) List() []string {
 	paths := make([]string, 0, len(f.files))
-	for p := range f.files {
-		paths = append(paths, p)
+	for p, stored := range f.files {
+		if !stored.spare {
+			paths = append(paths, p)
+		}
 	}
 	sort.Strings(paths)
 	return paths
@@ -100,7 +120,7 @@ func (f *FS) Size(path string) int { return len(f.files[path].data) }
 // if the file is missing or the offset is out of range.
 func (f *FS) CorruptBit(path string, byteOff int, bit uint) error {
 	stored, ok := f.files[path]
-	if !ok {
+	if !ok || stored.spare {
 		return fmt.Errorf("sim/fs: corrupt %q: %w", path, ErrNotExist)
 	}
 	if byteOff < 0 || byteOff >= len(stored.data) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +68,67 @@ func TestFSWriteOverSharedPathCopies(t *testing.T) {
 	}
 	if b, _ := fs.Read("b"); !bytes.Equal(b, pristine[:4]) || !bytes.Equal(blob[:cap(blob)], pristine) {
 		t.Fatal("a flip of a written file reached the shared buffer")
+	}
+}
+
+// fsView is everything a reader can see of a store at the given paths.
+func fsView(fs *FS, paths []string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "list %q\n", fs.List())
+	for _, p := range paths {
+		data, err := fs.Read(p)
+		fmt.Fprintf(&b, "%s: exists %v read %x err %v size %d", p, fs.Exists(p), data, err, fs.Size(p))
+		// An offset out of range reports whether the file exists
+		// without flipping anything.
+		fmt.Fprintf(&b, " corrupt %v\n", fs.CorruptBit(p, -1, 0))
+	}
+	return b.String()
+}
+
+// TestFSResetMatchesNew checks that a reset store is indistinguishable
+// from a new one, before and after the same writes, shares, removals and
+// flips, and that a path's first Write after the reset reuses the array
+// the path had: it allocates nothing.
+func TestFSResetMatchesNew(t *testing.T) {
+	paths := []string{"ckpt/1", "ckpt/2", "blob", "gone", "new"}
+	img := bytes.Repeat([]byte{0xA5}, 256)
+	used := NewFS()
+	used.Write("ckpt/1", img)
+	used.Write("ckpt/2", img[:16])
+	used.Share("blob", img)
+	used.Write("gone", img[:8])
+	used.Remove("gone")
+	used.reset()
+
+	fresh := NewFS()
+	if got, want := fsView(used, paths), fsView(fresh, paths); got != want {
+		t.Fatalf("reset store:\n%s\nnew store:\n%s", got, want)
+	}
+	for _, fs := range []*FS{used, fresh} {
+		fs.Write("ckpt/1", img[:32])
+		fs.Write("new", img[:4])
+		fs.Share("blob", img[:2])
+		fs.Remove("ckpt/2")
+		if err := fs.CorruptBit("ckpt/1", 3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fsView(used, paths), fsView(fresh, paths); got != want {
+		t.Fatalf("reset store after the same operations:\n%s\nnew store:\n%s", got, want)
+	}
+
+	// A spare the trial did not write is dropped at the next reset.
+	used.Write("ckpt/2", img)
+	used.reset()
+	used.Write("ckpt/1", img)
+	used.reset()
+	if _, ok := used.files["ckpt/2"]; ok {
+		t.Error("a spare survived a second reset unwritten")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		used.reset()
+		used.Write("ckpt/1", img)
+	}); allocs != 0 {
+		t.Errorf("a reset store's first Write of a path it had allocates %.0f objects, want 0", allocs)
 	}
 }

@@ -28,13 +28,14 @@
 // Processes come in two kinds with one inbox, one ready queue and one set
 // of wakeups. A body process runs a function on a pooled coroutine; the
 // kernel resumes it and regains control only when it parks or exits. A
-// handler process (the SIFT daemons) has no coroutine: the kernel calls
-// its Handle method for each inbox message on the goroutine running
-// Kernel.Run, draining the inbox in one dispatch exactly as a Recv loop
-// does, so both kinds see the same (time, sequence) order. A handler that must block
-// for one message borrows a pooled coroutine for that message only
-// (Proc.Block). Running the SIFT daemons this way cut chaos-simday's
-// round wall time by about 16% (README, Performance).
+// handler process (the SIFT daemons and ARMORs) has no coroutine: the
+// kernel calls its Handle method for each inbox message on the goroutine
+// running Kernel.Run, draining the inbox in one dispatch exactly as a Recv
+// loop does, so both kinds see the same (time, sequence) order. A handler
+// that must block for one message borrows a pooled coroutine for that
+// message only (Proc.Block). Running the ARMORs this way, after the
+// daemons, cut chaos-simday's round CPU time by a further 22% (README,
+// Performance).
 //
 // The steady-state hot path — Schedule/Reschedule/fire, Send/Recv, and
 // sleep/timeout wakeups — is allocation-free: event records are pooled on
@@ -155,7 +156,8 @@ func NewKernel(cfg Config) *Kernel { return new(Kernel).Reset(cfg) }
 //   - the process table, the ready ring and the node list are emptied,
 //     keeping their arrays; AddNode reuses the nodes, their process
 //     tables and RAM disks emptied, and spawn reuses dead processes'
-//     inbox rings;
+//     inbox rings; an emptied file system keeps its files' arrays for
+//     their paths' next Write;
 //   - the random sources are reseeded in place, which gives the stream a
 //     new source seeded alike would;
 //   - the clock, the counters, the stop flag, the node watchers, the
@@ -194,7 +196,7 @@ func (k *Kernel) Reset(cfg Config) *Kernel {
 	clear(k.nodes)
 	for _, n := range k.nodeList {
 		clear(n.procs)
-		clear(n.ramDisk.files)
+		n.ramDisk.reset()
 	}
 	k.nodeList = k.nodeList[:0]
 	if k.rng == nil {
@@ -205,7 +207,7 @@ func (k *Kernel) Reset(cfg Config) *Kernel {
 	if k.sharedFS == nil {
 		k.sharedFS = NewFS()
 	}
-	clear(k.sharedFS.files)
+	k.sharedFS.reset()
 	k.netFault, k.netStats = nil, NetFaultStats{}
 	clear(k.nodeWatchers)
 	clear(k.ready)
