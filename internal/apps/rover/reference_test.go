@@ -369,9 +369,8 @@ func TestFailedReferenceComputesDirectly(t *testing.T) {
 	}
 }
 
-// legacyEncode, legacyOutput and legacyCycleOutput are the output
-// formulas before the exact-size encoders: repeated appends of freshly
-// encoded feature maps.
+// legacyEncode and legacyOutput are the output formula before the
+// exact-size encoders: repeated appends of freshly encoded feature maps.
 func legacyEncode(v []float64) []byte {
 	out := make([]byte, 0, 8*len(v))
 	for _, x := range v {
@@ -386,15 +385,6 @@ func legacyOutput(features [][]float64, labels []int) []byte {
 	for _, l := range labels {
 		out = append(out, byte(l))
 	}
-	for f := 0; f < 3; f++ {
-		out = append(out, legacyEncode(features[f])...)
-	}
-	return out
-}
-
-func legacyCycleOutput(features [][]float64, labels []int) []byte {
-	var out []byte
-	out = append(out, byte(len(labels)%256))
 	for f := 0; f < 3; f++ {
 		out = append(out, legacyEncode(features[f])...)
 	}
@@ -435,10 +425,6 @@ func TestOutputEncodingMatchesAppendFormula(t *testing.T) {
 		writeOutput(fs, 1, nil, features, labels)
 		if got, _ := fs.Read(OutputPath(1)); !bytes.Equal(got, legacyOutput(features, labels)) {
 			t.Errorf("%s: writeOutput bytes differ from the append formula", tc.name)
-		}
-		writeCycleOutput(fs, 1, 0, features, labels)
-		if got, _ := fs.Read(CycleOutputPath(1, 0)); !bytes.Equal(got, legacyCycleOutput(features, labels)) {
-			t.Errorf("%s: writeCycleOutput bytes differ from the append formula", tc.name)
 		}
 	}
 }

@@ -121,10 +121,10 @@ type Config struct {
 // message with no coroutine and which is how the SIFT daemon installs
 // every ARMOR, or as a body process (Run), a Recv/Dispatch loop for
 // callers that spawn a function. The two see the same deliveries, send
-// the same messages and end the same way, with one difference: a memsim
-// Hang in the middle of a message abandons that message in a handler,
-// where a body parks in the middle of it. Only Kernel.Resume could tell
-// the two apart, by continuing the body's message.
+// the same messages and end the same way. A memsim Hang in the middle of
+// a message abandons that message in a handler, where a body parks in the
+// middle of it; since a hung process runs again only to die of a kill,
+// no outcome differs.
 type Armor struct {
 	cfg  Config
 	proc *sim.Proc

@@ -35,8 +35,6 @@ const (
 	EventTimer EventKind = "core.timer"
 	// EventChildExit is synthesized when a child process dies (waitpid).
 	EventChildExit EventKind = "core.child-exit"
-	// EventConfigure carries initial element configuration at install.
-	EventConfigure EventKind = "core.configure"
 	// EventRestore instructs a reinstalled ARMOR to load its state from
 	// the last committed checkpoint (step two of the paper's two-step
 	// FTM recovery).

@@ -90,7 +90,7 @@ func (mf *msgFaultInjector) Finish(r *Runner) {
 		return
 	}
 	stats := r.k.NetFaultStats()
-	n := stats.Dropped + stats.Corrupted + stats.Delayed
+	n := stats.Dropped + stats.Corrupted
 	if n == 0 {
 		return // interval passed without touching a message
 	}

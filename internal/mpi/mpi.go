@@ -1,5 +1,5 @@
 // Package mpi is a miniature MPI runtime for the simulated cluster,
-// providing the four behaviours the paper's evaluation depends on:
+// providing the three behaviours the paper's evaluation depends on:
 //
 //  1. rank 0 launches the remaining ranks remotely and distributes the
 //     world membership (Table 1, step 5);
@@ -9,8 +9,7 @@
 //  3. point-to-point sends and receives are blocking, so the MPI
 //     processes are tightly coupled: a rank stalled by SIFT recovery
 //     stalls its peers (the Execution-ARMOR-application correlated
-//     failure);
-//  4. barriers for phase alignment.
+//     failure).
 //
 // The runtime is transport-agnostic: it runs over any Conn that exposes
 // the process and a filtered receive (the sift.AppContext implements it).
@@ -47,8 +46,6 @@ const (
 	tagWorldInit = "mpi.world-init"
 	tagReady     = "mpi.ready"
 	tagGo        = "mpi.go"
-	tagBarrier   = "mpi.barrier"
-	tagBarrierGo = "mpi.barrier-go"
 )
 
 // World is one rank's view of the MPI job.
@@ -134,8 +131,8 @@ func (w *World) PID(rank int) sim.PID { return w.pids[rank] }
 // Send does not copy: the receiver gets data's backing array. The sender
 // gives the slice up and never writes it again, and a receiver writes it
 // only through a copy-on-write heap registration
-// (sift.AppContext.RegisterHeapF64). A slice sent to several ranks, as
-// Bcast does, is one array they all share read-only.
+// (sift.AppContext.RegisterHeapF64). A slice sent to several ranks is one
+// array they all share read-only.
 func (w *World) Send(to int, tag string, data []float64) {
 	w.send(to, tag, data, nil)
 }
@@ -155,73 +152,6 @@ func (w *World) Recv(from int, tag string, timeout time.Duration) ([]float64, er
 		return nil, fmt.Errorf("%w: from rank %d tag %s", ErrRecvTimeout, from, tag)
 	}
 	return m.Data, nil
-}
-
-// Exchange sends to a peer and receives the peer's counterpart message —
-// the boundary-exchange idiom the filter phases use.
-func (w *World) Exchange(peer int, tag string, data []float64, timeout time.Duration) ([]float64, error) {
-	w.Send(peer, tag, data)
-	return w.Recv(peer, tag, timeout)
-}
-
-// Barrier blocks until every rank arrives. Rank 0 collects and releases.
-func (w *World) Barrier(timeout time.Duration) error {
-	if w.rank == 0 {
-		seen := make(map[int]bool)
-		deadline := w.conn.Process().Now() + timeout
-		for len(seen) < w.size-1 {
-			remain := deadline - w.conn.Process().Now()
-			if remain <= 0 {
-				return fmt.Errorf("%w: barrier", ErrRecvTimeout)
-			}
-			m, ok := w.recvTag(tagBarrier, remain)
-			if !ok {
-				return fmt.Errorf("%w: barrier", ErrRecvTimeout)
-			}
-			seen[m.From] = true
-		}
-		for r := 1; r < w.size; r++ {
-			w.send(r, tagBarrierGo, nil, nil)
-		}
-		return nil
-	}
-	w.send(0, tagBarrier, nil, nil)
-	if _, ok := w.recvTag(tagBarrierGo, timeout); !ok {
-		return fmt.Errorf("%w: barrier release", ErrRecvTimeout)
-	}
-	return nil
-}
-
-// Gather collects one vector from every rank at rank 0 (nil on workers).
-func (w *World) Gather(data []float64, tag string, timeout time.Duration) ([][]float64, error) {
-	if w.rank != 0 {
-		w.Send(0, tag, data)
-		return nil, nil
-	}
-	out := make([][]float64, w.size)
-	out[0] = data
-	for received := 1; received < w.size; {
-		m, ok := w.recvTag(tag, timeout)
-		if !ok {
-			return nil, fmt.Errorf("%w: gather", ErrRecvTimeout)
-		}
-		if out[m.From] == nil {
-			out[m.From] = m.Data
-			received++
-		}
-	}
-	return out, nil
-}
-
-// Bcast distributes a vector from rank 0 to everyone, returning the data.
-func (w *World) Bcast(data []float64, tag string, timeout time.Duration) ([]float64, error) {
-	if w.rank == 0 {
-		for r := 1; r < w.size; r++ {
-			w.Send(r, tag, data)
-		}
-		return data, nil
-	}
-	return w.Recv(0, tag, timeout)
 }
 
 func (w *World) recvTag(tag string, timeout time.Duration) (msg, bool) {

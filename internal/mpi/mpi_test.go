@@ -114,86 +114,6 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
-func TestExchangeIsSymmetric(t *testing.T) {
-	k := newMPIKernel(t)
-	results := make(map[int]float64)
-	spawnWorld(t, k, func(w *World, rank int) {
-		if rank == 2 {
-			return
-		}
-		peer := 1 - rank
-		out := []float64{float64(rank + 10)}
-		in, err := w.Exchange(peer, "bound", out, 20*time.Second)
-		if err == nil && len(in) == 1 {
-			results[rank] = in[0]
-		}
-	})
-	k.Run(time.Minute)
-	if results[0] != 11 || results[1] != 10 {
-		t.Fatalf("exchange results %v", results)
-	}
-}
-
-func TestBarrierAlignsRanks(t *testing.T) {
-	k := newMPIKernel(t)
-	after := make(map[int]time.Duration)
-	spawnWorld(t, k, func(w *World, rank int) {
-		// Ranks arrive at very different times.
-		w.conn.Process().Sleep(time.Duration(rank) * 5 * time.Second)
-		if err := w.Barrier(time.Minute); err != nil {
-			return
-		}
-		after[rank] = w.conn.Process().Now()
-	})
-	k.Run(5 * time.Minute)
-	if len(after) != 3 {
-		t.Fatalf("only %d ranks passed the barrier", len(after))
-	}
-	for rank, ts := range after {
-		if ts < 10*time.Second {
-			t.Fatalf("rank %d passed the barrier at %v, before the slowest rank arrived", rank, ts)
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	k := newMPIKernel(t)
-	var rows [][]float64
-	spawnWorld(t, k, func(w *World, rank int) {
-		data := []float64{float64(rank), float64(rank * rank)}
-		out, err := w.Gather(data, "g", 30*time.Second)
-		if rank == 0 && err == nil {
-			rows = out
-		}
-	})
-	k.Run(time.Minute)
-	if len(rows) != 3 {
-		t.Fatalf("gathered %d rows", len(rows))
-	}
-	for r := 0; r < 3; r++ {
-		if rows[r][0] != float64(r) || rows[r][1] != float64(r*r) {
-			t.Fatalf("row %d = %v", r, rows[r])
-		}
-	}
-}
-
-func TestBcast(t *testing.T) {
-	k := newMPIKernel(t)
-	got := make(map[int]float64)
-	spawnWorld(t, k, func(w *World, rank int) {
-		d, err := w.Bcast([]float64{42}, "b", 30*time.Second)
-		if err == nil && len(d) == 1 {
-			got[rank] = d[0]
-		}
-	})
-	k.Run(time.Minute)
-	for rank := 0; rank < 3; rank++ {
-		if got[rank] != 42 {
-			t.Fatalf("rank %d got %v", rank, got[rank])
-		}
-	}
-}
-
 func TestLeaderStartupTimeoutWhenWorkerMissing(t *testing.T) {
 	k := newMPIKernel(t)
 	a := k.AddNode("a")
@@ -233,24 +153,28 @@ func TestRecvTimesOutOnDeadPeer(t *testing.T) {
 	}
 }
 
-// TestBcastSharesTheSendersArray pins Send's ownership rule: receivers get
-// the sender's backing array, not a copy, and a receiver that flips what it
+// TestSendSharesTheSendersArray pins Send's ownership rule, the path the
+// rover takes when it sends a memoized step's own array: receivers get the
+// sender's backing array, not a copy, and a receiver that flips what it
 // got through a copy-on-write heap registration changes only its own view,
 // not the other receiver's or the sender's.
-func TestBcastSharesTheSendersArray(t *testing.T) {
+func TestSendSharesTheSendersArray(t *testing.T) {
 	k := newMPIKernel(t)
 	sent := []float64{1, 2, 3, 4}
 	pristine := slices.Clone(sent)
 	got := make(map[int][]float64)
 	var flipped []float64
 	spawnWorld(t, k, func(w *World, rank int) {
-		var data []float64
+		var d []float64
 		if rank == 0 {
-			data = sent
-		}
-		d, err := w.Bcast(data, "b", 30*time.Second)
-		if err != nil {
-			return
+			d = sent
+			w.Send(1, "b", d)
+			w.Send(2, "b", d)
+		} else {
+			var err error
+			if d, err = w.Recv(0, "b", 30*time.Second); err != nil {
+				return
+			}
 		}
 		got[rank] = d
 		if rank == 1 {

@@ -386,6 +386,3 @@ func (ac *AppContext) SpawnRank(node string, rank int) sim.PID {
 // SharedFS returns the cluster-wide stable storage (application input,
 // output, and status files).
 func (ac *AppContext) SharedFS() *sim.FS { return ac.Env.K.SharedFS() }
-
-// Rand returns the deterministic random source.
-func (ac *AppContext) Rand() func() float64 { return ac.Env.K.Rand().Float64 }

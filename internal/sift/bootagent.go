@@ -30,10 +30,12 @@ type BootReport struct {
 // to the SCC, which re-registers the daemon with the FTM and reinstalls
 // whatever ARMORs its placement table says belong on the node.
 //
-// The agent then stays resident as the node's init process: if the
-// daemon dies again while the node stays up, nothing here intervenes —
-// daemon failures are node failures (Section 3.3), and the next
-// crash/restart cycle runs the whole sequence again.
+// The agent is a handler process (sim.Handler): Start arms the install
+// delay, and Handle runs the reinstall when it expires. The agent then
+// stays resident as the node's init process, ignoring every other
+// message: if the daemon dies again while the node stays up, nothing here
+// intervenes — daemon failures are node failures (Section 3.3), and the
+// next crash/restart cycle runs the whole sequence again.
 type BootAgent struct {
 	env  *Environment
 	node string
@@ -44,17 +46,28 @@ func NewBootAgent(env *Environment, node string) *BootAgent {
 	return &BootAgent{env: env, node: node}
 }
 
-// Run is the boot agent process body. It must run on the restarted node.
-func (b *BootAgent) Run(p *sim.Proc) {
+// bootInstall is the timer that ends the agent's install delay.
+type bootInstall struct{}
+
+// Start begins the boot: loading the daemon image and forking it costs the
+// same install delay as any daemon-driven process installation. The agent
+// must run on the restarted node.
+func (b *BootAgent) Start(p *sim.Proc) {
 	e := b.env
-	n := e.K.Node(b.node)
-	if n == nil || !n.Up() {
-		return
+	if n := e.K.Node(b.node); n == nil || !n.Up() {
+		p.Exit(0, "")
 	}
 	e.Log.addNode(p.Now(), LogBootAgentStarted, b.node)
-	// Loading the daemon image and forking it costs the same install
-	// delay as any daemon-driven process installation.
-	p.Sleep(e.cfg.InstallDelay)
+	p.After(e.cfg.InstallDelay, bootInstall{})
+}
+
+// Handle reinstalls the node's daemon when the install delay expires.
+func (b *BootAgent) Handle(p *sim.Proc, m sim.Msg) {
+	if _, ok := m.Payload.(bootInstall); !ok {
+		return
+	}
+	e := b.env
+	n := e.K.Node(b.node)
 	// The node's dead daemon is reset for the new incarnation, as Setup
 	// does; a live one (a second restart's agent was quicker) is left be.
 	aid := e.DaemonAID(b.node)
@@ -80,9 +93,4 @@ func (b *BootAgent) Run(p *sim.Proc) {
 	}
 	e.Log.addNode(p.Now(), LogDaemonReinstalled, b.node)
 	p.Send(e.sccPID, BootReport{Node: b.node, DaemonAID: aid, Epoch: d.Epoch()})
-
-	// Remain resident as the node's init process.
-	for {
-		p.Recv()
-	}
 }

@@ -2,7 +2,6 @@ package sift
 
 import (
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -405,7 +404,9 @@ func (d *Daemon) install(ctx *core.Ctx, spec ArmorSpec) {
 }
 
 // uninstall removes a local ARMOR cleanly (no failure notification) and
-// discards its checkpoint.
+// discards its checkpoint from the store the ARMOR committed it to: the
+// node's RAM disk, or the shared file system with SharedCheckpoints. Only
+// the runtime this daemon installed discards, never a newer incarnation's.
 func (d *Daemon) uninstall(ctx *core.Ctx, id core.AID) {
 	pid, ok := d.localPID[id]
 	if !ok {
@@ -415,7 +416,11 @@ func (d *Daemon) uninstall(ctx *core.Ctx, id core.AID) {
 	ctx.Proc.Kernel().Kill(pid, "uninstall")
 	delete(d.localPID, id)
 	delete(d.localEpoch, id)
-	d.node.RAMDisk().Remove("ckpt/" + strconv.FormatUint(uint64(id), 10))
+	if d.env.ProcOf(id) == pid {
+		if ck := d.env.ArmorOf(id).Checkpoint(); ck != nil {
+			ck.Discard()
+		}
+	}
 	d.env.Log.addArmor(ctx.Now(), LogArmorUninstalled, id)
 }
 

@@ -867,8 +867,7 @@ func (s *sccProc) nodeRestarted(name string) {
 		return
 	}
 	s.env.Log.addNode(s.proc.Now(), LogNodeRestartDetected, name)
-	agent := NewBootAgent(s.env, name)
-	s.proc.SpawnChild(node, "boot-"+name, agent.Run)
+	s.proc.SpawnChildHandler(node, "boot-"+name, NewBootAgent(s.env, name))
 }
 
 // recoverNode is the SCC-side recovery state machine, entered when a

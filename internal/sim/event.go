@@ -8,7 +8,7 @@ import "time"
 // allocates nothing.
 const (
 	evFunc    uint8 = iota + 1 // generic callback (external schedulers)
-	evWake                     // wake a process parked in Sleep/Yield
+	evWake                     // wake a process parked in Sleep
 	evDeliver                  // deliver a message to a process inbox
 	evTimeout                  // expire a RecvTimeout wait
 )

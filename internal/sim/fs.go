@@ -24,15 +24,30 @@ type FS struct {
 	files map[string]file
 }
 
-// file is one stored path. shared marks data as an immutable blob the FS
-// does not own: it is never written in place. spare marks a file that
-// reset emptied: it is absent to every reader, and only keeps its array
-// for the path's next Write.
+// file is one stored path.
 type file struct {
-	data   []byte
-	shared bool
-	spare  bool
+	data  []byte
+	state fileState
 }
+
+// fileState says who owns a stored array and whether readers see it. An
+// owned file (Write) is a private copy the FS may write in place; a
+// shared one (Share) is an immutable blob it never writes. A removed file
+// (Remove) and a spare (emptied by reset) are absent to every reader and
+// only keep their array for the path's next Write. reset turns a removed
+// file into a spare and drops spares, so a removed array outlives one
+// reset and a spare's none.
+type fileState uint8
+
+const (
+	owned fileState = iota
+	shared
+	removed
+	spare
+)
+
+// absent reports whether readers see no file.
+func (s file) absent() bool { return s.state >= removed }
 
 // NewFS returns an empty file store.
 func NewFS() *FS {
@@ -40,17 +55,17 @@ func NewFS() *FS {
 }
 
 // reset empties the store for a new simulation, as NewFS would, but keeps
-// each owned file's array as spare capacity for its path's first Write:
-// a trial that checkpoints the same paths as the one before does not
-// allocate their images again. Spares the last trial did not write are
-// dropped, so the store holds at most one trial's paths.
+// each owned or removed file's array as spare capacity for its path's
+// first Write: a trial that checkpoints the same paths as the one before
+// does not allocate their images again. Spares the last trial did not
+// write are dropped, so the store holds at most one trial's paths.
 func (f *FS) reset() {
 	for path, stored := range f.files {
-		if stored.shared || stored.spare {
+		if stored.state == shared || stored.state == spare {
 			delete(f.files, path)
 			continue
 		}
-		f.files[path] = file{data: stored.data[:0], spare: true}
+		f.files[path] = file{data: stored.data[:0], state: spare}
 	}
 }
 
@@ -62,7 +77,7 @@ func (f *FS) reset() {
 // earlier Reads of path returned.
 func (f *FS) Write(path string, data []byte) {
 	old := f.files[path]
-	if old.shared {
+	if old.state == shared {
 		old.data = nil
 	}
 	f.files[path] = file{data: append(old.data[:0], data...)}
@@ -73,7 +88,7 @@ func (f *FS) Write(path string, data []byte) {
 // no one may write data again. One blob may be shared under any number of
 // paths.
 func (f *FS) Share(path string, data []byte) {
-	f.files[path] = file{data: data, shared: true}
+	f.files[path] = file{data: data, state: shared}
 }
 
 // Read returns the file's content: the stored bytes themselves, which the
@@ -82,7 +97,7 @@ func (f *FS) Share(path string, data []byte) {
 // decode the view, or copy it, before the next Write of path.
 func (f *FS) Read(path string) ([]byte, error) {
 	stored, ok := f.files[path]
-	if !ok || stored.spare {
+	if !ok || stored.absent() {
 		return nil, fmt.Errorf("sim/fs: %q: %w", path, ErrNotExist)
 	}
 	return stored.data, nil
@@ -91,17 +106,28 @@ func (f *FS) Read(path string) ([]byte, error) {
 // Exists reports whether path holds a file.
 func (f *FS) Exists(path string) bool {
 	stored, ok := f.files[path]
-	return ok && !stored.spare
+	return ok && !stored.absent()
 }
 
-// Remove deletes a file. Removing a missing file is a no-op.
-func (f *FS) Remove(path string) { delete(f.files, path) }
+// Remove deletes a file. Removing a missing file is a no-op. A file the
+// FS owns keeps its array for the path's next Write, as reset does, so a
+// checkpoint discarded in one trial is not allocated again in the next;
+// that Write invalidates the views earlier Reads of path returned.
+func (f *FS) Remove(path string) {
+	switch stored, ok := f.files[path]; {
+	case !ok || stored.absent():
+	case stored.state == shared:
+		delete(f.files, path)
+	default:
+		f.files[path] = file{data: stored.data[:0], state: removed}
+	}
+}
 
 // List returns all paths in sorted order.
 func (f *FS) List() []string {
 	paths := make([]string, 0, len(f.files))
 	for p, stored := range f.files {
-		if !stored.spare {
+		if !stored.absent() {
 			paths = append(paths, p)
 		}
 	}
@@ -120,7 +146,7 @@ func (f *FS) Size(path string) int { return len(f.files[path].data) }
 // if the file is missing or the offset is out of range.
 func (f *FS) CorruptBit(path string, byteOff int, bit uint) error {
 	stored, ok := f.files[path]
-	if !ok || stored.spare {
+	if !ok || stored.absent() {
 		return fmt.Errorf("sim/fs: corrupt %q: %w", path, ErrNotExist)
 	}
 	if byteOff < 0 || byteOff >= len(stored.data) {

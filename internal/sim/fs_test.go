@@ -131,4 +131,14 @@ func TestFSResetMatchesNew(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a reset store's first Write of a path it had allocates %.0f objects, want 0", allocs)
 	}
+	// A removed file keeps its array too, in its trial and the next.
+	if allocs := testing.AllocsPerRun(100, func() {
+		used.Remove("ckpt/1")
+		used.Write("ckpt/1", img)
+		used.Remove("ckpt/1")
+		used.reset()
+		used.Write("ckpt/1", img)
+	}); allocs != 0 {
+		t.Errorf("a removed path's next Write allocates %.0f objects, want 0", allocs)
+	}
 }

@@ -58,8 +58,8 @@ func (s *subject) step(p *Proc, m Msg) {
 }
 
 // equivScenario runs one random schedule against eight subjects, one per
-// node, each meeting a different end: none, Kill, Suspend then Resume,
-// a node crash, Crash, a panic, Exit, and a node crash while a sleep
+// node, each meeting a different end: none, Kill, Suspend then Kill, a
+// node crash, Crash, a panic, Exit, and a node crash while a sleep
 // message is parked. With handlers false the subjects are Recv-loop body
 // processes; with true, handler processes. It returns everything the
 // subjects, their parent and the sink saw, and the exit statuses.
@@ -119,7 +119,7 @@ func equivScenario(seed int64, handlers bool) string {
 		case 2:
 			stop := at(horizon / 2)
 			k.Schedule(stop, func() { k.Suspend(pid) })
-			k.Schedule(stop+at(horizon/2), func() { k.Resume(pid) })
+			k.Schedule(stop+at(horizon/2), func() { k.Kill(pid, "recovery") })
 		case 3:
 			k.Schedule(at(horizon), func() { k.CrashNode(node) })
 		case 4, 5, 6:
@@ -161,7 +161,7 @@ func TestHandlerMatchesRecvLoop(t *testing.T) {
 			t.Fatalf("seed %d: traces differ in length (%d vs %d lines)", seed, len(a), len(b))
 		}
 		for _, want := range []string{
-			"subject1 exit 137 sigint", "subject3 exit 137 node n3 failure", "subject4 exit 134 asked to",
+			"subject1 exit 137 sigint", "subject2 exit 137 recovery", "subject3 exit 137 node n3 failure", "subject4 exit 134 asked to",
 			"subject5 exit 139 segmentation fault: asked to", "subject6 exit 3 asked to",
 			"subject7 got {115 5000}", "subject7 exit 137 node n7 failure",
 		} {
@@ -210,7 +210,6 @@ func TestHandlerMisuseNamesTheProcess(t *testing.T) {
 		"Recv":        func(p *Proc) { p.Recv() },
 		"RecvTimeout": func(p *Proc) { p.RecvTimeout(time.Second) },
 		"Sleep":       func(p *Proc) { p.Sleep(time.Second) },
-		"Yield":       func(p *Proc) { p.Yield() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			k := NewKernel(Config{Seed: 1})
@@ -268,8 +267,8 @@ func (h *hangHandler) Handle(p *Proc, m Msg) {
 }
 
 // TestHandlerHangAbandonsMessage checks Hang in a handler: the message
-// is abandoned, later ones queue while the process is hung, and Resume
-// continues with the next message.
+// is abandoned, later ones queue while the process is hung and are never
+// handled, and a kill ends it.
 func TestHandlerHangAbandonsMessage(t *testing.T) {
 	k := NewKernel(Config{Seed: 1})
 	h := &hangHandler{}
@@ -283,14 +282,12 @@ func TestHandlerHangAbandonsMessage(t *testing.T) {
 	}
 	k.SendExternal(pid, "three")
 	k.Run(2 * time.Millisecond)
-	k.Resume(pid)
-	k.Run(3 * time.Millisecond)
-	if got := strings.Join(h.got, " "); got != "one two three" {
-		t.Fatalf("after Resume handled %q, want \"one two three\"", got)
-	}
 	k.Kill(pid, "done")
-	k.Run(4 * time.Millisecond)
+	k.Run(3 * time.Millisecond)
 	if e := k.Exit(pid); e == nil || e.Code != 137 {
 		t.Fatalf("exit %+v, want code 137", e)
+	}
+	if got := strings.Join(h.got, " "); got != "one" {
+		t.Fatalf("after the kill handled %q, want \"one\"", got)
 	}
 }

@@ -1,17 +1,14 @@
 package sim
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // NetFault is a deterministic message-level fault model applied at the
-// kernel's send/latency boundary — the simulation analogue of a flaky
-// network segment on the testbed's 100 Mbps Ethernet. While installed,
-// every Proc.Send consults it: the message may be dropped (omission),
-// handed to Mutate (value corruption), or delayed beyond the nominal
-// link latency. Kernel-internal wake sources — child-exit notifications
-// and timers — are not network traffic and are never subject to it.
+// kernel's send boundary — the simulation analogue of a flaky network
+// segment on the testbed's 100 Mbps Ethernet. While installed, every
+// Proc.Send consults it: the message may be dropped (omission) or handed
+// to Mutate (value corruption). Kernel-internal wake sources — child-exit
+// notifications and timers — are not network traffic and are never
+// subject to it.
 //
 // All draws come from a dedicated RNG seeded at install time, so
 // installing (or clearing) a fault model never perturbs the kernel's
@@ -22,12 +19,6 @@ type NetFault struct {
 	Drop float64
 	// Corrupt is the probability a matched message is handed to Mutate.
 	Corrupt float64
-	// Delay is the probability a matched message is delayed by an extra
-	// uniform draw from [0, MaxExtraDelay).
-	Delay float64
-	// MaxExtraDelay bounds the extra delivery delay; Delay is ignored
-	// when it is not positive.
-	MaxExtraDelay time.Duration
 	// Match selects the messages subject to the fault model (nil = all
 	// network messages).
 	Match func(src, dst PID, payload interface{}) bool
@@ -42,7 +33,6 @@ type NetFault struct {
 type NetFaultStats struct {
 	Dropped   int
 	Corrupted int
-	Delayed   int
 }
 
 // InstallNetFault arms a message fault model with its own RNG seeded by
@@ -68,11 +58,10 @@ func (k *Kernel) ClearNetFault() { k.netFault = nil }
 func (k *Kernel) NetFaultStats() NetFaultStats { return k.netStats }
 
 // applyNetFault runs one message through the active fault model,
-// possibly mutating the message or inflating the latency. It reports
-// whether the message should be dropped. Draw order (drop, corrupt,
-// delay) is fixed so a campaign's outcome is a pure function of the
-// install seed.
-func (k *Kernel) applyNetFault(src, dst PID, m *Msg, lat *time.Duration) bool {
+// possibly mutating the message. It reports whether the message should be
+// dropped. Draw order (drop, corrupt) is fixed so a campaign's outcome is
+// a pure function of the install seed.
+func (k *Kernel) applyNetFault(src, dst PID, m *Msg) bool {
 	f := k.netFault
 	if f == nil {
 		return false
@@ -89,10 +78,6 @@ func (k *Kernel) applyNetFault(src, dst PID, m *Msg, lat *time.Duration) bool {
 			m.Payload = mutated
 			k.netStats.Corrupted++
 		}
-	}
-	if f.Delay > 0 && f.MaxExtraDelay > 0 && k.netRNG.Float64() < f.Delay {
-		*lat += time.Duration(k.netRNG.Int63n(int64(f.MaxExtraDelay)))
-		k.netStats.Delayed++
 	}
 	return false
 }

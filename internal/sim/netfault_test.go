@@ -125,31 +125,6 @@ func TestNetFaultMutateCorrupts(t *testing.T) {
 	}
 }
 
-// TestNetFaultDelayDefersDelivery: delayed messages still arrive, later.
-func TestNetFaultDelayDefersDelivery(t *testing.T) {
-	run := func(install bool) (time.Duration, int) {
-		k := NewKernel(Config{Seed: 9})
-		defer k.Shutdown()
-		a := k.AddNode("a")
-		var got []interface{}
-		dst := receiverCount(k, a, &got)
-		if install {
-			k.InstallNetFault(11, &NetFault{Delay: 1, MaxExtraDelay: 50 * time.Millisecond})
-		}
-		sender(k, a, dst, 20)
-		end := k.Run(time.Second)
-		return end, len(got)
-	}
-	plainEnd, plainGot := run(false)
-	slowEnd, slowGot := run(true)
-	if plainGot != 20 || slowGot != 20 {
-		t.Fatalf("lost messages: plain %d, delayed %d", plainGot, slowGot)
-	}
-	if slowEnd <= plainEnd {
-		t.Fatalf("delay did not extend the run: %v vs %v", slowEnd, plainEnd)
-	}
-}
-
 // TestClearNetFault: clearing stops new faults but keeps the stats.
 func TestClearNetFault(t *testing.T) {
 	k := NewKernel(Config{Seed: 2})

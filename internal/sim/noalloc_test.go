@@ -66,7 +66,6 @@ func procCheck(t *testing.T) noalloctest.Check {
 			p.Send(echo, payload)
 			p.Recv()
 			p.Sleep(time.Millisecond)
-			p.Yield()
 			p.After(time.Millisecond, payload)
 			if _, ok := p.RecvTimeout(time.Second); !ok {
 				panic("timer lost")
@@ -80,7 +79,7 @@ func procCheck(t *testing.T) noalloctest.Check {
 	return noalloctest.Check{
 		Name: "process API",
 		Covers: []string{
-			"Proc.pushMsg", "Proc.popMsg", "Proc.park", "Proc.Sleep", "Proc.Yield", "Proc.Send",
+			"Proc.pushMsg", "Proc.popMsg", "Proc.park", "Proc.Sleep", "Proc.Send",
 			"Proc.Recv", "Proc.RecvTimeout", "Proc.After",
 			"Kernel.deliver", "Kernel.scheduleDeliver", "Kernel.scheduleWake", "Kernel.scheduleTimeout",
 			"Kernel.pushReady", "Kernel.popReady", "Kernel.drainReady", "Kernel.dispatch", "Kernel.makeReady",

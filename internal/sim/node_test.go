@@ -89,9 +89,10 @@ func TestSuspendedAccessor(t *testing.T) {
 	if !k.Alive(pid) {
 		t.Fatal("suspended process must remain alive")
 	}
-	k.Resume(pid)
-	if k.Suspended(pid) {
-		t.Fatal("Suspended() true after resume")
+	k.Kill(pid, "recovery")
+	k.Run(3 * time.Second)
+	if k.Suspended(pid) || k.Alive(pid) {
+		t.Fatal("a killed process is still suspended or alive")
 	}
 }
 

@@ -43,9 +43,8 @@ type Proc struct {
 	state procState
 
 	// The flags share one word.
-	suspended   bool
-	pendingWake bool
-	killed      bool
+	suspended bool
+	killed    bool
 	// recvWaiting is true only while the process is parked waiting for
 	// inbox messages; message delivery wakes the process only then, so
 	// arrivals cannot cut a Sleep short.
@@ -321,10 +320,7 @@ func (k *Kernel) unwindHandler(p *Proc) {
 		return
 	}
 	if _, ok := r.(procHang); ok {
-		p.waitSeq++
-		p.recvWaiting = true
-		p.pendingWake = p.inboxLen > 0
-		return
+		return // parked for good: only a Kill ends a hang
 	}
 	code, reason := exitStatus(r)
 	k.finalize(p, code, reason)
@@ -381,9 +377,9 @@ func (k *Kernel) Kill(pid PID, reason string) {
 }
 
 // Suspend stops a process from making progress while leaving it in the
-// process table (the SIGSTOP error model: a clean hang). Messages and
-// timers destined for a suspended process queue up; none of them wake it
-// until Resume.
+// process table (the SIGSTOP error model: a clean hang). Messages destined
+// for a suspended process queue up in its inbox and its timers expire
+// unseen; it never runs again except to die of a Kill (SIFT recovery).
 func (k *Kernel) Suspend(pid PID) {
 	p := k.proc(pid)
 	if p == nil || p.state == stateDead {
@@ -393,21 +389,6 @@ func (k *Kernel) Suspend(pid PID) {
 	if p.state == stateReady {
 		// Un-ready it; drainReady skips non-ready procs.
 		p.state = stateWaiting
-		p.pendingWake = true
-	}
-}
-
-// Resume undoes Suspend. Any wakeups that arrived while suspended take
-// effect immediately.
-func (k *Kernel) Resume(pid PID) {
-	p := k.proc(pid)
-	if p == nil || p.state == stateDead || !p.suspended {
-		return
-	}
-	p.suspended = false
-	if p.pendingWake {
-		p.pendingWake = false
-		k.makeReady(p)
 	}
 }
 
@@ -558,18 +539,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield cedes the processor so other runnable processes at the same virtual
-// time can make progress.
-//
-//reesift:noalloc
-func (p *Proc) Yield() {
-	p.mayBlock("Yield")
-	p.waitSeq++
-	p.kernel.scheduleWake(0, p, p.waitSeq)
-	p.state = stateWaiting
-	p.park()
-}
-
 // Send transmits a payload to dst with the network latency between the two
 // nodes. Delivery is unreliable by design: messages to dead processes or
 // down nodes vanish.
@@ -591,7 +560,7 @@ func (p *Proc) Send(dst PID, payload interface{}) {
 		k.Emit(trace.Record{Kind: trace.KindMsgSend, Node: p.node.name,
 			PID: int64(p.pid), A: int64(dst)})
 	}
-	if k.applyNetFault(p.pid, dst, &m, &lat) {
+	if k.applyNetFault(p.pid, dst, &m) {
 		return
 	}
 	k.scheduleDeliver(lat, dst, m)
@@ -672,9 +641,8 @@ func (p *Proc) Crash(reason string) { p.unwind(134, reason) }
 // Hang suspends the calling process indefinitely, modelling an error that
 // sends the process into a tight loop or a deadlock: it stays in the
 // process table but stops making progress and stops responding to
-// messages. Only Kernel.Kill (recovery) or Kernel.Resume ends the hang.
-// In an inline handler, Hang abandons the message being handled, and
-// Resume continues with the next one.
+// messages, like a Suspend. Only Kernel.Kill (recovery) ends the hang. In
+// an inline handler, Hang abandons the message being handled.
 func (p *Proc) Hang() {
 	p.suspended = true
 	p.state = stateWaiting

@@ -9,7 +9,8 @@
 //   - processes with parent/child relationships and waitpid-style
 //     child-exit notification (crash detection),
 //   - SIGINT-style kill (clean crash) and SIGSTOP-style suspend (clean
-//     hang: the process stays in the process table but stops responding),
+//     hang: the process stays in the process table but stops responding
+//     until a kill ends it),
 //   - per-node process tables,
 //   - message passing with configurable local and remote latency,
 //   - per-node RAM disks emulating local nonvolatile memory and a shared
@@ -365,7 +366,7 @@ func (k *Kernel) scheduleDeliver(d time.Duration, dst PID, m Msg) Event {
 	return Event{e: e, gen: e.gen}
 }
 
-// scheduleWake arranges to wake p from a Sleep/Yield park after d, if it
+// scheduleWake arranges to wake p from a Sleep park after d, if it
 // is still in the same wait (tok matches its waitSeq).
 //
 //reesift:noalloc
@@ -420,11 +421,6 @@ func (k *Kernel) fire(e *event) {
 		if p.state == stateWaiting && p.recvWaiting {
 			p.timedOut = true
 			k.makeReady(p)
-		} else if p.suspended {
-			// Expired while hung: remember so a resumed process sees
-			// the timeout rather than blocking forever.
-			p.timedOut = true
-			p.pendingWake = true
 		}
 	}
 }
@@ -562,16 +558,12 @@ func (k *Kernel) dispatch(p *Proc) {
 	}
 }
 
-// makeReady marks p runnable. If p is suspended, the wakeup is deferred
-// until Resume.
+// makeReady marks p runnable. A suspended process ignores the wakeup: only
+// a Kill makes it run again.
 //
 //reesift:noalloc
 func (k *Kernel) makeReady(p *Proc) {
-	if p.state == stateDead || p.state == stateReady || p.state == stateRunning {
-		return
-	}
-	if p.suspended {
-		p.pendingWake = true
+	if p.state == stateDead || p.state == stateReady || p.state == stateRunning || p.suspended {
 		return
 	}
 	p.state = stateReady

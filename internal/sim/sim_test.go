@@ -215,27 +215,63 @@ func TestSuspendedProcessStopsRespondingButStaysAlive(t *testing.T) {
 	}
 }
 
-func TestResumeDeliversQueuedWakeups(t *testing.T) {
+// TestSuspendedProcessRunsOnlyToDie pins the SIGSTOP contract for both
+// kinds of process: a suspended body parked in RecvTimeout and a suspended
+// handler process handle nothing while messages arrive and the timeout
+// expires, and a kill ends each with code 137 and a ChildExit to its
+// parent.
+func TestSuspendedProcessRunsOnlyToDie(t *testing.T) {
 	k := newTestKernel(t)
 	n := k.AddNode("a")
-	var got int
-	rx := k.Spawn(n, "rx", NoPID, func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			p.Recv()
-			got++
+	var bodyGot, bodyTimeouts int
+	h := &hangHandler{}
+	var body, handler PID
+	exits := map[PID]int{}
+	k.Spawn(n, "parent", NoPID, func(p *Proc) {
+		body = p.SpawnChild(n, "body", func(p *Proc) {
+			for {
+				if _, ok := p.RecvTimeout(5 * time.Second); ok {
+					bodyGot++
+				} else {
+					bodyTimeouts++
+				}
+			}
+		})
+		handler = p.SpawnChildHandler(n, "handler", h)
+		for {
+			if ce, ok := p.Recv().Payload.(*ChildExit); ok {
+				exits[ce.Child] = ce.Code
+			}
 		}
 	})
-	k.Spawn(n, "tx", NoPID, func(p *Proc) {
-		p.Sleep(time.Second)
-		p.Send(rx, 1)
-		p.Sleep(time.Second)
-		p.Send(rx, 2)
+	k.Schedule(time.Second, func() {
+		k.Suspend(body)
+		k.Suspend(handler)
 	})
-	k.Schedule(500*time.Millisecond, func() { k.Suspend(rx) })
-	k.Schedule(10*time.Second, func() { k.Resume(rx) })
+	for i := range 3 {
+		k.Schedule(time.Duration(2+i)*time.Second, func() {
+			k.SendExternal(body, i)
+			k.SendExternal(handler, i)
+		})
+	}
+	k.Schedule(30*time.Second, func() {
+		for _, pid := range []PID{body, handler} {
+			if !k.Alive(pid) || !k.Suspended(pid) {
+				t.Errorf("%s: alive %v, suspended %v before the kill; want both",
+					k.ProcName(pid), k.Alive(pid), k.Suspended(pid))
+			}
+			k.Kill(pid, "recovery")
+		}
+	})
 	k.Run(time.Hour)
-	if got != 2 {
-		t.Fatalf("received %d messages after resume, want 2", got)
+	if bodyGot != 0 || bodyTimeouts != 0 || len(h.got) != 0 {
+		t.Fatalf("suspended processes ran: body got %d messages and %d timeouts, handler got %q",
+			bodyGot, bodyTimeouts, h.got)
+	}
+	for _, pid := range []PID{body, handler} {
+		if e := k.Exit(pid); e == nil || e.Code != 137 || exits[pid] != 137 {
+			t.Fatalf("%s: exit %+v, parent saw code %d; want 137 both", k.ProcName(pid), e, exits[pid])
+		}
 	}
 }
 

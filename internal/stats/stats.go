@@ -36,9 +36,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Merge appends all of o's observations.
-func (s *Sample) Merge(o *Sample) { s.xs = append(s.xs, o.xs...) }
-
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {

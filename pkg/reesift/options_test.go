@@ -197,6 +197,34 @@ func TestClusterRunsRoverSubmission(t *testing.T) {
 	}
 }
 
+// TestUninstallDiscardsSharedCheckpoints checks that a finished
+// application's Execution ARMORs leave no checkpoint behind on the store
+// they committed it to, here the shared file system, and that the rover's
+// output stays.
+func TestUninstallDiscardsSharedCheckpoints(t *testing.T) {
+	c, err := NewCluster(WithSeed(3), WithSharedCheckpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustSubmit(t, c, RoverApp(1), 5*time.Second)
+	if !c.RunUntilDone(10 * time.Minute) {
+		t.Fatal("application did not complete")
+	}
+	c.Run(c.Now() + time.Minute) // the FTM's uninstalls reach the daemons
+	if n := c.Log().Count(sift.LogArmorUninstalled); n != 2 {
+		t.Fatalf("%d Execution ARMORs uninstalled, want 2", n)
+	}
+	for rank := range 2 {
+		if ck := c.Env().ArmorOf(sift.AIDExec(1, rank)).Checkpoint(); c.SharedFS().Exists(ck.Path()) {
+			t.Errorf("rank %d's checkpoint %s outlived its uninstall", rank, ck.Path())
+		}
+	}
+	if !c.SharedFS().Exists("rover/1/output") {
+		t.Fatal("rover output missing")
+	}
+}
+
 func TestInjectionMultiAppDefaultsToSixNodes(t *testing.T) {
 	// A multi-application run with a tuning option must still get the
 	// six-node testbed, not the four-node default — and complete.
